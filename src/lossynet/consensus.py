@@ -12,6 +12,7 @@ error certifiable by :func:`consensus_rate_bound`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,7 +305,11 @@ def consensus_rate_bound(g: DirectedGraph, B: int, y, t: int) -> float:
         raise IterationOutOfRangeError(f"iteration must be >= 1, got {t}")
     beta, gamma, block = contraction_constants(g, B)
     total = float(np.linalg.norm(inputs.sum(axis=0)))
-    return total / (g.n * beta**block) * gamma ** (t // block)
+    floor = beta**block
+    if floor == 0.0:
+        # beta**block underflowed: the bound lies above the float range.
+        return math.inf if total > 0.0 else 0.0
+    return total / (g.n * floor) * gamma ** (t // block)
 
 
 def consensus_error(trace: ConsensusTrace, t: int) -> float:
@@ -347,7 +352,7 @@ def certify_consensus_bound(trace: ConsensusTrace, B: int) -> ConsensusCertifica
         bound = consensus_rate_bound(g, B, trace.inputs, t)
         if err > bound:
             passed = False
-        if err - bound > worst_margin:
+        if worst[0] is None or err - bound > worst_margin:
             worst_margin = err - bound
             worst = (t, err, bound)
     final = consensus_error(trace, T)

@@ -256,6 +256,22 @@ def measured_mixing_error(trace: OptTrace, t: int) -> float:
     return float(np.linalg.norm(diffs, axis=1).max())
 
 
+def _network_factor(beta: float, gamma: float, block: int) -> float:
+    """1 / (beta**block (1 - gamma**(1/block)) gamma**((block-1)/block)), the
+    network constant of both dual-averaging bounds.
+
+    Infinite when gamma = 0 (a single agent) or beta**block underflows, and
+    rounds to infinity when it lies above the float range.
+    """
+    floor = beta**block
+    if gamma == 0.0 or floor == 0.0:
+        return math.inf
+    # 1 - gamma**(1/block) with gamma = 1 - floor, without the cancellation
+    # that rounds it to 0 once floor / block is below the float epsilon.
+    root_gap = -math.expm1(math.log1p(-floor) / block)
+    return 1.0 / floor / root_gap / gamma ** ((block - 1) / block)
+
+
 def mixing_error_bound(g: DirectedGraph, B: int, L: float) -> float:
     """Uniform bound on the dual disagreement for t >= n*B + 1.
 
@@ -266,11 +282,7 @@ def mixing_error_bound(g: DirectedGraph, B: int, L: float) -> float:
         raise ValueError(f"Lipschitz constant must be >= 0, got {L}")
     if L == 0.0:
         return 0.0
-    beta, gamma, block = contraction_constants(g, B)
-    if gamma == 0.0:
-        return math.inf
-    denom = beta**block * (1.0 - gamma ** (1.0 / block)) * gamma ** ((block - 1) / block)
-    return L / denom
+    return L * _network_factor(*contraction_constants(g, B))
 
 
 def optimality_gap_bound(
@@ -297,13 +309,8 @@ def optimality_gap_bound(
     radius = r_sq / (A * root)
     if L == 0.0:
         network = 0.0
-    elif gamma == 0.0:
-        network = math.inf
     else:
-        denom = (
-            beta**block * (1.0 - gamma ** (1.0 / block)) * gamma ** ((block - 1) / block)
-        )
-        network = 3.0 * L**2 * A / denom * (2.0 * root + 1.0) / T
+        network = 3.0 * L**2 * A * _network_factor(beta, gamma, block) * (2.0 * root + 1.0) / T
     return approx + radius + network
 
 

@@ -115,6 +115,15 @@ class DirectedGraph:
             buckets[j - 1].append(k)
         return tuple(np.array(b, dtype=np.intp) for b in buckets)
 
+    @cached_property
+    def relay_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge index arrays (f, k) over every pair where edge f delivers into
+        the sender of edge k, i.e. ``edge_destinations[f] == edge_sources[k]``."""
+        incoming = [self.incoming_edge_indices[i] for i in self.edge_sources]
+        f = np.concatenate(incoming) if incoming else np.zeros(0, dtype=np.intp)
+        k = np.repeat(np.arange(self.num_edges, dtype=np.intp), [len(b) for b in incoming])
+        return f, k
+
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True when every agent can reach every other along directed edges."""

@@ -40,7 +40,7 @@ from .dual_averaging import (
 )
 from .errors import ConfigError, LossyNetError
 from .graphs import DirectedGraph, augment, graph_from_spec
-from .mixing import certify_contraction, certify_entry_lower_bound, matrix_product
+from .mixing import _audit_window
 from .problems import GRID_STEP_FRACTION, LinearCost, problem_from_spec, solve_reference
 from .schedules import FailureSchedule
 
@@ -382,11 +382,25 @@ def _write_csv(path: Path, header: list, rows, tee: bool) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    text = buf.getvalue()
+    return _write_text(path, buf.getvalue(), tee)
+
+
+def _write_text(path: Path, text: str, tee: bool) -> str:
     path.write_text(text)
     if tee:
         print(text, end="")
     return str(path)
+
+
+def _psi_text(product: np.ndarray) -> str:
+    """``psi.csv`` for a window product: one ``row,col,value`` line per entry,
+    row-major, the same bytes ``_write_csv`` gives with ``_float_cell`` values."""
+    m = product.shape[0]
+    row = "%d,%d,%.17g\n"
+    cells = product.ravel().tolist()
+    return "row,col,value\n" + "".join(
+        [row % (i + 1, j + 1, cells[i * m + j]) for i in range(m) for j in range(m)]
+    )
 
 
 def _jsonable(obj):
@@ -562,24 +576,16 @@ def _run_audit(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, str]:
     B = schedule.window
     start, end = cfg.window["start"], cfg.window["end"]
     beta, _, block = contraction_constants(g, B)
-    product = matrix_product(ag, schedule, start, end)
-    rows = (
-        [str(i + 1), str(j + 1), _float_cell(product[i, j])]
-        for i in range(ag.m)
-        for j in range(ag.m)
+    product, contraction, entry = _audit_window(
+        ag,
+        schedule,
+        start,
+        end,
+        B,
+        contraction_slack=cfg.tolerance("contraction_slack", 1e-10),
+        entry_slack=cfg.tolerance("entry_slack", 1e-12),
     )
-    trace_path = _write_csv(out_dir / "psi.csv", ["row", "col", "value"], rows, tee)
-
-    contraction = certify_contraction(
-        ag, schedule, start, end, B, slack=cfg.tolerance("contraction_slack", 1e-10)
-    )
-    min_entry = float(product.min())
-    entry_passed = None
-    if end - start + 1 >= block:
-        entry = certify_entry_lower_bound(
-            ag, schedule, start, end, B, slack=cfg.tolerance("entry_slack", 1e-12)
-        )
-        entry_passed = entry.passed
+    trace_path = _write_text(out_dir / "psi.csv", _psi_text(product), tee)
     summary = {
         "n": g.n,
         "b_window": B,
@@ -587,10 +593,10 @@ def _run_audit(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, str]:
         "delta": contraction.delta,
         "lambda_product": contraction.lambda_product,
         "gamma_bound": contraction.gamma_bound,
-        "min_entry": min_entry,
+        "min_entry": float(product.min()),
         "beta_bound": beta**block,
         "pass_flags": {
-            "entry_lower_bound": entry_passed,
+            "entry_lower_bound": None if entry is None else entry.passed,
             "row_contraction": contraction.passed,
         },
     }

@@ -16,6 +16,7 @@ import numpy as np
 
 from .consensus import ConsensusTrace, _input_matrix, contraction_constants
 from .errors import (
+    DimensionMismatchError,
     IterationOutOfRangeError,
     NotRowStochasticError,
     WindowTooShortError,
@@ -48,38 +49,39 @@ def iteration_matrix(ag: AugmentedGraph, schedule: FailureSchedule, t: int) -> n
     """
     g = ag.base
     if schedule.graph != g:
-        raise ValueError("schedule was built for a different graph")
-    delivered = schedule.delivered(t).astype(float)
+        raise DimensionMismatchError("schedule was built for a different graph")
+    b = schedule.delivered(t).astype(float)
     n, m = g.n, ag.m
     D = (g.out_degrees + 1).astype(float)
+    src, dst = g.edge_sources, g.edge_destinations
+    buf = n + np.arange(g.num_edges)
+    Ds = D[src]
     M = np.zeros((m, m))
     M[np.arange(n), np.arange(n)] = 1.0 / D**2
-    src, dst = g.edge_sources, g.edge_destinations
-    for k in range(g.num_edges):
-        i, j = int(src[k]), int(dst[k])
-        p = n + k
-        b = delivered[k]
-        M[i, j] = b / (D[i] * D[j])
-        M[p, j] = b / D[j]
-        M[i, p] = 1.0 / D[i] ** 2 + (1.0 - b) / D[i]
-        M[p, p] = 1.0 - b
-        # Mass arriving at the sender i this round is re-shared immediately,
-        # so anything delivered into i also reaches i's outgoing buffers.
-        for f in g.incoming_edge_indices[i]:
-            bf = delivered[f]
-            M[int(src[f]), p] = bf / (D[int(src[f])] * D[i])
-            M[n + int(f), p] = bf / D[i]
+    M[src, dst] = b / (Ds * D[dst])
+    M[buf, dst] = b / D[dst]
+    M[src, buf] = 1.0 / Ds**2 + (1.0 - b) / Ds
+    M[buf, buf] = 1.0 - b
+    # Mass arriving at the sender of edge k this round is re-shared
+    # immediately, so anything edge f delivers there also reaches k's buffer.
+    f, k = g.relay_pairs
+    M[src[f], buf[k]] = b[f] / (D[src[f]] * Ds[k])
+    M[buf[f], buf[k]] = b[f] / Ds[k]
     return M
+
+
+def _check_window(schedule: FailureSchedule, r: int, t: int) -> None:
+    if r < 1 or t > schedule.horizon or r > t + 1:
+        raise IterationOutOfRangeError(
+            f"window [{r}, {t}] invalid for horizon {schedule.horizon}"
+        )
 
 
 def matrix_product(
     ag: AugmentedGraph, schedule: FailureSchedule, r: int, t: int
 ) -> np.ndarray:
     """M[r] @ M[r+1] @ ... @ M[t]; the identity when r == t + 1."""
-    if r < 1 or t > schedule.horizon or r > t + 1:
-        raise IterationOutOfRangeError(
-            f"window [{r}, {t}] invalid for horizon {schedule.horizon}"
-        )
+    _check_window(schedule, r, t)
     product = np.eye(ag.m)
     for k in range(r, t + 1):
         product = product @ iteration_matrix(ag, schedule, k)
@@ -147,8 +149,15 @@ def lambda_coefficient(A, tol: float = ROW_SUM_TOL) -> float:
     least this fast.
     """
     A = _check_row_stochastic(A, tol)
-    overlaps = np.minimum(A[:, None, :], A[None, :, :]).sum(axis=2)
-    return float(1.0 - overlaps.min())
+    if A.min() >= 0.0:
+        # Two rows with disjoint supports overlap by exactly 0, and no pair
+        # overlaps by less.  A negative entry within tolerance can make an
+        # overlap negative, so that case takes the row-by-row minimum.
+        support = (A > 0.0).astype(float)
+        if (support @ support.T == 0.0).any():
+            return 1.0
+    overlap = np.min([np.minimum(row, A).sum(axis=1).min() for row in A])
+    return float(1.0 - overlap)
 
 
 @dataclass(frozen=True)
@@ -161,6 +170,54 @@ class EntryBoundReport:
     passed: bool
 
 
+@dataclass(frozen=True)
+class ContractionReport:
+    """Column-spread decay check for a window product."""
+
+    window: tuple[int, int]
+    delta: float
+    lambda_product: float
+    gamma_bound: float
+    passed: bool
+
+
+def _audit_window(
+    ag: AugmentedGraph,
+    schedule: FailureSchedule,
+    r: int,
+    t: int,
+    B: int,
+    contraction_slack: float = 1e-10,
+    entry_slack: float = 1e-12,
+) -> tuple[np.ndarray, ContractionReport, EntryBoundReport | None]:
+    """Both certificates of M[r] ... M[t] from one pass over the window.
+
+    Each M[k] is built once, advances the product and contributes its
+    lambda.  Returns the product, the contraction report, and the entry
+    report, which is None when the window is shorter than one block.
+    """
+    if r > t:
+        raise IterationOutOfRangeError(f"window [{r}, {t}] is empty")
+    beta, gamma, block = contraction_constants(ag.base, B)
+    _check_window(schedule, r, t)
+    product = np.eye(ag.m)
+    lam = 1.0
+    for k in range(r, t + 1):
+        M = iteration_matrix(ag, schedule, k)
+        product = product @ M
+        lam *= lambda_coefficient(M)
+    delta = delta_coefficient(product)
+    gamma_bound = gamma ** ((t - r + 1) // block)
+    passed = delta <= lam + contraction_slack and delta <= gamma_bound + contraction_slack
+    contraction = ContractionReport((r, t), delta, lam, gamma_bound, passed)
+    entry = None
+    if t - r + 1 >= block:
+        min_entry = float(product.min())
+        bound = beta**block
+        entry = EntryBoundReport((r, t), min_entry, bound, min_entry >= bound - entry_slack)
+    return product, contraction, entry
+
+
 def certify_entry_lower_bound(
     ag: AugmentedGraph,
     schedule: FailureSchedule,
@@ -171,26 +228,12 @@ def certify_entry_lower_bound(
 ) -> EntryBoundReport:
     """Every entry of M[r] ... M[t] is at least beta**(n B + 1) once the
     window spans at least n B + 1 iterations of a B-window schedule."""
-    beta, _, block = contraction_constants(ag.base, B)
+    _, _, block = contraction_constants(ag.base, B)
     if t - r + 1 < block:
         raise WindowTooShortError(
             f"window [{r}, {t}] spans {t - r + 1} < {block} iterations"
         )
-    product = matrix_product(ag, schedule, r, t)
-    min_entry = float(product.min())
-    bound = beta**block
-    return EntryBoundReport((r, t), min_entry, bound, min_entry >= bound - slack)
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Column-spread decay check for a window product."""
-
-    window: tuple[int, int]
-    delta: float
-    lambda_product: float
-    gamma_bound: float
-    passed: bool
+    return _audit_window(ag, schedule, r, t, B, entry_slack=slack)[2]
 
 
 def certify_contraction(
@@ -206,14 +249,4 @@ def certify_contraction(
     delta(product) <= prod_k lambda(M[k]) and
     delta(product) <= gamma**floor(window / (n B + 1)).
     """
-    if r > t:
-        raise IterationOutOfRangeError(f"window [{r}, {t}] is empty")
-    _, gamma, block = contraction_constants(ag.base, B)
-    product = matrix_product(ag, schedule, r, t)
-    delta = delta_coefficient(product)
-    lam = 1.0
-    for k in range(r, t + 1):
-        lam *= lambda_coefficient(iteration_matrix(ag, schedule, k))
-    gamma_bound = gamma ** ((t - r + 1) // block)
-    passed = delta <= lam + slack and delta <= gamma_bound + slack
-    return ContractionReport((r, t), delta, lam, gamma_bound, passed)
+    return _audit_window(ag, schedule, r, t, B, contraction_slack=slack)[1]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,6 +280,22 @@ class TestRateBound:
         assert cert.passed
         assert cert.final_error < 1e-8
         assert cert.worst_error <= cert.worst_bound
+
+    def test_underflowing_floor_gives_infinite_bound(self):
+        # Max out-degree 14 and block 151: beta**block underflows to 0.0.
+        g = random_strongly_connected(50, np.random.default_rng(0), 0.15)
+        beta, _, block = contraction_constants(g, 3)
+        assert beta**block == 0.0
+        y = np.linspace(0.0, 1.0, g.n)
+        assert consensus_rate_bound(g, 3, y, 1) == math.inf
+        assert consensus_rate_bound(g, 3, np.zeros(g.n), 1) == 0.0
+        schedule = bernoulli_b_bounded(g, 0.5, 3, 20, seed=1)
+        trace = run_convergent_robust_push_sum(g, y, schedule, 20)
+        cert = certify_consensus_bound(trace, 3)
+        assert cert.passed
+        assert cert.worst_t == 1
+        assert cert.worst_error == consensus_error(trace, 1)
+        assert cert.worst_bound == math.inf
 
     def test_certify_trivial_for_empty_trace(self, two_cycle):
         trace = run_convergent_robust_push_sum(

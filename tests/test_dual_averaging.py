@@ -269,6 +269,31 @@ class TestMixingError:
             expected = float(1 / denom)
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_bound_finite_when_floor_is_below_epsilon(self):
+        # A 12-agent ring with B = 2 has beta**block = 4**-25, so
+        # 1 - gamma**(1/block) must not be formed by cancellation.
+        ring = build_graph(12, [(i, i % 12 + 1) for i in range(1, 13)])
+        floor = 0.25**25
+        got = mixing_error_bound(ring, 2, 1.0)
+        assert math.isfinite(got)
+        with mpmath.workdps(50):
+            f = mpmath.mpf(floor)
+            gamma = 1 - f
+            expected = float(
+                1 / (f * (1 - gamma ** (mpmath.mpf(1) / 25)) * gamma ** (mpmath.mpf(24) / 25))
+            )
+        assert got == pytest.approx(expected, rel=1e-12)
+        gap = optimality_gap_bound(median_problem(), ring, 2, StepSizeSchedule(1.0), 25)
+        assert math.isfinite(gap)
+
+    def test_bounds_finite_on_six_agent_graph(self):
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 3), (2, 5)]
+        g = build_graph(6, edges)
+        assert math.isfinite(mixing_error_bound(g, 3, 1.0))
+        assert math.isfinite(
+            optimality_gap_bound(median_problem(), g, 3, StepSizeSchedule(1.0), 19)
+        )
+
     def test_certificate_on_lossy_run(self, three_ring):
         schedule = bernoulli_b_bounded(three_ring, 0.5, 2, 300, seed=13)
         trace = run_distributed_dual_averaging(

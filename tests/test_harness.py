@@ -7,11 +7,14 @@ import pytest
 from lossynet import (
     ConfigError,
     ExperimentConfig,
+    graph_to_spec,
     load_config,
+    random_strongly_connected,
     run_experiment,
     write_json,
 )
 from lossynet.cli import main
+from lossynet.harness import _float_cell, _psi_text, _write_csv
 
 CONSENSUS_RAW = {
     "mode": "consensus",
@@ -310,6 +313,22 @@ class TestAuditRuns:
         assert artifact.passed
         assert '"entry_lower_bound": null' in (tmp_path / "summary.json").read_text()
 
+    def test_psi_text_matches_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        product = rng.uniform(0.0, 1.0, size=(7, 7)) ** 3
+        product /= product.sum(axis=1, keepdims=True)
+        product[0, 0] = 0.0
+        product[0, 1] = 1e-300 / 3.0
+        # Some entries need all 17 significant digits to round-trip.
+        assert any(float(f"{x:.16g}") != x for x in product.ravel())
+        rows = (
+            [str(i + 1), str(j + 1), _float_cell(product[i, j])]
+            for i in range(7)
+            for j in range(7)
+        )
+        _write_csv(tmp_path / "expected.csv", ["row", "col", "value"], rows, False)
+        assert _psi_text(product).encode() == (tmp_path / "expected.csv").read_bytes()
+
 
 class TestWriteJson:
     def test_keys_sorted_and_floats_full_precision(self):
@@ -351,6 +370,47 @@ class TestCli:
         assert code == 0
         assert "pass=true" in capsys.readouterr().err
         assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_consensus_with_underflowing_rate_bound(self, tmp_path, capsys):
+        # beta**(n B + 1) underflows on this graph, so the rate bound is
+        # infinite; the run still certifies and writes its summary.
+        g = random_strongly_connected(50, np.random.default_rng(0), 0.15)
+        raw = dict(
+            CONSENSUS_RAW,
+            graph=graph_to_spec(g),
+            horizon=20,
+            inputs=[float(i % 7) for i in range(g.n)],
+        )
+        config = _write(tmp_path, "c.json", raw)
+        code = main(["consensus", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "pass=true" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        cert = summary["certifications"]["consensus_rate_bound"]
+        assert cert["bound"] == "Infinity"
+        assert cert["worst_t"] == 1
+
+    def test_optimize_with_tiny_network_floor(self, tmp_path, capsys):
+        # beta**block / block is far below the float epsilon here, which
+        # used to cancel 1 - gamma**(1/block) to 0.
+        edges = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1], [1, 3], [2, 5]]
+        raw = dict(
+            OPTIMIZE_RAW,
+            graph={"n": 6, "edges": edges},
+            horizon=40,
+            problem={
+                "d": 1,
+                "set": {"kind": "box", "lower": [0.0], "upper": [1.0]},
+                "components": [{"kind": "abs_distance", "a": [i / 5]} for i in range(6)],
+            },
+        )
+        config = _write(tmp_path, "o.json", raw)
+        code = main(["optimize", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "pass=true" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        for cert in summary["certifications"].values():
+            assert math.isfinite(cert["bound"])
 
     def test_mode_mismatch(self, tmp_path, capsys):
         config = _write(tmp_path, "c.json", CONSENSUS_RAW)

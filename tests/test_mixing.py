@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lossynet.mixing
 from lossynet import (
+    DimensionMismatchError,
+    ExperimentConfig,
     IterationOutOfRangeError,
     NotRowStochasticError,
     WindowTooShortError,
@@ -22,8 +25,10 @@ from lossynet import (
     periodic_adversarial,
     random_strongly_connected,
     run_convergent_robust_push_sum,
+    run_experiment,
     scripted_schedule,
 )
+from lossynet.mixing import ROW_SUM_TOL
 
 # Augmented two-cycle: nodes 1, 2 then buffers for (1,2) and (2,1).
 M_RELIABLE = np.array(
@@ -49,6 +54,37 @@ def random_row_stochastic(rng, m):
     return A / A.sum(axis=1, keepdims=True)
 
 
+def oracle_iteration_matrix(ag, schedule, t):
+    """M[t] entry by entry, looping over edges and their incoming edges."""
+    g = ag.base
+    delivered = schedule.delivered(t).astype(float)
+    n, m = g.n, ag.m
+    D = (g.out_degrees + 1).astype(float)
+    M = np.zeros((m, m))
+    M[np.arange(n), np.arange(n)] = 1.0 / D**2
+    src, dst = g.edge_sources, g.edge_destinations
+    for k in range(g.num_edges):
+        i, j = int(src[k]), int(dst[k])
+        p = n + k
+        b = delivered[k]
+        M[i, j] = b / (D[i] * D[j])
+        M[p, j] = b / D[j]
+        M[i, p] = 1.0 / D[i] ** 2 + (1.0 - b) / D[i]
+        M[p, p] = 1.0 - b
+        for f in g.incoming_edge_indices[i]:
+            bf = delivered[f]
+            M[int(src[f]), p] = bf / (D[int(src[f])] * D[i])
+            M[n + int(f), p] = bf / D[i]
+    return M
+
+
+def oracle_lambda(A):
+    """1 minus the smallest pairwise row overlap, from the dense m x m x m
+    array of entrywise minima."""
+    overlaps = np.minimum(A[:, None, :], A[None, :, :]).sum(axis=2)
+    return float(1.0 - overlaps.min())
+
+
 class TestIterationMatrix:
     def test_all_links_delivered(self, two_cycle):
         M = iteration_matrix(augment(two_cycle), all_reliable(two_cycle, 1), 1)
@@ -61,8 +97,26 @@ class TestIterationMatrix:
         assert np.array_equal(M, M_DROP_12)
 
     def test_rejects_foreign_schedule(self, two_cycle, asym3):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             iteration_matrix(augment(two_cycle), all_reliable(asym3, 1), 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 9),
+        density=st.floats(0.0, 1.0),
+        p_drop=st.floats(0.0, 0.9),
+        B=st.integers(1, 3),
+    )
+    def test_matches_edge_loop_oracle(self, seed, n, density, p_drop, B):
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected(n, rng, density)
+        schedule = bernoulli_b_bounded(g, p_drop, B, 6, seed=seed)
+        ag = augment(g)
+        for t in range(1, 7):
+            assert np.array_equal(
+                iteration_matrix(ag, schedule, t), oracle_iteration_matrix(ag, schedule, t)
+            )
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7))
@@ -151,6 +205,39 @@ class TestSpreadCoefficients:
     def test_rejects_negative_entries(self):
         with pytest.raises(NotRowStochasticError):
             lambda_coefficient(np.array([[1.2, -0.2], [0.5, 0.5]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), disjoint=st.booleans())
+    def test_lambda_matches_dense_oracle(self, seed, m, disjoint):
+        rng = np.random.default_rng(seed)
+        A = random_row_stochastic(rng, m)
+        if disjoint and m >= 2:
+            # Rows 0 and 1 share no support column.
+            cols = rng.permutation(m)
+            A[0, cols[: m // 2]] = 0.0
+            A[1, cols[m // 2 :]] = 0.0
+            A = A / A.sum(axis=1, keepdims=True)
+        assert lambda_coefficient(A) == oracle_lambda(A)
+
+    def test_lambda_of_round_matrices_matches_oracle(self):
+        rng = np.random.default_rng(11)
+        g = random_strongly_connected(6, rng)
+        ag = augment(g)
+        schedule = bernoulli_b_bounded(g, 0.5, 2, 13, seed=11)
+        for t in range(1, 14):
+            M = iteration_matrix(ag, schedule, t)
+            assert lambda_coefficient(M) == oracle_lambda(M)
+        for r in range(1, 13):
+            P = matrix_product(ag, schedule, r, 13)
+            assert lambda_coefficient(P) == oracle_lambda(P)
+
+    def test_tiny_negative_entry_keeps_the_dense_overlap(self):
+        # Rows 0 and 1 have disjoint supports, but the -1e-10 entry within
+        # tolerance makes their overlap negative, so lambda is not 1.
+        eps = ROW_SUM_TOL / 100
+        A = np.array([[1.0 + eps, -eps, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+        assert lambda_coefficient(A) == oracle_lambda(A)
+        assert lambda_coefficient(A) > 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
@@ -252,3 +339,25 @@ class TestContraction:
         schedule = bernoulli_b_bounded(asym3, 0.4, 2, 2 * block, seed=3)
         report = certify_contraction(augment(asym3), schedule, 1, 2 * block, 2)
         assert report.gamma_bound == gamma**2
+
+
+class TestAuditPass:
+    def test_audit_builds_each_round_matrix_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = lossynet.mixing.iteration_matrix
+
+        def counting(ag, schedule, t):
+            calls.append(t)
+            return original(ag, schedule, t)
+
+        monkeypatch.setattr(lossynet.mixing, "iteration_matrix", counting)
+        raw = {
+            "mode": "matrix-audit",
+            "graph": {"n": 3, "edges": [[1, 2], [2, 1], [2, 3], [3, 1]]},
+            "horizon": 12,
+            "schedule": {"kind": "bernoulli", "p_drop": 0.5, "B": 2, "seed": 4},
+            "window": {"start": 3, "end": 11},
+        }
+        artifact = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        assert artifact.summary["pass_flags"]["entry_lower_bound"] is not None
+        assert calls == list(range(3, 12))
