@@ -11,16 +11,17 @@ operational error (bad config, unreadable file, invalid arguments).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import schedules
 from .errors import ConfigError, LossyNetError
-from .graphs import graph_from_spec
 from .harness import (
+    _build_graph,
     _build_schedule,
     _check_schedule_spec,
+    _is_int,
+    _read_config,
     load_config,
     run_experiment,
     write_json,
@@ -58,35 +59,22 @@ def _verify_schedule(args) -> int:
     ``horizon`` sizes generated schedules and is ignored for csv schedules,
     whose files carry their own length.
     """
-    path = Path(args.config)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    raw = _read_config(args.config)
     if not isinstance(raw, dict) or set(raw) - {"graph", "schedule", "B", "horizon"}:
         raise ConfigError('verify-schedule config needs {"graph", "schedule", "B", "horizon"}')
-
-    base = path.resolve().parent
-    graph_spec = raw.get("graph")
-    if isinstance(graph_spec, dict) and isinstance(graph_spec.get("path"), str):
-        graph_spec = json.loads((base / graph_spec["path"]).read_text())
-    g = graph_from_spec(graph_spec)
+    g = _build_graph(raw.get("graph"))
 
     B = raw.get("B")
-    if not isinstance(B, int) or isinstance(B, bool) or B < 1:
+    if not _is_int(B) or B < 1:
         raise ConfigError(f"B must be a positive integer, got {B!r}")
 
     sched_spec = raw.get("schedule")
     if not isinstance(sched_spec, dict):
         raise ConfigError("schedule must be an object")
-    if isinstance(sched_spec.get("path"), str):
-        sched_spec = dict(sched_spec, path=str((base / sched_spec["path"]).resolve()))
     horizon = raw.get("horizon")
     if sched_spec.get("kind") == "csv":
         horizon = 0 if horizon is None else horizon
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
+    if not _is_int(horizon) or horizon < 0:
         raise ConfigError(f"horizon must be a nonnegative integer, got {horizon!r}")
 
     _check_schedule_spec(sched_spec)

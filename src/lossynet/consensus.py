@@ -8,6 +8,12 @@ through.  ``run_convergent_robust_push_sum`` additionally pushes a share of
 the freshly aggregated mass back into each buffer every round, which keeps
 the buffer contents decaying geometrically and makes the worst-case ratio
 error certifiable by :func:`consensus_rate_bound`.
+
+Both cumulative variants share one round, ``_CumulativeState.robust_round``:
+convergent = robust + re-share.  ``run_push_sum`` deliberately keeps its own
+loop.  With every link delivering, the robust round reduces to it exactly,
+and the test suite uses it as the independent reference for that reduction,
+so routing it through the shared round would compare the code with itself.
 """
 
 from __future__ import annotations
@@ -51,20 +57,9 @@ def _input_matrix(y, n: int) -> np.ndarray:
     return arr.copy()
 
 
-@dataclass(frozen=True, eq=False)
-class ConsensusTrace:
-    """Full history of one run on the augmented node set.
-
-    ``values[t, p]`` and ``weights[t, p]`` hold the value vector and weight of
-    augmented node id p + 1 after iteration t.  Positions 0..n-1 are the real
-    agents; position n + k is the buffer of the k-th edge in lexicographic
-    order and stores the mass in flight over that link.
-    """
-
-    augmented: AugmentedGraph
-    inputs: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
+class _NodeTrace:
+    """Accessors shared by the traces over the augmented node set; a subclass
+    provides ``augmented``, ``values`` (T+1, m, d) and ``weights`` (T+1, m)."""
 
     @property
     def graph(self) -> DirectedGraph:
@@ -86,23 +81,39 @@ class ConsensusTrace:
     def dim(self) -> int:
         return int(self.values.shape[2])
 
-    @property
-    def average_input(self) -> np.ndarray:
-        return self.inputs.mean(axis=0)
-
     def _check_t(self, t: int) -> None:
         if not 0 <= t <= self.horizon:
             raise IterationOutOfRangeError(f"iteration {t} outside 0..{self.horizon}")
 
     def ratios(self, t: int) -> np.ndarray:
-        """Real-agent value/weight ratios at iteration t; rows with a zero
-        weight are undefined and reported as NaN."""
+        """Real-agent value/weight ratios at iteration t, shape (n, d); rows
+        with a zero weight are undefined and reported as NaN."""
         self._check_t(t)
         w = self.weights[t, : self.n]
         out = np.full((self.n, self.dim), np.nan)
         ok = w != 0.0
         out[ok] = self.values[t, : self.n][ok] / w[ok, None]
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class ConsensusTrace(_NodeTrace):
+    """Full history of one run on the augmented node set.
+
+    ``values[t, p]`` and ``weights[t, p]`` hold the value vector and weight of
+    augmented node id p + 1 after iteration t.  Positions 0..n-1 are the real
+    agents; position n + k is the buffer of the k-th edge in lexicographic
+    order and stores the mass in flight over that link.
+    """
+
+    augmented: AugmentedGraph
+    inputs: np.ndarray
+    values: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def average_input(self) -> np.ndarray:
+        return self.inputs.mean(axis=0)
 
     def value_total(self, t: int) -> np.ndarray:
         self._check_t(t)
@@ -154,22 +165,21 @@ class _CumulativeState:
         self.delivered_values, self.delivered_weights = new_dv, new_dw
 
     def convergent_round(self, delivered: np.ndarray) -> None:
-        D = self.shares
-        sent_v = self.sent_values + self.z / D[:, None]
-        sent_w = self.sent_weights + self.w / D
-        new_dv = np.where(delivered[:, None], sent_v[self.src], self.delivered_values)
-        new_dw = np.where(delivered, sent_w[self.src], self.delivered_weights)
-        z_mid = self.z / D[:, None]
-        w_mid = self.w / D
-        np.add.at(z_mid, self.dst, new_dv - self.delivered_values)
-        np.add.at(w_mid, self.dst, new_dw - self.delivered_weights)
+        self.robust_round(delivered)
         # Second half of the round: broadcast a share of the fresh aggregate
         # as well, so buffers never sit on stale mass.
-        self.sent_values = sent_v + z_mid / D[:, None]
-        self.sent_weights = sent_w + w_mid / D
-        self.z = z_mid / D[:, None]
-        self.w = w_mid / D
-        self.delivered_values, self.delivered_weights = new_dv, new_dw
+        D = self.shares
+        self.sent_values = self.sent_values + self.z / D[:, None]
+        self.sent_weights = self.sent_weights + self.w / D
+        self.z = self.z / D[:, None]
+        self.w = self.w / D
+
+    def record(self, values: np.ndarray, weights: np.ndarray, t: int) -> None:
+        """Write the agent rows and the in-flight buffer rows into row t."""
+        n = self.w.size
+        values[t, :n] = self.z
+        weights[t, :n] = self.w
+        values[t, n:], weights[t, n:] = self.in_flight()
 
 
 def _check_schedule(g: DirectedGraph, schedule: FailureSchedule, T: int) -> None:
@@ -243,9 +253,7 @@ def _run_cumulative(g, y, schedule, T, step_name) -> ConsensusTrace:
     step = getattr(state, step_name)
     for t in range(1, T + 1):
         step(schedule.delivered(t))
-        values[t, : g.n] = state.z
-        weights[t, : g.n] = state.w
-        values[t, g.n :], weights[t, g.n :] = state.in_flight()
+        state.record(values, weights, t)
     return ConsensusTrace(ag, inputs, values, weights)
 
 

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import _check_schedule, _CumulativeState, contraction_constants
+from .consensus import (
+    _allocate,
+    _check_schedule,
+    _CumulativeState,
+    _NodeTrace,
+    contraction_constants,
+)
 from .errors import (
     DimensionMismatchError,
     HorizonTooShortError,
@@ -124,7 +130,7 @@ def run_centralized_dual_averaging(
 
 
 @dataclass(frozen=True, eq=False)
-class OptTrace:
+class OptTrace(_NodeTrace):
     """Distributed dual-averaging trajectory over the augmented node set.
 
     ``values`` and ``weights`` cover all m augmented nodes (real agents
@@ -140,38 +146,6 @@ class OptTrace:
     values: np.ndarray
     weights: np.ndarray
     subgradients: np.ndarray
-
-    @property
-    def graph(self) -> DirectedGraph:
-        return self.augmented.base
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        return self.augmented.base.n
-
-    @property
-    def m(self) -> int:
-        return self.augmented.m
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
-
-    def _check_t(self, t: int):
-        if not 0 <= t <= self.horizon:
-            raise IterationOutOfRangeError(
-                f"iteration {t} outside recorded range 0..{self.horizon}"
-            )
-
-    def ratios(self, t: int) -> np.ndarray:
-        """Value/weight ratios of the real agents, shape (n, d)."""
-        self._check_t(t)
-        n = self.n
-        return self.values[t, :n] / self.weights[t, :n, None]
 
     def dual_average(self, t: int) -> np.ndarray:
         """Sum of the dual values over all m nodes, divided by n."""
@@ -207,11 +181,10 @@ def run_distributed_dual_averaging(
     _check_schedule(g, schedule, T)
     n, d = g.n, problem.dim
     ag = augment(g)
-    state = _CumulativeState(g, np.zeros((n, d)))
+    duals = np.zeros((n, d))
+    state = _CumulativeState(g, duals)
+    values, weights = _allocate(ag, duals, T)
     estimates = np.zeros((T + 1, n, d))
-    values = np.zeros((T + 1, ag.m, d))
-    weights = np.zeros((T + 1, ag.m))
-    weights[0, :n] = 1.0
     subgradients = np.zeros((T, n, d))
 
     x = np.zeros((n, d))
@@ -226,9 +199,7 @@ def run_distributed_dual_averaging(
         )
         subgradients[t - 1] = grads
         estimates[t] = x
-        values[t, :n] = state.z
-        weights[t, :n] = state.w
-        values[t, n:], weights[t, n:] = state.in_flight()
+        state.record(values, weights, t)
     return OptTrace(problem, ag, steps, estimates, values, weights, subgradients)
 
 

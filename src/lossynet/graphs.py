@@ -69,27 +69,6 @@ class DirectedGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def out_degree(self) -> dict[int, int]:
-        deg = {i: 0 for i in range(1, self.n + 1)}
-        for i, _ in self.edges:
-            deg[i] += 1
-        return deg
-
-    @cached_property
-    def out_neighbors(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {i: set() for i in range(1, self.n + 1)}
-        for i, j in self.edges:
-            nbrs[i].add(j)
-        return {i: frozenset(s) for i, s in nbrs.items()}
-
-    @cached_property
-    def in_neighbors(self) -> dict[int, frozenset[int]]:
-        nbrs: dict[int, set[int]] = {i: set() for i in range(1, self.n + 1)}
-        for i, j in self.edges:
-            nbrs[j].add(i)
-        return {i: frozenset(s) for i, s in nbrs.items()}
-
     # 0-based index arrays used by the numerical code; position p holds agent p+1.
 
     @cached_property
@@ -173,22 +152,6 @@ class AugmentedGraph:
     @property
     def m(self) -> int:
         return self.base.n + self.base.num_edges
-
-    @cached_property
-    def virtual_index(self) -> dict[Edge, int]:
-        n = self.base.n
-        return {edge: n + 1 + k for k, edge in enumerate(self.base.edges)}
-
-    @cached_property
-    def edge_of_virtual(self) -> dict[int, Edge]:
-        return {vid: edge for edge, vid in self.virtual_index.items()}
-
-    def kind(self, node_id: int) -> str:
-        if 1 <= node_id <= self.base.n:
-            return "real"
-        if self.base.n < node_id <= self.m:
-            return "virtual"
-        raise EndpointOutOfRangeError(f"node id {node_id} outside 1..{self.m}")
 
 
 def augment(g: DirectedGraph) -> AugmentedGraph:

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +77,12 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_positive_int(value, key: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{key} must be an integer")
+    _require(_is_int(value), f"{key} must be an integer")
     _require(value >= 1, f"{key} must be >= 1, got {value}")
     return value
 
@@ -99,6 +103,14 @@ def _normalize_inputs(raw) -> tuple:
         _require(len(row) == width and width > 0, "input rows must have equal positive length")
         rows.append(tuple(float(v) for v in row))
     return tuple(rows)
+
+
+def _check_graph_spec(spec) -> None:
+    _require(
+        isinstance(spec, dict)
+        and (isinstance(spec.get("path"), str) or {"n", "edges"} <= set(spec)),
+        'graph needs either {"path": ...} or {"n": ..., "edges": ...}',
+    )
 
 
 def _check_schedule_spec(spec) -> dict:
@@ -122,8 +134,7 @@ def _check_schedule_spec(spec) -> dict:
         _as_positive_int(spec.get("B"), "schedule B")
         if "seed" in spec:
             _require(
-                isinstance(spec["seed"], int) and not isinstance(spec["seed"], bool)
-                and spec["seed"] >= 0,
+                _is_int(spec["seed"]) and spec["seed"] >= 0,
                 "schedule seed must be a nonnegative integer",
             )
     elif kind == "periodic":
@@ -155,33 +166,17 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "config must be a JSON object")
-        known = {
-            "mode",
-            "graph",
-            "horizon",
-            "schedule",
-            "algorithm",
-            "inputs",
-            "problem",
-            "step_constant",
-            "window",
-            "tolerances",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
         mode = raw.get("mode")
         _require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
 
         graph = raw.get("graph")
-        _require(isinstance(graph, dict), "graph must be an object")
-        _require(
-            "path" in graph or ("n" in graph and "edges" in graph),
-            'graph needs either {"path": ...} or {"n": ..., "edges": ...}',
-        )
+        _check_graph_spec(graph)
 
         horizon = raw.get("horizon")
         _require(
-            isinstance(horizon, int) and not isinstance(horizon, bool) and horizon >= 0,
+            _is_int(horizon) and horizon >= 0,
             f"horizon must be a nonnegative integer, got {horizon!r}",
         )
 
@@ -282,24 +277,31 @@ class ExperimentConfig:
         return float(self.tolerances.get(key, default))
 
 
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _read_config(path):
+    """Parse a JSON config file and resolve a relative ``graph.path`` or
+    ``schedule.path`` against the file's directory."""
+    path = Path(path)
+    raw = _read_json(path, "config")
+    if isinstance(raw, dict):
+        for key in ("graph", "schedule"):
+            spec = raw.get(key)
+            if isinstance(spec, dict) and isinstance(spec.get("path"), str):
+                spec["path"] = str((path.resolve().parent / spec["path"]).resolve())
+    return raw
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a config file, resolving relative file references against it."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    base = path.resolve().parent
-    if isinstance(raw, dict):
-        graph = raw.get("graph")
-        if isinstance(graph, dict) and isinstance(graph.get("path"), str):
-            graph["path"] = str((base / graph["path"]).resolve())
-        sched = raw.get("schedule")
-        if isinstance(sched, dict) and isinstance(sched.get("path"), str):
-            sched["path"] = str((base / sched["path"]).resolve())
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(_read_config(path))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,15 +321,26 @@ class RunArtifact:
     wall_clock: float
 
 
-def _build_graph(cfg: ExperimentConfig) -> DirectedGraph:
-    spec = cfg.graph
-    if "path" in spec:
-        try:
-            spec = json.loads(Path(spec["path"]).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read graph file {cfg.graph['path']}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"graph file {cfg.graph['path']} is not valid JSON: {exc}") from exc
+def _build_graph(spec) -> DirectedGraph:
+    """The graph of a config's graph spec: inline ``{"n": ..., "edges": ...}``
+    or ``{"path": ...}`` naming a JSON file that holds the inline form."""
+    _check_graph_spec(spec)
+    where = "graph"
+    if isinstance(spec.get("path"), str):
+        where = f"graph file {spec['path']}"
+        spec = _read_json(Path(spec["path"]), "graph file")
+    _require(
+        isinstance(spec, dict) and {"n", "edges"} <= set(spec),
+        f'{where} needs {{"n": ..., "edges": ...}}',
+    )
+    _as_positive_int(spec["n"], f"{where} n")
+    edges = spec["edges"]
+    _require(
+        isinstance(edges, (list, tuple))
+        and all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges)
+        and all(_is_int(v) for e in edges for v in e),
+        f"{where} edges must be a list of [i, j] integer pairs",
+    )
     return graph_from_spec(spec)
 
 
@@ -383,6 +396,15 @@ def _write_csv(path: Path, header: list, rows, tee: bool) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return _write_text(path, buf.getvalue(), tee)
+
+
+def _write_trace(out_dir: Path, trace, tee: bool, estimates=None) -> str:
+    """``trace.csv``: per node z and w, then the ratio z / w, or the
+    estimate x when ``estimates`` are given."""
+    last = "ratio" if estimates is None else "x"
+    d = range(trace.dim)
+    header = ["t", "node_id", "kind", *(f"z_{k}" for k in d), "w", *(f"{last}_{k}" for k in d)]
+    return _write_csv(out_dir / "trace.csv", header, _node_rows(trace, estimates), tee)
 
 
 def _write_text(path: Path, text: str, tee: bool) -> str:
@@ -468,30 +490,15 @@ def _mass_certifications(trace: ConsensusTrace, rtol: float) -> dict:
     value_dev = float(np.abs(totals - target).max()) / scale
     weight_dev = float(np.abs(trace.weights.sum(axis=1) - trace.n).max()) / trace.n
     return {
-        "value_mass_conservation": {
-            "measured": value_dev,
-            "bound": rtol,
-            "passed": value_dev <= rtol,
-        },
-        "weight_mass_conservation": {
-            "measured": weight_dev,
-            "bound": rtol,
-            "passed": weight_dev <= rtol,
-        },
+        f"{name}_mass_conservation": {"measured": dev, "bound": rtol, "passed": dev <= rtol}
+        for name, dev in (("value", value_dev), ("weight", weight_dev))
     }
 
 
 def _run_consensus(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, str]:
     y = np.asarray(cfg.inputs, dtype=float)
     trace = _RUNNERS[cfg.algorithm](g, y, schedule, cfg.horizon)
-    d = trace.dim
-    header = (
-        ["t", "node_id", "kind"]
-        + [f"z_{k}" for k in range(d)]
-        + ["w"]
-        + [f"ratio_{k}" for k in range(d)]
-    )
-    trace_path = _write_csv(out_dir / "trace.csv", header, _node_rows(trace), tee)
+    trace_path = _write_trace(out_dir, trace, tee)
 
     certifications: dict = {}
     if cfg.horizon >= 1:
@@ -528,15 +535,7 @@ def _run_optimize(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, str
     steps = StepSizeSchedule(cfg.step_constant)
     trace = run_distributed_dual_averaging(g, problem, schedule, steps, cfg.horizon)
     d = trace.dim
-    header = (
-        ["t", "node_id", "kind"]
-        + [f"z_{k}" for k in range(d)]
-        + ["w"]
-        + [f"x_{k}" for k in range(d)]
-    )
-    trace_path = _write_csv(
-        out_dir / "trace.csv", header, _node_rows(trace, trace.estimates), tee
-    )
+    trace_path = _write_trace(out_dir, trace, tee, trace.estimates)
 
     B = schedule.window
     _, _, block = contraction_constants(g, B)
@@ -624,7 +623,7 @@ def run_experiment(
     started = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    g = _build_graph(cfg)
+    g = _build_graph(cfg.graph)
     schedule, effective_seed = _build_schedule(cfg.schedule, cfg.horizon, g, seed)
 
     if cfg.mode == "consensus":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import ConsensusTrace, _input_matrix, contraction_constants
+from .consensus import ConsensusTrace, _allocate, _input_matrix, contraction_constants
 from .errors import (
     DimensionMismatchError,
     IterationOutOfRangeError,
@@ -104,13 +104,8 @@ def evolve_by_matrices(
         raise IterationOutOfRangeError(
             f"schedule covers {schedule.horizon} iterations, run needs {T}"
         )
-    g = ag.base
-    inputs = _input_matrix(y, g.n)
-    n, d = inputs.shape
-    values = np.zeros((T + 1, ag.m, d))
-    weights = np.zeros((T + 1, ag.m))
-    values[0, :n] = inputs
-    weights[0, :n] = 1.0
+    inputs = _input_matrix(y, ag.base.n)
+    values, weights = _allocate(ag, inputs, T)
     for t in range(1, T + 1):
         M = iteration_matrix(ag, schedule, t)
         values[t] = M.T @ values[t - 1]
@@ -122,11 +117,15 @@ def _check_row_stochastic(A: np.ndarray, tol: float) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotRowStochasticError(f"expected a square matrix, got shape {A.shape}")
-    if A.size and (A.min() < -tol or np.abs(A.sum(axis=1) - 1.0).max() > tol):
+    sums = A.sum(axis=1)
+    # A NaN or infinite entry makes its row sum non-finite as well.
+    if not np.isfinite(sums).all():
+        raise NotRowStochasticError("matrix has a non-finite entry or row sum")
+    if A.size and (A.min() < -tol or np.abs(sums - 1.0).max() > tol):
         raise NotRowStochasticError(
             "matrix is not row stochastic within tolerance "
             f"{tol} (min entry {A.min()}, worst row-sum error "
-            f"{np.abs(A.sum(axis=1) - 1.0).max()})"
+            f"{np.abs(sums - 1.0).max()})"
         )
     return A
 

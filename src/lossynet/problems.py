@@ -72,20 +72,11 @@ class Box:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def violation(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        over = np.maximum(x - self.upper, 0.0)
-        under = np.maximum(self.lower - x, 0.0)
-        return float(np.maximum(over, under).max())
-
     def axis_interval(self, x, k: int) -> tuple[float, float]:
         return float(self.lower[k]), float(self.upper[k])
 
     def grid_axes(self, points: int) -> list[np.ndarray]:
         return [np.linspace(self.lower[k], self.upper[k], points) for k in range(self.dim)]
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +112,6 @@ class Ball:
     def contains(self, x, tol: float = 1e-12) -> bool:
         return bool(np.linalg.norm(np.asarray(x, dtype=float)) <= self.radius + tol)
 
-    def violation(self, x) -> float:
-        return max(0.0, float(np.linalg.norm(np.asarray(x, dtype=float)) - self.radius))
-
     def axis_interval(self, x, k: int) -> tuple[float, float]:
         rest = float(np.sum(np.delete(np.asarray(x, dtype=float), k) ** 2))
         half = float(np.sqrt(max(self.radius**2 - rest, 0.0)))
@@ -131,13 +119,6 @@ class Ball:
 
     def grid_axes(self, points: int) -> list[np.ndarray]:
         return [np.linspace(-self.radius, self.radius, points) for _ in range(self.dim)]
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        raw = rng.standard_normal(self.dim)
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            return np.zeros(self.dim)
-        return raw / norm * self.radius * rng.random() ** (1.0 / self.dim)
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,14 +75,6 @@ class FailureSchedule:
             )
         return self.indicators[t - 1].astype(bool)
 
-    def indicator(self, edge, t: int) -> int:
-        k = self.graph.edges.index((int(edge[0]), int(edge[1])))
-        if not 1 <= t <= self.horizon:
-            raise IterationOutOfRangeError(
-                f"iteration {t} outside 1..{self.horizon}"
-            )
-        return int(self.indicators[t - 1, k])
-
 
 def _max_outage_run(indicators: np.ndarray) -> int:
     """Longest run of consecutive zeros in any single column."""
@@ -215,5 +207,10 @@ def read_schedule_csv(g: DirectedGraph, path) -> FailureSchedule:
         for row in reader:
             t = int(row["t"])
             horizon = max(horizon, t)
-            table[((int(row["src"]), int(row["dst"])), t)] = int(row["indicator"])
+            key = ((int(row["src"]), int(row["dst"])), t)
+            if key in table:
+                raise IncompleteTableError(
+                    f"row {reader.line_num} repeats edge {key[0]} at iteration {t}"
+                )
+            table[key] = int(row["indicator"])
     return scripted_schedule(g, horizon, table)

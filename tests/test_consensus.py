@@ -35,7 +35,8 @@ def reference_cumulative(g, y, schedule, T, convergent):
     Follows the per-agent recursions literally (one dict entry per node and
     per link), independent of the vectorized production code.
     """
-    d = {i: g.out_degree[i] + 1 for i in range(1, g.n + 1)}
+    d = {i: 1 + sum(1 for src, _ in g.edges if src == i) for i in range(1, g.n + 1)}
+    column = {e: k for k, e in enumerate(g.edges)}
     z = {i: float(y[i - 1]) for i in range(1, g.n + 1)}
     w = {i: 1.0 for i in range(1, g.n + 1)}
     sigma = {i: 0.0 for i in range(1, g.n + 1)}
@@ -48,7 +49,7 @@ def reference_cumulative(g, y, schedule, T, convergent):
         sigma_w_plus = {i: sigma_w[i] + w[i] / d[i] for i in w}
         new_rho, new_rho_w = {}, {}
         for (j, i) in g.edges:
-            if schedule.indicator((j, i), t):
+            if schedule.indicators[t - 1, column[(j, i)]]:
                 new_rho[(j, i)] = sigma_plus[j]
                 new_rho_w[(j, i)] = sigma_w_plus[j]
             else:
@@ -75,14 +76,14 @@ def reference_cumulative(g, y, schedule, T, convergent):
 
 
 def assert_matches_reference(g, trace, states):
-    ag = augment(g)
     for t, (z, w, buf, buf_w) in enumerate(states):
         for i in range(1, g.n + 1):
             assert trace.values[t, i - 1, 0] == pytest.approx(z[i], abs=1e-12)
             assert trace.weights[t, i - 1] == pytest.approx(w[i], abs=1e-12)
-        for e, vid in ag.virtual_index.items():
-            assert trace.values[t, vid - 1, 0] == pytest.approx(buf[e], abs=1e-12)
-            assert trace.weights[t, vid - 1] == pytest.approx(buf_w[e], abs=1e-12)
+        # The buffer of the k-th edge in lexicographic order is node n + k + 1.
+        for k, e in enumerate(g.edges):
+            assert trace.values[t, g.n + k, 0] == pytest.approx(buf[e], abs=1e-12)
+            assert trace.weights[t, g.n + k] == pytest.approx(buf_w[e], abs=1e-12)
 
 
 class TestPlainPushSum:

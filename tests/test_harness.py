@@ -7,12 +7,16 @@ import pytest
 from lossynet import (
     ConfigError,
     ExperimentConfig,
+    bernoulli_b_bounded,
+    graph_from_spec,
     graph_to_spec,
     load_config,
     random_strongly_connected,
     run_experiment,
     write_json,
+    write_schedule_csv,
 )
+from lossynet import schedules
 from lossynet.cli import main
 from lossynet.harness import _float_cell, _psi_text, _write_csv
 
@@ -363,6 +367,19 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
+VERIFY_RAW = {"schedule": {"kind": "periodic", "B": 3}, "B": 3, "horizon": 9}
+
+
+def _run_with_graph(tmp_path, graph):
+    """Exit codes of verify-schedule and consensus on configs in ``tmp_path``
+    that share the graph spec ``graph``."""
+    codes = []
+    for command, raw in (("verify-schedule", VERIFY_RAW), ("consensus", CONSENSUS_RAW)):
+        config = _write(tmp_path, f"{command}.json", dict(raw, graph=graph))
+        codes.append(main([command, "--config", config, "--out", str(tmp_path / command)]))
+    return codes
+
+
 class TestCli:
     def test_consensus_pass(self, tmp_path, capsys):
         config = _write(tmp_path, "c.json", CONSENSUS_RAW)
@@ -499,3 +516,49 @@ class TestCli:
         code = main(["verify-schedule", "--config", config, "--out", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_graph_file_not_json(self, tmp_path, capsys):
+        (tmp_path / "ring.json").write_text("{nope")
+        assert _run_with_graph(tmp_path, {"path": "ring.json"}) == [1, 1]
+        assert capsys.readouterr().err.count("is not valid JSON") == 2
+
+    def test_graph_spec_without_edges(self, tmp_path, capsys):
+        (tmp_path / "ring.json").write_text(json.dumps({"n": 3}))
+        assert _run_with_graph(tmp_path, {"path": "ring.json"}) == [1, 1]
+        assert _run_with_graph(tmp_path, {"n": 3}) == [1, 1]
+        assert capsys.readouterr().err.count('"edges": ...}') == 4
+
+    def test_graph_edges_not_integer_pairs(self, tmp_path, capsys):
+        for edges in ([[1, 2, 3], [2, 3], [3, 1]], [[1, "2"], [2, 3], [3, 1]],
+                      [[1.5, 2], [2, 3], [3, 1]], [1, 2, 3]):
+            assert _run_with_graph(tmp_path, {"n": 3, "edges": edges}) == [1, 1], edges
+            assert capsys.readouterr().err.count("integer pairs") == 2
+
+    def test_missing_graph_file(self, tmp_path, capsys):
+        assert _run_with_graph(tmp_path, {"path": "absent.json"}) == [1, 1]
+        assert capsys.readouterr().err.count("cannot read graph file") == 2
+
+    def test_verify_schedule_and_runs_resolve_paths_alike(self, tmp_path, monkeypatch):
+        # Files live in data/, configs in configs/sub/, and the commands run
+        # from configs/: only resolution against the config file finds them.
+        data, sub = tmp_path / "data", tmp_path / "configs" / "sub"
+        data.mkdir()
+        sub.mkdir(parents=True)
+        ring = graph_from_spec(CONSENSUS_RAW["graph"])
+        (data / "ring.json").write_text(json.dumps(CONSENSUS_RAW["graph"]))
+        write_schedule_csv(bernoulli_b_bounded(ring, 0.5, 3, 40, seed=3), data / "s.csv")
+        refs = {
+            "graph": {"path": "../../data/ring.json"},
+            "schedule": {"kind": "csv", "path": "../../data/s.csv"},
+        }
+        _write(sub, "v.json", dict(VERIFY_RAW, horizon=40, **refs))
+        _write(sub, "c.json", dict(CONSENSUS_RAW, horizon=40, **refs))
+        monkeypatch.chdir(tmp_path / "configs")
+        seen = []
+        read = schedules.read_schedule_csv
+        monkeypatch.setattr(
+            schedules, "read_schedule_csv", lambda g, path: seen.append((g, path)) or read(g, path)
+        )
+        assert main(["verify-schedule", "--config", "sub/v.json", "--out", str(tmp_path / "v")]) == 0
+        assert main(["consensus", "--config", "sub/c.json", "--out", str(tmp_path / "c")]) == 0
+        assert seen == [(ring, str((data / "s.csv").resolve()))] * 2

@@ -202,6 +202,12 @@ class TestSpreadCoefficients:
         with pytest.raises(NotRowStochasticError):
             delta_coefficient(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("coefficient", [delta_coefficient, lambda_coefficient])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, coefficient, bad):
+        with pytest.raises(NotRowStochasticError, match="non-finite"):
+            coefficient(np.array([[bad, 0.5], [0.5, 0.5]]))
+
     def test_rejects_negative_entries(self):
         with pytest.raises(NotRowStochasticError):
             lambda_coefficient(np.array([[1.2, -0.2], [0.5, 0.5]]))

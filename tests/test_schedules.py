@@ -58,11 +58,6 @@ class TestFailureSchedule:
         with pytest.raises(IterationOutOfRangeError):
             s.delivered(t)
 
-    def test_indicator_by_edge(self, two_cycle):
-        s = scripted_schedule(two_cycle, 2, _table(two_cycle, {(1, 2): [0, 1], (2, 1): [1, 1]}))
-        assert s.indicator((1, 2), 1) == 0
-        assert s.indicator((2, 1), 1) == 1
-
 
 class TestWorstGap:
     def test_all_ones_gives_one(self, two_cycle):
@@ -191,4 +186,14 @@ class TestCsvRoundTrip:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(IncompleteTableError):
+            read_schedule_csv(two_cycle, path)
+
+    def test_read_rejects_repeated_row(self, two_cycle, tmp_path):
+        # Edge (1, 2) delivers at t = 1, then a repeated row says it dropped;
+        # the file contradicts itself, so neither row may win silently.
+        path = tmp_path / "schedule.csv"
+        write_schedule_csv(all_reliable(two_cycle, 2), path)
+        with open(path, "a") as fh:
+            fh.write("1,2,1,0\n")
+        with pytest.raises(IncompleteTableError, match=r"row 6 repeats edge \(1, 2\) at iteration 1"):
             read_schedule_csv(two_cycle, path)
