@@ -25,6 +25,11 @@ class IncompleteTableError(LossyNetError):
     """A scripted schedule table does not cover edges x [1, T] exactly."""
 
 
+class MalformedScheduleError(LossyNetError):
+    """A schedule CSV row or table entry is not an integer (src, dst, t,
+    indicator) entry with t >= 1 and an indicator of 0 or 1."""
+
+
 class NeverReliableLinkError(LossyNetError):
     """Some link never delivers within the horizon, so no window bound exists."""
 

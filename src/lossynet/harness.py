@@ -12,8 +12,6 @@ time- or host-dependent is written.
 from __future__ import annotations
 
 import copy
-import csv
-import io
 import json
 import math
 import time
@@ -81,6 +79,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_positive_int(value, key: str) -> int:
     _require(_is_int(value), f"{key} must be an integer")
     _require(value >= 1, f"{key} must be >= 1, got {value}")
@@ -89,14 +91,13 @@ def _as_positive_int(value, key: str) -> int:
 
 def _normalize_inputs(raw) -> tuple:
     _require(isinstance(raw, (list, tuple)) and len(raw) > 0, "inputs must be a nonempty list")
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
+    if all(_is_number(v) for v in raw):
         return tuple(float(v) for v in raw)
     rows = []
     width = None
     for row in raw:
         _require(
-            isinstance(row, (list, tuple))
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row),
+            isinstance(row, (list, tuple)) and all(_is_number(v) for v in row),
             "inputs must be a list of numbers or a list of equal-length number lists",
         )
         width = len(row) if width is None else width
@@ -128,7 +129,7 @@ def _check_schedule_spec(spec) -> dict:
     if kind == "bernoulli":
         p = spec.get("p_drop")
         _require(
-            isinstance(p, (int, float)) and not isinstance(p, bool) and 0.0 <= p < 1.0,
+            _is_number(p) and 0.0 <= p < 1.0,
             f"p_drop must lie in [0, 1), got {p!r}",
         )
         _as_positive_int(spec.get("B"), "schedule B")
@@ -198,9 +199,7 @@ class ExperimentConfig:
             _require(isinstance(problem, dict), "optimize mode needs a problem object")
             problem = copy.deepcopy(problem)
             _require(
-                isinstance(step_constant, (int, float))
-                and not isinstance(step_constant, bool)
-                and step_constant > 0,
+                _is_number(step_constant) and step_constant > 0,
                 f"step_constant must be positive, got {step_constant!r}",
             )
             step_constant = float(step_constant)
@@ -234,6 +233,8 @@ class ExperimentConfig:
         _require(isinstance(tolerances, dict), "tolerances must be an object")
         bad = set(tolerances) - set(TOLERANCE_KEYS)
         _require(not bad, f"unknown tolerance keys: {sorted(bad)}")
+        for key, value in tolerances.items():
+            _require(_is_number(value), f"tolerance {key} must be a number, got {value!r}")
         tolerances = {
             k: float(v) for k, v in sorted(tolerances.items())
         }
@@ -364,59 +365,41 @@ def _build_schedule(
     return schedules.read_schedule_csv(g, spec["path"]), seed
 
 
-def _float_cell(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _node_rows(trace, estimates=None):
-    """CSV rows over (iteration, augmented node), reals before buffers."""
+def _stream_trace(emit, trace, estimates=None) -> None:
+    """``trace.csv`` through ``emit``: the header, then one call per round.
+    Per node t, id, kind, z and w, then the ratio z / w (NaN for a zero
+    weight), or with ``estimates`` the agents' x and empty buffer cells."""
     n, m, d = trace.n, trace.m, trace.dim
-    for t in range(trace.horizon + 1):
-        values = trace.values[t]
-        weights = trace.weights[t]
-        for p in range(m):
-            kind = "real" if p < n else "virtual"
-            row = [str(t), str(p + 1), kind]
-            row += [_float_cell(v) for v in values[p]]
-            row.append(_float_cell(weights[p]))
-            if estimates is None:
-                w = weights[p]
-                ratio = values[p] / w if w != 0.0 else np.full(d, np.nan)
-                row += [_float_cell(v) for v in ratio]
-            elif p < n:
-                row += [_float_cell(v) for v in estimates[t, p]]
-            else:
-                row += [""] * d
-            yield row
-
-
-def _write_csv(path: Path, header: list, rows, tee: bool) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return _write_text(path, buf.getvalue(), tee)
-
-
-def _write_trace(out_dir: Path, trace, tee: bool, estimates=None) -> str:
-    """``trace.csv``: per node z and w, then the ratio z / w, or the
-    estimate x when ``estimates`` are given."""
     last = "ratio" if estimates is None else "x"
-    d = range(trace.dim)
-    header = ["t", "node_id", "kind", *(f"z_{k}" for k in d), "w", *(f"{last}_{k}" for k in d)]
-    return _write_csv(out_dir / "trace.csv", header, _node_rows(trace, estimates), tee)
-
-
-def _write_text(path: Path, text: str, tee: bool) -> str:
-    path.write_text(text)
-    if tee:
-        print(text, end="")
-    return str(path)
+    header = ["t", "node_id", "kind", *(f"z_{k}" for k in range(d)), "w",
+              *(f"{last}_{k}" for k in range(d))]
+    emit(",".join(header) + "\n")
+    # One format per round, node ids and kinds filled in; the cells are t,
+    # z, w, then the ratio or x, and optimize buffers end after w.
+    zw, tail = ",%.17g" * (d + 1), ",%.17g" * d
+    buffer_tail = tail if estimates is None else "," * d
+    fmt = "".join(
+        [f"%d,{p + 1},real{zw}{tail}\n" for p in range(n)]
+        + [f"%d,{p + 1},virtual{zw}{buffer_tail}\n" for p in range(n, m)]
+    )
+    cells = np.empty((m, 2 * d + 2))
+    buffer_cells = cells.shape[1] if estimates is None else d + 2
+    for t in range(trace.horizon + 1):
+        values, w = trace.values[t], trace.weights[t][:, None]
+        cells[:, 0] = t
+        cells[:, 1 : d + 1] = values
+        cells[:, d + 1 : d + 2] = w
+        if estimates is None:
+            cells[:, d + 2 :] = np.nan
+            np.divide(values, w, out=cells[:, d + 2 :], where=w != 0)
+        else:
+            cells[:n, d + 2 :] = estimates[t]
+        emit(fmt % tuple(cells[:n].ravel().tolist() + cells[n:, :buffer_cells].ravel().tolist()))
 
 
 def _psi_text(product: np.ndarray) -> str:
     """``psi.csv`` for a window product: one ``row,col,value`` line per entry,
-    row-major, the same bytes ``_write_csv`` gives with ``_float_cell`` values."""
+    row-major, values with 17 significant digits."""
     m = product.shape[0]
     row = "%d,%d,%.17g\n"
     cells = product.ravel().tolist()
@@ -495,10 +478,10 @@ def _mass_certifications(trace: ConsensusTrace, rtol: float) -> dict:
     }
 
 
-def _run_consensus(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, str]:
+def _run_consensus(cfg, g, schedule, emit) -> dict:
     y = np.asarray(cfg.inputs, dtype=float)
     trace = _RUNNERS[cfg.algorithm](g, y, schedule, cfg.horizon)
-    trace_path = _write_trace(out_dir, trace, tee)
+    _stream_trace(emit, trace)
 
     certifications: dict = {}
     if cfg.horizon >= 1:
@@ -519,7 +502,7 @@ def _run_consensus(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, st
         "final_error": consensus_error(trace, trace.horizon),
         "certifications": certifications,
     }
-    return summary, trace_path
+    return summary
 
 
 def _grid_reference_slack(problem) -> float:
@@ -530,12 +513,12 @@ def _grid_reference_slack(problem) -> float:
     return problem.lipschitz_bound * GRID_STEP_FRACTION * problem.feasible.diameter
 
 
-def _run_optimize(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, str]:
+def _run_optimize(cfg, g, schedule, emit) -> dict:
     problem = problem_from_spec(cfg.problem)
     steps = StepSizeSchedule(cfg.step_constant)
     trace = run_distributed_dual_averaging(g, problem, schedule, steps, cfg.horizon)
     d = trace.dim
-    trace_path = _write_trace(out_dir, trace, tee, trace.estimates)
+    _stream_trace(emit, trace, trace.estimates)
 
     B = schedule.window
     _, _, block = contraction_constants(g, B)
@@ -567,10 +550,10 @@ def _run_optimize(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, str
             "worst_t": mixing.worst_t,
             "passed": mixing.passed,
         }
-    return summary, trace_path
+    return summary
 
 
-def _run_audit(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, str]:
+def _run_audit(cfg, g, schedule, emit) -> dict:
     ag = augment(g)
     B = schedule.window
     start, end = cfg.window["start"], cfg.window["end"]
@@ -584,7 +567,7 @@ def _run_audit(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, str]:
         contraction_slack=cfg.tolerance("contraction_slack", 1e-10),
         entry_slack=cfg.tolerance("entry_slack", 1e-12),
     )
-    trace_path = _write_text(out_dir / "psi.csv", _psi_text(product), tee)
+    emit(_psi_text(product))
     summary = {
         "n": g.n,
         "b_window": B,
@@ -599,13 +582,20 @@ def _run_audit(cfg, g, schedule, out_dir: Path, tee: bool) -> tuple[dict, str]:
             "row_contraction": contraction.passed,
         },
     }
-    return summary, trace_path
+    return summary
 
 
 def _collect_pass(summary: dict) -> bool:
     flags = [c["passed"] for c in summary.get("certifications", {}).values()]
     flags += [v for v in summary.get("pass_flags", {}).values() if v is not None]
     return all(flags)
+
+
+_MODE_RUNS = {
+    "consensus": (_run_consensus, "trace.csv"),
+    "optimize": (_run_optimize, "trace.csv"),
+    "matrix-audit": (_run_audit, "psi.csv"),
+}
 
 
 def run_experiment(
@@ -618,7 +608,9 @@ def run_experiment(
 
     ``seed`` overrides the schedule seed from the config; it only matters for
     randomized schedules.  The returned artifact's ``passed`` flag is the
-    conjunction of every certification in the summary.
+    conjunction of every certification in the summary.  The trace CSV and
+    ``summary.json`` are written under ``.tmp`` names and renamed once both
+    are complete; a run that raises removes them and leaves neither.
     """
     started = time.perf_counter()
     out_dir = Path(out_dir)
@@ -626,31 +618,42 @@ def run_experiment(
     g = _build_graph(cfg.graph)
     schedule, effective_seed = _build_schedule(cfg.schedule, cfg.horizon, g, seed)
 
-    if cfg.mode == "consensus":
-        summary, trace_path = _run_consensus(cfg, g, schedule, out_dir, tee_csv)
-    elif cfg.mode == "optimize":
-        summary, trace_path = _run_optimize(cfg, g, schedule, out_dir, tee_csv)
-    else:
-        summary, trace_path = _run_audit(cfg, g, schedule, out_dir, tee_csv)
+    run, name = _MODE_RUNS[cfg.mode]
+    paths = (out_dir / name, out_dir / "summary.json")
+    staged = [path.with_name(path.name + ".tmp") for path in paths]
+    try:
+        with open(staged[0], "w") as fh:
 
-    passed = _collect_pass(summary)
-    summary["mode"] = cfg.mode
-    summary["horizon"] = cfg.horizon
-    summary["seed"] = effective_seed
-    summary["pass"] = passed
-    summary["config"] = cfg.to_dict()
+            def emit(text: str) -> None:
+                fh.write(text)
+                if tee_csv:
+                    print(text, end="")
 
-    summary_path = out_dir / "summary.json"
-    artifact = RunArtifact(
-        summary=summary,
-        passed=passed,
-        trace_path=trace_path,
-        summary_path=str(summary_path),
-        config=cfg,
-        seed=effective_seed,
-        wall_clock=time.perf_counter() - started,
-    )
-    summary_path.write_text(emit_summary(artifact))
+            summary = run(cfg, g, schedule, emit)
+
+        passed = _collect_pass(summary)
+        summary["mode"] = cfg.mode
+        summary["horizon"] = cfg.horizon
+        summary["seed"] = effective_seed
+        summary["pass"] = passed
+        summary["config"] = cfg.to_dict()
+
+        artifact = RunArtifact(
+            summary=summary,
+            passed=passed,
+            trace_path=str(paths[0]),
+            summary_path=str(paths[1]),
+            config=cfg,
+            seed=effective_seed,
+            wall_clock=time.perf_counter() - started,
+        )
+        staged[1].write_text(emit_summary(artifact))
+        for tmp, path in zip(staged, paths):
+            tmp.replace(path)
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
     return artifact
 
 

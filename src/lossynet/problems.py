@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DimensionTooLargeError
+from .errors import ConfigError, DimensionMismatchError, DimensionTooLargeError
 
 __all__ = [
     "Box",
@@ -328,19 +328,28 @@ def solve_reference(p: OptProblem, grid_step: float | None = None) -> ReferenceS
     return ReferenceSolution(x, p.objective(x))
 
 
+def _field(spec, key: str, where: str):
+    """``spec[key]``, or a ConfigError when ``spec`` is not an object with it."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ConfigError(f"{where} needs {key!r}")
+    return spec[key]
+
+
 def _set_from_spec(spec: dict) -> Box | Ball:
     kind = spec.get("kind")
     if kind == "box":
-        return Box(spec["lower"], spec["upper"], radius_sq=spec.get("radius_sq"))
+        lower, upper = _field(spec, "lower", "box set"), _field(spec, "upper", "box set")
+        return Box(lower, upper, radius_sq=spec.get("radius_sq"))
     if kind == "ball":
-        return Ball(float(spec["radius"]), int(spec["d"]), radius_sq=spec.get("radius_sq"))
-    raise ValueError(f"unknown feasible-set kind {kind!r}")
+        radius = float(_field(spec, "radius", "ball set"))
+        return Ball(radius, int(spec["d"]), radius_sq=spec.get("radius_sq"))
+    raise ConfigError(f"unknown feasible-set kind {kind!r}")
 
 
 _COMPONENT_KINDS = {
-    "linear": lambda params: LinearCost(params["c"]),
-    "abs_distance": lambda params: AbsDistanceCost(params["a"]),
-    "l2_distance": lambda params: L2DistanceCost(params["a"]),
+    "linear": lambda params: LinearCost(_field(params, "c", "linear component")),
+    "abs_distance": lambda params: AbsDistanceCost(_field(params, "a", "abs_distance component")),
+    "l2_distance": lambda params: L2DistanceCost(_field(params, "a", "l2_distance component")),
 }
 
 
@@ -351,17 +360,23 @@ def problem_from_spec(spec: dict) -> OptProblem:
     "components": [{"kind": "linear"|"abs_distance"|"l2_distance", ...}, ...],
     "L": optional float}.
     """
-    d = int(spec["d"])
-    set_spec = dict(spec["set"])
-    set_spec.setdefault("d", d)
-    fs = _set_from_spec(set_spec)
+    d = _field(spec, "d", "problem")
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ConfigError(f"problem d must be a positive integer, got {d!r}")
+    set_spec = _field(spec, "set", "problem")
+    if not isinstance(set_spec, dict):
+        raise ConfigError("problem set must be an object")
+    fs = _set_from_spec({"d": d, **set_spec})
     if fs.dim != d:
         raise DimensionMismatchError(f"feasible set dimension {fs.dim} != d = {d}")
+    comps = _field(spec, "components", "problem")
+    if not isinstance(comps, list) or not all(isinstance(comp, dict) for comp in comps):
+        raise ConfigError("problem components must be a list of objects")
     components = []
-    for comp in spec["components"]:
+    for comp in comps:
         kind = comp.get("kind")
         if kind not in _COMPONENT_KINDS:
-            raise ValueError(f"unknown component kind {kind!r}")
+            raise ConfigError(f"unknown component kind {kind!r}")
         components.append(_COMPONENT_KINDS[kind](comp))
     lipschitz = spec.get("L")
     return OptProblem(tuple(components), fs, None if lipschitz is None else float(lipschitz))

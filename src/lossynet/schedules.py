@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     IncompleteTableError,
     IterationOutOfRangeError,
+    MalformedScheduleError,
     NeverReliableLinkError,
 )
 from .graphs import DirectedGraph
@@ -79,17 +80,11 @@ class FailureSchedule:
 def _max_outage_run(indicators: np.ndarray) -> int:
     """Longest run of consecutive zeros in any single column."""
     T, E = indicators.shape
-    worst = 0
-    for k in range(E):
-        ones = np.flatnonzero(indicators[:, k])
-        if ones.size == 0:
-            worst = max(worst, T)
-            continue
-        lead = int(ones[0])
-        trail = int(T - 1 - ones[-1])
-        inner = int((np.diff(ones) - 1).max(initial=0))
-        worst = max(worst, lead, trail, inner)
-    return worst
+    # Pad each column with a delivery before round 1 and after round T, which
+    # also keeps the gaps of neighbouring columns apart once flattened.
+    padded = np.ones((E, T + 2), dtype=np.uint8)
+    padded[:, 1:-1] = indicators.T
+    return int((np.diff(np.flatnonzero(padded)) - 1).max(initial=0))
 
 
 def worst_gap(schedule: FailureSchedule) -> int:
@@ -114,25 +109,61 @@ def scripted_schedule(g: DirectedGraph, T: int, table: dict) -> FailureSchedule:
     """
     if T < 0:
         raise ValueError(f"horizon must be >= 0, got {T}")
-    ind = np.zeros((T, g.num_edges), dtype=np.uint8)
-    expected = {(edge, t) for edge in g.edges for t in range(1, T + 1)}
-    for key, value in table.items():
-        edge = (int(key[0][0]), int(key[0][1]))
-        t = int(key[1])
-        if (edge, t) not in expected:
-            raise IncompleteTableError(
-                f"unexpected table entry for edge {edge} at iteration {t}"
-            )
-        expected.remove((edge, t))
-        if value not in (0, 1):
-            raise ValueError(f"indicator for {edge} at t={t} must be 0 or 1")
-        ind[t - 1, g.edges.index(edge)] = value
-    if expected:
-        edge, t = sorted(expected)[0]
+    entries = [
+        (int(key[0][0]), int(key[0][1]), int(key[1]), int(value) if value in (0, 1) else -1)
+        for key, value in table.items()
+    ]
+    src, dst, t, value = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+    return _table_schedule(g, T, src, dst, t, value)
+
+
+def _table_schedule(g, T, src, dst, t, value, row_of=None) -> FailureSchedule:
+    """The schedule of the entries ((src, dst), t) -> value, which must cover
+    edges x [1, T] exactly.  Errors, first to last: a repeat, at ``row_of(i)``
+    (without rows, a repeat is an unexpected entry); the first entry off
+    edges x [1, T] or with a value other than 0 or 1; the smallest missing
+    (edge, t); a link that never delivers.  Repeats and gaps are found by
+    sorting, so memory stays linear in the entries whatever t they name."""
+    E = g.num_edges
+    index = dict(zip(g.edges, range(E)))
+    k = list(map(index.get, zip(src.tolist(), dst.tolist())))
+    if None in k:
+        # Unknown pairs get ids from E up, so that their repeats are seen too.
+        k = [index.setdefault(pair, len(index)) for pair in zip(src.tolist(), dst.tolist())]
+    k = np.array(k, dtype=np.int64)
+    # By edge, then iteration; the sort is stable, so a repeat follows its first.
+    order = np.lexsort((t, k))
+    k_sorted, t_sorted = k[order], t[order]
+    later = np.zeros(t.size, dtype=bool)
+    later[order[1:][(k_sorted[1:] == k_sorted[:-1]) & (t_sorted[1:] == t_sorted[:-1])]] = True
+
+    def entry(i):
+        return (int(src[i]), int(dst[i])), int(t[i])
+
+    if row_of is not None and later.any():
+        i = int(np.argmax(later))
+        edge, ti = entry(i)
+        raise IncompleteTableError(f"row {row_of(i)} repeats edge {edge} at iteration {ti}")
+    unexpected = (k >= E) | (t < 1) | (t > T) | later
+    invalid = (value < 0) | (value > 1)
+    if (unexpected | invalid).any():
+        i = int(np.argmax(unexpected | invalid))
+        edge, ti = entry(i)
+        if unexpected[i]:
+            raise IncompleteTableError(f"unexpected table entry for edge {edge} at iteration {ti}")
+        raise MalformedScheduleError(f"indicator for {edge} at t={ti} must be 0 or 1")
+    if t.size < T * E:
+        # Sorted, distinct and in range: the first entry off the sequence
+        # (edge 0, t 1), (edge 0, t 2), ... sits where the smallest one is missing.
+        place = np.arange(t.size)
+        off = np.flatnonzero((k_sorted != place // T) | (t_sorted != place % T + 1))
+        first = int(off[0]) if off.size else t.size
         raise IncompleteTableError(
-            f"table is missing edge {edge} at iteration {t} "
-            f"({len(expected)} entries missing in total)"
+            f"table is missing edge {g.edges[first // T]} at iteration {first % T + 1} "
+            f"({T * E - t.size} entries missing in total)"
         )
+    ind = np.zeros((T, E), dtype=np.uint8)
+    ind[t - 1, k] = value
     if T >= 1:
         dead = np.flatnonzero(ind.sum(axis=0) == 0)
         if dead.size:
@@ -189,28 +220,88 @@ def all_reliable(g: DirectedGraph, T: int) -> FailureSchedule:
 
 def write_schedule_csv(schedule: FailureSchedule, path) -> None:
     """Write rows (src, dst, t, indicator), edge-major then time-ascending."""
+    row = "%d,%d,%d,%d\n"
+    ts = range(1, schedule.horizon + 1)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src", "dst", "t", "indicator"])
-        for k, (i, j) in enumerate(schedule.graph.edges):
-            for t in range(1, schedule.horizon + 1):
-                writer.writerow([i, j, t, int(schedule.indicators[t - 1, k])])
+        fh.write("src,dst,t,indicator\n")
+        for (i, j), column in zip(schedule.graph.edges, schedule.indicators.T.tolist()):
+            fh.write("".join([row % (i, j, t, v) for t, v in zip(ts, column)]))
+
+
+_COLUMNS = ("src", "dst", "t", "indicator")
+
+
+def _data_rows(path) -> tuple[list, int, list]:
+    """The header, its line number and the non-blank rows after it."""
+    with open(Path(path), newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        return header, reader.line_num, list(filter(None, reader))
+
+
+def _row_lines(path) -> list:
+    """Line number of every non-blank row after the header (error path)."""
+    with open(Path(path), newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        return [reader.line_num for row in reader if row]
+
+
+def _int_columns(rows: list, width: int, cols: list):
+    """The src, dst, t and indicator columns as int64 arrays, or None when a
+    row has another width than the header or a cell is not an integer."""
+    if set(map(len, rows)) - {width}:
+        return None
+    try:
+        if width == len(_COLUMNS):
+            cells = np.array(rows, dtype=np.int64).reshape(len(rows), width)[:, cols]
+        else:
+            cells = np.array([[row[c] for c in cols] for row in rows], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    return cells.reshape(len(rows), len(_COLUMNS)).T
+
+
+def _row_problem(row: list, width: int, cols: list) -> str | None:
+    """What makes one data row malformed, or None."""
+    if len(row) != width:
+        return f"has {len(row)} cells, the header has {width}"
+    cells = {}
+    for name, c in zip(_COLUMNS, cols):
+        try:
+            cells[name] = int(np.int64(row[c]))
+        except (ValueError, OverflowError):
+            return f"has {name} {row[c]!r}, which is not a 64-bit integer"
+    if cells["t"] < 1:
+        return f"has iteration {cells['t']}, which is below 1"
+    if cells["indicator"] not in (0, 1):
+        return f"has indicator {cells['indicator']}, which is not 0 or 1"
+    return None
 
 
 def read_schedule_csv(g: DirectedGraph, path) -> FailureSchedule:
     """Read a schedule written by :func:`write_schedule_csv` and validate it
-    against ``g`` (completeness, known edges, delivery within horizon)."""
-    table: dict = {}
-    horizon = 0
-    with open(Path(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            t = int(row["t"])
-            horizon = max(horizon, t)
-            key = ((int(row["src"]), int(row["dst"])), t)
-            if key in table:
-                raise IncompleteTableError(
-                    f"row {reader.line_num} repeats edge {key[0]} at iteration {t}"
-                )
-            table[key] = int(row["indicator"])
-    return scripted_schedule(g, horizon, table)
+    against ``g`` (well-formed rows, completeness, known edges, delivery
+    within horizon).  Blank lines are skipped, and the header gives the
+    column order; columns other than the four read here are ignored."""
+    header, header_line, rows = _data_rows(path)
+    if not header and not rows:
+        return FailureSchedule(g, np.zeros((0, g.num_edges)), 1)
+    position = {name: c for c, name in enumerate(header)}
+    if not set(_COLUMNS) <= set(position):
+        raise MalformedScheduleError(
+            f"row {header_line}: header {','.join(header)!r} does not name "
+            f"the columns {','.join(_COLUMNS)}"
+        )
+    cols = [position[name] for name in _COLUMNS]
+    columns = _int_columns(rows, len(header), cols)
+    if columns is None or ((columns[2] < 1) | (columns[3] < 0) | (columns[3] > 1)).any():
+        # Rare path: find the first malformed row in file order.
+        i = next(i for i, row in enumerate(rows) if _row_problem(row, len(header), cols))
+        raise MalformedScheduleError(
+            f"row {_row_lines(path)[i]} {_row_problem(rows[i], len(header), cols)}"
+        )
+    src, dst, t, value = columns
+    return _table_schedule(
+        g, int(t.max(initial=0)), src, dst, t, value, row_of=lambda i: _row_lines(path)[i]
+    )

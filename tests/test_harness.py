@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -7,18 +9,68 @@ import pytest
 from lossynet import (
     ConfigError,
     ExperimentConfig,
+    NegativeInputError,
+    all_reliable,
+    StepSizeSchedule,
     bernoulli_b_bounded,
     graph_from_spec,
     graph_to_spec,
     load_config,
+    problem_from_spec,
     random_strongly_connected,
+    run_convergent_robust_push_sum,
+    run_distributed_dual_averaging,
     run_experiment,
     write_json,
     write_schedule_csv,
 )
 from lossynet import schedules
 from lossynet.cli import main
-from lossynet.harness import _float_cell, _psi_text, _write_csv
+from lossynet.harness import _RUNNERS, _psi_text
+
+
+# Oracle: the per-cell trace writer the streamed one replaced (rows of
+# f-string cells through csv.writer); the files must match it byte for byte.
+def _float_cell(x: float) -> str:
+    return f"{float(x):.17g}"
+
+
+def _node_rows(trace, estimates=None):
+    """CSV rows over (iteration, augmented node), reals before buffers."""
+    n, m, d = trace.n, trace.m, trace.dim
+    for t in range(trace.horizon + 1):
+        values = trace.values[t]
+        weights = trace.weights[t]
+        for p in range(m):
+            kind = "real" if p < n else "virtual"
+            row = [str(t), str(p + 1), kind]
+            row += [_float_cell(v) for v in values[p]]
+            row.append(_float_cell(weights[p]))
+            if estimates is None:
+                w = weights[p]
+                ratio = values[p] / w if w != 0.0 else np.full(d, np.nan)
+                row += [_float_cell(v) for v in ratio]
+            elif p < n:
+                row += [_float_cell(v) for v in estimates[t, p]]
+            else:
+                row += [""] * d
+            yield row
+
+
+def _csv_text(header: list, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _oracle_trace_text(trace, estimates=None) -> str:
+    last = "ratio" if estimates is None else "x"
+    d = range(trace.dim)
+    header = ["t", "node_id", "kind", *(f"z_{k}" for k in d), "w", *(f"{last}_{k}" for k in d)]
+    return _csv_text(header, _node_rows(trace, estimates))
+
 
 CONSENSUS_RAW = {
     "mode": "consensus",
@@ -330,8 +382,90 @@ class TestAuditRuns:
             for i in range(7)
             for j in range(7)
         )
-        _write_csv(tmp_path / "expected.csv", ["row", "col", "value"], rows, False)
+        (tmp_path / "expected.csv").write_text(_csv_text(["row", "col", "value"], rows))
         assert _psi_text(product).encode() == (tmp_path / "expected.csv").read_bytes()
+
+
+class TestTraceBytes:
+    """The streamed ``trace.csv`` and ``--tee-csv`` output against the
+    per-cell csv.writer oracle."""
+
+    @pytest.mark.parametrize("algorithm", sorted(_RUNNERS))
+    @pytest.mark.parametrize(
+        "inputs", [[0.0, 1.0, 0.25], [[0.0, 2.0], [1.0, 4.5], [1e-300, 1.0 / 3.0]]]
+    )
+    def test_consensus_trace_matches_oracle(self, tmp_path, algorithm, inputs):
+        raw = dict(CONSENSUS_RAW, algorithm=algorithm, inputs=inputs, horizon=40)
+        schedule = None
+        g = graph_from_spec(raw["graph"])
+        if algorithm == "plain":
+            del raw["schedule"]
+        else:
+            schedule = bernoulli_b_bounded(g, 0.5, 3, 40, seed=7)
+        run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        trace = _RUNNERS[algorithm](g, np.asarray(inputs, dtype=float), schedule, 40)
+        expected = _oracle_trace_text(trace)
+        # The buffers start with zero weight: their ratio cells are NaN.
+        assert ",virtual,0,0,nan\n" in expected or ",virtual,0,0,0,nan,nan\n" in expected
+        assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_optimize_trace_and_tee_match_oracle(self, tmp_path, capsys, d):
+        raw = OPTIMIZE_RAW
+        if d == 2:
+            raw = dict(OPTIMIZE_RAW, problem={
+                "d": 2,
+                "set": {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+                "components": [
+                    {"kind": "abs_distance", "a": [0.5, -0.25]},
+                    {"kind": "l2_distance", "a": [0.0, 0.75]},
+                    {"kind": "linear", "c": [0.25, -0.5]},
+                ],
+            })
+        config = _write(tmp_path, "o.json", raw)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", config, "--out", str(out), "--tee-csv"]) == 0
+        g = graph_from_spec(raw["graph"])
+        trace = run_distributed_dual_averaging(
+            g,
+            problem_from_spec(raw["problem"]),
+            bernoulli_b_bounded(g, 0.5, 3, raw["horizon"], seed=7),
+            StepSizeSchedule(raw["step_constant"]),
+            raw["horizon"],
+        )
+        expected = _oracle_trace_text(trace, trace.estimates)
+        # Buffers have no estimate: their d x cells are empty.
+        buffers = [line for line in expected.splitlines() if ",virtual," in line]
+        assert len(buffers) == 3 * (raw["horizon"] + 1)
+        assert all(line.endswith("," * d) and not line.endswith("," * (d + 1)) for line in buffers)
+        assert (out / "trace.csv").read_bytes() == expected.encode()
+        assert capsys.readouterr().out == expected
+
+
+class TestAtomicArtifacts:
+    # A negative input makes the convergent rate certificate raise after the
+    # whole trace is written.
+    NEGATIVE = dict(CONSENSUS_RAW, inputs=[0.0, -1.0, 0.25], horizon=20)
+
+    def test_failed_run_leaves_no_files(self, tmp_path):
+        with pytest.raises(NegativeInputError):
+            run_experiment(ExperimentConfig.from_dict(self.NEGATIVE), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_earlier_artifacts(self, tmp_path, capsys):
+        run_experiment(ExperimentConfig.from_dict(CONSENSUS_RAW), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        config = _write(tmp_path, "neg.json", self.NEGATIVE)
+        assert main(["consensus", "--config", config, "--out", str(tmp_path)]) == 1
+        assert "nonnegative" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "neg.json"}
+        assert after == before
+
+    def test_artifact_names_final_files(self, tmp_path):
+        artifact = run_experiment(ExperimentConfig.from_dict(AUDIT_RAW), tmp_path)
+        assert artifact.trace_path == str(tmp_path / "psi.csv")
+        assert artifact.summary_path == str(tmp_path / "summary.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["psi.csv", "summary.json"]
 
 
 class TestWriteJson:
@@ -380,7 +514,54 @@ def _run_with_graph(tmp_path, graph):
     return codes
 
 
+# Line 3 of a four-round ring schedule replaced, or the header renamed.
+MALFORMED_CSV = [
+    (3, "1,2,2", "row 3 has 3 cells, the header has 4"),
+    (3, "1,2,2,1,9", "row 3 has 5 cells, the header has 4"),
+    (3, "1,2,x,1", "row 3 has t 'x', which is not a 64-bit integer"),
+    (3, "1,2,2,2", "row 3 has indicator 2, which is not 0 or 1"),
+    (3, "1,2,0,1", "row 3 has iteration 0, which is below 1"),
+    (1, "src,dst,time,indicator", "row 1: header 'src,dst,time,indicator' does not name"),
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("line, text, message", MALFORMED_CSV)
+    def test_malformed_schedule_csv(self, tmp_path, capsys, line, text, message):
+        ring = graph_from_spec(CONSENSUS_RAW["graph"])
+        path = tmp_path / "s.csv"
+        write_schedule_csv(all_reliable(ring, 4), path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        schedule = {"kind": "csv", "path": "s.csv"}
+        verify = dict(VERIFY_RAW, graph=CONSENSUS_RAW["graph"], horizon=4)
+        for command, raw in (("verify-schedule", verify),
+                             ("consensus", dict(CONSENSUS_RAW, horizon=4))):
+            config = _write(tmp_path, f"{command}.json", dict(raw, schedule=schedule))
+            assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 1
+            assert message in capsys.readouterr().err, command
+        assert not (tmp_path / "consensus" / "trace.csv").exists()
+
+    def _optimize_exit(self, tmp_path, raw) -> int:
+        config = _write(tmp_path, "o.json", raw)
+        return main(["optimize", "--config", config, "--out", str(tmp_path / "out")])
+
+    def test_optimize_problem_without_d(self, tmp_path, capsys):
+        problem = {k: v for k, v in OPTIMIZE_RAW["problem"].items() if k != "d"}
+        assert self._optimize_exit(tmp_path, dict(OPTIMIZE_RAW, problem=problem)) == 1
+        assert "error: problem needs 'd'" in capsys.readouterr().err
+
+    def test_optimize_component_without_a(self, tmp_path, capsys):
+        problem = dict(OPTIMIZE_RAW["problem"], components=[{"kind": "abs_distance"}])
+        assert self._optimize_exit(tmp_path, dict(OPTIMIZE_RAW, problem=problem)) == 1
+        assert "error: abs_distance component needs 'a'" in capsys.readouterr().err
+
+    def test_optimize_non_numeric_tolerance(self, tmp_path, capsys):
+        raw = dict(OPTIMIZE_RAW, tolerances={"gap_slack": "abc"})
+        assert self._optimize_exit(tmp_path, raw) == 1
+        assert "error: tolerance gap_slack must be a number" in capsys.readouterr().err
+
     def test_consensus_pass(self, tmp_path, capsys):
         config = _write(tmp_path, "c.json", CONSENSUS_RAW)
         code = main(["consensus", "--config", config, "--out", str(tmp_path / "out")])
@@ -470,6 +651,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("t,node_id,kind,")
         assert out == (tmp_path / "trace.csv").read_text()
+        g = graph_from_spec(CONSENSUS_RAW["graph"])
+        trace = run_convergent_robust_push_sum(
+            g, np.asarray(CONSENSUS_RAW["inputs"]), bernoulli_b_bounded(g, 0.5, 3, 2, seed=7), 2
+        )
+        assert out == _oracle_trace_text(trace)
 
     def test_verify_schedule_satisfied(self, tmp_path):
         raw = {

@@ -1,3 +1,7 @@
+import csv
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,8 @@ from lossynet import (
     FailureSchedule,
     IncompleteTableError,
     IterationOutOfRangeError,
+    LossyNetError,
+    MalformedScheduleError,
     NeverReliableLinkError,
     all_reliable,
     bernoulli_b_bounded,
@@ -18,6 +24,7 @@ from lossynet import (
     worst_gap,
     write_schedule_csv,
 )
+from lossynet.schedules import _max_outage_run
 
 
 def _table(g, columns):
@@ -197,3 +204,247 @@ class TestCsvRoundTrip:
             fh.write("1,2,1,0\n")
         with pytest.raises(IncompleteTableError, match=r"row 6 repeats edge \(1, 2\) at iteration 1"):
             read_schedule_csv(two_cycle, path)
+
+
+# Oracles: the dict-based reader, the set-based table check, the per-column
+# outage loop and the csv.writer schedule writer that the array versions
+# replaced.  Each must agree with its replacement on schedules, on bytes and
+# on every rejection (same class, same message).
+def _oracle_outage_run(indicators):
+    T, E = indicators.shape
+    worst = 0
+    for k in range(E):
+        ones = np.flatnonzero(indicators[:, k])
+        if ones.size == 0:
+            worst = max(worst, T)
+            continue
+        lead = int(ones[0])
+        trail = int(T - 1 - ones[-1])
+        inner = int((np.diff(ones) - 1).max(initial=0))
+        worst = max(worst, lead, trail, inner)
+    return worst
+
+
+def _oracle_scripted(g, T, table):
+    ind = np.zeros((T, g.num_edges), dtype=np.uint8)
+    expected = {(edge, t) for edge in g.edges for t in range(1, T + 1)}
+    for key, value in table.items():
+        edge = (int(key[0][0]), int(key[0][1]))
+        t = int(key[1])
+        if (edge, t) not in expected:
+            raise IncompleteTableError(
+                f"unexpected table entry for edge {edge} at iteration {t}"
+            )
+        expected.remove((edge, t))
+        if value not in (0, 1):
+            raise ValueError(f"indicator for {edge} at t={t} must be 0 or 1")
+        ind[t - 1, g.edges.index(edge)] = value
+    if expected:
+        edge, t = sorted(expected)[0]
+        raise IncompleteTableError(
+            f"table is missing edge {edge} at iteration {t} "
+            f"({len(expected)} entries missing in total)"
+        )
+    if T >= 1:
+        dead = np.flatnonzero(ind.sum(axis=0) == 0)
+        if dead.size:
+            raise NeverReliableLinkError(
+                f"link {g.edges[int(dead[0])]} never delivers within horizon {T}"
+            )
+    return FailureSchedule(g, ind, _oracle_outage_run(ind) + 1)
+
+
+def _oracle_read(g, path):
+    table: dict = {}
+    horizon = 0
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            t = int(row["t"])
+            horizon = max(horizon, t)
+            key = ((int(row["src"]), int(row["dst"])), t)
+            if key in table:
+                raise IncompleteTableError(
+                    f"row {reader.line_num} repeats edge {key[0]} at iteration {t}"
+                )
+            table[key] = int(row["indicator"])
+    return _oracle_scripted(g, horizon, table)
+
+
+def _oracle_write(schedule, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["src", "dst", "t", "indicator"])
+        for k, (i, j) in enumerate(schedule.graph.edges):
+            for t in range(1, schedule.horizon + 1):
+                writer.writerow([i, j, t, int(schedule.indicators[t - 1, k])])
+
+
+def _outcome(fn, *args):
+    """A schedule's (indicators, window, horizon), or the error it raised."""
+    try:
+        s = fn(*args)
+    except LossyNetError as exc:
+        return type(exc), str(exc)
+    return s.indicators.tolist(), s.window, s.horizon
+
+
+RING4 = build_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 4)])
+
+
+def _reliable_lines(T=3):
+    """Header plus rows of an all-reliable RING4 schedule over T rounds."""
+    return ["src,dst,t,indicator"] + [f"{i},{j},{t},1" for i, j in RING4.edges for t in range(1, T + 1)]
+
+
+# Edits of the all-reliable file, each rejected by the oracle for one reason
+# or for the one that takes precedence.
+REJECTED_FILES = {
+    "repeat at end": lambda ls: ls + ["2,3,2,0"],
+    "repeat mid-file": lambda ls: ls[:5] + ["1,2,1,1"] + ls[5:],
+    "repeat after unknown edge": lambda ls: ls + ["3,1,1,1", "4,1,3,1"],
+    "repeated unknown edge": lambda ls: ls + ["3,2,2,1", "3,2,2,0"],
+    "repeat after blank lines": lambda ls: ls[:3] + ["", ""] + ls[3:] + ["", "1,2,3,1"],
+    "unknown edge": lambda ls: ls[:7] + ["1,3,1,1"] + ls[7:],
+    "first unknown in file order": lambda ls: ls + ["4,2,1,1", "1,4,1,1"],
+    "unknown edge beyond horizon": lambda ls: ls + ["2,1,9,1"],
+    "missing row": lambda ls: ls[:4] + ls[5:],
+    "missing rows": lambda ls: [ls[0]] + ls[4:9] + ls[10:],
+    "missing beats never-reliable": lambda ls: [ls[0], "1,2,2,0", "1,2,3,0"] + ls[4:],
+    "first of several repeats": lambda ls: ls + ["2,4,1,1", "1,2,1,0", "2,4,1,1"],
+    "unknown beats missing": lambda ls: ls[:-2] + ["9,9,1,1"],
+    "never reliable": lambda ls: ls[:4] + ["2,3,1,0", "2,3,2,0", "2,3,3,0"] + ls[7:],
+    "repeat beats all": lambda ls: ls[:2] + ["7,7,1,1"] + ls[3:] + ["2,4,3,1"],
+}
+
+
+class TestArrayReaderMatchesOracle:
+    @pytest.mark.parametrize("seed", [1, 5, 2027])
+    @pytest.mark.parametrize("T", [0, 1, 17, 60])
+    def test_bernoulli_round_trip(self, tmp_path, seed, T):
+        for g in (RING4, build_graph(3, [(1, 2), (2, 1), (2, 3), (3, 1)])):
+            s = bernoulli_b_bounded(g, 0.6, 4, T, seed=seed)
+            path = tmp_path / "s.csv"
+            write_schedule_csv(s, path)
+            assert _outcome(read_schedule_csv, g, path) == _outcome(_oracle_read, g, path)
+
+    def test_header_order_blank_lines_and_crlf(self, tmp_path):
+        s = bernoulli_b_bounded(RING4, 0.5, 3, 9, seed=4)
+        rows = [f"{t},{v},{j},{i}" for k, (i, j) in enumerate(RING4.edges)
+                for t, v in enumerate(s.indicators[:, k].tolist(), start=1)]
+        path = tmp_path / "s.csv"
+        path.write_text("t,indicator,dst,src\r\n" + "\r\n\r\n".join(rows[::-1]) + "\r\n\r\n")
+        assert _outcome(read_schedule_csv, RING4, path) == _outcome(_oracle_read, RING4, path)
+        assert np.array_equal(read_schedule_csv(RING4, path).indicators, s.indicators)
+
+    def test_extra_column_is_ignored(self, tmp_path):
+        path = tmp_path / "s.csv"
+        lines = _reliable_lines()
+        path.write_text("\n".join([lines[0] + ",note"] + [ln + ",x" for ln in lines[1:]]) + "\n")
+        assert _outcome(read_schedule_csv, RING4, path) == _outcome(_oracle_read, RING4, path)
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_FILES))
+    def test_rejections(self, tmp_path, case):
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(REJECTED_FILES[case](_reliable_lines())) + "\n")
+        expected = _outcome(_oracle_read, RING4, path)
+        assert isinstance(expected[0], type), "the oracle must reject the file"
+        assert _outcome(read_schedule_csv, RING4, path) == expected
+
+    def test_far_iteration_allocates_no_table(self, tmp_path):
+        # One row at t = 10**5 leaves the table incomplete; saying so must
+        # not take memory of the order of T x E.
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(_reliable_lines() + ["1,2,100000,1"]) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(IncompleteTableError,
+                               match=re.escape("missing edge (1, 2) at iteration 4 (499984 entries")):
+                read_schedule_csv(RING4, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_empty_file_is_an_empty_schedule(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("")
+        assert _outcome(read_schedule_csv, RING4, path) == _outcome(_oracle_read, RING4, path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,2,1", "row 4 has 3 cells, the header has 4"),
+        ("1,2,1,1,0", "row 4 has 5 cells, the header has 4"),
+        ("2,1,x,1", "row 4 has t 'x', which is not a 64-bit integer"),
+        ("1.0,2,1,1", "row 4 has src '1.0', which is not a 64-bit integer"),
+        ("1,2,99999999999999999999,1", "row 4 has t '99999999999999999999', which is not"),
+        ("1,2,1,2", "row 4 has indicator 2, which is not 0 or 1"),
+        ("1,2,1,-1", "row 4 has indicator -1, which is not 0 or 1"),
+        ("1,2,0,1", "row 4 has iteration 0, which is below 1"),
+        ("1,2,-3,1", "row 4 has iteration -3, which is below 1"),
+    ])
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        # A blank line before the row: the reported number is the file's line.
+        lines = _reliable_lines()
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines[:2] + ["", row] + lines[2:] + ["1,2,x,1"]) + "\n")
+        with pytest.raises(MalformedScheduleError, match=re.escape(message)):
+            read_schedule_csv(RING4, path)
+
+    def test_header_without_columns(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(["src,dst,t"] + [ln[:-2] for ln in _reliable_lines()[1:]]) + "\n")
+        with pytest.raises(MalformedScheduleError, match="row 1: header 'src,dst,t' does not name"):
+            read_schedule_csv(RING4, path)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_write_matches_oracle_bytes(self, tmp_path, seed):
+        s = bernoulli_b_bounded(RING4, 0.5, 3, 7 * seed, seed=seed)
+        write_schedule_csv(s, tmp_path / "a.csv")
+        _oracle_write(s, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_outage_run_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        T, E = int(rng.integers(0, 12)), int(rng.integers(0, 5))
+        ind = (rng.random((T, E)) < rng.random()).astype(np.uint8)
+        assert _max_outage_run(ind) == _oracle_outage_run(ind)
+
+
+def _reliable_table(g, T):
+    return {(edge, t): 1 for edge in g.edges for t in range(1, T + 1)}
+
+
+# Edits of an all-reliable RING4 table over 3 rounds, in dict order.
+SCRIPTED_TABLES = {
+    "t beyond T": lambda tb: {**tb, ((1, 2), 4): 1},
+    "t zero": lambda tb: {((1, 2), 0): 1, **tb},
+    "unknown edge": lambda tb: {**tb, ((2, 1), 1): 1},
+    "missing": lambda tb: {k: v for k, v in tb.items() if k != ((2, 4), 2)},
+    "normalized duplicate": lambda tb: {**tb, (("1", 2), 1): 1},
+    "never reliable": lambda tb: {**tb, **{((3, 4), t): 0 for t in (1, 2, 3)}},
+    "mixed values": lambda tb: {**tb, ((1, 2), 1): True, ((2, 3), 2): 0.0, ((3, 4), 3): np.int64(0)},
+}
+
+
+class TestScriptedMatchesOracle:
+    @pytest.mark.parametrize("case", sorted(SCRIPTED_TABLES))
+    def test_tables(self, case):
+        table = SCRIPTED_TABLES[case](_reliable_table(RING4, 3))
+        assert _outcome(scripted_schedule, RING4, 3, table) == _outcome(_oracle_scripted, RING4, 3, table)
+
+    @pytest.mark.parametrize("value_first", [True, False])
+    def test_bad_indicator_is_typed(self, value_first):
+        # An indicator of 2 and an unknown edge: the first in table order wins.
+        table = _reliable_table(RING4, 3)
+        table[((1, 2), 2)] = 2
+        if value_first:
+            table[((1, 3), 1)] = 1
+            error, message = MalformedScheduleError, "indicator for (1, 2) at t=2 must be 0 or 1"
+        else:
+            table = {((1, 3), 1): 1, **table}
+            error, message = IncompleteTableError, "unexpected table entry for edge (1, 3) at iteration 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _oracle_scripted(RING4, 3, table)
+        with pytest.raises(error, match=re.escape(message)):
+            scripted_schedule(RING4, 3, table)
