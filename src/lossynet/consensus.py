@@ -311,23 +311,53 @@ def consensus_rate_bound(g: DirectedGraph, B: int, y, t: int) -> float:
         raise NegativeInputError("the rate bound is stated for nonnegative inputs")
     if t < 1:
         raise IterationOutOfRangeError(f"iteration must be >= 1, got {t}")
+    return float(_rate_bounds(g, B, inputs, np.array([t]))[0])
+
+
+def _rate_bounds(g: DirectedGraph, B: int, inputs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """consensus_rate_bound at each iteration of ``ts`` for nonnegative inputs."""
     beta, gamma, block = contraction_constants(g, B)
     total = float(np.linalg.norm(inputs.sum(axis=0)))
     floor = beta**block
     if floor == 0.0:
         # beta**block underflowed: the bound lies above the float range.
-        return math.inf if total > 0.0 else 0.0
-    return total / (g.n * floor) * gamma ** (t // block)
+        return np.full(ts.shape, math.inf if total > 0.0 else 0.0)
+    # gamma**k by Python's float power on an object array: numpy's own float
+    # power may take a SIMD path that differs from it in the last bit.
+    decay = (gamma ** (ts // block).astype(object)).astype(float)
+    return total / (g.n * floor) * decay
+
+
+def _ratio_errors(values, weights, center, first_t: int) -> np.ndarray:
+    """max_i ||z_i / w_i - c|| per round: ``values`` (k, n, d) and ``weights``
+    (k, n) are the real agents over k rounds from iteration ``first_t`` on,
+    ``center`` is (d,) or (k, d).  Weights must be positive; a non-finite
+    error is left to the certificates to fail, without a numpy warning."""
+    bad = np.flatnonzero((weights <= 0.0).any(axis=1))
+    if bad.size:
+        raise ZeroWeightError(f"agent weight not positive at iteration {first_t + bad[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = values / weights[..., None]
+        return np.linalg.norm(ratios - np.expand_dims(center, -2), axis=2).max(axis=1)
+
+
+def _worst_point(measured: np.ndarray, bound, slack: float) -> tuple[int, bool]:
+    """A certificate's worst point and verdict: the first non-finite
+    measurement, which fails, else the first largest measured - bound (with a
+    single bound, the largest measurement: subtracting a large bound can round
+    distinct measurements together), which passes if measured <= bound + slack."""
+    nonfinite = np.flatnonzero(~np.isfinite(measured))
+    if nonfinite.size:
+        return int(nonfinite[0]), False
+    i = int(np.argmax(measured - bound if np.ndim(bound) else measured))
+    return i, bool(measured[i] <= np.broadcast_to(bound, measured.shape)[i] + slack)
 
 
 def consensus_error(trace: ConsensusTrace, t: int) -> float:
     """Worst real-agent distance ||z_i[t]/w_i[t] - avg(y)||."""
     trace._check_t(t)
-    w = trace.weights[t, : trace.n]
-    if np.any(w <= 0.0):
-        raise ZeroWeightError(f"agent weight not positive at iteration {t}")
-    ratios = trace.values[t, : trace.n] / w[:, None]
-    return float(np.linalg.norm(ratios - trace.average_input, axis=1).max())
+    values, weights = trace.values[t : t + 1, : trace.n], trace.weights[t : t + 1, : trace.n]
+    return float(_ratio_errors(values, weights, trace.average_input, t)[0])
 
 
 @dataclass(frozen=True)
@@ -342,26 +372,24 @@ class ConsensusCertificate:
     passed: bool
 
 
-def certify_consensus_bound(trace: ConsensusTrace, B: int) -> ConsensusCertificate:
-    """Check consensus_error(t) <= consensus_rate_bound(t) for t in 1..T.
+def certify_consensus_bound(
+    trace: ConsensusTrace, B: int, slack: float = 0.0
+) -> ConsensusCertificate:
+    """Check consensus_error(t) <= consensus_rate_bound(t) + slack for t in 1..T.
 
+    The bound is that of the inputs shifted per coordinate by min(0, min_i y_i):
+    ratios are shift-equivariant, so signed inputs keep their measured error.
     The reported worst point maximizes error - bound, so ``worst_error`` and
     ``worst_bound`` are the measured-versus-bound pair closest to violation.
     """
     T = trace.horizon
     if T < 1:
         return ConsensusCertificate(T, None, None, None, None, True)
-    g = trace.graph
-    worst_margin = -np.inf
-    worst = (None, None, None)
-    passed = True
-    for t in range(1, T + 1):
-        err = consensus_error(trace, t)
-        bound = consensus_rate_bound(g, B, trace.inputs, t)
-        if err > bound:
-            passed = False
-        if worst[0] is None or err - bound > worst_margin:
-            worst_margin = err - bound
-            worst = (t, err, bound)
-    final = consensus_error(trace, T)
-    return ConsensusCertificate(T, worst[0], worst[1], worst[2], final, passed)
+    n = trace.n
+    errors = _ratio_errors(trace.values[1:, :n], trace.weights[1:, :n], trace.average_input, 1)
+    shifted = trace.inputs - np.minimum(0.0, trace.inputs.min(axis=0))
+    bounds = _rate_bounds(trace.graph, B, shifted, np.arange(1, T + 1))
+    i, passed = _worst_point(errors, bounds, slack)
+    return ConsensusCertificate(
+        T, i + 1, float(errors[i]), float(bounds[i]), float(errors[-1]), passed
+    )

@@ -20,6 +20,8 @@ from .consensus import (
     _check_schedule,
     _CumulativeState,
     _NodeTrace,
+    _ratio_errors,
+    _worst_point,
     contraction_constants,
 )
 from .errors import (
@@ -39,8 +41,6 @@ __all__ = [
     "OptTrace",
     "run_distributed_dual_averaging",
     "running_average",
-    "dual_identity_error",
-    "measured_mixing_error",
     "mixing_error_bound",
     "optimality_gap_bound",
     "MixingCertificate",
@@ -147,16 +147,6 @@ class OptTrace(_NodeTrace):
     weights: np.ndarray
     subgradients: np.ndarray
 
-    def dual_average(self, t: int) -> np.ndarray:
-        """Sum of the dual values over all m nodes, divided by n."""
-        self._check_t(t)
-        return self.values[t].sum(axis=0) / self.n
-
-    def dual_average_reference(self, t: int) -> np.ndarray:
-        """The same average rebuilt from raw subgradients alone."""
-        self._check_t(t)
-        return self.subgradients[:t].sum(axis=(0, 1)) / self.n
-
 
 def run_distributed_dual_averaging(
     g: DirectedGraph,
@@ -211,20 +201,6 @@ def running_average(trace: OptTrace, agent: int, T: int | None = None) -> np.nda
     if not 1 <= agent <= trace.n:
         raise IterationOutOfRangeError(f"agent {agent} outside 1..{trace.n}")
     return trace.estimates[1 : T + 1, agent - 1].mean(axis=0)
-
-
-def dual_identity_error(trace: OptTrace, t: int) -> float:
-    """Distance between the trace dual average and its subgradient rebuild."""
-    return float(
-        np.abs(trace.dual_average(t) - trace.dual_average_reference(t)).max()
-    )
-
-
-def measured_mixing_error(trace: OptTrace, t: int) -> float:
-    """max_i ||zbar[t] - z_i[t]/w_i[t]|| over real agents."""
-    trace._check_t(t)
-    diffs = trace.ratios(t) - trace.dual_average(t)
-    return float(np.linalg.norm(diffs, axis=1).max())
 
 
 def _network_factor(beta: float, gamma: float, block: int) -> float:
@@ -296,10 +272,11 @@ class MixingCertificate:
 
 
 def certify_mixing_error(trace: OptTrace, B: int, slack: float = 0.0) -> MixingCertificate:
-    """Check measured dual disagreement against its uniform bound.
+    """Check max_i ||zbar[t] - z_i[t]/w_i[t]|| against its uniform bound,
+    where zbar[t] sums the dual values over all m nodes and divides by n.
 
     Evaluates every t from n*B + 1 through the trace horizon and reports the
-    iteration with the least margin.
+    iteration with the least margin, or the first non-finite measurement.
     """
     _, _, block = contraction_constants(trace.graph, B)
     T = trace.horizon
@@ -307,14 +284,10 @@ def certify_mixing_error(trace: OptTrace, B: int, slack: float = 0.0) -> MixingC
         raise HorizonTooShortError(f"certification needs T >= {block}, got {T}")
     bound = mixing_error_bound(trace.graph, B, trace.problem.lipschitz_bound)
     n = trace.n
-    zbar = trace.values.sum(axis=1) / n
-    ratios = trace.values[:, :n] / trace.weights[:, :n, None]
-    errors = np.linalg.norm(ratios - zbar[:, None, :], axis=2).max(axis=1)
-    window = errors[block : T + 1]
-    worst = int(np.argmax(window)) + block
-    worst_error = float(errors[worst])
-    passed = bool(worst_error <= bound + slack)
-    return MixingCertificate(T, block, bound, worst, worst_error, passed)
+    values, weights = trace.values[block:], trace.weights[block:]
+    errors = _ratio_errors(values[:, :n], weights[:, :n], values.sum(axis=1) / n, block)
+    worst, passed = _worst_point(errors, bound, slack)
+    return MixingCertificate(T, block, bound, worst + block, float(errors[worst]), passed)
 
 
 @dataclass(frozen=True)
@@ -337,18 +310,18 @@ def certify_optimality_gap(
     """Check every agent's running-average gap against the guarantee.
 
     ``slack`` absorbs the tolerance of a grid-based reference value; pass
-    L * grid_step when the reference was found numerically.
+    L * grid_step when the reference was found numerically.  A non-finite
+    gap fails the certificate and is reported for its first agent.
     """
     T = trace.horizon
     bound = optimality_gap_bound(trace.problem, trace.graph, B, trace.step, T)
     if reference is None:
         reference = solve_reference(trace.problem)
-    gaps = []
-    for agent in range(1, trace.n + 1):
-        x_hat = running_average(trace, agent, T)
-        gaps.append(trace.problem.objective(x_hat) - reference.value)
-    worst = int(np.argmax(gaps))
-    passed = bool(gaps[worst] <= bound + slack)
+    # Agent-major, so each agent's sum runs as over its own (T, d) slice in
+    # running_average: pairwise for d = 1, row by row for d > 1.
+    averages = np.ascontiguousarray(trace.estimates[1:].transpose(1, 0, 2)).mean(axis=1)
+    gaps = np.array([trace.problem.objective(x) for x in averages]) - reference.value
+    worst, passed = _worst_point(gaps, bound, slack)
     return GapCertificate(
-        T, bound, reference.value, tuple(gaps), worst + 1, float(gaps[worst]), passed
+        T, bound, reference.value, tuple(gaps.tolist()), worst + 1, float(gaps[worst]), passed
     )

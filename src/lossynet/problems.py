@@ -7,6 +7,7 @@ kinks where 0 is a valid subgradient they return 0, so runs are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -335,21 +336,52 @@ def _field(spec, key: str, where: str):
     return spec[key]
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _number(value, what: str) -> float:
+    if not _is_finite_number(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _vector(spec, key: str, where: str) -> np.ndarray:
+    """``spec[key]``, a finite number or a nonempty list of them, as floats."""
+    value = _field(spec, key, where)
+    items = value if isinstance(value, list) else [value]
+    if not items or not all(map(_is_finite_number, items)):
+        raise ConfigError(f"{where} {key} must be a finite number or a list of them, got {value!r}")
+    return np.array(items, dtype=float)
+
+
 def _set_from_spec(spec: dict) -> Box | Ball:
     kind = spec.get("kind")
+    radius_sq = spec.get("radius_sq")
+    if radius_sq is not None:
+        radius_sq = _number(radius_sq, f"{kind} set radius_sq")
     if kind == "box":
-        lower, upper = _field(spec, "lower", "box set"), _field(spec, "upper", "box set")
-        return Box(lower, upper, radius_sq=spec.get("radius_sq"))
-    if kind == "ball":
-        radius = float(_field(spec, "radius", "ball set"))
-        return Ball(radius, int(spec["d"]), radius_sq=spec.get("radius_sq"))
-    raise ConfigError(f"unknown feasible-set kind {kind!r}")
+        cls, args = Box, (_vector(spec, "lower", "box set"), _vector(spec, "upper", "box set"))
+    elif kind == "ball":
+        cls, args = Ball, (_number(_field(spec, "radius", "ball set"), "ball set radius"), spec["d"])
+    else:
+        raise ConfigError(f"unknown feasible-set kind {kind!r}")
+    try:
+        return cls(*args, radius_sq=radius_sq)
+    except ValueError as exc:  # lower above upper, unequal lengths, radius <= 0
+        raise ConfigError(f"{kind} set: {exc}") from exc
 
 
 _COMPONENT_KINDS = {
-    "linear": lambda params: LinearCost(_field(params, "c", "linear component")),
-    "abs_distance": lambda params: AbsDistanceCost(_field(params, "a", "abs_distance component")),
-    "l2_distance": lambda params: L2DistanceCost(_field(params, "a", "l2_distance component")),
+    "linear": lambda params: LinearCost(_vector(params, "c", "linear component")),
+    "abs_distance": lambda params: AbsDistanceCost(_vector(params, "a", "abs_distance component")),
+    "l2_distance": lambda params: L2DistanceCost(_vector(params, "a", "l2_distance component")),
 }
 
 
@@ -370,8 +402,8 @@ def problem_from_spec(spec: dict) -> OptProblem:
     if fs.dim != d:
         raise DimensionMismatchError(f"feasible set dimension {fs.dim} != d = {d}")
     comps = _field(spec, "components", "problem")
-    if not isinstance(comps, list) or not all(isinstance(comp, dict) for comp in comps):
-        raise ConfigError("problem components must be a list of objects")
+    if not isinstance(comps, list) or not comps or not all(isinstance(c, dict) for c in comps):
+        raise ConfigError("problem components must be a nonempty list of objects")
     components = []
     for comp in comps:
         kind = comp.get("kind")
@@ -379,4 +411,8 @@ def problem_from_spec(spec: dict) -> OptProblem:
             raise ConfigError(f"unknown component kind {kind!r}")
         components.append(_COMPONENT_KINDS[kind](comp))
     lipschitz = spec.get("L")
-    return OptProblem(tuple(components), fs, None if lipschitz is None else float(lipschitz))
+    if lipschitz is not None:
+        lipschitz = _number(lipschitz, "problem L")
+        if lipschitz < 0:
+            raise ConfigError(f"problem L must be >= 0, got {lipschitz!r}")
+    return OptProblem(tuple(components), fs, lipschitz)

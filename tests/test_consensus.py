@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossynet import (
+    ConsensusCertificate,
     ConsensusTrace,
     DimensionMismatchError,
     IterationOutOfRangeError,
@@ -246,6 +247,34 @@ class TestTraceApi:
             consensus_error(trace, 0)
 
 
+def oracle_certify_consensus_bound(trace, B, slack=0.0):
+    """The per-round certificate the array code replaced: the scalar error and
+    bound formulas at each t, the first largest error - bound as the worst
+    point, and the pass rule the run harness applied to that point."""
+    T, n = trace.horizon, trace.n
+    if T < 1:
+        return ConsensusCertificate(T, None, None, None, None, True)
+    beta, gamma, block = contraction_constants(trace.graph, B)
+    total = float(np.linalg.norm(trace.inputs.sum(axis=0)))
+    floor = beta**block
+
+    def error(t):
+        ratios = trace.values[t, :n] / trace.weights[t, :n, None]
+        return float(np.linalg.norm(ratios - trace.average_input, axis=1).max())
+
+    def bound(t):
+        if floor == 0.0:
+            return math.inf if total > 0.0 else 0.0
+        return total / (n * floor) * gamma ** (t // block)
+
+    worst_margin, worst = -np.inf, None
+    for t in range(1, T + 1):
+        err, b = error(t), bound(t)
+        if worst is None or err - b > worst_margin:
+            worst_margin, worst = err - b, (t, err, b)
+    return ConsensusCertificate(T, *worst, error(T), worst[1] <= worst[2] + slack)
+
+
 class TestRateBound:
     def test_contraction_constants_two_cycle(self, two_cycle):
         beta, gamma, block = contraction_constants(two_cycle, 1)
@@ -314,3 +343,124 @@ class TestRateBound:
         cert = certify_consensus_bound(trace, 1)
         assert not cert.passed
         assert cert.worst_error > cert.worst_bound
+
+
+def _fabricated(graph, values, inputs):
+    """A trace over ``graph`` with the given agent values, unit weights and
+    empty buffers."""
+    ag = augment(graph)
+    T1, n, d = values.shape
+    full = np.zeros((T1, ag.m, d))
+    full[:, :n] = values
+    weights = np.zeros((T1, ag.m))
+    weights[:, :n] = 1.0
+    return ConsensusTrace(ag, np.asarray(inputs, dtype=float), full, weights)
+
+
+class TestCertificateMatchesOracle:
+    # With 4 agents gamma < 1, so the bound decays block by block; with 8 it
+    # rounds to 1.
+    @pytest.mark.parametrize("seed", [1, 5, 2027])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_bernoulli_runs(self, seed, d, n):
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected(n, rng, 0.3)
+        schedule = bernoulli_b_bounded(g, 0.5, 2, 1500, seed=seed)
+        y = rng.uniform(0.0, 3.0, size=(g.n, d))
+        trace = run_convergent_robust_push_sum(g, y, schedule, 1500)
+        assert certify_consensus_bound(trace, 2) == oracle_certify_consensus_bound(trace, 2)
+
+    def test_decay_over_many_blocks(self, two_cycle):
+        # gamma = 63/64 over 100 blocks: numpy's vectorized float power
+        # differs from the scalar one in the last bit at some exponents.
+        schedule = bernoulli_b_bounded(two_cycle, 0.5, 1, 300, seed=3)
+        trace = run_convergent_robust_push_sum(two_cycle, [1.0, 3.0], schedule, 300)
+        assert certify_consensus_bound(trace, 1) == oracle_certify_consensus_bound(trace, 1)
+        # The scalar bound takes the same power as the formula in Python.
+        for t in (12 * 3, 13 * 3, 299):
+            assert consensus_rate_bound(two_cycle, 1, [1.0, 3.0], t) == (
+                4.0 / (2 * 0.25**3) * (1.0 - 0.25**3) ** (t // 3)
+            )
+
+    def test_underflowing_floor(self):
+        g = random_strongly_connected(50, np.random.default_rng(0), 0.15)
+        schedule = bernoulli_b_bounded(g, 0.5, 3, 20, seed=1)
+        trace = run_convergent_robust_push_sum(g, np.linspace(0.0, 1.0, g.n), schedule, 20)
+        assert certify_consensus_bound(trace, 3) == oracle_certify_consensus_bound(trace, 3)
+
+    @pytest.mark.parametrize("slack", [1e-3, 200.0])
+    def test_slack(self, two_cycle, slack):
+        # Errors of 298 against bounds of 128 and below: the larger slack
+        # covers the excess and turns the fabricated violation into a pass.
+        values = np.full((7, 2, 1), 300.0)
+        trace = _fabricated(two_cycle, values, [[1.0], [3.0]])
+        cert = certify_consensus_bound(trace, 1, slack=slack)
+        assert cert == oracle_certify_consensus_bound(trace, 1, slack)
+        assert cert.passed == (slack == 200.0)
+
+    def test_slack_on_a_run(self, asym3):
+        schedule = bernoulli_b_bounded(asym3, 0.5, 2, 400, seed=5)
+        trace = run_convergent_robust_push_sum(asym3, [0.2, 0.9, 0.4], schedule, 400)
+        cert = certify_consensus_bound(trace, 2, slack=0.5)
+        assert cert == oracle_certify_consensus_bound(trace, 2, 0.5)
+
+    def test_fabricated_violation(self, two_cycle):
+        values = np.full((2, 4, 1), 100.0)
+        weights = np.ones((2, 4))
+        trace = ConsensusTrace(augment(two_cycle), np.array([[0.0], [1.0]]), values, weights)
+        assert certify_consensus_bound(trace, 1) == oracle_certify_consensus_bound(trace, 1)
+
+
+class TestSignedInputs:
+    def test_signed_run_certifies_like_its_shifted_run(self, asym3):
+        schedule = bernoulli_b_bounded(asym3, 0.5, 2, 400, seed=5)
+        y = np.array([[2.0, -1.0], [-1.0, 7.0], [4.0, 0.5]])
+        shifted = y - np.minimum(0.0, y.min(axis=0))
+        signed = run_convergent_robust_push_sum(asym3, y, schedule, 400)
+        base = run_convergent_robust_push_sum(asym3, shifted, schedule, 400)
+        cert = certify_consensus_bound(signed, 2)
+        assert cert.passed
+        assert cert.worst_bound == consensus_rate_bound(asym3, 2, shifted, cert.worst_t)
+        # Ratios are shift-equivariant: the shift moves every ratio and the
+        # average alike, so the two runs measure the same errors.
+        errors = [consensus_error(signed, t) for t in range(1, 401)]
+        base_errors = [consensus_error(base, t) for t in range(1, 401)]
+        assert np.allclose(errors, base_errors, rtol=1e-9, atol=1e-12)
+
+    def test_nonnegative_inputs_are_not_shifted(self, asym3):
+        schedule = bernoulli_b_bounded(asym3, 0.5, 2, 100, seed=5)
+        y = [0.0, 0.9, 0.4]
+        trace = run_convergent_robust_push_sum(asym3, y, schedule, 100)
+        cert = certify_consensus_bound(trace, 2)
+        assert cert.worst_bound == consensus_rate_bound(asym3, 2, y, cert.worst_t)
+
+
+class TestNonFiniteMeasurement:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_fails_at_first_non_finite_round(self, two_cycle, bad):
+        # Round 2 is far outside the bound; round 3 is the first non-finite.
+        values = np.full((6, 2, 1), 0.5)
+        values[2] = 1e6
+        values[3, 1] = bad
+        values[4, 0] = math.nan
+        cert = certify_consensus_bound(_fabricated(two_cycle, values, [[0.0], [1.0]]), 1)
+        assert not cert.passed
+        assert cert.worst_t == 3
+        assert not math.isfinite(cert.worst_error)
+        assert cert.final_error == 0.0
+
+    def test_non_finite_only_in_last_round(self, two_cycle):
+        values = np.full((4, 2, 1), 0.5)
+        values[3, 0] = math.inf
+        cert = certify_consensus_bound(_fabricated(two_cycle, values, [[0.0], [1.0]]), 1)
+        assert not cert.passed
+        assert cert.worst_t == 3
+        assert cert.final_error == math.inf
+
+    def test_zero_weight_names_first_round(self, two_cycle):
+        trace = _fabricated(two_cycle, np.full((5, 2, 1), 0.5), [[0.0], [1.0]])
+        trace.weights[3, 1] = 0.0
+        trace.weights[4, 0] = -1.0
+        with pytest.raises(ZeroWeightError, match="at iteration 3"):
+            certify_consensus_bound(trace, 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -11,10 +12,12 @@ from lossynet import (
     Ball,
     Box,
     DimensionMismatchError,
+    GapCertificate,
     HorizonTooShortError,
     IterationOutOfRangeError,
     L2DistanceCost,
     LinearCost,
+    MixingCertificate,
     OptProblem,
     ScheduleTooShortError,
     StepSizeSchedule,
@@ -22,12 +25,12 @@ from lossynet import (
     bernoulli_b_bounded,
     build_graph,
     certify_mixing_error,
+    contraction_constants,
     certify_optimality_gap,
-    dual_identity_error,
-    measured_mixing_error,
     mixing_error_bound,
     optimality_gap_bound,
     proximal_projection,
+    random_strongly_connected,
     run_centralized_dual_averaging,
     run_distributed_dual_averaging,
     running_average,
@@ -187,7 +190,13 @@ class TestDistributed:
         trace = run_distributed_dual_averaging(
             three_ring, median_problem(), schedule, StepSizeSchedule(1.0), 500
         )
-        worst = max(dual_identity_error(trace, t) for t in range(501))
+        # The dual values summed over all nodes, rebuilt from the subgradients.
+        worst = max(
+            np.abs(
+                trace.values[t].sum(axis=0) / 3 - trace.subgradients[:t].sum(axis=(0, 1)) / 3
+            ).max()
+            for t in range(501)
+        )
         assert worst <= 1e-9
 
     def test_estimates_stay_feasible(self, three_ring):
@@ -257,7 +266,8 @@ class TestMixingError:
             StepSizeSchedule(1.0),
             20,
         )
-        assert measured_mixing_error(trace, 20) == 0.0
+        # Every iteration from the first block (t = 2) on measures zero.
+        assert certify_mixing_error(trace, 1).worst_error == 0.0
 
     def test_bound_edge_cases(self, two_cycle):
         assert mixing_error_bound(two_cycle, 1, 0.0) == 0.0
@@ -395,3 +405,89 @@ class TestGapBound:
         cert = certify_optimality_gap(trace, 2, reference=exact)
         assert cert.passed
         assert cert.reference_value == exact.value
+
+
+def oracle_certify_optimality_gap(trace, B, reference, slack=0.0):
+    """The per-agent certificate the array code replaced: one running
+    average and one objective value per agent."""
+    T = trace.horizon
+    bound = optimality_gap_bound(trace.problem, trace.graph, B, trace.step, T)
+    gaps = [
+        trace.problem.objective(trace.estimates[1 : T + 1, i].mean(axis=0)) - reference.value
+        for i in range(trace.n)
+    ]
+    worst = int(np.argmax(gaps))
+    passed = bool(gaps[worst] <= bound + slack)
+    return GapCertificate(
+        T, bound, reference.value, tuple(gaps), worst + 1, float(gaps[worst]), passed
+    )
+
+
+def oracle_certify_mixing_error(trace, B, slack=0.0):
+    """The mixing certificate with its own inline ratio error, as before the
+    shared kernel."""
+    _, _, block = contraction_constants(trace.graph, B)
+    T, n = trace.horizon, trace.n
+    bound = mixing_error_bound(trace.graph, B, trace.problem.lipschitz_bound)
+    zbar = trace.values.sum(axis=1) / n
+    ratios = trace.values[:, :n] / trace.weights[:, :n, None]
+    errors = np.linalg.norm(ratios - zbar[:, None, :], axis=2).max(axis=1)
+    worst = int(np.argmax(errors[block : T + 1])) + block
+    passed = bool(errors[worst] <= bound + slack)
+    return MixingCertificate(T, block, bound, worst, float(errors[worst]), passed)
+
+
+def mixed_problem(d, rng, n):
+    kinds = (AbsDistanceCost, L2DistanceCost, LinearCost)
+    components = tuple(kinds[i % 3](rng.uniform(-1.0, 1.0, size=d)) for i in range(n))
+    return OptProblem(components, Box(-np.ones(d), np.ones(d)))
+
+
+class TestCertificatesMatchOracles:
+    @pytest.mark.parametrize("seed", [1, 5, 2027])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bernoulli_runs(self, seed, d):
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected(5, rng, 0.3)
+        p = mixed_problem(d, rng, g.n)
+        schedule = bernoulli_b_bounded(g, 0.5, 2, 2000, seed=seed)
+        trace = run_distributed_dual_averaging(g, p, schedule, StepSizeSchedule(0.7), 2000)
+        reference = solve_reference(p)
+        for slack in (0.0, 1e-3):
+            assert certify_optimality_gap(trace, 2, reference, slack) == (
+                oracle_certify_optimality_gap(trace, 2, reference, slack)
+            )
+            assert certify_mixing_error(trace, 2, slack) == oracle_certify_mixing_error(
+                trace, 2, slack
+            )
+
+
+class TestNonFiniteMeasurement:
+    @pytest.fixture
+    def lossy_run(self, three_ring):
+        schedule = bernoulli_b_bounded(three_ring, 0.5, 2, 60, seed=13)
+        return run_distributed_dual_averaging(
+            three_ring, median_problem(), schedule, StepSizeSchedule(1.0), 60
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mixing_fails_at_first_non_finite_round(self, lossy_run, bad):
+        values = lossy_run.values.copy()
+        values[30, 1] = bad
+        values[40, 0] = math.nan
+        cert = certify_mixing_error(dataclasses.replace(lossy_run, values=values), 2, slack=1e9)
+        assert not cert.passed
+        assert cert.worst_t == 30
+        assert not math.isfinite(cert.worst_error)
+
+    def test_gap_fails_at_first_non_finite_agent(self, lossy_run):
+        estimates = lossy_run.estimates.copy()
+        estimates[50, 1] = math.nan
+        estimates[10, 2] = math.nan
+        exact = solve_reference(OptProblem(lossy_run.problem.components, unit_box, optimum=[0.5]))
+        cert = certify_optimality_gap(
+            dataclasses.replace(lossy_run, estimates=estimates), 2, exact, slack=math.inf
+        )
+        assert not cert.passed
+        assert cert.worst_agent == 2
+        assert math.isnan(cert.worst_gap)

@@ -9,7 +9,7 @@ import pytest
 from lossynet import (
     ConfigError,
     ExperimentConfig,
-    NegativeInputError,
+    LossyNetError,
     all_reliable,
     StepSizeSchedule,
     bernoulli_b_bounded,
@@ -24,7 +24,7 @@ from lossynet import (
     write_json,
     write_schedule_csv,
 )
-from lossynet import schedules
+from lossynet import harness, schedules
 from lossynet.cli import main
 from lossynet.harness import _RUNNERS, _psi_text
 
@@ -443,22 +443,31 @@ class TestTraceBytes:
 
 
 class TestAtomicArtifacts:
-    # A negative input makes the convergent rate certificate raise after the
-    # whole trace is written.
-    NEGATIVE = dict(CONSENSUS_RAW, inputs=[0.0, -1.0, 0.25], horizon=20)
+    # The rate certificate raises once the whole trace is staged.
+    FAILING = dict(CONSENSUS_RAW, horizon=20)
 
-    def test_failed_run_leaves_no_files(self, tmp_path):
-        with pytest.raises(NegativeInputError):
-            run_experiment(ExperimentConfig.from_dict(self.NEGATIVE), tmp_path)
+    @staticmethod
+    def _fail_certificate(monkeypatch, out_dir):
+        def fail(trace, *args, **kwargs):
+            assert (out_dir / "trace.csv.tmp").exists()
+            raise LossyNetError("rate certificate failed")
+
+        monkeypatch.setattr(harness, "certify_consensus_bound", fail)
+
+    def test_failed_run_leaves_no_files(self, tmp_path, monkeypatch):
+        self._fail_certificate(monkeypatch, tmp_path)
+        with pytest.raises(LossyNetError, match="rate certificate failed"):
+            run_experiment(ExperimentConfig.from_dict(self.FAILING), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_run_keeps_earlier_artifacts(self, tmp_path, capsys):
+    def test_failed_run_keeps_earlier_artifacts(self, tmp_path, capsys, monkeypatch):
         run_experiment(ExperimentConfig.from_dict(CONSENSUS_RAW), tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        config = _write(tmp_path, "neg.json", self.NEGATIVE)
+        config = _write(tmp_path, "failing.json", self.FAILING)
+        self._fail_certificate(monkeypatch, tmp_path)
         assert main(["consensus", "--config", config, "--out", str(tmp_path)]) == 1
-        assert "nonnegative" in capsys.readouterr().err
-        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "neg.json"}
+        assert "rate certificate failed" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "failing.json"}
         assert after == before
 
     def test_artifact_names_final_files(self, tmp_path):
@@ -525,6 +534,38 @@ MALFORMED_CSV = [
 ]
 
 
+# Problem fields replaced in OPTIMIZE_RAW, each malformed.
+BAD_PROBLEMS = [
+    ({"set": {"kind": "box", "lower": [1.0], "upper": [0.0]}},
+     "box set: box lower bound exceeds upper bound"),
+    ({"components": []}, "problem components must be a nonempty list of objects"),
+    ({"components": [{"kind": "abs_distance", "a": ["x"]}] * 3},
+     "abs_distance component a must be a finite number or a list of them"),
+    ({"components": [{"kind": "linear", "c": None}] * 3},
+     "linear component c must be a finite number or a list of them"),
+    ({"set": {"kind": "box", "lower": [0.0], "upper": "1"}},
+     "box set upper must be a finite number or a list of them"),
+    ({"L": "abc"}, "problem L must be a finite number"),
+    ({"L": -1.0}, "problem L must be >= 0"),
+    ({"set": {"kind": "ball", "radius": 0.0}}, "ball set: radius must be positive"),
+    ({"set": {"kind": "ball", "radius": "2"}}, "ball set radius must be a finite number"),
+    ({"set": {"kind": "box", "lower": [0.0], "upper": [1.0], "radius_sq": [1]}},
+     "box set radius_sq must be a finite number"),
+]
+
+# Inputs of a three-agent consensus run that are not finite or whose
+# magnitudes sum beyond the float range.
+BAD_INPUTS = [
+    ([0.0, math.nan, 0.25], "inputs must be finite"),
+    ([0.0, math.inf, 0.25], "inputs must be finite"),
+    ([[0.0, 1.0], [-math.inf, 2.0], [0.5, 0.0]], "inputs must be finite"),
+    ([0.0, 10**400, 0.25], "inputs must be finite"),
+    ([1e308, 1e308, 0.25], "inputs overflow: their magnitudes in coordinate 0"),
+    ([[0.0, 1e308], [1.0, -1e308], [0.5, 0.0]],
+     "inputs overflow: their magnitudes in coordinate 1"),
+]
+
+
 class TestCli:
     @pytest.mark.parametrize("line, text, message", MALFORMED_CSV)
     def test_malformed_schedule_csv(self, tmp_path, capsys, line, text, message):
@@ -561,6 +602,33 @@ class TestCli:
         raw = dict(OPTIMIZE_RAW, tolerances={"gap_slack": "abc"})
         assert self._optimize_exit(tmp_path, raw) == 1
         assert "error: tolerance gap_slack must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem, message", BAD_PROBLEMS)
+    def test_optimize_malformed_problem(self, tmp_path, capsys, problem, message):
+        raw = dict(OPTIMIZE_RAW, problem=dict(OPTIMIZE_RAW["problem"], **problem))
+        assert self._optimize_exit(tmp_path, raw) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_signed_quick_start_inputs(self, tmp_path, capsys):
+        # The README quick start: graph, schedule and signed inputs.
+        raw = dict(
+            CONSENSUS_RAW,
+            graph={"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1], [2, 1]]},
+            schedule={"kind": "bernoulli", "p_drop": 0.5, "B": 3, "seed": 3},
+            inputs=[2.0, -1.0, 7.0, 4.0],
+        )
+        config = _write(tmp_path, "c.json", raw)
+        assert main(["consensus", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert "pass=true" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["certifications"]["consensus_rate_bound"]["passed"] is True
+
+    @pytest.mark.parametrize("inputs, message", BAD_INPUTS)
+    def test_consensus_non_finite_inputs(self, tmp_path, capsys, inputs, message):
+        config = _write(tmp_path, "c.json", dict(CONSENSUS_RAW, inputs=inputs))
+        assert main(["consensus", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trace.csv").exists()
 
     def test_consensus_pass(self, tmp_path, capsys):
         config = _write(tmp_path, "c.json", CONSENSUS_RAW)
