@@ -317,7 +317,9 @@ def consensus_rate_bound(g: DirectedGraph, B: int, y, t: int) -> float:
 def _rate_bounds(g: DirectedGraph, B: int, inputs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """consensus_rate_bound at each iteration of ``ts`` for nonnegative inputs."""
     beta, gamma, block = contraction_constants(g, B)
-    total = float(np.linalg.norm(inputs.sum(axis=0)))
+    sums = inputs.sum(axis=0)
+    with np.errstate(over="ignore"):
+        total = float(_rescue_norms(sums, np.linalg.norm(sums)))
     floor = beta**block
     if floor == 0.0:
         # beta**block underflowed: the bound lies above the float range.
@@ -326,6 +328,21 @@ def _rate_bounds(g: DirectedGraph, B: int, inputs: np.ndarray, ts: np.ndarray) -
     # power may take a SIMD path that differs from it in the last bit.
     decay = (gamma ** (ts // block).astype(object)).astype(float)
     return total / (g.n * floor) * decay
+
+
+def _rescue_norms(x: np.ndarray, norms) -> np.ndarray:
+    """``norms``, the Euclidean norms of x over its last axis, where they
+    are finite; where squaring overflowed although x is finite, the norm of
+    x over its largest |entry|, scaled back.  Finite norms keep their bits.
+    Callers run it under ``np.errstate(over="ignore")``: a norm beyond the
+    float range stays infinite."""
+    norms = np.array(norms, dtype=float)
+    redo = np.isinf(norms) & np.isfinite(x).all(axis=-1)
+    if redo.any():
+        rows = x[redo]
+        scale = np.abs(rows).max(axis=-1)
+        norms[redo] = scale * np.linalg.norm(rows / scale[..., None], axis=-1)
+    return norms
 
 
 def _ratio_errors(values, weights, center, first_t: int) -> np.ndarray:
@@ -337,8 +354,8 @@ def _ratio_errors(values, weights, center, first_t: int) -> np.ndarray:
     if bad.size:
         raise ZeroWeightError(f"agent weight not positive at iteration {first_t + bad[0]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = values / weights[..., None]
-        return np.linalg.norm(ratios - np.expand_dims(center, -2), axis=2).max(axis=1)
+        diffs = values / weights[..., None] - np.expand_dims(center, -2)
+        return _rescue_norms(diffs, np.linalg.norm(diffs, axis=2)).max(axis=1)
 
 
 def _worst_point(measured: np.ndarray, bound, slack: float) -> tuple[int, bool]:

@@ -180,9 +180,7 @@ def run_distributed_dual_averaging(
     x = np.zeros((n, d))
     for t in range(1, T + 1):
         state.convergent_round(schedule.delivered(t))
-        grads = np.stack(
-            [problem.components[i].subgradient(x[i]) for i in range(n)]
-        )
+        grads = problem.subgradients(x)
         state.z += grads
         x = proximal_projection(
             state.z / state.w[:, None], steps.alpha(t - 1), problem.feasible
@@ -320,7 +318,7 @@ def certify_optimality_gap(
     # Agent-major, so each agent's sum runs as over its own (T, d) slice in
     # running_average: pairwise for d = 1, row by row for d > 1.
     averages = np.ascontiguousarray(trace.estimates[1:].transpose(1, 0, 2)).mean(axis=1)
-    gaps = np.array([trace.problem.objective(x) for x in averages]) - reference.value
+    gaps = trace.problem.objective_at(averages) - reference.value
     worst, passed = _worst_point(gaps, bound, slack)
     return GapCertificate(
         T, bound, reference.value, tuple(gaps.tolist()), worst + 1, float(gaps[worst]), passed

@@ -211,8 +211,8 @@ class ExperimentConfig:
             _require(isinstance(problem, dict), "optimize mode needs a problem object")
             problem = copy.deepcopy(problem)
             _require(
-                _is_number(step_constant) and step_constant > 0,
-                f"step_constant must be positive, got {step_constant!r}",
+                _is_finite_number(step_constant) and step_constant > 0,
+                f"step_constant must be positive and finite, got {step_constant!r}",
             )
             step_constant = float(step_constant)
             _require(inputs is None, "optimize mode does not take inputs")
@@ -247,6 +247,7 @@ class ExperimentConfig:
         _require(not bad, f"unknown tolerance keys: {sorted(bad)}")
         for key, value in tolerances.items():
             _require(_is_number(value), f"tolerance {key} must be a number, got {value!r}")
+            _require(_is_finite_number(value), f"tolerance {key} must be finite, got {value!r}")
         tolerances = {
             k: float(v) for k, v in sorted(tolerances.items())
         }

@@ -3,6 +3,11 @@
 A problem is a mean of per-agent convex costs minimized over a box or a
 Euclidean ball.  Component oracles return a value and one subgradient; at
 kinks where 0 is a valid subgradient they return 0, so runs are deterministic.
+
+Each cost class also has batched kernels over stacked parameters, which
+:class:`OptProblem` uses to evaluate all components of a kind at once.  They
+give the bits of the scalar ``value``/``subgradient`` methods, which stay as
+their reference.
 """
 
 from __future__ import annotations
@@ -29,6 +34,20 @@ __all__ = [
 
 GRID_STEP_FRACTION = 1e-4
 COARSE_POINTS = 201
+# Points per block in OptProblem.objective_at, which keeps its temporaries
+# near 1 MB for 8 components at d = 2 however many points it gets.
+POINTS_PER_BLOCK = 4096
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each bit for bit the
+    ``np.linalg.norm`` of its row.
+
+    That norm is sqrt(x @ x), a BLAS dot that may fuse multiply-adds; the
+    stacked row-by-column product takes the same dot, which
+    ``(x * x).sum(-1)`` and ``np.linalg.norm(x, axis=-1)`` do not.
+    """
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +88,12 @@ class Box:
     def project(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x, tol: float = 1e-12):
+        """Whether x lies in the box up to ``tol``: a bool for one point, a
+        boolean array over the leading axes for a batch of points."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        inside = ((x >= self.lower - tol) & (x <= self.upper + tol)).all(axis=-1)
+        return bool(inside) if x.ndim <= 1 else inside
 
     def axis_interval(self, x, k: int) -> tuple[float, float]:
         return float(self.lower[k]), float(self.upper[k])
@@ -110,8 +132,12 @@ class Ball:
         scale = np.where(norms > self.radius, self.radius / np.where(norms == 0, 1, norms), 1.0)
         return x * scale
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        return bool(np.linalg.norm(np.asarray(x, dtype=float)) <= self.radius + tol)
+    def contains(self, x, tol: float = 1e-12):
+        """Whether x lies in the ball up to ``tol``: a bool for one point, a
+        boolean array over the leading axes for a batch of points."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        inside = _row_norms(x) <= self.radius + tol
+        return bool(inside) if x.ndim == 1 else inside
 
     def axis_interval(self, x, k: int) -> tuple[float, float]:
         rest = float(np.sum(np.delete(np.asarray(x, dtype=float), k) ** 2))
@@ -145,6 +171,20 @@ class LinearCost:
     def subgradient(self, x) -> np.ndarray:
         return self.c.copy()
 
+    # Batched kernels for OptProblem, over the parameters (here c) of j
+    # costs of this kind stacked as (j, d).
+    _PARAM = "c"
+
+    @staticmethod
+    def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """(j, k) values at k points (k, d), each the dot of ``value``."""
+        return (params[:, None, None, :] @ points[None, :, :, None])[..., 0, 0]
+
+    @staticmethod
+    def _subgradients(params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(j, d) subgradients, row i at point x[i]."""
+        return params.copy()
+
 
 @dataclass(frozen=True, eq=False)
 class AbsDistanceCost:
@@ -169,6 +209,16 @@ class AbsDistanceCost:
     def subgradient(self, x) -> np.ndarray:
         # sign() is 0 at kinks, where 0 is a valid subgradient.
         return np.sign(np.asarray(x, dtype=float) - self.a)
+
+    _PARAM = "a"
+
+    @staticmethod
+    def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
+        return np.abs(points[None, :, :] - params[:, None, :]).sum(axis=2)
+
+    @staticmethod
+    def _subgradients(params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return np.sign(x - params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +248,21 @@ class L2DistanceCost:
             return np.zeros_like(diff)
         return diff / norm
 
+    _PARAM = "a"
+
+    @staticmethod
+    def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
+        return _row_norms(points[None, :, :] - params[:, None, :])
+
+    @staticmethod
+    def _subgradients(params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        diff = x - params
+        norms = _row_norms(diff)[:, None]
+        return np.divide(diff, norms, out=np.zeros_like(diff), where=norms != 0.0)
+
+
+_COST_KINDS = (LinearCost, AbsDistanceCost, L2DistanceCost)
+
 
 @dataclass(frozen=True, eq=False)
 class OptProblem:
@@ -206,6 +271,9 @@ class OptProblem:
     ``lipschitz`` may be supplied when a tighter uniform bound is known;
     otherwise the worst component bound is used.  ``optimum`` may carry a
     known minimizer, which :func:`solve_reference` returns directly.
+    Components must be ``LinearCost``, ``AbsDistanceCost`` or
+    ``L2DistanceCost``; their parameters are copied into per-kind stacks
+    here, so later changes to a component's array are not seen.
     """
 
     components: tuple
@@ -219,11 +287,22 @@ class OptProblem:
             raise ValueError("a problem needs at least one component")
         d = self.feasible.dim
         for c in components:
+            if type(c) not in _COST_KINDS:
+                raise TypeError(f"unknown cost component {c!r}")
             if c.dim != d:
                 raise DimensionMismatchError(
                     f"component dimension {c.dim} != feasible-set dimension {d}"
                 )
         object.__setattr__(self, "components", components)
+        # The components stacked by kind: (kind, component indices, (j, d)
+        # parameters), for the batched kernels.
+        groups = []
+        for kind in _COST_KINDS:
+            idx = [i for i, c in enumerate(components) if type(c) is kind]
+            if idx:
+                params = np.array([getattr(components[i], kind._PARAM) for i in idx])
+                groups.append((kind, np.array(idx), params))
+        object.__setattr__(self, "_groups", tuple(groups))
         if self.optimum is not None:
             object.__setattr__(
                 self, "optimum", np.atleast_1d(np.asarray(self.optimum, dtype=float))
@@ -243,14 +322,41 @@ class OptProblem:
             return float(self.lipschitz)
         return max(c.lipschitz for c in self.components)
 
+    def _mean(self, rows: np.ndarray) -> np.ndarray:
+        """Mean over components of per-component rows, summed from zero in
+        component order as Python's ``sum`` does; ``np.sum`` may round
+        differently."""
+        total = np.zeros(rows.shape[1:])
+        for row in rows:
+            total += row
+        return total / self.n_components
+
+    def objective_at(self, points) -> np.ndarray:
+        """The objective at each of k points (k, d), as (k,)."""
+        points = np.asarray(points, dtype=float)
+        out = np.empty(points.shape[0])
+        for start in range(0, points.shape[0], POINTS_PER_BLOCK):
+            block = points[start : start + POINTS_PER_BLOCK]
+            values = np.empty((self.n_components, block.shape[0]))
+            for kind, idx, params in self._groups:
+                values[idx] = kind._values(params, block)
+            out[start : start + block.shape[0]] = self._mean(values)
+        return out
+
+    def subgradients(self, x) -> np.ndarray:
+        """Row i: a subgradient of component i at x[i], for x of shape (n, d)."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty((self.n_components, self.dim))
+        for kind, idx, params in self._groups:
+            out[idx] = kind._subgradients(params, x[idx])
+        return out
+
     def objective(self, x) -> float:
-        return sum(c.value(x) for c in self.components) / self.n_components
+        return float(self.objective_at(np.reshape(x, (1, self.dim)))[0])
 
     def objective_subgradient(self, x) -> np.ndarray:
-        total = np.zeros(self.dim)
-        for c in self.components:
-            total += c.subgradient(x)
-        return total / self.n_components
+        x = np.broadcast_to(np.asarray(x, dtype=float), (self.n_components, self.dim))
+        return self._mean(self.subgradients(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +366,8 @@ class ReferenceSolution:
 
 
 def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -> np.ndarray:
-    """Cyclic per-coordinate golden-section refinement down to width ``step``."""
+    """Cyclic per-coordinate golden-section refinement down to width ``step``;
+    ``fun`` maps k points (k, d) to their k values."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x = x.copy()
     for _ in range(cycles):
@@ -273,18 +380,18 @@ def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -
             d = a + invphi * (b - a)
             xc, xd = x.copy(), x.copy()
             xc[k], xd[k] = c, d
-            fc, fd = fun(xc), fun(xd)
+            fc, fd = fun(np.array([xc, xd]))
             while b - a > step:
                 if fc < fd:
                     b, d, fd = d, c, fc
                     c = b - invphi * (b - a)
                     xc[k] = c
-                    fc = fun(xc)
+                    fc = fun(xc[None])[0]
                 else:
                     a, c, fc = c, d, fd
                     d = a + invphi * (b - a)
                     xd[k] = d
-                    fd = fun(xd)
+                    fd = fun(xd[None])[0]
             x[k] = 0.5 * (a + b)
     return x
 
@@ -322,10 +429,10 @@ def solve_reference(p: OptProblem, grid_step: float | None = None) -> ReferenceS
     else:
         xs, ys = np.meshgrid(axes[0], axes[1], indexing="ij")
         candidates = np.column_stack([xs.ravel(), ys.ravel()])
-        keep = [fs.contains(c) for c in candidates]
-        candidates = candidates[np.array(keep)]
-    best = min(candidates, key=p.objective)
-    x = _golden_refine(p.objective, np.asarray(best, dtype=float), fs, step)
+        candidates = candidates[fs.contains(candidates)]
+    # argmin takes the first of tied grid points, as min() over the rows does.
+    best = candidates[np.argmin(p.objective_at(candidates))]
+    x = _golden_refine(p.objective_at, best, fs, step)
     return ReferenceSolution(x, p.objective(x))
 
 

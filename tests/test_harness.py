@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -168,6 +169,18 @@ class TestConfigValidation:
         for bad in (0.0, -1.0, None, "1"):
             with pytest.raises(ConfigError, match="step_constant"):
                 ExperimentConfig.from_dict({**OPTIMIZE_RAW, "step_constant": bad})
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 10**400], ids=["inf", "nan", "huge"])
+    def test_optimize_step_must_be_finite(self, bad):
+        with pytest.raises(ConfigError, match="step_constant must be positive and finite"):
+            ExperimentConfig.from_dict({**OPTIMIZE_RAW, "step_constant": bad})
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "huge"]
+    )
+    def test_tolerance_must_be_finite(self, bad):
+        with pytest.raises(ConfigError, match="tolerance rate_slack must be finite"):
+            ExperimentConfig.from_dict({**CONSENSUS_RAW, "tolerances": {"rate_slack": bad}})
 
     def test_audit_window_checks(self):
         for bad in (
@@ -442,6 +455,61 @@ class TestTraceBytes:
         assert capsys.readouterr().out == expected
 
 
+# `lossynet optimize` on a 6-agent graph with two components of each kind,
+# interleaved, on a box and on a ball.  The digests were made by the
+# per-component scalar oracles, before the problems were evaluated in batch;
+# they hold on a host whose BLAS dot gives the same bits.
+OPTIMIZE_DIGESTS = {
+    ("box", 1): ("0f376aef1344b2b2a4022fdf6661cd3a1fe494410af658433055254732179527",
+                 "fe03280d1c3bb4fb04f485cb96447c619a60394de0d35968e9a3e717e7bb5584"),
+    ("box", 5): ("76d32526a25bb6f66bcf590668fa5215fd16f6e97cecc78c15981e8a52abc74d",
+                 "5522e578d33d6d28b27f5cb26c095661a0613463b0e6d4d39f31e12647165eb5"),
+    ("box", 2027): ("c1de8af70e9e31baa4c2ade00e8df4d02be81a5a8cad9c2472eda84f5d5dd890",
+                    "b127eb8346d6f40cacc799498d89cfdae446280eab0e7a5e7304cc4f0fc339bd"),
+    ("ball", 1): ("f902a507f858cdbfa499726c14748cb90c45347a1b230ea9a7b2a53aa5906628",
+                  "d23b378190e1c09d851b18454d115ff42d7ed37845e573cd8034d0591409a1f1"),
+    ("ball", 5): ("b7a882d00769f23e9089c51235a1674bd1552a059c55c9e21fd4278a08113402",
+                  "4fdc9e21773a6fad3ee894901f56e14f572f528fe61cb610a624bcbabe12d053"),
+    ("ball", 2027): ("20e5e763de6b4cb84731d13530ce494bda0c2e3394e132ee281e88252a8fd161",
+                     "8e4ba787fa388f741f1066c84d6c0c26c41e27c2b84f7d85c7b58bbff38ea0ee"),
+}
+DIGEST_SETS = {
+    "box": {"kind": "box", "lower": [-1.0, -0.5], "upper": [1.0, 1.5]},
+    "ball": {"kind": "ball", "radius": 1.25},
+}
+
+
+def _seeded_optimize_raw(seed: int, set_name: str) -> dict:
+    rng = np.random.default_rng(seed)
+    components = []
+    for k in range(6):
+        kind = ("linear", "abs_distance", "l2_distance")[k % 3]
+        key = "c" if kind == "linear" else "a"
+        components.append({"kind": kind, key: rng.uniform(-1.0, 1.0, 2).tolist()})
+    return {
+        "mode": "optimize",
+        "graph": {"n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1],
+                                    [1, 4], [3, 6], [5, 2]]},
+        "horizon": 200,
+        "schedule": {"kind": "bernoulli", "p_drop": 0.5, "B": 2, "seed": seed},
+        "problem": {"d": 2, "set": DIGEST_SETS[set_name], "components": components},
+        "step_constant": 1.0,
+    }
+
+
+class TestOptimizeDigests:
+    @pytest.mark.parametrize("set_name, seed", sorted(OPTIMIZE_DIGESTS))
+    def test_artifacts_keep_their_bytes(self, tmp_path, capsys, set_name, seed):
+        config = _write(tmp_path, "o.json", _seeded_optimize_raw(seed, set_name))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", config, "--out", str(out)]) == 0
+        digests = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("summary.json", "trace.csv")
+        )
+        assert digests == OPTIMIZE_DIGESTS[set_name, seed]
+
+
 class TestAtomicArtifacts:
     # The rate certificate raises once the whole trace is staged.
     FAILING = dict(CONSENSUS_RAW, horizon=20)
@@ -603,6 +671,18 @@ class TestCli:
         assert self._optimize_exit(tmp_path, raw) == 1
         assert "error: tolerance gap_slack must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 10**400], ids=["inf", "nan", "huge"])
+    def test_non_finite_tolerance(self, tmp_path, capsys, bad):
+        # An infinite slack would pass every certificate.
+        runs = (("consensus", CONSENSUS_RAW, "rate_slack"), ("optimize", OPTIMIZE_RAW, "gap_slack"))
+        for command, raw, key in runs:
+            raw = dict(raw, tolerances={key: bad})
+            config = _write(tmp_path, f"{command}.json", raw)
+            out = tmp_path / command
+            assert main([command, "--config", config, "--out", str(out)]) == 1
+            assert "must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("problem, message", BAD_PROBLEMS)
     def test_optimize_malformed_problem(self, tmp_path, capsys, problem, message):
         raw = dict(OPTIMIZE_RAW, problem=dict(OPTIMIZE_RAW["problem"], **problem))
@@ -629,6 +709,25 @@ class TestCli:
         assert main(["consensus", "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trace.csv").exists()
+
+    def test_consensus_inputs_whose_squares_overflow(self, tmp_path, capsys):
+        # Squaring 1e200 overflows; the error norms and the bound's input
+        # norm are rescaled, so the run certifies with finite numbers and
+        # no numpy overflow warning.
+        raw = dict(
+            CONSENSUS_RAW,
+            graph={"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1], [2, 1]]},
+            schedule={"kind": "bernoulli", "p_drop": 0.5, "B": 3, "seed": 3},
+            horizon=60,
+            inputs=[1e200, 0, 3e200, 1],
+        )
+        config = _write(tmp_path, "c.json", raw)
+        assert main(["consensus", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        cert = summary["certifications"]["consensus_rate_bound"]
+        for key in ("measured", "bound"):
+            assert isinstance(cert[key], float) and math.isfinite(cert[key])
+        assert 0.0 < cert["measured"] <= cert["bound"] and cert["passed"] is True
 
     def test_consensus_pass(self, tmp_path, capsys):
         config = _write(tmp_path, "c.json", CONSENSUS_RAW)

@@ -15,6 +15,12 @@ from lossynet import (
     problem_from_spec,
     solve_reference,
 )
+from lossynet.problems import (
+    COARSE_POINTS,
+    GRID_STEP_FRACTION,
+    POINTS_PER_BLOCK,
+    _golden_refine,
+)
 
 unit_interval = Box([0.0], [1.0])
 
@@ -155,6 +161,143 @@ class TestOptProblem:
     def test_needs_components(self):
         with pytest.raises(ValueError):
             OptProblem((), unit_interval)
+
+
+KINDS = (LinearCost, AbsDistanceCost, L2DistanceCost)
+
+
+def _mixed_problem(seed: int, d: int, n: int = 7, feasible=None) -> OptProblem:
+    """All three kinds, interleaved so that no kind's agents are contiguous."""
+    rng = np.random.default_rng(seed)
+    kinds = [KINDS[k % 3] for k in range(n)]
+    rng.shuffle(kinds)
+    components = tuple(kind(rng.uniform(-1.0, 1.0, d)) for kind in kinds)
+    return OptProblem(components, feasible or Box(-np.ones(d), np.ones(d)))
+
+
+# Oracles: the per-component scalar methods, summed as Python's sum does.
+def _scalar_objective(p: OptProblem, x) -> float:
+    return sum(c.value(x) for c in p.components) / p.n_components
+
+
+def _scalar_subgradients(p: OptProblem, x: np.ndarray) -> np.ndarray:
+    return np.stack([c.subgradient(x[i]) for i, c in enumerate(p.components)])
+
+
+def _anchor(c) -> np.ndarray:
+    return c.c if isinstance(c, LinearCost) else c.a
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("seed", [1, 5, 2027])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_objective_at_matches_scalar_values(self, seed, d):
+        p = _mixed_problem(seed, d)
+        rng = np.random.default_rng(seed + 1)
+        # Random points, then every anchor exactly (the kinks of |.| and ||.||).
+        points = np.vstack([rng.uniform(-2.0, 2.0, (50, d))]
+                           + [_anchor(c)[None] for c in p.components])
+        expected = np.array([_scalar_objective(p, x) for x in points])
+        assert np.array_equal(p.objective_at(points), expected)
+        assert all(p.objective(x) == e for x, e in zip(points, expected))
+
+    def test_objective_at_across_blocks(self):
+        p = _mixed_problem(3, 2)
+        points = np.random.default_rng(3).uniform(-2.0, 2.0, (POINTS_PER_BLOCK + 3, 2))
+        expected = np.array([_scalar_objective(p, x) for x in points])
+        assert np.array_equal(p.objective_at(points), expected)
+
+    @pytest.mark.parametrize("seed", [1, 5, 2027])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_subgradients_match_scalar_oracle(self, seed, d):
+        p = _mixed_problem(seed, d)
+        rng = np.random.default_rng(seed + 2)
+        for _ in range(20):
+            x = rng.uniform(-2.0, 2.0, (p.n_components, d))
+            assert np.array_equal(p.subgradients(x), _scalar_subgradients(p, x))
+            total = np.zeros(d)
+            for c in p.components:
+                total += c.subgradient(x[0])
+            assert np.array_equal(p.objective_subgradient(x[0]), total / p.n_components)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kinks_give_zero_subgradients(self, d):
+        p = _mixed_problem(7, d)
+        # Every agent sits on its own anchor.
+        x = np.array([_anchor(c) for c in p.components])
+        grads = p.subgradients(x)
+        assert np.array_equal(grads, _scalar_subgradients(p, x))
+        for c, g in zip(p.components, grads):
+            if isinstance(c, LinearCost):
+                assert np.array_equal(g, c.c)
+            else:
+                assert np.array_equal(g, np.zeros(d)) and not np.signbit(g).any()
+        # x == a in one coordinate only: that coordinate of |.|'s sign is 0.
+        if d > 1:
+            abs_cost = next(c for c in p.components if isinstance(c, AbsDistanceCost))
+            q = OptProblem((abs_cost,), p.feasible)
+            point = abs_cost.a + np.eye(d)[0]
+            assert q.subgradients(point[None])[0].tolist() == [1.0] + [0.0] * (d - 1)
+
+    def test_tiny_l2_offset_has_the_scalar_zero(self):
+        # The squared offset underflows, so the norm is 0 and the scalar
+        # oracle returns zeros although x != a.
+        p = OptProblem((L2DistanceCost([0.0, 0.0]),), Box([-1.0, -1.0], [1.0, 1.0]))
+        x = np.array([[1e-200, 0.0]])
+        assert p.subgradients(x).tolist() == [[0.0, 0.0]]
+        assert np.array_equal(p.subgradients(x), _scalar_subgradients(p, x))
+
+    def test_box_contains_batch_matches_scalar(self):
+        box = Box([0.0, -1.0], [1.0, 1.0])
+        tol = 1e-12
+        edges = [0.0, 1.0, -1.0]
+        points = np.array(
+            [[e + s, 0.5] for e in edges for s in (-tol, -2 * tol, tol, 2 * tol, 0.0)]
+            + [[0.5, e + s] for e in edges for s in (-tol, -2 * tol, tol, 2 * tol, 0.0)]
+        )
+        for t in (0.0, tol, 0.5):
+            batch = box.contains(points, tol=t)
+            assert batch.dtype == bool and batch.shape == (len(points),)
+            assert batch.tolist() == [box.contains(x, tol=t) for x in points]
+        assert not box.contains(points, tol=0.0).all() and box.contains(points, tol=tol).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball_contains_batch_matches_scalar(self, d):
+        rng = np.random.default_rng(d)
+        directions = rng.normal(size=(200, d))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        ball = Ball(1.5, d)
+        tol = 1e-12
+        # Points straddling the radius and the radius + tol boundary.
+        radii = ball.radius + tol * rng.integers(-2, 3, size=(200, 1))
+        points = directions * radii
+        for t in (0.0, tol):
+            batch = ball.contains(points, tol=t)
+            assert batch.tolist() == [ball.contains(x, tol=t) for x in points]
+            assert 0 < batch.sum() < len(points)
+
+    @pytest.mark.parametrize("seed", [1, 5, 2027])
+    def test_reference_on_ball_grid_matches_scalar_path(self, seed):
+        p = _mixed_problem(seed, 2, n=6, feasible=Ball(1.25, 2))
+        fs = p.feasible
+        # The scalar path: one contains and one objective call per grid point.
+        xs, ys = np.meshgrid(*fs.grid_axes(COARSE_POINTS), indexing="ij")
+        candidates = [x for x in np.column_stack([xs.ravel(), ys.ravel()]) if fs.contains(x)]
+        best = min(candidates, key=lambda x: _scalar_objective(p, x))
+        step = GRID_STEP_FRACTION * fs.diameter
+        x = _golden_refine(
+            lambda pts: np.array([_scalar_objective(p, q) for q in pts]), best, fs, step
+        )
+        ref = solve_reference(p)
+        assert np.array_equal(ref.x, x)
+        assert ref.value == _scalar_objective(p, x)
+
+    def test_unknown_component_kind(self):
+        class Custom(LinearCost):
+            pass
+
+        with pytest.raises(TypeError, match="unknown cost component"):
+            OptProblem((Custom([1.0]),), unit_interval)
 
 
 class TestSolveReference:
