@@ -9,6 +9,11 @@ the freshly aggregated mass back into each buffer every round, which keeps
 the buffer contents decaying geometrically and makes the worst-case ratio
 error certifiable by :func:`consensus_rate_bound`.
 
+Every variant applies each linear step to an agent's value vector and its
+weight alike, so the protocol state is one mass array whose first d columns
+are the values and whose last column is the weight; a run's history is one
+(T+1, m, d+1) array, and a trace's ``values`` and ``weights`` are its views.
+
 Both cumulative variants share one round, ``_CumulativeState.robust_round``:
 convergent = robust + re-share.  ``run_push_sum`` deliberately keeps its own
 loop.  With every link delivering, the robust round reduces to it exactly,
@@ -59,7 +64,8 @@ def _input_matrix(y, n: int) -> np.ndarray:
 
 class _NodeTrace:
     """Accessors shared by the traces over the augmented node set; a subclass
-    provides ``augmented``, ``values`` (T+1, m, d) and ``weights`` (T+1, m)."""
+    provides ``augmented``, ``values`` (T+1, m, d) and ``weights`` (T+1, m),
+    the value and weight views of one mass history."""
 
     @property
     def graph(self) -> DirectedGraph:
@@ -127,59 +133,42 @@ class ConsensusTrace(_NodeTrace):
 class _CumulativeState:
     """Live network state for the cumulative-total protocols.
 
-    Tracks each agent's value/weight, the running totals it has broadcast,
-    and per incoming link the totals that actually arrived.  Buffer contents
-    are reconstructed as sent-minus-delivered rather than stored.
+    Each quantity is one mass array whose first d columns are the value
+    vector and whose last column is the weight, so every step of the round
+    moves both at once: ``mass`` (n, d+1) per agent, ``sent`` (n, d+1) the
+    running totals each agent has broadcast, and ``delivered`` (E, d+1) per
+    link the totals that actually arrived.  Buffer contents are reconstructed
+    as sent-minus-delivered rather than stored.
     """
 
     def __init__(self, g: DirectedGraph, inputs: np.ndarray):
         n, d = inputs.shape
         self.src = g.edge_sources
         self.dst = g.edge_destinations
-        self.shares = (g.out_degrees + 1).astype(float)
-        self.z = inputs.copy()
-        self.w = np.ones(n)
-        self.sent_values = np.zeros((n, d))
-        self.sent_weights = np.zeros(n)
-        self.delivered_values = np.zeros((g.num_edges, d))
-        self.delivered_weights = np.zeros(g.num_edges)
-
-    def in_flight(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            self.sent_values[self.src] - self.delivered_values,
-            self.sent_weights[self.src] - self.delivered_weights,
-        )
+        self.shares = (g.out_degrees + 1).astype(float)[:, None]
+        self.mass = np.hstack([inputs, np.ones((n, 1))])
+        self.sent = np.zeros((n, d + 1))
+        self.delivered = np.zeros((g.num_edges, d + 1))
 
     def robust_round(self, delivered: np.ndarray) -> None:
-        D = self.shares
-        sent_v = self.sent_values + self.z / D[:, None]
-        sent_w = self.sent_weights + self.w / D
-        new_dv = np.where(delivered[:, None], sent_v[self.src], self.delivered_values)
-        new_dw = np.where(delivered, sent_w[self.src], self.delivered_weights)
-        z = self.z / D[:, None]
-        w = self.w / D
-        np.add.at(z, self.dst, new_dv - self.delivered_values)
-        np.add.at(w, self.dst, new_dw - self.delivered_weights)
-        self.z, self.w = z, w
-        self.sent_values, self.sent_weights = sent_v, sent_w
-        self.delivered_values, self.delivered_weights = new_dv, new_dw
+        mass = self.mass / self.shares
+        sent = self.sent + mass
+        arrived = np.where(delivered[:, None], sent[self.src], self.delivered)
+        np.add.at(mass, self.dst, arrived - self.delivered)
+        self.mass, self.sent, self.delivered = mass, sent, arrived
 
     def convergent_round(self, delivered: np.ndarray) -> None:
         self.robust_round(delivered)
         # Second half of the round: broadcast a share of the fresh aggregate
         # as well, so buffers never sit on stale mass.
-        D = self.shares
-        self.sent_values = self.sent_values + self.z / D[:, None]
-        self.sent_weights = self.sent_weights + self.w / D
-        self.z = self.z / D[:, None]
-        self.w = self.w / D
+        self.mass = self.mass / self.shares
+        self.sent = self.sent + self.mass
 
-    def record(self, values: np.ndarray, weights: np.ndarray, t: int) -> None:
+    def record(self, mass: np.ndarray, t: int) -> None:
         """Write the agent rows and the in-flight buffer rows into row t."""
-        n = self.w.size
-        values[t, :n] = self.z
-        weights[t, :n] = self.w
-        values[t, n:], weights[t, n:] = self.in_flight()
+        n = len(self.mass)
+        mass[t, :n] = self.mass
+        mass[t, n:] = self.sent[self.src] - self.delivered
 
 
 def _check_schedule(g: DirectedGraph, schedule: FailureSchedule, T: int) -> None:
@@ -192,12 +181,13 @@ def _check_schedule(g: DirectedGraph, schedule: FailureSchedule, T: int) -> None
 
 
 def _allocate(ag: AugmentedGraph, inputs: np.ndarray, T: int):
+    """A zeroed (T+1, m, d+1) mass history holding the standard start (inputs
+    and unit weights on the agents), with its value and weight views."""
     n, d = inputs.shape
-    values = np.zeros((T + 1, ag.m, d))
-    weights = np.zeros((T + 1, ag.m))
-    values[0, :n] = inputs
-    weights[0, :n] = 1.0
-    return values, weights
+    mass = np.zeros((T + 1, ag.m, d + 1))
+    mass[0, :n, :d] = inputs
+    mass[0, :n, d] = 1.0
+    return mass, mass[..., :d], mass[..., d]
 
 
 def run_push_sum(g: DirectedGraph, y, T: int) -> ConsensusTrace:
@@ -225,20 +215,13 @@ def run_push_sum(g: DirectedGraph, y, T: int) -> ConsensusTrace:
         raise ValueError(f"horizon must be >= 0, got {T}")
     inputs = _input_matrix(y, g.n)
     ag = augment(g)
-    values, weights = _allocate(ag, inputs, T)
+    mass, values, weights = _allocate(ag, inputs, T)
     src, dst = g.edge_sources, g.edge_destinations
-    D = (g.out_degrees + 1).astype(float)
-    z = inputs.copy()
-    w = np.ones(g.n)
+    D = (g.out_degrees + 1).astype(float)[:, None]
     for t in range(1, T + 1):
-        zs = z / D[:, None]
-        ws = w / D
-        z = zs.copy()
-        w = ws.copy()
-        np.add.at(z, dst, zs[src])
-        np.add.at(w, dst, ws[src])
-        values[t, : g.n] = z
-        weights[t, : g.n] = w
+        share = mass[t - 1, : g.n] / D
+        mass[t, : g.n] = share
+        np.add.at(mass[t, : g.n], dst, share[src])
     return ConsensusTrace(ag, inputs, values, weights)
 
 
@@ -248,12 +231,12 @@ def _run_cumulative(g, y, schedule, T, step_name) -> ConsensusTrace:
         raise ValueError(f"horizon must be >= 0, got {T}")
     _check_schedule(g, schedule, T)
     ag = augment(g)
-    values, weights = _allocate(ag, inputs, T)
+    mass, values, weights = _allocate(ag, inputs, T)
     state = _CumulativeState(g, inputs)
     step = getattr(state, step_name)
     for t in range(1, T + 1):
         step(schedule.delivered(t))
-        state.record(values, weights, t)
+        state.record(mass, t)
     return ConsensusTrace(ag, inputs, values, weights)
 
 

@@ -173,7 +173,7 @@ def run_distributed_dual_averaging(
     ag = augment(g)
     duals = np.zeros((n, d))
     state = _CumulativeState(g, duals)
-    values, weights = _allocate(ag, duals, T)
+    mass, values, weights = _allocate(ag, duals, T)
     estimates = np.zeros((T + 1, n, d))
     subgradients = np.zeros((T, n, d))
 
@@ -181,13 +181,13 @@ def run_distributed_dual_averaging(
     for t in range(1, T + 1):
         state.convergent_round(schedule.delivered(t))
         grads = problem.subgradients(x)
-        state.z += grads
+        state.mass[:, :d] += grads
         x = proximal_projection(
-            state.z / state.w[:, None], steps.alpha(t - 1), problem.feasible
+            state.mass[:, :d] / state.mass[:, d:], steps.alpha(t - 1), problem.feasible
         )
         subgradients[t - 1] = grads
         estimates[t] = x
-        state.record(values, weights, t)
+        state.record(mass, t)
     return OptTrace(problem, ag, steps, estimates, values, weights, subgradients)
 
 

@@ -131,7 +131,9 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
 def build_graph(n: int, edges) -> DirectedGraph:
     """Validating constructor: structural checks plus strong connectivity."""
     g = DirectedGraph(n, tuple((int(i), int(j)) for i, j in edges))
-    if not is_strongly_connected(g):
+    # With fewer edges than agents some agent sends on none; rejecting that
+    # first keeps a huge n from allocating per-agent tables.
+    if (g.n > 1 and g.num_edges < g.n) or not is_strongly_connected(g):
         raise NotStronglyConnectedError(
             f"graph on {n} agents with edges {g.edges} is not strongly connected"
         )

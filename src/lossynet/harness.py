@@ -362,6 +362,8 @@ def _build_schedule(
     spec: dict | None, T: int, g: DirectedGraph, seed: int | None
 ) -> tuple[FailureSchedule | None, int | None]:
     """Instantiate the schedule; returns it with the seed that took effect."""
+    if seed is not None and seed < 0:
+        raise ConfigError("schedule seed must be a nonnegative integer")
     if spec is None:
         return None, seed
     kind = spec["kind"]
@@ -625,10 +627,10 @@ def run_experiment(
     are complete; a run that raises removes them and leaves neither.
     """
     started = time.perf_counter()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     g = _build_graph(cfg.graph)
     schedule, effective_seed = _build_schedule(cfg.schedule, cfg.horizon, g, seed)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     run, name = _MODE_RUNS[cfg.mode]
     paths = (out_dir / name, out_dir / "summary.json")

@@ -105,7 +105,7 @@ def evolve_by_matrices(
             f"schedule covers {schedule.horizon} iterations, run needs {T}"
         )
     inputs = _input_matrix(y, ag.base.n)
-    values, weights = _allocate(ag, inputs, T)
+    _, values, weights = _allocate(ag, inputs, T)
     for t in range(1, T + 1):
         M = iteration_matrix(ag, schedule, t)
         values[t] = M.T @ values[t - 1]

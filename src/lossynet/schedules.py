@@ -206,7 +206,9 @@ def periodic_adversarial(g: DirectedGraph, B: int, T: int) -> FailureSchedule:
         raise ValueError(f"B must be >= 1, got {B}")
     if T < 0:
         raise ValueError(f"horizon must be >= 0, got {T}")
-    ticks = (np.arange(1, T + 1) % B == 0).astype(np.uint8)
+    # A slice rather than t % B: B may lie beyond the 64-bit range.
+    ticks = np.zeros(T, dtype=np.uint8)
+    ticks[B - 1 :: B] = 1
     ind = np.repeat(ticks[:, None], g.num_edges, axis=1)
     return FailureSchedule(g, ind, B)
 

@@ -207,14 +207,15 @@ def test_cumulative_state_invariants(seed):
     schedule = bernoulli_b_bounded(g, 0.6, 3, 30, seed=seed)
     state = _CumulativeState(g, rng.uniform(0, 1, size=(g.n, 1)))
     D = (g.out_degrees + 1).astype(float)
-    prev_sent = state.sent_weights.copy()
+    prev_sent = state.sent[:, -1].copy()
     for t in range(1, 31):
-        prev_w = state.w.copy()
+        prev_w = state.mass[:, -1].copy()
         state.convergent_round(schedule.delivered(t))
-        assert np.all(state.sent_weights >= prev_sent - 1e-15)
-        assert np.all(state.delivered_weights <= state.sent_weights[state.src] + 1e-15)
-        assert np.all(state.w >= prev_w / D**2 - 1e-15)
-        prev_sent = state.sent_weights.copy()
+        sent_w = state.sent[:, -1]
+        assert np.all(sent_w >= prev_sent - 1e-15)
+        assert np.all(state.delivered[:, -1] <= sent_w[state.src] + 1e-15)
+        assert np.all(state.mass[:, -1] >= prev_w / D**2 - 1e-15)
+        prev_sent = sent_w.copy()
 
 
 class TestTraceApi:

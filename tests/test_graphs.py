@@ -85,6 +85,11 @@ class TestConnectivity:
         with pytest.raises(NotStronglyConnectedError):
             build_graph(2, [(1, 2)])
 
+    def test_build_graph_rejects_too_few_edges_before_allocating(self):
+        # Per-agent reachability tables for 10**12 agents would not fit in memory.
+        with pytest.raises(NotStronglyConnectedError, match="not strongly connected"):
+            build_graph(10**12, [(1, 2), (2, 1)])
+
 
 class TestAugmentedGraph:
     def test_virtual_ids_follow_edge_order(self, two_cycle):

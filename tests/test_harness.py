@@ -479,6 +479,10 @@ DIGEST_SETS = {
 }
 
 
+DIGEST_GRAPH = {"n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1],
+                                  [1, 4], [3, 6], [5, 2]]}
+
+
 def _seeded_optimize_raw(seed: int, set_name: str) -> dict:
     rng = np.random.default_rng(seed)
     components = []
@@ -488,8 +492,7 @@ def _seeded_optimize_raw(seed: int, set_name: str) -> dict:
         components.append({"kind": kind, key: rng.uniform(-1.0, 1.0, 2).tolist()})
     return {
         "mode": "optimize",
-        "graph": {"n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1],
-                                    [1, 4], [3, 6], [5, 2]]},
+        "graph": DIGEST_GRAPH,
         "horizon": 200,
         "schedule": {"kind": "bernoulli", "p_drop": 0.5, "B": 2, "seed": seed},
         "problem": {"d": 2, "set": DIGEST_SETS[set_name], "components": components},
@@ -508,6 +511,78 @@ class TestOptimizeDigests:
             for name in ("summary.json", "trace.csv")
         )
         assert digests == OPTIMIZE_DIGESTS[set_name, seed]
+
+
+# `lossynet consensus` on the same graph for each algorithm, d = 1 and 2,
+# with seeded signed inputs and, except for plain, Bernoulli drops.  The
+# digests were made while values and weights were still stored as separate
+# arrays; like the optimize digests they hold on a host whose BLAS dot gives
+# the same bits.
+CONSENSUS_DIGESTS = {
+    ("plain", 1, 1): ("dc477e2e74ef36b706c30efd0036c23bca24700d1aea151136a9793f5d0f671a",
+        "7454b27b88713207a0ba4ee9431b425709d6166114eef57a31affd5880216504"),
+    ("plain", 1, 5): ("8e297e1beedc8ef1b81e526cdf9cf4b1fc171897d52d605904129e768931e791",
+        "8d2fb80ec8a20da77e893dea26bbc54e2589eddf313050fd19b8f5011d14b264"),
+    ("plain", 1, 2027): ("d2448774dcee5b830f9a2e9b2bb11a1ce3b50b7fcb44bb95bdd263119f5d7cbc",
+        "21cbe25a21a0e78e1426e9f3463e59273232df64be8a99a6e50fa894e776c54a"),
+    ("plain", 2, 1): ("90856fd9c366eaece698ca7d534702285deb3ba61930cd73c4ff2b56279f6d1e",
+        "7f55922e372aa6fcaa4a9d40106e1a9875d920f3dde6c937150dbf921dbae08a"),
+    ("plain", 2, 5): ("e4e9cfee102ae3bbc3da2304d5f14bdf3f1d6d9f77a032cb7f2f3c941b565ed8",
+        "ddc2ee58e0630f5cc1096ebf4d0db3a0b0c5d3b48ee799c6d5cf07cd0798b5b1"),
+    ("plain", 2, 2027): ("e5e65c8670770303154a8fa4141850c577115caa611af00f28a05be06916a654",
+        "fa723504f3afb438c4f191c2bdc17f21d429ec8ffe90f92ac081fc0d54041ef1"),
+    ("robust", 1, 1): ("f6288c93815874deb684b998a1559351daeb1c2c339444790b6843cbe97a8315",
+        "1e130fed6be5eb4308abc46f701f6f31fa95a825e66778b5dbdf81cafe40ef70"),
+    ("robust", 1, 5): ("dbcda3879057b2e089a3e8d950cdedc5d5595ffa148f10ab1cdd28045937e111",
+        "3821c8990b3eacefda6f00557639292d65c841307021189285f898e94630ba41"),
+    ("robust", 1, 2027): ("8abac54c9fbd3ec3256697343ce45b9b047f68a311fdb14bc67ab4c169d6d756",
+        "877dbad93c0bb757de1e576641bec321c9eb05c0b989a4b018ecc033110cfb27"),
+    ("robust", 2, 1): ("f92a9f5c2ccbb61f56a5bc4b3dfa57aadfbd3385b614a42a1189c81afd37c871",
+        "c3b0627c971fe38429599b634bab29755adc737adce5007edf374501f8394f49"),
+    ("robust", 2, 5): ("c7e78e16982a66cfaedd2b285da5f1c7edd03116cde6ae8cfd5c609c8fef85c6",
+        "379f27e8a251c60101c9f3186810e75f0334009a387f5ddbdcc286b2c1b293f6"),
+    ("robust", 2, 2027): ("2b52aa7c8b63f1ab22664d31fabbc55cfddc37b4525084c29b6ffffbc91d0318",
+        "c4a89b4a0dcbcdfb2664d9732afb986163e4a924cddcb0c186b01bca42062875"),
+    ("convergent", 1, 1): ("716b0a4d65fc5bdc3f30f6867b35df9f47bdc8d27a76ca3e5f5afb9f767452d8",
+        "051fa2dcfbfa8f699810b3634b94111593d978317160e5b553fdbdadbfb4bfef"),
+    ("convergent", 1, 5): ("67e2ce274a2b9c11a0c59e12767e2bf80607b0f74fef61edbd1d6c69b2817a9a",
+        "4e42613831c83560fa7a6b778e56cf9a3434862b2e5ae185e510eb525c483532"),
+    ("convergent", 1, 2027): ("4bbaf4406aaaddb646d6623f608ff63ed230474644db255b3e30382bb21c6f26",
+        "2e5bc028f1262121d0e7edffd902298ce998f19c44db8408049130fed870626d"),
+    ("convergent", 2, 1): ("b906cfbb9a2f8391f7150b5e45d3e7b7cbc03e97f7e221bb8f2b010aeedb0a45",
+        "765ee014289cd066ab3978a6a5634002d359dee3018d3500e0b374f12784479e"),
+    ("convergent", 2, 5): ("9f7c7d400ba66c16925575800d972d09ec32d8aeb0da1b10609c2e47cdff1300",
+        "8ba7051de14cd36929ab5cb889e55f22a00324d08285cca5818badf89964a148"),
+    ("convergent", 2, 2027): ("e50121843d206aa5a876509387d151bdde090dd46d831962ae5330e55308d659",
+        "087cba86769230b981805ba7f17d1bb45e6576f7d2ad2e42a184446ba50e4c88"),
+}
+
+
+def _seeded_consensus_raw(seed: int, algorithm: str, d: int) -> dict:
+    inputs = np.random.default_rng(seed).uniform(-1.0, 1.0, (6, d))
+    raw = {
+        "mode": "consensus",
+        "graph": DIGEST_GRAPH,
+        "horizon": 200,
+        "algorithm": algorithm,
+        "inputs": (inputs[:, 0] if d == 1 else inputs).tolist(),
+    }
+    if algorithm != "plain":
+        raw["schedule"] = {"kind": "bernoulli", "p_drop": 0.5, "B": 2, "seed": seed}
+    return raw
+
+
+class TestConsensusDigests:
+    @pytest.mark.parametrize("algorithm, d, seed", sorted(CONSENSUS_DIGESTS))
+    def test_artifacts_keep_their_bytes(self, tmp_path, capsys, algorithm, d, seed):
+        config = _write(tmp_path, "c.json", _seeded_consensus_raw(seed, algorithm, d))
+        out = tmp_path / "out"
+        assert main(["consensus", "--config", config, "--out", str(out)]) == 0
+        digests = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("summary.json", "trace.csv")
+        )
+        assert digests == CONSENSUS_DIGESTS[algorithm, d, seed]
 
 
 class TestAtomicArtifacts:
@@ -682,6 +757,31 @@ class TestCli:
             assert main([command, "--config", config, "--out", str(out)]) == 1
             assert "must be finite" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        # numpy's generator would reject it with a ValueError traceback.
+        bernoulli = CONSENSUS_RAW["schedule"]
+        runs = (("verify-schedule", dict(VERIFY_RAW, graph=CONSENSUS_RAW["graph"])),
+                ("consensus", CONSENSUS_RAW), ("optimize", OPTIMIZE_RAW),
+                ("matrix-audit", AUDIT_RAW))
+        for command, raw in runs:
+            config = _write(tmp_path, f"{command}.json", dict(raw, schedule=bernoulli))
+            out = tmp_path / command
+            assert main([command, "--config", config, "--out", str(out), "--seed", "-1"]) == 1
+            assert "error: schedule seed must be a nonnegative integer" in capsys.readouterr().err
+            assert not out.exists(), command
+
+    def test_periodic_window_beyond_64_bits(self, tmp_path, capsys):
+        # t % B on a 64-bit array overflowed for such a B.
+        schedule = {"kind": "periodic", "B": 10**30}
+        runs = (("verify-schedule", dict(VERIFY_RAW, graph=CONSENSUS_RAW["graph"], B=10**30)),
+                ("consensus", dict(CONSENSUS_RAW, horizon=20)),
+                ("optimize", dict(OPTIMIZE_RAW, horizon=20)),
+                ("matrix-audit", AUDIT_RAW))
+        for command, raw in runs:
+            config = _write(tmp_path, f"{command}.json", dict(raw, schedule=schedule))
+            out = str(tmp_path / command)
+            assert main([command, "--config", config, "--out", out]) == 0, command
 
     @pytest.mark.parametrize("problem, message", BAD_PROBLEMS)
     def test_optimize_malformed_problem(self, tmp_path, capsys, problem, message):

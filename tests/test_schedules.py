@@ -163,6 +163,18 @@ class TestGenerators:
         assert worst_gap(s) == 3
         assert s.window == 3
 
+    @pytest.mark.parametrize("B", [1, 2, 3, 7, 12, 13])
+    def test_periodic_ticks_match_multiples(self, two_cycle, B):
+        s = periodic_adversarial(two_cycle, B, 12)
+        expected = [int(t % B == 0) for t in range(1, 13)]
+        assert s.indicators.T.tolist() == [expected, expected]
+
+    def test_periodic_window_beyond_64_bits(self, two_cycle):
+        s = periodic_adversarial(two_cycle, 10**30, 5)
+        assert s.indicators.shape == (5, 2)
+        assert s.indicators.max() == 0
+        assert s.window == 10**30
+
     def test_all_reliable(self, two_cycle):
         s = all_reliable(two_cycle, 4)
         assert s.indicators.min() == 1
