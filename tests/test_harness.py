@@ -585,6 +585,55 @@ class TestConsensusDigests:
         assert digests == CONSENSUS_DIGESTS[algorithm, d, seed]
 
 
+# `lossynet matrix-audit` on the same graph (n = 6, B = 2, so one block is 13
+# rounds) over windows (start, end) of a seeded Bernoulli schedule: two span
+# at least one block, and (2, 9) is shorter, so its entry flag is null.  The
+# digests were made while every round matrix was still built from scratch,
+# the window product allocated per round and psi.csv formed as one string;
+# like the digests above they hold on a host whose BLAS gives the same bits.
+AUDIT_DIGESTS = {
+    (1, 13, 1): ("1bd5fdfcd4b9dfb92b91458b7dd33926956649fa35537998873218f8fd409ac5",
+        "a070d6a21e2fe4426b179bc2fec9180eb6e0fb04a63b4af6ee32e5aa1c537bc1"),
+    (4, 40, 5): ("e2aefae9a8635dbba739899d5f249fdb6fcc0d54db75a8fc28d617ae042af725",
+        "fe0b4d46d7b3116880a3cd5c846f617411d3f64708afb36ee23fca22e89e11de"),
+    (2, 9, 2027): ("f0e300615883af0ae9d60438212e5dd2082cdbe56fa19edf5cbc6563d71508f3",
+        "5f331416b9e18ffe25bfe98f15c2364d52f79f2aae58d11b2850b84472370093"),
+}
+
+
+def _seeded_audit_raw(start: int, end: int, seed: int) -> dict:
+    return {
+        "mode": "matrix-audit",
+        "graph": DIGEST_GRAPH,
+        "horizon": 40,
+        "schedule": {"kind": "bernoulli", "p_drop": 0.5, "B": 2, "seed": seed},
+        "window": {"start": start, "end": end},
+    }
+
+
+class TestAuditDigests:
+    @pytest.mark.parametrize("start, end, seed", sorted(AUDIT_DIGESTS))
+    def test_artifacts_keep_their_bytes(self, tmp_path, capsys, start, end, seed):
+        config = _write(tmp_path, "a.json", _seeded_audit_raw(start, end, seed))
+        out = tmp_path / "out"
+        assert main(["matrix-audit", "--config", config, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["pass_flags"]["entry_lower_bound"] is None) == (end - start + 1 < 13)
+        digests = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("summary.json", "psi.csv")
+        )
+        assert digests == AUDIT_DIGESTS[start, end, seed]
+
+    def test_tee_csv_prints_psi(self, tmp_path, capsys):
+        config = _write(tmp_path, "a.json", _seeded_audit_raw(1, 13, 1))
+        out = tmp_path / "out"
+        assert main(["matrix-audit", "--config", config, "--out", str(out), "--tee-csv"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("row,col,value\n")
+        assert printed.encode() == (out / "psi.csv").read_bytes()
+
+
 class TestAtomicArtifacts:
     # The rate certificate raises once the whole trace is staged.
     FAILING = dict(CONSENSUS_RAW, horizon=20)
