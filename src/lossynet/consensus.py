@@ -34,6 +34,7 @@ from .errors import (
     NegativeInputError,
     ScheduleTooShortError,
     ZeroWeightError,
+    _horizon_fits,
 )
 from .graphs import AugmentedGraph, DirectedGraph, augment
 from .schedules import FailureSchedule
@@ -184,7 +185,8 @@ def _allocate(ag: AugmentedGraph, inputs: np.ndarray, T: int):
     """A zeroed (T+1, m, d+1) mass history holding the standard start (inputs
     and unit weights on the agents), with its value and weight views."""
     n, d = inputs.shape
-    mass = np.zeros((T + 1, ag.m, d + 1))
+    with _horizon_fits(T):
+        mass = np.zeros((T + 1, ag.m, d + 1))
     mass[0, :n, :d] = inputs
     mass[0, :n, d] = 1.0
     return mass, mass[..., :d], mass[..., d]

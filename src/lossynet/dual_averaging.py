@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     HorizonTooShortError,
     IterationOutOfRangeError,
+    _horizon_fits,
 )
 from .problems import Ball, Box, OptProblem, ReferenceSolution, solve_reference
 from .schedules import FailureSchedule
@@ -174,8 +175,9 @@ def run_distributed_dual_averaging(
     duals = np.zeros((n, d))
     state = _CumulativeState(g, duals)
     mass, values, weights = _allocate(ag, duals, T)
-    estimates = np.zeros((T + 1, n, d))
-    subgradients = np.zeros((T, n, d))
+    with _horizon_fits(T):
+        estimates = np.zeros((T + 1, n, d))
+        subgradients = np.zeros((T, n, d))
 
     x = np.zeros((n, d))
     for t in range(1, T + 1):

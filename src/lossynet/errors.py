@@ -1,5 +1,7 @@
 """Exception types raised across the library."""
 
+from contextlib import contextmanager
+
 
 class LossyNetError(ValueError):
     """Base class for every error this library raises deliberately."""
@@ -72,3 +74,13 @@ class DimensionTooLargeError(LossyNetError):
 
 class ConfigError(LossyNetError):
     """An experiment configuration failed validation."""
+
+
+@contextmanager
+def _horizon_fits(T: int):
+    """Turn a failed allocation of horizon-sized arrays into a LossyNetError
+    that names the horizon and, through numpy's message, the size asked for."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise LossyNetError(f"horizon {T} does not fit in memory: {exc}") from exc

@@ -11,6 +11,7 @@ time- or host-dependent is written.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
@@ -36,7 +37,7 @@ from .dual_averaging import (
     certify_optimality_gap,
     run_distributed_dual_averaging,
 )
-from .errors import ConfigError, LossyNetError
+from .errors import ConfigError, LossyNetError, _horizon_fits
 from .graphs import DirectedGraph, augment, graph_from_spec
 from .mixing import _audit_window
 from .problems import (
@@ -367,17 +368,18 @@ def _build_schedule(
     if spec is None:
         return None, seed
     kind = spec["kind"]
-    if kind == "all_reliable":
-        return schedules.all_reliable(g, T), seed
-    if kind == "bernoulli":
-        effective = seed if seed is not None else spec.get("seed", 0)
-        return (
-            schedules.bernoulli_b_bounded(g, spec["p_drop"], spec["B"], T, seed=effective),
-            effective,
-        )
-    if kind == "periodic":
+    if kind == "csv":
+        return schedules.read_schedule_csv(g, spec["path"]), seed
+    with _horizon_fits(T):
+        if kind == "all_reliable":
+            return schedules.all_reliable(g, T), seed
+        if kind == "bernoulli":
+            effective = seed if seed is not None else spec.get("seed", 0)
+            return (
+                schedules.bernoulli_b_bounded(g, spec["p_drop"], spec["B"], T, seed=effective),
+                effective,
+            )
         return schedules.periodic_adversarial(g, spec["B"], T), seed
-    return schedules.read_schedule_csv(g, spec["path"]), seed
 
 
 def _stream_trace(emit, trace, estimates=None) -> None:
@@ -412,15 +414,20 @@ def _stream_trace(emit, trace, estimates=None) -> None:
         emit(fmt % tuple(cells[:n].ravel().tolist() + cells[n:, :buffer_cells].ravel().tolist()))
 
 
-def _psi_text(product: np.ndarray) -> str:
-    """``psi.csv`` for a window product: one ``row,col,value`` line per entry,
-    row-major, values with 17 significant digits."""
+def _stream_psi(emit, product: np.ndarray) -> None:
+    """``psi.csv`` for a window product through ``emit``: the header, then
+    one call per matrix row of ``row,col,value`` lines, values with 17
+    significant digits."""
     m = product.shape[0]
-    row = "%d,%d,%.17g\n"
-    cells = product.ravel().tolist()
-    return "row,col,value\n" + "".join(
-        [row % (i + 1, j + 1, cells[i * m + j]) for i in range(m) for j in range(m)]
-    )
+    emit("row,col,value\n")
+    # One format per call with the column ids filled in; the cells are the
+    # row id and the entry, in turn.
+    fmt = "".join([f"%d,{j + 1},%.17g\n" for j in range(m)])
+    cells = np.empty((m, 2))
+    for i in range(m):
+        cells[:, 0] = i + 1
+        cells[:, 1] = product[i]
+        emit(fmt % tuple(cells.ravel().tolist()))
 
 
 def _jsonable(obj):
@@ -581,7 +588,7 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
         contraction_slack=cfg.tolerance("contraction_slack", 1e-10),
         entry_slack=cfg.tolerance("entry_slack", 1e-12),
     )
-    emit(_psi_text(product))
+    _stream_psi(emit, product)
     summary = {
         "n": g.n,
         "b_window": B,
@@ -624,12 +631,14 @@ def run_experiment(
     randomized schedules.  The returned artifact's ``passed`` flag is the
     conjunction of every certification in the summary.  The trace CSV and
     ``summary.json`` are written under ``.tmp`` names and renamed once both
-    are complete; a run that raises removes them and leaves neither.
+    are complete; a run that raises removes them and leaves neither, and
+    removes ``out_dir`` too when it created it and the directory is empty.
     """
     started = time.perf_counter()
     g = _build_graph(cfg.graph)
     schedule, effective_seed = _build_schedule(cfg.schedule, cfg.horizon, g, seed)
     out_dir = Path(out_dir)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
 
     run, name = _MODE_RUNS[cfg.mode]
@@ -667,6 +676,9 @@ def run_experiment(
     except BaseException:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
+        if created:
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
         raise
     return artifact
 

@@ -10,7 +10,9 @@ enough products and geometric decay of the column spread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +41,37 @@ __all__ = [
 ROW_SUM_TOL = 1e-8
 
 
+@lru_cache(maxsize=8)
+def _round_tables(ag: AugmentedGraph) -> dict:
+    """The parts of M[t] that do not depend on the round's deliveries: the
+    flat position of each entry group and the degree terms of its formula."""
+    g = ag.base
+    n, shape = g.n, (ag.m, ag.m)
+    D = (g.out_degrees + 1).astype(float)
+    src, dst = g.edge_sources, g.edge_destinations
+    buf = n + np.arange(g.num_edges)
+    Ds = D[src]
+    f, k = g.relay_pairs
+    at = np.ravel_multi_index
+    return {
+        "agents": at((np.arange(n), np.arange(n)), shape),
+        "agent_keep": 1.0 / D**2,
+        "agent_out": at((src, dst), shape),
+        "agent_out_den": Ds * D[dst],
+        "buffer_out": at((buf, dst), shape),
+        "buffer_out_den": D[dst],
+        "sender_keep": at((src, buf), shape),
+        "sender_keep_base": 1.0 / Ds**2,
+        "sender_keep_den": Ds,
+        "buffer_keep": at((buf, buf), shape),
+        "relay_edges": f,
+        "relay": at((src[f], buf[k]), shape),
+        "relay_den": D[src[f]] * Ds[k],
+        "buffer_relay": at((buf[f], buf[k]), shape),
+        "buffer_relay_den": Ds[k],
+    }
+
+
 def iteration_matrix(ag: AugmentedGraph, schedule: FailureSchedule, t: int) -> np.ndarray:
     """The m x m matrix M[t] with M[source, destination] entries.
 
@@ -47,26 +80,22 @@ def iteration_matrix(ag: AugmentedGraph, schedule: FailureSchedule, t: int) -> n
     round), delivered links carry shares onward, and a dropped link leaves
     the edge's buffer holding its own mass plus the sender's fresh share.
     """
-    g = ag.base
-    if schedule.graph != g:
+    if schedule.graph != ag.base:
         raise DimensionMismatchError("schedule was built for a different graph")
     b = schedule.delivered(t).astype(float)
-    n, m = g.n, ag.m
-    D = (g.out_degrees + 1).astype(float)
-    src, dst = g.edge_sources, g.edge_destinations
-    buf = n + np.arange(g.num_edges)
-    Ds = D[src]
-    M = np.zeros((m, m))
-    M[np.arange(n), np.arange(n)] = 1.0 / D**2
-    M[src, dst] = b / (Ds * D[dst])
-    M[buf, dst] = b / D[dst]
-    M[src, buf] = 1.0 / Ds**2 + (1.0 - b) / Ds
-    M[buf, buf] = 1.0 - b
+    tab = _round_tables(ag)
+    M = np.zeros((ag.m, ag.m))
+    entries = M.reshape(-1)
+    entries[tab["agents"]] = tab["agent_keep"]
+    entries[tab["agent_out"]] = b / tab["agent_out_den"]
+    entries[tab["buffer_out"]] = b / tab["buffer_out_den"]
+    entries[tab["sender_keep"]] = tab["sender_keep_base"] + (1.0 - b) / tab["sender_keep_den"]
+    entries[tab["buffer_keep"]] = 1.0 - b
     # Mass arriving at the sender of edge k this round is re-shared
     # immediately, so anything edge f delivers there also reaches k's buffer.
-    f, k = g.relay_pairs
-    M[src[f], buf[k]] = b[f] / (D[src[f]] * Ds[k])
-    M[buf[f], buf[k]] = b[f] / Ds[k]
+    bf = b[tab["relay_edges"]]
+    entries[tab["relay"]] = bf / tab["relay_den"]
+    entries[tab["buffer_relay"]] = bf / tab["buffer_relay_den"]
     return M
 
 
@@ -82,9 +111,19 @@ def matrix_product(
 ) -> np.ndarray:
     """M[r] @ M[r+1] @ ... @ M[t]; the identity when r == t + 1."""
     _check_window(schedule, r, t)
-    product = np.eye(ag.m)
+    return _window_product(ag, schedule, r, t)
+
+
+def _window_product(ag, schedule, r, t, lambdas=None) -> np.ndarray:
+    """M[r] @ ... @ M[t] in two m x m buffers that swap roles each round;
+    with a list ``lambdas``, also appends lambda(M[k]) for every round."""
+    product, spare = np.eye(ag.m), np.empty((ag.m, ag.m))
     for k in range(r, t + 1):
-        product = product @ iteration_matrix(ag, schedule, k)
+        M = iteration_matrix(ag, schedule, k)
+        np.matmul(product, M, out=spare)
+        product, spare = spare, product
+        if lambdas is not None:
+            lambdas.append(lambda_coefficient(M))
     return product
 
 
@@ -152,7 +191,12 @@ def lambda_coefficient(A, tol: float = ROW_SUM_TOL) -> float:
         # Two rows with disjoint supports overlap by exactly 0, and no pair
         # overlaps by less.  A negative entry within tolerance can make an
         # overlap negative, so that case takes the row-by-row minimum.
-        support = (A > 0.0).astype(float)
+        # Row 0 against every other row first: one gather, and the m x m
+        # support Gram matrix only when that finds no disjoint pair.
+        support = A > 0.0
+        if not support[:, support[0]].any(axis=1).all():
+            return 1.0
+        support = support.astype(float)
         if (support @ support.T == 0.0).any():
             return 1.0
     overlap = np.min([np.minimum(row, A).sum(axis=1).min() for row in A])
@@ -199,12 +243,9 @@ def _audit_window(
         raise IterationOutOfRangeError(f"window [{r}, {t}] is empty")
     beta, gamma, block = contraction_constants(ag.base, B)
     _check_window(schedule, r, t)
-    product = np.eye(ag.m)
-    lam = 1.0
-    for k in range(r, t + 1):
-        M = iteration_matrix(ag, schedule, k)
-        product = product @ M
-        lam *= lambda_coefficient(M)
+    lambdas: list[float] = []
+    product = _window_product(ag, schedule, r, t, lambdas)
+    lam = math.prod(lambdas)
     delta = delta_coefficient(product)
     gamma_bound = gamma ** ((t - r + 1) // block)
     passed = delta <= lam + contraction_slack and delta <= gamma_bound + contraction_slack

@@ -188,15 +188,20 @@ def bernoulli_b_bounded(
     if T < 0:
         raise ValueError(f"horizon must be >= 0, got {T}")
     rng = np.random.default_rng(seed)
-    E = g.num_edges
-    proposed_drop = rng.random((T, E)) < p_drop
-    ind = np.ones((T, E), dtype=np.uint8)
-    run = np.zeros(E, dtype=np.intp)
-    for t in range(T):
-        drop = proposed_drop[t] & (run < B - 1)
-        ind[t, drop] = 0
-        run = np.where(drop, run + 1, 0)
-    return FailureSchedule(g, ind, B, seed=seed)
+    proposed = rng.random((T, g.num_edges)) < p_drop
+    # A proposed drop is forced to deliver exactly when its 1-based position
+    # in its column's run of consecutive proposed drops is a multiple of B:
+    # the forced delivery ends the outage, and the run goes on from there.
+    # Positions never exceed T, so they are counted in the smallest unsigned
+    # type that holds T + 1, and a B beyond T + 1 acts as T + 1.
+    position = np.cumsum(proposed, axis=0, dtype=np.min_scalar_type(T + 1))
+    # Each round's count at the column's last round without a proposed drop.
+    start = np.where(proposed, 0, position)
+    np.maximum.accumulate(start, axis=0, out=start)
+    position -= start
+    del start
+    np.remainder(position, min(B, T + 1), out=position)
+    return FailureSchedule(g, position == 0, B, seed=seed)
 
 
 def periodic_adversarial(g: DirectedGraph, B: int, T: int) -> FailureSchedule:

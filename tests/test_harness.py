@@ -27,7 +27,7 @@ from lossynet import (
 )
 from lossynet import harness, schedules
 from lossynet.cli import main
-from lossynet.harness import _RUNNERS, _psi_text
+from lossynet.harness import _RUNNERS, _stream_psi
 
 
 # Oracle: the per-cell trace writer the streamed one replaced (rows of
@@ -396,7 +396,10 @@ class TestAuditRuns:
             for j in range(7)
         )
         (tmp_path / "expected.csv").write_text(_csv_text(["row", "col", "value"], rows))
-        assert _psi_text(product).encode() == (tmp_path / "expected.csv").read_bytes()
+        chunks = []
+        _stream_psi(chunks.append, product)
+        assert len(chunks) == 1 + 7
+        assert "".join(chunks).encode() == (tmp_path / "expected.csv").read_bytes()
 
 
 class TestTraceBytes:
@@ -819,6 +822,22 @@ class TestCli:
             assert main([command, "--config", config, "--out", str(out), "--seed", "-1"]) == 1
             assert "error: schedule seed must be a nonnegative integer" in capsys.readouterr().err
             assert not out.exists(), command
+
+    @pytest.mark.parametrize("algorithm, size", [("convergent", "931. GiB"), ("plain", "87.3 TiB")])
+    def test_horizon_beyond_memory(self, tmp_path, capsys, algorithm, size):
+        # A periodic schedule of 10**12 rounds, or a plain run's history of
+        # that many rounds, is far more than any host grants at once.
+        raw = dict(CONSENSUS_RAW, algorithm=algorithm, horizon=10**12,
+                   schedule={"kind": "periodic", "B": 3})
+        if algorithm == "plain":
+            del raw["schedule"]
+        config = _write(tmp_path, "c.json", raw)
+        out = tmp_path / "out"
+        assert main(["consensus", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon 1000000000000 does not fit in memory: ")
+        assert f"Unable to allocate {size}" in err
+        assert not out.exists()
 
     def test_periodic_window_beyond_64_bits(self, tmp_path, capsys):
         # t % B on a 64-bit array overflowed for such a B.

@@ -213,17 +213,35 @@ class TestSpreadCoefficients:
             lambda_coefficient(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), disjoint=st.booleans())
-    def test_lambda_matches_dense_oracle(self, seed, m, disjoint):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 40),
+        first=st.sampled_from([None, 0, 1]),
+    )
+    def test_lambda_matches_dense_oracle(self, seed, m, first):
         rng = np.random.default_rng(seed)
         A = random_row_stochastic(rng, m)
-        if disjoint and m >= 2:
-            # Rows 0 and 1 share no support column.
+        if first is not None and m >= first + 2:
+            # Rows first and first + 1 share no support column.  With
+            # first = 1, row 0 keeps its full support and overlaps every row,
+            # so the row-0 check finds nothing and the full test must.
             cols = rng.permutation(m)
-            A[0, cols[: m // 2]] = 0.0
-            A[1, cols[m // 2 :]] = 0.0
+            A[first, cols[: m // 2]] = 0.0
+            A[first + 1, cols[m // 2 :]] = 0.0
             A = A / A.sum(axis=1, keepdims=True)
+            assert lambda_coefficient(A) == 1.0
         assert lambda_coefficient(A) == oracle_lambda(A)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40))
+    def test_lambda_without_disjoint_rows_matches_oracle(self, seed, m):
+        # Sparse rows, row 0 included, that all share one column: no pair is
+        # disjoint, so lambda stays below 1.
+        rng = np.random.default_rng(seed)
+        A = random_row_stochastic(rng, m) * (rng.random((m, m)) < 0.2)
+        A[:, rng.integers(m)] += 0.1
+        A = A / A.sum(axis=1, keepdims=True)
+        assert lambda_coefficient(A) == oracle_lambda(A) < 1.0
 
     def test_lambda_of_round_matrices_matches_oracle(self):
         rng = np.random.default_rng(11)

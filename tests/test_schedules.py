@@ -120,7 +120,66 @@ class TestScriptedSchedule:
             scripted_schedule(two_cycle, 1, table)
 
 
+def _bernoulli_reference(g, p_drop, B, T, seed):
+    """The per-round loop the array generator replaced, with Python ints: a
+    link down for B - 1 consecutive rounds is forced to deliver."""
+    proposed = np.random.default_rng(seed).random((T, g.num_edges)) < p_drop
+    ind = np.ones((T, g.num_edges), dtype=np.uint8)
+    for k in range(g.num_edges):
+        run = 0
+        for t in range(T):
+            if proposed[t, k] and run < B - 1:
+                ind[t, k] = 0
+                run += 1
+            else:
+                run = 0
+    return ind
+
+
 class TestGenerators:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+        B=st.one_of(st.integers(1, 8), st.just(10**30)),
+        T=st.integers(0, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bernoulli_matches_reference_loop(self, p, B, T, seed):
+        g = build_graph(3, [(1, 2), (2, 3), (3, 1), (1, 3)])
+        s = bernoulli_b_bounded(g, p, B, T, seed=seed)
+        assert np.array_equal(s.indicators, _bernoulli_reference(g, p, B, T, seed))
+
+    @pytest.mark.parametrize("p, B, T", [
+        (0.9, 1, 50),       # every proposed drop is forced to deliver
+        (0.9, 51, 50),      # B = T + 1: no forcing within the horizon
+        (0.9, 52, 50),
+        (0.9, 10**30, 50),  # B beyond 64 bits
+        (0.0, 3, 50),
+        (0.5, 3, 0),
+        (0.99, 2, 400),
+        (0.99, 7, 400),
+        (0.999, 10**30, 254),  # positions counted in uint8, up to T + 1 = 255
+        (0.999, 10**30, 255),  # the first horizon counted in uint16
+    ])
+    def test_bernoulli_edge_cases_match_reference_loop(self, two_cycle, p, B, T):
+        s = bernoulli_b_bounded(two_cycle, p, B, T, seed=5)
+        assert s.indicators.shape == (T, 2)
+        assert np.array_equal(s.indicators, _bernoulli_reference(two_cycle, p, B, T, 5))
+
+    def test_bernoulli_memory_stays_near_the_draw(self, two_cycle):
+        # Run positions are counted in the smallest unsigned type that holds
+        # T + 1 (4 bytes here, half the float64 draw), and at most three
+        # such arrays and the one-byte masks are alive at once.
+        T = 100_000
+        draw = 8 * T * two_cycle.num_edges
+        tracemalloc.start()
+        try:
+            bernoulli_b_bounded(two_cycle, 0.9, 4, T, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * draw
+
     @settings(max_examples=40, deadline=None)
     @given(
         p=st.floats(0.0, 0.95),
