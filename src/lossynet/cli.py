@@ -59,10 +59,10 @@ def _verify_schedule(args) -> int:
     ``horizon`` sizes generated schedules and is ignored for csv schedules,
     whose files carry their own length.
     """
-    raw = _read_config(args.config)
+    raw, root = _read_config(args.config)
     if not isinstance(raw, dict) or set(raw) - {"graph", "schedule", "B", "horizon"}:
         raise ConfigError('verify-schedule config needs {"graph", "schedule", "B", "horizon"}')
-    g = _build_graph(raw.get("graph"))
+    g = _build_graph(raw.get("graph"), root)
 
     B = raw.get("B")
     if not _is_int(B) or B < 1:
@@ -78,7 +78,7 @@ def _verify_schedule(args) -> int:
         raise ConfigError(f"horizon must be a nonnegative integer, got {horizon!r}")
 
     _check_schedule_spec(sched_spec)
-    schedule, _ = _build_schedule(sched_spec, horizon, g, args.seed)
+    schedule, _ = _build_schedule(sched_spec, horizon, g, args.seed, root)
 
     worst = schedules.worst_gap(schedule)
     satisfied = schedules.verify_b_bounded(schedule, B)

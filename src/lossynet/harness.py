@@ -16,7 +16,7 @@ import copy
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -162,8 +162,13 @@ def _check_schedule_spec(spec) -> dict:
 class ExperimentConfig:
     """Validated, immutable description of one experiment.
 
-    ``from_dict`` and ``to_dict`` round-trip exactly, so a config echoed into
-    a summary can be re-run as-is.
+    ``from_dict`` and ``to_dict`` round-trip exactly.  ``root`` is the
+    directory that a relative ``graph.path`` or ``schedule.path`` is read
+    against: :func:`load_config` sets the config file's directory, and None
+    means the working directory.  ``to_dict`` leaves it out and echoes each
+    path as the config wrote it, so a config echoed into a summary reads the
+    same on every host, and re-runs as-is from the original config's
+    directory.
     """
 
     mode: str
@@ -176,11 +181,12 @@ class ExperimentConfig:
     step_constant: float | None = None
     window: dict | None = None
     tolerances: dict = field(default_factory=dict)
+    root: Path | None = None
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "config must be a JSON object")
-        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"root"}
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
         mode = raw.get("mode")
         _require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
@@ -301,22 +307,22 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def _read_config(path):
-    """Parse a JSON config file and resolve a relative ``graph.path`` or
-    ``schedule.path`` against the file's directory."""
+def _read_config(path) -> tuple:
+    """A JSON config file's content and the directory that its relative
+    ``graph.path`` and ``schedule.path`` are read against: its own."""
     path = Path(path)
-    raw = _read_json(path, "config")
-    if isinstance(raw, dict):
-        for key in ("graph", "schedule"):
-            spec = raw.get(key)
-            if isinstance(spec, dict) and isinstance(spec.get("path"), str):
-                spec["path"] = str((path.resolve().parent / spec["path"]).resolve())
-    return raw
+    return _read_json(path, "config"), path.resolve().parent
+
+
+def _located(path: str, root: Path | None) -> str:
+    """A file a config names, taken against ``root`` when relative."""
+    return path if root is None else str((root / path).resolve())
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a config file, resolving relative file references against it."""
-    return ExperimentConfig.from_dict(_read_config(path))
+    """Parse a config file; relative file references are read against it."""
+    raw, root = _read_config(path)
+    return replace(ExperimentConfig.from_dict(raw), root=root)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,14 +342,15 @@ class RunArtifact:
     wall_clock: float
 
 
-def _build_graph(spec) -> DirectedGraph:
+def _build_graph(spec, root: Path | None = None) -> DirectedGraph:
     """The graph of a config's graph spec: inline ``{"n": ..., "edges": ...}``
     or ``{"path": ...}`` naming a JSON file that holds the inline form."""
     _check_graph_spec(spec)
     where = "graph"
     if isinstance(spec.get("path"), str):
-        where = f"graph file {spec['path']}"
-        spec = _read_json(Path(spec["path"]), "graph file")
+        path = _located(spec["path"], root)
+        where = f"graph file {path}"
+        spec = _read_json(Path(path), "graph file")
     _require(
         isinstance(spec, dict) and {"n", "edges"} <= set(spec),
         f'{where} needs {{"n": ..., "edges": ...}}',
@@ -360,7 +367,7 @@ def _build_graph(spec) -> DirectedGraph:
 
 
 def _build_schedule(
-    spec: dict | None, T: int, g: DirectedGraph, seed: int | None
+    spec: dict | None, T: int, g: DirectedGraph, seed: int | None, root: Path | None = None
 ) -> tuple[FailureSchedule | None, int | None]:
     """Instantiate the schedule; returns it with the seed that took effect."""
     if seed is not None and seed < 0:
@@ -369,7 +376,7 @@ def _build_schedule(
         return None, seed
     kind = spec["kind"]
     if kind == "csv":
-        return schedules.read_schedule_csv(g, spec["path"]), seed
+        return schedules.read_schedule_csv(g, _located(spec["path"], root)), seed
     with _horizon_fits(T):
         if kind == "all_reliable":
             return schedules.all_reliable(g, T), seed
@@ -382,6 +389,25 @@ def _build_schedule(
         return schedules.periodic_adversarial(g, spec["B"], T), seed
 
 
+def _g17(a: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` text of every entry of a float array, as an object
+    array of its shape.  Each distinct bit pattern is formatted once, in one
+    format call: values repeat (the equal shares on one sender's out-links,
+    the entries a window product repeats across its rows), and keying on
+    bits rather than on equality keeps ``-0`` apart from ``0``."""
+    bits = np.asarray(a, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = ("%.17g\n" * keys.size % tuple(keys.view(np.float64).tolist())).split("\n")
+    return np.array(text[:-1], dtype=object)[inverse.reshape(bits.shape)]
+
+
+# Cells per call of ``_g17``: a writer formats a block of rounds or matrix
+# rows at once, so that values repeated across a block are formatted once
+# and numpy's cost per call is paid once per block, while the memory a block
+# takes stays bounded whatever the horizon or matrix size.
+_BLOCK_CELLS = 4096
+
+
 def _stream_trace(emit, trace, estimates=None) -> None:
     """``trace.csv`` through ``emit``: the header, then one call per round.
     Per node t, id, kind, z and w, then the ratio z / w (NaN for a zero
@@ -392,26 +418,33 @@ def _stream_trace(emit, trace, estimates=None) -> None:
               *(f"{last}_{k}" for k in range(d))]
     emit(",".join(header) + "\n")
     # One format per round, node ids and kinds filled in; the cells are t,
-    # z, w, then the ratio or x, and optimize buffers end after w.
-    zw, tail = ",%.17g" * (d + 1), ",%.17g" * d
-    buffer_tail = tail if estimates is None else "," * d
+    # then the texts of z, w, and the ratio or x (empty for optimize buffers).
+    width = 2 * d + 1
     fmt = "".join(
-        [f"%d,{p + 1},real{zw}{tail}\n" for p in range(n)]
-        + [f"%d,{p + 1},virtual{zw}{buffer_tail}\n" for p in range(n, m)]
+        f"%d,{p + 1},{'real' if p < n else 'virtual'}{',%s' * width}\n" for p in range(m)
     )
-    cells = np.empty((m, 2 * d + 2))
-    buffer_cells = cells.shape[1] if estimates is None else d + 2
-    for t in range(trace.horizon + 1):
-        values, w = trace.values[t], trace.weights[t][:, None]
-        cells[:, 0] = t
-        cells[:, 1 : d + 1] = values
-        cells[:, d + 1 : d + 2] = w
+    block = max(1, _BLOCK_CELLS // (m * width))
+    values = np.empty((block, m, width))
+    # Optimize buffers print no x: a constant keeps those cells to one format.
+    values[:, n:, d + 1 :] = 0.0
+    cells = np.empty((block, m, width + 1), dtype=object)
+    for start in range(0, trace.horizon + 1, block):
+        stop = min(start + block, trace.horizon + 1)
+        v, c = values[: stop - start], cells[: stop - start]
+        w = trace.weights[start:stop, :, None]
+        v[:, :, :d] = trace.values[start:stop]
+        v[:, :, d : d + 1] = w
         if estimates is None:
-            cells[:, d + 2 :] = np.nan
-            np.divide(values, w, out=cells[:, d + 2 :], where=w != 0)
+            v[:, :, d + 1 :] = np.nan
+            np.divide(v[:, :, :d], w, out=v[:, :, d + 1 :], where=w != 0)
         else:
-            cells[:n, d + 2 :] = estimates[t]
-        emit(fmt % tuple(cells[:n].ravel().tolist() + cells[n:, :buffer_cells].ravel().tolist()))
+            v[:, :n, d + 1 :] = estimates[start:stop]
+        c[:, :, 0] = np.arange(start, stop)[:, None]
+        c[:, :, 1:] = _g17(v)
+        if estimates is not None:
+            c[:, n:, d + 2 :] = ""
+        for row in c.reshape(stop - start, -1).tolist():
+            emit(fmt % tuple(row))
 
 
 def _stream_psi(emit, product: np.ndarray) -> None:
@@ -421,13 +454,17 @@ def _stream_psi(emit, product: np.ndarray) -> None:
     m = product.shape[0]
     emit("row,col,value\n")
     # One format per call with the column ids filled in; the cells are the
-    # row id and the entry, in turn.
-    fmt = "".join([f"%d,{j + 1},%.17g\n" for j in range(m)])
-    cells = np.empty((m, 2))
-    for i in range(m):
-        cells[:, 0] = i + 1
-        cells[:, 1] = product[i]
-        emit(fmt % tuple(cells.ravel().tolist()))
+    # row id and the entry's text, in turn.
+    fmt = "".join([f"%d,{j + 1},%s\n" for j in range(m)])
+    block = max(1, _BLOCK_CELLS // m)
+    cells = np.empty((block, m, 2), dtype=object)
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        c = cells[: stop - start]
+        c[:, :, 0] = np.arange(start + 1, stop + 1)[:, None]
+        c[:, :, 1] = _g17(product[start:stop])
+        for row in c.reshape(stop - start, -1).tolist():
+            emit(fmt % tuple(row))
 
 
 def _jsonable(obj):
@@ -635,8 +672,8 @@ def run_experiment(
     removes ``out_dir`` too when it created it and the directory is empty.
     """
     started = time.perf_counter()
-    g = _build_graph(cfg.graph)
-    schedule, effective_seed = _build_schedule(cfg.schedule, cfg.horizon, g, seed)
+    g = _build_graph(cfg.graph, cfg.root)
+    schedule, effective_seed = _build_schedule(cfg.schedule, cfg.horizon, g, seed, cfg.root)
     out_dir = Path(out_dir)
     created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)

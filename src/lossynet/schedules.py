@@ -9,6 +9,7 @@ at least once in any B consecutive iterations".
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,6 +118,36 @@ def scripted_schedule(g: DirectedGraph, T: int, table: dict) -> FailureSchedule:
     return _table_schedule(g, T, src, dst, t, value)
 
 
+def _edge_ids(g: DirectedGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The lexicographic index of edge (src[i], dst[i]) for every i.  A pair
+    that is no edge gets an id from E up, and equal pairs get equal ids, so
+    that repeats of unknown pairs are seen too."""
+    E = g.num_edges
+    k = np.zeros(src.size, dtype=np.int64)
+    known = np.zeros(src.size, dtype=bool)
+    if E:
+        # Endpoints become their ranks among the V values the edges use, and
+        # a pair's key is rank(src) * V + rank(dst): sorted like the edges
+        # and below (2E)**2 whatever the cells hold.  A pair with a value
+        # outside that set is no edge, whatever its clamped key matches.
+        ends = np.array(g.edges, dtype=np.int64)
+        values = np.unique(ends)
+        V = values.size
+        edge_ranks = np.searchsorted(values, ends)
+        edge_keys = edge_ranks[:, 0] * V + edge_ranks[:, 1]
+        src_rank = np.minimum(np.searchsorted(values, src), V - 1)
+        dst_rank = np.minimum(np.searchsorted(values, dst), V - 1)
+        inside = (values[src_rank] == src) & (values[dst_rank] == dst)
+        keys = src_rank * V + dst_rank
+        k = np.minimum(np.searchsorted(edge_keys, keys), E - 1)
+        known = inside & (edge_keys[k] == keys)
+    if not known.all():
+        unknown = ~known
+        pairs = np.column_stack([src[unknown], dst[unknown]])
+        k[unknown] = E + np.unique(pairs, axis=0, return_inverse=True)[1].reshape(-1)
+    return k
+
+
 def _table_schedule(g, T, src, dst, t, value, row_of=None) -> FailureSchedule:
     """The schedule of the entries ((src, dst), t) -> value, which must cover
     edges x [1, T] exactly.  Errors, first to last: a repeat, at ``row_of(i)``
@@ -125,12 +156,7 @@ def _table_schedule(g, T, src, dst, t, value, row_of=None) -> FailureSchedule:
     (edge, t); a link that never delivers.  Repeats and gaps are found by
     sorting, so memory stays linear in the entries whatever t they name."""
     E = g.num_edges
-    index = dict(zip(g.edges, range(E)))
-    k = list(map(index.get, zip(src.tolist(), dst.tolist())))
-    if None in k:
-        # Unknown pairs get ids from E up, so that their repeats are seen too.
-        k = [index.setdefault(pair, len(index)) for pair in zip(src.tolist(), dst.tolist())]
-    k = np.array(k, dtype=np.int64)
+    k = _edge_ids(g, src, dst)
     # By edge, then iteration; the sort is stable, so a repeat follows its first.
     order = np.lexsort((t, k))
     k_sorted, t_sorted = k[order], t[order]
@@ -260,13 +286,34 @@ def _int_columns(rows: list, width: int, cols: list):
     if set(map(len, rows)) - {width}:
         return None
     try:
-        if width == len(_COLUMNS):
-            cells = np.array(rows, dtype=np.int64).reshape(len(rows), width)[:, cols]
-        else:
-            cells = np.array([[row[c] for c in cols] for row in rows], dtype=np.int64)
+        cells = np.array([[row[c] for c in cols] for row in rows], dtype=np.int64)
     except (ValueError, OverflowError):
         return None
     return cells.reshape(len(rows), len(_COLUMNS)).T
+
+
+def _loaded_columns(fh, header: list):
+    """The rest of ``fh`` as the src, dst, t and indicator columns, parsed by
+    ``np.loadtxt``; None for the ``csv`` path to decide.  That is the case
+    when the header lacks a column, when the body is empty, and when
+    ``np.loadtxt`` warns on a cell, rejects one (quoted, ``1_0``, non-ASCII
+    digits, text) or reads another width than the header's."""
+    position = {name: c for c, name in enumerate(header)}
+    if not set(_COLUMNS) <= set(position):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, Warning):
+        return None
+    if cells.shape[1] != len(header):
+        return None
+    return cells[:, [position[name] for name in _COLUMNS]].T
+
+
+def _out_of_range(columns) -> bool:
+    return bool(((columns[2] < 1) | (columns[3] < 0) | (columns[3] > 1)).any())
 
 
 def _row_problem(row: list, width: int, cols: list) -> str | None:
@@ -286,14 +333,12 @@ def _row_problem(row: list, width: int, cols: list) -> str | None:
     return None
 
 
-def read_schedule_csv(g: DirectedGraph, path) -> FailureSchedule:
-    """Read a schedule written by :func:`write_schedule_csv` and validate it
-    against ``g`` (well-formed rows, completeness, known edges, delivery
-    within horizon).  Blank lines are skipped, and the header gives the
-    column order; columns other than the four read here are ignored."""
+def _csv_columns(path):
+    """The four columns read by ``csv``, row by row; raises
+    :class:`MalformedScheduleError` naming the first malformed row."""
     header, header_line, rows = _data_rows(path)
     if not header and not rows:
-        return FailureSchedule(g, np.zeros((0, g.num_edges)), 1)
+        return np.zeros((len(_COLUMNS), 0), dtype=np.int64)
     position = {name: c for c, name in enumerate(header)}
     if not set(_COLUMNS) <= set(position):
         raise MalformedScheduleError(
@@ -302,12 +347,29 @@ def read_schedule_csv(g: DirectedGraph, path) -> FailureSchedule:
         )
     cols = [position[name] for name in _COLUMNS]
     columns = _int_columns(rows, len(header), cols)
-    if columns is None or ((columns[2] < 1) | (columns[3] < 0) | (columns[3] > 1)).any():
-        # Rare path: find the first malformed row in file order.
+    if columns is None or _out_of_range(columns):
+        # Find the first malformed row in file order.
         i = next(i for i, row in enumerate(rows) if _row_problem(row, len(header), cols))
         raise MalformedScheduleError(
             f"row {_row_lines(path)[i]} {_row_problem(rows[i], len(header), cols)}"
         )
+    return columns
+
+
+def read_schedule_csv(g: DirectedGraph, path) -> FailureSchedule:
+    """Read a schedule written by :func:`write_schedule_csv` and validate it
+    against ``g`` (well-formed rows, completeness, known edges, delivery
+    within horizon).  Blank lines are skipped, and the header gives the
+    column order; columns other than the four read here are ignored.
+
+    The body is parsed in C by ``np.loadtxt``; a file it cannot read as one
+    integer table of the header's width, or one with a value out of range,
+    takes the ``csv`` path, which accepts what ``int`` accepts and names the
+    first malformed row."""
+    with open(Path(path), newline="") as fh:
+        columns = _loaded_columns(fh, next(csv.reader(fh), []))
+    if columns is None or _out_of_range(columns):
+        columns = _csv_columns(path)
     src, dst, t, value = columns
     return _table_schedule(
         g, int(t.max(initial=0)), src, dst, t, value, row_of=lambda i: _row_lines(path)[i]

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import shutil
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from lossynet import (
 )
 from lossynet import harness, schedules
 from lossynet.cli import main
-from lossynet.harness import _RUNNERS, _stream_psi
+from lossynet.harness import _RUNNERS, _stream_psi, _stream_trace
 
 
 # Oracle: the per-cell trace writer the streamed one replaced (rows of
@@ -230,6 +233,33 @@ class TestLoadConfig:
         cfg = load_config(tmp_path / "run.json")
         artifact = run_experiment(cfg, tmp_path / "out")
         assert artifact.summary["n"] == 3
+
+    def test_summary_echoes_paths_as_written(self, tmp_path):
+        # One config tree copied into two directories whose names differ in
+        # length: neither summary may hold the directory.
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        ring = graph_from_spec(CONSENSUS_RAW["graph"])
+        (tree / "ring.json").write_text(json.dumps(CONSENSUS_RAW["graph"]))
+        write_schedule_csv(bernoulli_b_bounded(ring, 0.5, 3, 40, seed=3), tree / "s.csv")
+        refs = {"graph": {"path": "ring.json"}, "schedule": {"kind": "csv", "path": "s.csv"}}
+        _write(tree, "c.json", dict(CONSENSUS_RAW, horizon=40, **refs))
+        summaries = []
+        for name in ("a", "a-longer-name"):
+            shutil.copytree(tree, tmp_path / name)
+            out = tmp_path / name / "out"
+            assert main(["consensus", "--config", str(tmp_path / name / "c.json"),
+                         "--out", str(out)]) == 0
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        echoed = json.loads(summaries[0])["config"]
+        assert {key: echoed[key] for key in refs} == refs
+        # The echoed config re-runs as-is from the original config's directory.
+        _write(tmp_path / "a", "echoed.json", echoed)
+        out = tmp_path / "a" / "again"
+        assert main(["consensus", "--config", str(tmp_path / "a" / "echoed.json"),
+                     "--out", str(out)]) == 0
+        assert (out / "summary.json").read_bytes() == summaries[0]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -501,6 +531,148 @@ def _seeded_optimize_raw(seed: int, set_name: str) -> dict:
         "problem": {"d": 2, "set": DIGEST_SETS[set_name], "components": components},
         "step_constant": 1.0,
     }
+
+
+# Oracles: the writers that formatted every cell with %.17g, one format
+# string per round or matrix row, before each distinct value was formatted
+# once; the deduplicating writers must match them byte for byte.
+def _oracle_stream_trace(emit, trace, estimates=None) -> None:
+    n, m, d = trace.n, trace.m, trace.dim
+    last = "ratio" if estimates is None else "x"
+    header = ["t", "node_id", "kind", *(f"z_{k}" for k in range(d)), "w",
+              *(f"{last}_{k}" for k in range(d))]
+    emit(",".join(header) + "\n")
+    zw, tail = ",%.17g" * (d + 1), ",%.17g" * d
+    buffer_tail = tail if estimates is None else "," * d
+    fmt = "".join(
+        [f"%d,{p + 1},real{zw}{tail}\n" for p in range(n)]
+        + [f"%d,{p + 1},virtual{zw}{buffer_tail}\n" for p in range(n, m)]
+    )
+    cells = np.empty((m, 2 * d + 2))
+    buffer_cells = cells.shape[1] if estimates is None else d + 2
+    for t in range(trace.horizon + 1):
+        values, w = trace.values[t], trace.weights[t][:, None]
+        cells[:, 0] = t
+        cells[:, 1 : d + 1] = values
+        cells[:, d + 1 : d + 2] = w
+        if estimates is None:
+            cells[:, d + 2 :] = np.nan
+            np.divide(values, w, out=cells[:, d + 2 :], where=w != 0)
+        else:
+            cells[:n, d + 2 :] = estimates[t]
+        emit(fmt % tuple(cells[:n].ravel().tolist() + cells[n:, :buffer_cells].ravel().tolist()))
+
+
+def _oracle_stream_psi(emit, product: np.ndarray) -> None:
+    m = product.shape[0]
+    emit("row,col,value\n")
+    fmt = "".join([f"%d,{j + 1},%.17g\n" for j in range(m)])
+    cells = np.empty((m, 2))
+    for i in range(m):
+        cells[:, 0] = i + 1
+        cells[:, 1] = product[i]
+        emit(fmt % tuple(cells.ravel().tolist()))
+
+
+def _streamed(writer, *args) -> list:
+    chunks = []
+    writer(chunks.append, *args)
+    return chunks
+
+
+# One round's values, weights and estimates holding both zeros, NaN, both
+# infinities, a subnormal, 1e300 and repeats; no ratio overflows or is
+# invalid, so numpy raises no warning.
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1.0 / 3.0, -0.0, 1e300]
+SPECIAL_WEIGHTS = [1.0, 2.0, 0.0, -0.0, 0.5, math.nan, 1.0, 3.0, 1.0, 0.25]
+
+
+def _fake_trace(n: int, values: np.ndarray, weights: np.ndarray) -> SimpleNamespace:
+    """What the writers read of a trace, for values no run produces."""
+    T1, m, d = values.shape
+    return SimpleNamespace(n=n, m=m, dim=d, horizon=T1 - 1, values=values, weights=weights)
+
+
+class TestDistinctValueWriters:
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 2027])
+    def test_consensus_trace_matches_oracle(self, d, seed):
+        g = graph_from_spec(DIGEST_GRAPH)
+        y = np.random.default_rng(seed).uniform(-1.0, 1.0, (g.n, d))
+        trace = run_convergent_robust_push_sum(
+            g, y, bernoulli_b_bounded(g, 0.5, 3, 200, seed=seed), 200
+        )
+        assert _streamed(_stream_trace, trace) == _streamed(_oracle_stream_trace, trace)
+
+    def test_optimize_trace_matches_oracle(self):
+        raw = _seeded_optimize_raw(5, "box")
+        g = graph_from_spec(raw["graph"])
+        trace = run_distributed_dual_averaging(
+            g, problem_from_spec(raw["problem"]),
+            bernoulli_b_bounded(g, 0.5, 2, 80, seed=5), StepSizeSchedule(1.0), 80,
+        )
+        chunks = _streamed(_stream_trace, trace, trace.estimates)
+        assert chunks == _streamed(_oracle_stream_trace, trace, trace.estimates)
+        buffers = [line for chunk in chunks[1:] for line in chunk.splitlines() if ",virtual," in line]
+        assert len(buffers) == 9 * 81
+        assert all(line.endswith(",,") and not line.endswith(",,,") for line in buffers)
+
+    @pytest.mark.parametrize("estimates", [False, True])
+    def test_special_values_match_oracle(self, estimates):
+        m, n = len(SPECIAL), 4
+        values = np.array([SPECIAL, SPECIAL[::-1]]).T.reshape(1, m, 2)
+        weights = np.array([SPECIAL_WEIGHTS])
+        trace = _fake_trace(n, np.concatenate([values, values[:, ::-1]]),
+                            np.concatenate([weights, weights[:, ::-1]]))
+        x = values[:, :n][:, ::-1].repeat(2, axis=0) if estimates else None
+        chunks = _streamed(_stream_trace, trace, x)
+        assert chunks == _streamed(_oracle_stream_trace, trace, x)
+        cells = set(chunks[1].replace("\n", ",").split(","))
+        assert {"0", "-0", "nan", "inf", "-inf"} | {f"{v:.17g}" for v in SPECIAL} <= cells
+
+    def test_psi_with_repeated_entries_matches_oracle(self):
+        rng = np.random.default_rng(7)
+        product = rng.choice([0.0, -0.0, 0.25, 1.0 / 3.0, 1e-300 / 3.0], size=(9, 9))
+        product[2] = product[5] = rng.uniform(0.0, 1.0, 9)
+        chunks = _streamed(_stream_psi, product)
+        assert len(chunks) == 1 + 9
+        assert chunks == _streamed(_oracle_stream_psi, product)
+        assert ",-0\n" in "".join(chunks) and ",0\n" in "".join(chunks)
+
+    @pytest.mark.parametrize("cells", [1, 40, 200])
+    def test_block_size_keeps_the_bytes(self, monkeypatch, cells):
+        # One round or row per block, and blocks that end mid-horizon.
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
+        raw = _seeded_optimize_raw(1, "ball")
+        g = graph_from_spec(raw["graph"])
+        trace = run_distributed_dual_averaging(
+            g, problem_from_spec(raw["problem"]),
+            bernoulli_b_bounded(g, 0.5, 2, 30, seed=1), StepSizeSchedule(1.0), 30,
+        )
+        for x in (None, trace.estimates):
+            assert _streamed(_stream_trace, trace, x) == _streamed(_oracle_stream_trace, trace, x)
+        product = np.random.default_rng(cells).choice([0.0, -0.0, 0.5, 1.0 / 3.0], size=(11, 11))
+        assert _streamed(_stream_psi, product) == _streamed(_oracle_stream_psi, product)
+
+    def test_trace_memory_does_not_grow_with_horizon(self):
+        g = graph_from_spec(DIGEST_GRAPH)
+        y = np.random.default_rng(1).uniform(-1.0, 1.0, g.n)
+        peaks = []
+        for T in (200, 2000):
+            trace = run_convergent_robust_push_sum(g, y, bernoulli_b_bounded(g, 0.5, 3, T, seed=1), T)
+            calls = [0]
+
+            def emit(text):
+                calls[0] += 1
+
+            tracemalloc.start()
+            try:
+                _stream_trace(emit, trace)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert calls == [T + 2]
+        assert peaks[1] <= 2 * peaks[0]
 
 
 class TestOptimizeDigests:

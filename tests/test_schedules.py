@@ -24,6 +24,7 @@ from lossynet import (
     worst_gap,
     write_schedule_csv,
 )
+from lossynet import schedules
 from lossynet.schedules import _max_outage_run
 
 
@@ -386,6 +387,9 @@ REJECTED_FILES = {
     "unknown beats missing": lambda ls: ls[:-2] + ["9,9,1,1"],
     "never reliable": lambda ls: ls[:4] + ["2,3,1,0", "2,3,2,0", "2,3,3,0"] + ls[7:],
     "repeat beats all": lambda ls: ls[:2] + ["7,7,1,1"] + ls[3:] + ["2,4,3,1"],
+    "unknown edge at int64 extremes": lambda ls: ls + [f"{2**63 - 1},{-2**63},1,1"],
+    "repeated unknown edge at int64 extremes":
+        lambda ls: ls + [f"{-2**63},{2**63 - 1},2,1", "9,9,1,1", f"{-2**63},{2**63 - 1},2,0"],
 }
 
 
@@ -421,6 +425,99 @@ class TestArrayReaderMatchesOracle:
         expected = _outcome(_oracle_read, RING4, path)
         assert isinstance(expected[0], type), "the oracle must reject the file"
         assert _outcome(read_schedule_csv, RING4, path) == expected
+
+    @staticmethod
+    def _with_cell(tmp_path, column: int, cell: str):
+        """The all-reliable file with one cell 1 of its first row replaced."""
+        lines = _reliable_lines()
+        cells = lines[1].split(",")
+        assert cells[column] == "1"
+        cells[column] = cell
+        lines[1] = ",".join(cells)
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("column, cell", [
+        (column, cell) for column in (0, 2, 3)
+        for cell in ("+1", " 1", "1 ", "1_0", '"1"', "\u0661") if (column, cell) != (3, "1_0")
+    ])
+    def test_cells_read_as_int_reads_them(self, tmp_path, column, cell):
+        # np.loadtxt reads signs and spaces; underscores, quotes and
+        # non-ASCII digits take the csv path.  Either way the oracle's int()
+        # decides, and no warning escapes.
+        path = self._with_cell(tmp_path, column, cell)
+        assert _outcome(read_schedule_csv, RING4, path) == _outcome(_oracle_read, RING4, path)
+
+    def test_underscore_indicator_is_ten(self, tmp_path):
+        # The oracle ends in a plain ValueError here.
+        path = self._with_cell(tmp_path, 3, "1_0")
+        with pytest.raises(MalformedScheduleError,
+                           match=re.escape("row 2 has indicator 10, which is not 0 or 1")):
+            read_schedule_csv(RING4, path)
+
+    @pytest.mark.parametrize("text", [
+        "src,dst,t,indicator\n",
+        "src,dst,t,indicator",
+        "\n".join(_reliable_lines()),
+        "\r\n".join(_reliable_lines()),
+    ])
+    def test_header_only_and_no_final_newline(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(_oracle_read, RING4, path)
+        assert _outcome(read_schedule_csv, RING4, path) == expected
+        assert expected[2] == (3 if "\n" in text.strip() else 0)
+
+    def test_byte_order_mark_is_part_of_the_header(self, tmp_path):
+        # The oracle's DictReader fails with a KeyError; the reader names the header.
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(_reliable_lines()) + "\n", encoding="utf-8-sig")
+        with pytest.raises(MalformedScheduleError,
+                           match=re.escape("row 1: header '\\ufeffsrc,dst,t,indicator'")):
+            read_schedule_csv(RING4, path)
+
+    @pytest.mark.parametrize("rows, line", [(slice(4, 5), 5), (slice(1, None), 2)])
+    def test_five_cells_under_four_columns(self, tmp_path, rows, line):
+        # One wide row, or every row wide: np.loadtxt reads the latter as a
+        # table of five columns, so the width check must reject it.  (The
+        # oracle's DictReader keeps the extra cell under None.)
+        lines = _reliable_lines()
+        lines[rows] = [ln + ",9" for ln in lines[rows]]
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedScheduleError,
+                           match=re.escape(f"row {line} has 5 cells, the header has 4")):
+            read_schedule_csv(RING4, path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ls: ls[:3] + [ls[3] + " # note"] + ls[4:],
+         "row 4 has indicator '1 # note', which is not a 64-bit integer"),
+        (lambda ls: ls[:3] + ["# note"] + ls[3:], "row 4 has 1 cells, the header has 4"),
+    ])
+    def test_hash_starts_no_comment(self, tmp_path, edit, message):
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(edit(_reliable_lines())) + "\n")
+        with pytest.raises(MalformedScheduleError, match=re.escape(message)):
+            read_schedule_csv(RING4, path)
+
+    def test_text_column_inside_five_column_header(self, tmp_path):
+        # test_extra_column_is_ignored puts the text column last.
+        rows = [ln.split(",") for ln in _reliable_lines()]
+        for k, row in enumerate(rows):
+            row.insert(1, "note" if k == 0 else f"x{k}")
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        expected = _outcome(_oracle_read, RING4, path)
+        assert _outcome(read_schedule_csv, RING4, path) == expected
+        assert expected[2] == 3
+
+    def test_written_file_takes_the_loadtxt_path(self, tmp_path, monkeypatch):
+        s = bernoulli_b_bounded(RING4, 0.5, 3, 30, seed=2)
+        path = tmp_path / "s.csv"
+        write_schedule_csv(s, path)
+        monkeypatch.setattr(schedules, "_csv_columns", None)
+        assert np.array_equal(read_schedule_csv(RING4, path).indicators, s.indicators)
 
     def test_far_iteration_allocates_no_table(self, tmp_path):
         # One row at t = 10**5 leaves the table incomplete; saying so must
