@@ -5,188 +5,26 @@ dropped, rebuilds the same dynamics as products of row-stochastic matrices
 over an augmented node set (one buffer node per link), and certifies the
 worst-case guarantees of both the consensus error and the optimality gap of
 dual averaging driven by the robust protocol.
+
+The public names are those each module lists in its ``__all__``.
 """
 
-from .consensus import (
-    ConsensusCertificate,
-    ConsensusTrace,
-    certify_consensus_bound,
-    consensus_error,
-    consensus_rate_bound,
-    contraction_constants,
-    run_convergent_robust_push_sum,
-    run_push_sum,
-    run_robust_push_sum,
-)
-from .dual_averaging import (
-    CentralizedTrace,
-    GapCertificate,
-    MixingCertificate,
-    OptTrace,
-    StepSizeSchedule,
-    certify_mixing_error,
-    certify_optimality_gap,
-    mixing_error_bound,
-    optimality_gap_bound,
-    proximal_projection,
-    run_centralized_dual_averaging,
-    run_distributed_dual_averaging,
-    running_average,
-)
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    DimensionTooLargeError,
-    DuplicateEdgeError,
-    EndpointOutOfRangeError,
-    HorizonTooShortError,
-    IncompleteTableError,
-    IterationOutOfRangeError,
-    LossyNetError,
-    MalformedScheduleError,
-    NegativeInputError,
-    NeverReliableLinkError,
-    NotRowStochasticError,
-    NotStronglyConnectedError,
-    ScheduleTooShortError,
-    SelfLoopError,
-    WindowTooShortError,
-    ZeroWeightError,
-)
-from .graphs import (
-    AugmentedGraph,
-    DirectedGraph,
-    augment,
-    build_graph,
-    graph_from_spec,
-    graph_to_spec,
-    is_strongly_connected,
-    random_strongly_connected,
-)
-from .harness import (
-    ExperimentConfig,
-    RunArtifact,
-    emit_summary,
-    load_config,
-    run_experiment,
-    write_json,
-)
-from .mixing import (
-    ContractionReport,
-    EntryBoundReport,
-    certify_contraction,
-    certify_entry_lower_bound,
-    delta_coefficient,
-    evolve_by_matrices,
-    iteration_matrix,
-    lambda_coefficient,
-    matrix_product,
-)
-from .problems import (
-    AbsDistanceCost,
-    Ball,
-    Box,
-    L2DistanceCost,
-    LinearCost,
-    OptProblem,
-    ReferenceSolution,
-    problem_from_spec,
-    solve_reference,
-)
-from .schedules import (
-    FailureSchedule,
-    all_reliable,
-    bernoulli_b_bounded,
-    periodic_adversarial,
-    read_schedule_csv,
-    scripted_schedule,
-    verify_b_bounded,
-    worst_gap,
-    write_schedule_csv,
-)
+from . import consensus, dual_averaging, errors, graphs, harness, mixing, problems, schedules
+from .consensus import *  # noqa: F403
+from .dual_averaging import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .mixing import *  # noqa: F403
+from .problems import *  # noqa: F403
+from .schedules import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbsDistanceCost",
-    "AugmentedGraph",
-    "Ball",
-    "Box",
-    "CentralizedTrace",
-    "ConfigError",
-    "ConsensusCertificate",
-    "ConsensusTrace",
-    "ContractionReport",
-    "DimensionMismatchError",
-    "DimensionTooLargeError",
-    "DirectedGraph",
-    "DuplicateEdgeError",
-    "EndpointOutOfRangeError",
-    "EntryBoundReport",
-    "ExperimentConfig",
-    "FailureSchedule",
-    "GapCertificate",
-    "HorizonTooShortError",
-    "IncompleteTableError",
-    "IterationOutOfRangeError",
-    "L2DistanceCost",
-    "LinearCost",
-    "LossyNetError",
-    "MalformedScheduleError",
-    "MixingCertificate",
-    "NegativeInputError",
-    "NeverReliableLinkError",
-    "NotRowStochasticError",
-    "NotStronglyConnectedError",
-    "OptProblem",
-    "OptTrace",
-    "ReferenceSolution",
-    "RunArtifact",
-    "ScheduleTooShortError",
-    "SelfLoopError",
-    "StepSizeSchedule",
-    "WindowTooShortError",
-    "ZeroWeightError",
-    "all_reliable",
-    "augment",
-    "bernoulli_b_bounded",
-    "build_graph",
-    "certify_consensus_bound",
-    "certify_contraction",
-    "certify_entry_lower_bound",
-    "certify_mixing_error",
-    "certify_optimality_gap",
-    "consensus_error",
-    "consensus_rate_bound",
-    "contraction_constants",
-    "delta_coefficient",
-    "emit_summary",
-    "evolve_by_matrices",
-    "graph_from_spec",
-    "graph_to_spec",
-    "is_strongly_connected",
-    "iteration_matrix",
-    "lambda_coefficient",
-    "load_config",
-    "matrix_product",
-    "mixing_error_bound",
-    "optimality_gap_bound",
-    "periodic_adversarial",
-    "problem_from_spec",
-    "proximal_projection",
-    "random_strongly_connected",
-    "read_schedule_csv",
-    "run_centralized_dual_averaging",
-    "run_convergent_robust_push_sum",
-    "run_distributed_dual_averaging",
-    "run_experiment",
-    "run_push_sum",
-    "run_robust_push_sum",
-    "running_average",
-    "scripted_schedule",
-    "solve_reference",
-    "verify_b_bounded",
-    "worst_gap",
-    "write_json",
-    "write_schedule_csv",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (consensus, dual_averaging, errors, graphs, harness, mixing, problems, schedules)
+        for name in module.__all__
+    }
+)

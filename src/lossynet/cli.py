@@ -17,10 +17,11 @@ from pathlib import Path
 from . import schedules
 from .errors import ConfigError, LossyNetError
 from .harness import (
+    _as_horizon,
+    _as_positive_int,
     _build_graph,
     _build_schedule,
     _check_schedule_spec,
-    _is_int,
     _read_config,
     load_config,
     run_experiment,
@@ -63,21 +64,10 @@ def _verify_schedule(args) -> int:
     if not isinstance(raw, dict) or set(raw) - {"graph", "schedule", "B", "horizon"}:
         raise ConfigError('verify-schedule config needs {"graph", "schedule", "B", "horizon"}')
     g = _build_graph(raw.get("graph"), root)
-
-    B = raw.get("B")
-    if not _is_int(B) or B < 1:
-        raise ConfigError(f"B must be a positive integer, got {B!r}")
-
-    sched_spec = raw.get("schedule")
-    if not isinstance(sched_spec, dict):
-        raise ConfigError("schedule must be an object")
+    B = _as_positive_int(raw.get("B"), "B")
+    sched_spec = _check_schedule_spec(raw.get("schedule"))
     horizon = raw.get("horizon")
-    if sched_spec.get("kind") == "csv":
-        horizon = 0 if horizon is None else horizon
-    if not _is_int(horizon) or horizon < 0:
-        raise ConfigError(f"horizon must be a nonnegative integer, got {horizon!r}")
-
-    _check_schedule_spec(sched_spec)
+    horizon = _as_horizon(0 if horizon is None and sched_spec["kind"] == "csv" else horizon)
     schedule, _ = _build_schedule(sched_spec, horizon, g, args.seed, root)
 
     worst = schedules.worst_gap(schedule)

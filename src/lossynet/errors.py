@@ -76,6 +76,11 @@ class ConfigError(LossyNetError):
     """An experiment configuration failed validation."""
 
 
+__all__ = sorted(
+    name for name, obj in globals().items() if isinstance(obj, type) and issubclass(obj, LossyNetError)
+)
+
+
 @contextmanager
 def _horizon_fits(T: int):
     """Turn a failed allocation of horizon-sized arrays into a LossyNetError

@@ -44,6 +44,7 @@ from .problems import (
     GRID_STEP_FRACTION,
     LinearCost,
     _is_finite_number,
+    _is_int,
     problem_from_spec,
     solve_reference,
 )
@@ -54,7 +55,6 @@ __all__ = [
     "RunArtifact",
     "load_config",
     "run_experiment",
-    "emit_summary",
     "write_json",
 ]
 
@@ -82,10 +82,6 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -93,6 +89,11 @@ def _is_number(value) -> bool:
 def _as_positive_int(value, key: str) -> int:
     _require(_is_int(value), f"{key} must be an integer")
     _require(value >= 1, f"{key} must be >= 1, got {value}")
+    return value
+
+
+def _as_horizon(value) -> int:
+    _require(_is_int(value) and value >= 0, f"horizon must be a nonnegative integer, got {value!r}")
     return value
 
 
@@ -194,11 +195,7 @@ class ExperimentConfig:
         graph = raw.get("graph")
         _check_graph_spec(graph)
 
-        horizon = raw.get("horizon")
-        _require(
-            _is_int(horizon) and horizon >= 0,
-            f"horizon must be a nonnegative integer, got {horizon!r}",
-        )
+        horizon = _as_horizon(raw.get("horizon"))
 
         algorithm = raw.get("algorithm", "convergent")
         inputs = raw.get("inputs")
@@ -303,7 +300,7 @@ def _read_json(path: Path, what: str):
         return json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not text in the locale's encoding
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -337,8 +334,6 @@ class RunArtifact:
     passed: bool
     trace_path: str | None
     summary_path: str
-    config: ExperimentConfig
-    seed: int | None
     wall_clock: float
 
 
@@ -703,11 +698,9 @@ def run_experiment(
             passed=passed,
             trace_path=str(paths[0]),
             summary_path=str(paths[1]),
-            config=cfg,
-            seed=effective_seed,
             wall_clock=time.perf_counter() - started,
         )
-        staged[1].write_text(emit_summary(artifact))
+        staged[1].write_text(write_json(summary))
         for tmp, path in zip(staged, paths):
             tmp.replace(path)
     except BaseException:
@@ -718,8 +711,3 @@ def run_experiment(
                 out_dir.rmdir()
         raise
     return artifact
-
-
-def emit_summary(artifact: RunArtifact) -> str:
-    """Render the summary deterministically; wall-clock never appears."""
-    return write_json(artifact.summary)

@@ -443,6 +443,10 @@ def _field(spec, key: str, where: str):
     return spec[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_finite_number(value) -> bool:
     """A JSON number (not a bool) that converts to a finite float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -500,7 +504,7 @@ def problem_from_spec(spec: dict) -> OptProblem:
     "L": optional float}.
     """
     d = _field(spec, "d", "problem")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    if not _is_int(d) or d < 1:
         raise ConfigError(f"problem d must be a positive integer, got {d!r}")
     set_spec = _field(spec, "set", "problem")
     if not isinstance(set_spec, dict):

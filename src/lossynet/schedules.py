@@ -49,7 +49,6 @@ class FailureSchedule:
     graph: DirectedGraph
     indicators: np.ndarray
     window: int
-    seed: int | None = None
 
     def __post_init__(self):
         ind = np.ascontiguousarray(self.indicators, dtype=np.uint8)
@@ -227,7 +226,7 @@ def bernoulli_b_bounded(
     position -= start
     del start
     np.remainder(position, min(B, T + 1), out=position)
-    return FailureSchedule(g, position == 0, B, seed=seed)
+    return FailureSchedule(g, position == 0, B)
 
 
 def periodic_adversarial(g: DirectedGraph, B: int, T: int) -> FailureSchedule:
@@ -264,52 +263,22 @@ def write_schedule_csv(schedule: FailureSchedule, path) -> None:
 _COLUMNS = ("src", "dst", "t", "indicator")
 
 
-def _data_rows(path) -> tuple[list, int, list]:
-    """The header, its line number and the non-blank rows after it."""
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        return header, reader.line_num, list(filter(None, reader))
-
-
-def _row_lines(path) -> list:
-    """Line number of every non-blank row after the header (error path)."""
-    with open(Path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        return [reader.line_num for row in reader if row]
-
-
-def _int_columns(rows: list, width: int, cols: list):
-    """The src, dst, t and indicator columns as int64 arrays, or None when a
-    row has another width than the header or a cell is not an integer."""
-    if set(map(len, rows)) - {width}:
-        return None
-    try:
-        cells = np.array([[row[c] for c in cols] for row in rows], dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    return cells.reshape(len(rows), len(_COLUMNS)).T
-
-
-def _loaded_columns(fh, header: list):
+def _loaded_columns(fh, width: int, cols: list):
     """The rest of ``fh`` as the src, dst, t and indicator columns, parsed by
     ``np.loadtxt``; None for the ``csv`` path to decide.  That is the case
-    when the header lacks a column, when the body is empty, and when
-    ``np.loadtxt`` warns on a cell, rejects one (quoted, ``1_0``, non-ASCII
-    digits, text) or reads another width than the header's."""
-    position = {name: c for c, name in enumerate(header)}
-    if not set(_COLUMNS) <= set(position):
-        return None
+    when the body is empty, when ``np.loadtxt`` warns on a cell, rejects one
+    (quoted, ``1_0``, non-ASCII digits, text, undecodable bytes) or reads
+    another width than the header's, and when a value is out of range."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cells = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, Warning):
         return None
-    if cells.shape[1] != len(header):
+    if cells.shape[1] != width:
         return None
-    return cells[:, [position[name] for name in _COLUMNS]].T
+    columns = cells[:, cols].T
+    return None if _out_of_range(columns) else columns
 
 
 def _out_of_range(columns) -> bool:
@@ -333,44 +302,68 @@ def _row_problem(row: list, width: int, cols: list) -> str | None:
     return None
 
 
-def _csv_columns(path):
-    """The four columns read by ``csv``, row by row; raises
-    :class:`MalformedScheduleError` naming the first malformed row."""
-    header, header_line, rows = _data_rows(path)
-    if not header and not rows:
-        return np.zeros((len(_COLUMNS), 0), dtype=np.int64)
-    position = {name: c for c, name in enumerate(header)}
-    if not set(_COLUMNS) <= set(position):
-        raise MalformedScheduleError(
-            f"row {header_line}: header {','.join(header)!r} does not name "
-            f"the columns {','.join(_COLUMNS)}"
-        )
-    cols = [position[name] for name in _COLUMNS]
-    columns = _int_columns(rows, len(header), cols)
+def _csv_columns(path, width: int, cols: list) -> tuple:
+    """The four columns read by ``csv`` and the line of each non-blank row
+    after the header; raises :class:`MalformedScheduleError` naming the
+    first malformed row."""
+    rows, lines = [], []
+    with open(Path(path), newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    columns = None
+    if not set(map(len, rows)) - {width}:
+        try:
+            cells = np.array([[row[c] for c in cols] for row in rows], dtype=np.int64)
+            columns = cells.reshape(len(rows), len(_COLUMNS)).T
+        except (ValueError, OverflowError):
+            pass
     if columns is None or _out_of_range(columns):
-        # Find the first malformed row in file order.
-        i = next(i for i, row in enumerate(rows) if _row_problem(row, len(header), cols))
-        raise MalformedScheduleError(
-            f"row {_row_lines(path)[i]} {_row_problem(rows[i], len(header), cols)}"
-        )
-    return columns
+        # Name the first malformed row in file order.
+        for line, row in zip(lines, rows):
+            problem = _row_problem(row, width, cols)
+            if problem:
+                raise MalformedScheduleError(f"row {line} {problem}")
+    return columns, lines
 
 
 def read_schedule_csv(g: DirectedGraph, path) -> FailureSchedule:
     """Read a schedule written by :func:`write_schedule_csv` and validate it
     against ``g`` (well-formed rows, completeness, known edges, delivery
     within horizon).  Blank lines are skipped, and the header gives the
-    column order; columns other than the four read here are ignored.
+    column order; columns other than the four read here are ignored.  An
+    empty file, or one of blank lines only, is an empty schedule.
 
     The body is parsed in C by ``np.loadtxt``; a file it cannot read as one
     integer table of the header's width, or one with a value out of range,
     takes the ``csv`` path, which accepts what ``int`` accepts and names the
     first malformed row."""
-    with open(Path(path), newline="") as fh:
-        columns = _loaded_columns(fh, next(csv.reader(fh), []))
-    if columns is None or _out_of_range(columns):
-        columns = _csv_columns(path)
+    try:
+        with open(Path(path), newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            header_line = reader.line_num
+            position = {name: c for c, name in enumerate(header)}
+            width, cols = len(header), [position.get(name) for name in _COLUMNS]
+            columns = lines = None
+            if None not in cols:
+                columns = _loaded_columns(fh, width, cols)
+            elif header or any(reader):
+                raise MalformedScheduleError(
+                    f"row {header_line}: header {','.join(header)!r} does not name "
+                    f"the columns {','.join(_COLUMNS)}"
+                )
+            # Else the file holds no cell at all: the csv path reads no row.
+        if columns is None:
+            columns, lines = _csv_columns(path, width, cols)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedScheduleError(f"cannot read {path} as CSV text: {exc}") from exc
+
+    def row_of(i):
+        return (lines if lines is not None else _csv_columns(path, width, cols)[1])[i]
+
     src, dst, t, value = columns
-    return _table_schedule(
-        g, int(t.max(initial=0)), src, dst, t, value, row_of=lambda i: _row_lines(path)[i]
-    )
+    return _table_schedule(g, int(t.max(initial=0)), src, dst, t, value, row_of=row_of)

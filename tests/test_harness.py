@@ -1227,6 +1227,54 @@ class TestCli:
             assert _run_with_graph(tmp_path, {"n": 3, "edges": edges}) == [1, 1], edges
             assert capsys.readouterr().err.count("integer pairs") == 2
 
+    def test_undecodable_schedule_csv(self, tmp_path, capsys):
+        ring = graph_from_spec(CONSENSUS_RAW["graph"])
+        path = tmp_path / "s.csv"
+        write_schedule_csv(all_reliable(ring, 4), path)
+        path.write_bytes(path.read_bytes()[:-2] + b"\xff\n")
+        schedule = {"kind": "csv", "path": "s.csv"}
+        for command, raw in (("verify-schedule", dict(VERIFY_RAW, graph=CONSENSUS_RAW["graph"])),
+                             ("consensus", dict(CONSENSUS_RAW, horizon=4))):
+            config = _write(tmp_path, f"{command}.json", dict(raw, schedule=schedule))
+            out = tmp_path / command
+            assert main([command, "--config", config, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read ") and "can't decode byte 0xff" in err
+            assert not out.exists(), command
+
+    def test_undecodable_config_and_graph_file(self, tmp_path, capsys):
+        (tmp_path / "ring.json").write_bytes(b'{"n": 3, "edges": [[1, 2]]}\xff')
+        assert _run_with_graph(tmp_path, {"path": "ring.json"}) == [1, 1]
+        assert capsys.readouterr().err.count("error: graph file") == 2
+        for command in ("verify-schedule", "consensus"):
+            config = tmp_path / f"{command}.json"
+            config.write_bytes(json.dumps(CONSENSUS_RAW).encode() + b"\xff")
+            out = tmp_path / f"{command}-out"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: config ") and "can't decode byte 0xff" in err
+            assert not out.exists(), command
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"schedule": [1]}, "schedule must be an object"),
+        ({"horizon": -1}, "horizon must be a nonnegative integer, got -1"),
+        ({"horizon": True}, "horizon must be a nonnegative integer, got True"),
+        ({"schedule": {"kind": "periodic", "B": 0}}, "schedule B must be >= 1, got 0"),
+    ])
+    def test_verify_schedule_checks_as_the_runs_do(self, tmp_path, capsys, edit, message):
+        verify = dict(VERIFY_RAW, graph=CONSENSUS_RAW["graph"], **edit)
+        for command, raw in (("verify-schedule", verify), ("consensus", dict(CONSENSUS_RAW, **edit))):
+            config = _write(tmp_path, f"{command}.json", raw)
+            assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 1
+            assert f"error: {message}\n" in capsys.readouterr().err, command
+
+    @pytest.mark.parametrize("B, message", [(0, "B must be >= 1, got 0"), ("3", "B must be an integer")])
+    def test_verify_schedule_window_must_be_positive(self, tmp_path, capsys, B, message):
+        config = _write(tmp_path, "v.json", dict(VERIFY_RAW, graph=CONSENSUS_RAW["graph"], B=B))
+        assert main(["verify-schedule", "--config", config, "--out", str(tmp_path / "v")]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
     def test_missing_graph_file(self, tmp_path, capsys):
         assert _run_with_graph(tmp_path, {"path": "absent.json"}) == [1, 1]
         assert capsys.readouterr().err.count("cannot read graph file") == 2

@@ -539,6 +539,49 @@ class TestArrayReaderMatchesOracle:
         path.write_text("")
         assert _outcome(read_schedule_csv, RING4, path) == _outcome(_oracle_read, RING4, path)
 
+    @pytest.mark.parametrize("text", ["\n", "\n\n\n", "\r\n\r\n"])
+    def test_blank_lines_only_are_an_empty_schedule(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(read_schedule_csv, RING4, path) == _outcome(_oracle_read, RING4, path)
+        assert read_schedule_csv(RING4, path).horizon == 0
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda ls: ls[:3] + ["1,2,x,1"] + ls[4:], MalformedScheduleError,
+         "row 4 has t 'x', which is not a 64-bit integer"),
+        (lambda ls: ls + ["1,2,1,0"], IncompleteTableError, "row 17 repeats edge (1, 2)"),
+        (lambda ls: ls[:2] + ['1,2,"2",1'] + ls[3:] + ["1,2,1,0"], IncompleteTableError,
+         "row 17 repeats edge (1, 2)"),
+    ], ids=["malformed row", "repeat", "repeat on the csv path"])
+    def test_error_takes_at_most_two_opens(self, tmp_path, monkeypatch, edit, error, message):
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(edit(_reliable_lines())) + "\n")
+        opened = []
+        monkeypatch.setattr(schedules, "open", lambda *a, **k: opened.append(a) or open(*a, **k),
+                            raising=False)
+        with pytest.raises(error, match=re.escape(message)):
+            read_schedule_csv(RING4, path)
+        assert 1 <= len(opened) <= 2
+
+    @pytest.mark.parametrize("where", ["header", "first row", "last row of a long file"])
+    def test_undecodable_bytes_are_malformed(self, tmp_path, where):
+        # Text is decoded in chunks, so a bad byte early in the file fails
+        # the header read, and one far into it fails the csv read.
+        lines = _reliable_lines(T=3 if where != "last row of a long file" else 2000)
+        data = ("\n".join(lines) + "\n").encode()
+        at = {"header": 3, "first row": len(lines[0]) + 1, "last row of a long file": -2}[where]
+        data = data[:at] + b"\xff" + data[at + 1:]
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with pytest.raises(MalformedScheduleError, match="can't decode byte 0xff"):
+            read_schedule_csv(RING4, path)
+
+    def test_field_beyond_the_csv_limit_is_malformed(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(_reliable_lines() + ["1,2," + "9" * 200_000 + ",1"]) + "\n")
+        with pytest.raises(MalformedScheduleError, match="field larger than field limit"):
+            read_schedule_csv(RING4, path)
+
     @pytest.mark.parametrize("row, message", [
         ("1,2,1", "row 4 has 3 cells, the header has 4"),
         ("1,2,1,1,0", "row 4 has 5 cells, the header has 4"),
