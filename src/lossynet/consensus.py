@@ -14,11 +14,15 @@ weight alike, so the protocol state is one mass array whose first d columns
 are the values and whose last column is the weight; a run's history is one
 (T+1, m, d+1) array, and a trace's ``values`` and ``weights`` are its views.
 
-Both cumulative variants share one round, ``_CumulativeState.robust_round``:
-convergent = robust + re-share.  ``run_push_sum`` deliberately keeps its own
-loop.  With every link delivering, the robust round reduces to it exactly,
-and the test suite uses it as the independent reference for that reduction,
-so routing it through the shared round would compare the code with itself.
+Both cumulative variants, and distributed dual averaging, share one round,
+``_CumulativeState.robust_round``: convergent = robust + re-share.  The
+round works in place on buffers allocated once per run and writes round t's
+agent rows and in-flight buffer rows straight into history row t, so a
+round allocates nothing history-sized and nothing is copied afterwards.
+``run_push_sum`` deliberately keeps its own loop.  With every link
+delivering, the robust round reduces to it exactly, and the test suite uses
+it as the independent reference for that reduction, so routing it through
+the shared round would compare the code with itself.
 """
 
 from __future__ import annotations
@@ -132,44 +136,78 @@ class ConsensusTrace(_NodeTrace):
 
 
 class _CumulativeState:
-    """Live network state for the cumulative-total protocols.
+    """Live network state for the cumulative-total protocols, updated in place.
 
     Each quantity is one mass array whose first d columns are the value
     vector and whose last column is the weight, so every step of the round
     moves both at once: ``mass`` (n, d+1) per agent, ``sent`` (n, d+1) the
     running totals each agent has broadcast, and ``delivered`` (E, d+1) per
-    link the totals that actually arrived.  Buffer contents are reconstructed
-    as sent-minus-delivered rather than stored.
+    link the totals that actually arrived.  Buffer contents are
+    reconstructed as sent-minus-delivered rather than stored.
+
+    A round given a C-contiguous (m, d+1) history row writes into it: the n
+    agent rows become the new ``mass`` and the E link rows receive the
+    in-flight buffer contents.  Without a row (a standalone state) ``mass``
+    is updated in place and no buffer row is written.  ``sent``,
+    ``delivered``, the totals offered on each link and the per-link
+    increments are updated in place in arrays that belong to this state
+    alone, so a round allocates no array data.
     """
 
     def __init__(self, g: DirectedGraph, inputs: np.ndarray):
         n, d = inputs.shape
         self.src = g.edge_sources
         self.dst = g.edge_destinations
-        self.shares = (g.out_degrees + 1).astype(float)[:, None]
+        # The divisor of each mass entry, full width: a broadcast (n, 1)
+        # divisor takes a slower loop for the same quotients.
+        self.shares = np.repeat((g.out_degrees + 1).astype(float)[:, None], d + 1, axis=1)
         self.mass = np.hstack([inputs, np.ones((n, 1))])
         self.sent = np.zeros((n, d + 1))
         self.delivered = np.zeros((g.num_edges, d + 1))
+        self._offered = np.empty((g.num_edges, d + 1))
+        self._increments = np.empty((g.num_edges, d + 1))
+        # np.add.at over flat positions takes numpy's 1-d fast path; each
+        # entry still receives its links' increments in edge order.
+        self._flat_dst = (self.dst[:, None] * (d + 1) + np.arange(d + 1)).ravel()
 
-    def robust_round(self, delivered: np.ndarray) -> None:
-        mass = self.mass / self.shares
-        sent = self.sent + mass
-        arrived = np.where(delivered[:, None], sent[self.src], self.delivered)
-        np.add.at(mass, self.dst, arrived - self.delivered)
-        self.mass, self.sent, self.delivered = mass, sent, arrived
+    def robust_round(
+        self, delivered: np.ndarray, row: np.ndarray | None = None, reshare: bool = False
+    ) -> None:
+        """One round under the (E,) boolean delivery mask, into ``row`` if given.
 
-    def convergent_round(self, delivered: np.ndarray) -> None:
-        self.robust_round(delivered)
+        Each entry takes the arithmetic of arrived = where(delivered, offered,
+        self.delivered): the increment arrived - self.delivered is offered -
+        delivered on a delivering link and delivered - delivered on a dropped
+        one, so non-finite totals propagate as they would through ``where``.
+        ``reshare`` adds the convergent variant's second half-round before
+        the buffer rows are written.
+        """
+        n = len(self.sent)
+        mass = self.mass if row is None else row[:n]
+        mask = delivered[:, None]
+        offered, increments = self._offered, self._increments
+        np.divide(self.mass, self.shares, out=mass)
+        np.add(self.sent, mass, out=self.sent)
+        # Edge sources are valid indices; mode "clip" writes straight into
+        # ``offered``, where "raise" would go through a temporary.
+        self.sent.take(self.src, 0, offered, "clip")
+        np.subtract(self.delivered, self.delivered, out=increments)
+        np.subtract(offered, self.delivered, out=increments, where=mask)
+        np.add.at(mass.ravel(), self._flat_dst, increments.ravel())
+        np.copyto(self.delivered, offered, where=mask)
+        if reshare:
+            np.divide(mass, self.shares, out=mass)
+            np.add(self.sent, mass, out=self.sent)
+        self.mass = mass
+        if row is not None:
+            if reshare:
+                self.sent.take(self.src, 0, offered, "clip")
+            np.subtract(offered, self.delivered, out=row[n:])
+
+    def convergent_round(self, delivered: np.ndarray, row: np.ndarray | None = None) -> None:
         # Second half of the round: broadcast a share of the fresh aggregate
         # as well, so buffers never sit on stale mass.
-        self.mass = self.mass / self.shares
-        self.sent = self.sent + self.mass
-
-    def record(self, mass: np.ndarray, t: int) -> None:
-        """Write the agent rows and the in-flight buffer rows into row t."""
-        n = len(self.mass)
-        mass[t, :n] = self.mass
-        mass[t, n:] = self.sent[self.src] - self.delivered
+        self.robust_round(delivered, row, reshare=True)
 
 
 def _check_schedule(g: DirectedGraph, schedule: FailureSchedule, T: int) -> None:
@@ -236,9 +274,9 @@ def _run_cumulative(g, y, schedule, T, step_name) -> ConsensusTrace:
     mass, values, weights = _allocate(ag, inputs, T)
     state = _CumulativeState(g, inputs)
     step = getattr(state, step_name)
+    delivered = schedule.indicators.view(bool)
     for t in range(1, T + 1):
-        step(schedule.delivered(t))
-        state.record(mass, t)
+        step(delivered[t - 1], mass[t])
     return ConsensusTrace(ag, inputs, values, weights)
 
 

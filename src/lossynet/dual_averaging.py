@@ -76,15 +76,17 @@ class StepSizeSchedule:
         return float(self.constant) * (1.0 + float(inv_roots.sum()))
 
 
-def proximal_projection(z, alpha: float, feasible: Box | Ball) -> np.ndarray:
+def proximal_projection(z, alpha: float, feasible: Box | Ball, out=None) -> np.ndarray:
     """argmin over the feasible set of <z, x> + (1/alpha) * (1/2)||x||^2.
 
     For the quadratic proximal function this is the Euclidean projection of
-    -alpha * z.  Accepts a batch of dual vectors in the leading axes.
+    -alpha * z.  Accepts a batch of dual vectors in the leading axes, and
+    writes into ``out`` when given (which may be z itself).
     """
     if not alpha > 0:
         raise ValueError(f"step must be positive, got {alpha}")
-    return feasible.project(-alpha * np.asarray(z, dtype=float))
+    y = np.multiply(np.asarray(z, dtype=float), -alpha, out=out)
+    return feasible.project(y, out=y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,17 +181,19 @@ def run_distributed_dual_averaging(
         estimates = np.zeros((T + 1, n, d))
         subgradients = np.zeros((T, n, d))
 
-    x = np.zeros((n, d))
+    # Each step writes where the trace keeps it, with the operations and
+    # operand order of the textbook update, so every entry has the bits an
+    # allocating loop gives: the round fills mass[t]; g = subgradients[t-1]
+    # at estimates[t-1]; z += g on the agent rows of mass[t]; estimates[t]
+    # = z / w, then times -alpha(t-1), then projected onto the feasible set.
+    delivered = schedule.indicators.view(bool)
     for t in range(1, T + 1):
-        state.convergent_round(schedule.delivered(t))
-        grads = problem.subgradients(x)
-        state.mass[:, :d] += grads
-        x = proximal_projection(
-            state.mass[:, :d] / state.mass[:, d:], steps.alpha(t - 1), problem.feasible
-        )
-        subgradients[t - 1] = grads
-        estimates[t] = x
-        state.record(mass, t)
+        state.convergent_round(delivered[t - 1], mass[t])
+        grads = problem.subgradients(estimates[t - 1], out=subgradients[t - 1])
+        z = state.mass[:, :d]
+        z += grads
+        x = np.divide(z, state.mass[:, d:], out=estimates[t])
+        proximal_projection(x, steps.alpha(t - 1), problem.feasible, out=x)
     return OptTrace(problem, ag, steps, estimates, values, weights, subgradients)
 
 

@@ -7,7 +7,9 @@ kinks where 0 is a valid subgradient they return 0, so runs are deterministic.
 Each cost class also has batched kernels over stacked parameters, which
 :class:`OptProblem` uses to evaluate all components of a kind at once.  They
 give the bits of the scalar ``value``/``subgradient`` methods, which stay as
-their reference.
+their reference.  The subgradient kernels run on all n rows at once against
+full-width parameter arrays and write into a caller's array, so the round
+loop gathers and scatters nothing.
 """
 
 from __future__ import annotations
@@ -85,8 +87,13 @@ class Box:
             return float(self.radius_sq)
         return float(0.5 * np.maximum(self.lower**2, self.upper**2).sum())
 
-    def project(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+    def project(self, x, out=None) -> np.ndarray:
+        """The nearest point of the box to each point of x, written into
+        ``out`` when given (which may be x itself).  ``np.maximum`` then
+        ``np.minimum`` give the bits of ``np.clip`` at about 60% of its
+        call cost on an (8, 2) batch."""
+        x = np.asarray(x, dtype=float)
+        return np.minimum(np.maximum(x, self.lower, out=out), self.upper, out=out)
 
     def contains(self, x, tol: float = 1e-12):
         """Whether x lies in the box up to ``tol``: a bool for one point, a
@@ -126,11 +133,13 @@ class Ball:
             return float(self.radius_sq)
         return 0.5 * float(self.radius) ** 2
 
-    def project(self, x) -> np.ndarray:
+    def project(self, x, out=None) -> np.ndarray:
+        """The nearest point of the ball to each point of x, written into
+        ``out`` when given (which may be x itself)."""
         x = np.asarray(x, dtype=float)
         norms = np.linalg.norm(x, axis=-1, keepdims=True)
         scale = np.where(norms > self.radius, self.radius / np.where(norms == 0, 1, norms), 1.0)
-        return x * scale
+        return np.multiply(x, scale, out=out)
 
     def contains(self, x, tol: float = 1e-12):
         """Whether x lies in the ball up to ``tol``: a bool for one point, a
@@ -181,9 +190,10 @@ class LinearCost:
         return (params[:, None, None, :] @ points[None, :, :, None])[..., 0, 0]
 
     @staticmethod
-    def _subgradients(params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(j, d) subgradients, row i at point x[i]."""
-        return params.copy()
+    def _subgradients(params: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(j, d) subgradients written into ``out``, row i at point x[i]."""
+        np.copyto(out, params)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,8 +227,8 @@ class AbsDistanceCost:
         return np.abs(points[None, :, :] - params[:, None, :]).sum(axis=2)
 
     @staticmethod
-    def _subgradients(params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.sign(x - params)
+    def _subgradients(params: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.sign(np.subtract(x, params, out=out), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,10 +265,13 @@ class L2DistanceCost:
         return _row_norms(points[None, :, :] - params[:, None, :])
 
     @staticmethod
-    def _subgradients(params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _subgradients(params: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         diff = x - params
         norms = _row_norms(diff)[:, None]
-        return np.divide(diff, norms, out=np.zeros_like(diff), where=norms != 0.0)
+        # Rows whose norm is 0 (x == a, or an offset whose square underflows)
+        # keep the scalar oracle's +0.
+        out.fill(0.0)
+        return np.divide(diff, norms, out=out, where=norms != 0.0)
 
 
 _COST_KINDS = (LinearCost, AbsDistanceCost, L2DistanceCost)
@@ -294,15 +307,22 @@ class OptProblem:
                     f"component dimension {c.dim} != feasible-set dimension {d}"
                 )
         object.__setattr__(self, "components", components)
-        # The components stacked by kind: (kind, component indices, (j, d)
-        # parameters), for the batched kernels.
-        groups = []
+        # The components stacked by kind, for the batched kernels: (kind,
+        # component indices, (j, d) parameters) for objective_at, and (kind,
+        # (n, d) parameters holding the kind's rows and zeros elsewhere, (n, 1)
+        # row mask) for subgradients, which evaluates every kind on all rows.
+        groups, wide = [], []
         for kind in _COST_KINDS:
-            idx = [i for i, c in enumerate(components) if type(c) is kind]
-            if idx:
+            rows = np.array([[type(c) is kind] for c in components])
+            if rows.any():
+                idx = np.flatnonzero(rows)
                 params = np.array([getattr(components[i], kind._PARAM) for i in idx])
-                groups.append((kind, np.array(idx), params))
+                full = np.zeros((len(components), d))
+                full[idx] = params
+                groups.append((kind, idx, params))
+                wide.append((kind, full, rows))
         object.__setattr__(self, "_groups", tuple(groups))
+        object.__setattr__(self, "_wide", tuple(wide))
         if self.optimum is not None:
             object.__setattr__(
                 self, "optimum", np.atleast_1d(np.asarray(self.optimum, dtype=float))
@@ -343,12 +363,22 @@ class OptProblem:
             out[start : start + block.shape[0]] = self._mean(values)
         return out
 
-    def subgradients(self, x) -> np.ndarray:
-        """Row i: a subgradient of component i at x[i], for x of shape (n, d)."""
+    def subgradients(self, x, out=None) -> np.ndarray:
+        """Row i: a subgradient of component i at x[i], for x of shape (n, d),
+        written into ``out`` (n, d) when given, which must not overlap x.
+
+        The first kind's kernel fills every row of ``out``; each further kind
+        runs on all rows into a temporary and copies in its own rows.  A row
+        is thus also run through the other kinds' formulas: their results are
+        discarded, but a floating-point warning they raise is not.
+        """
         x = np.asarray(x, dtype=float)
-        out = np.empty((self.n_components, self.dim))
-        for kind, idx, params in self._groups:
-            out[idx] = kind._subgradients(params, x[idx])
+        if out is None:
+            out = np.empty((self.n_components, self.dim))
+        (kind, params, _), *rest = self._wide
+        kind._subgradients(params, x, out)
+        for kind, params, rows in rest:
+            np.copyto(out, kind._subgradients(params, x, np.empty_like(out)), where=rows)
         return out
 
     def objective(self, x) -> float:

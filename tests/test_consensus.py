@@ -197,25 +197,124 @@ def test_mass_is_preserved_every_iteration(seed, n, B, convergent):
     assert np.abs(weight_totals - n).max() <= 1e-9 * n
 
 
+# Each round and the power of D = out-degree + 1 that bounds the share of
+# its weight an agent keeps: the robust round divides once, the convergent
+# round twice.
+ROUND_KEEPS = (("robust_round", 1), ("convergent_round", 2))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cumulative_state_invariants(seed):
-    """Broadcast totals never decrease, delivered totals never exceed them,
-    and each real weight keeps at least its doubly-shared part."""
-    rng = np.random.default_rng(seed)
-    g = random_strongly_connected(int(rng.integers(2, 5)), rng)
-    schedule = bernoulli_b_bounded(g, 0.6, 3, 30, seed=seed)
-    state = _CumulativeState(g, rng.uniform(0, 1, size=(g.n, 1)))
-    D = (g.out_degrees + 1).astype(float)
-    prev_sent = state.sent[:, -1].copy()
-    for t in range(1, 31):
-        prev_w = state.mass[:, -1].copy()
-        state.convergent_round(schedule.delivered(t))
-        sent_w = state.sent[:, -1]
-        assert np.all(sent_w >= prev_sent - 1e-15)
-        assert np.all(state.delivered[:, -1] <= sent_w[state.src] + 1e-15)
-        assert np.all(state.mass[:, -1] >= prev_w / D**2 - 1e-15)
-        prev_sent = sent_w.copy()
+    """On a standalone state (no history row): broadcast totals never
+    decrease, delivered totals never exceed them, and each real weight keeps
+    at least 1/D of itself in a robust round and 1/D**2 in a convergent one."""
+    for round_name, power in ROUND_KEEPS:
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected(int(rng.integers(2, 5)), rng)
+        schedule = bernoulli_b_bounded(g, 0.6, 3, 30, seed=seed)
+        state = _CumulativeState(g, rng.uniform(0, 1, size=(g.n, 1)))
+        D = (g.out_degrees + 1).astype(float)
+        prev_sent = state.sent[:, -1].copy()
+        for t in range(1, 31):
+            prev_w = state.mass[:, -1].copy()
+            getattr(state, round_name)(schedule.delivered(t))
+            sent_w = state.sent[:, -1]
+            assert np.all(sent_w >= prev_sent - 1e-15)
+            assert np.all(state.delivered[:, -1] <= sent_w[state.src] + 1e-15)
+            assert np.all(state.mass[:, -1] >= prev_w / D**power - 1e-15)
+            prev_sent = sent_w.copy()
+
+
+class _AllocatingState:
+    """The cumulative round as it was written before it ran in place: fresh
+    arrays every round and a separate copy into the history.  Kept as the
+    bit-level oracle of the in-place round."""
+
+    def __init__(self, g, inputs):
+        n, d = inputs.shape
+        self.src = g.edge_sources
+        self.dst = g.edge_destinations
+        self.shares = (g.out_degrees + 1).astype(float)[:, None]
+        self.mass = np.hstack([inputs, np.ones((n, 1))])
+        self.sent = np.zeros((n, d + 1))
+        self.delivered = np.zeros((g.num_edges, d + 1))
+
+    def robust_round(self, delivered):
+        mass = self.mass / self.shares
+        sent = self.sent + mass
+        arrived = np.where(delivered[:, None], sent[self.src], self.delivered)
+        np.add.at(mass, self.dst, arrived - self.delivered)
+        self.mass, self.sent, self.delivered = mass, sent, arrived
+
+    def convergent_round(self, delivered):
+        self.robust_round(delivered)
+        self.mass = self.mass / self.shares
+        self.sent = self.sent + self.mass
+
+    def record(self, mass, t):
+        n = len(self.mass)
+        mass[t, :n] = self.mass
+        mass[t, n:] = self.sent[self.src] - self.delivered
+
+
+def oracle_cumulative_mass(g, inputs, schedule, T, round_name):
+    """The (T+1, m, d+1) mass history of the allocating round."""
+    n, d = inputs.shape
+    mass = np.zeros((T + 1, n + g.num_edges, d + 1))
+    mass[0, :n, :d] = inputs
+    mass[0, :n, d] = 1.0
+    state = _AllocatingState(g, inputs)
+    for t in range(1, T + 1):
+        getattr(state, round_name)(schedule.delivered(t))
+        state.record(mass, t)
+    return mass
+
+
+def assert_same_bits(trace, mass):
+    """The trace's values and weights hold the oracle history bit for bit
+    (signed zeros and NaN payloads included)."""
+    d = trace.dim
+    assert trace.values.tobytes() == np.ascontiguousarray(mass[..., :d]).tobytes()
+    assert trace.weights.tobytes() == np.ascontiguousarray(mass[..., d]).tobytes()
+
+
+RUNNERS = (
+    (run_robust_push_sum, "robust_round"),
+    (run_convergent_robust_push_sum, "convergent_round"),
+)
+
+
+class TestInPlaceRoundMatchesAllocatingRound:
+    @pytest.mark.parametrize("run, round_name", RUNNERS)
+    @pytest.mark.parametrize("seed", [1, 5, 2027])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bernoulli_runs(self, run, round_name, seed, d):
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected(int(rng.integers(2, 7)), rng)
+        schedule = bernoulli_b_bounded(g, 0.6, 3, 80, seed=seed)
+        y = rng.uniform(-3.0, 3.0, size=(g.n, d))
+        expected = oracle_cumulative_mass(g, y, schedule, 80, round_name)
+        assert_same_bits(run(g, y, schedule, 80), expected)
+
+    @pytest.mark.parametrize("run, round_name", RUNNERS)
+    def test_signed_zeros_and_non_finite_totals(self, asym3, lossy6, run, round_name):
+        # Both in-links of agent 1 drop at t = 1, so its -0.0 share turns
+        # +0.0 only through the dropped links' delivered - delivered; an
+        # infinite input makes inf - inf on dropped links and NaN buffers.
+        signed = [[-0.0, 1.0], [2.0, -0.0], [-0.0, -0.0]]
+        infinite = [[np.inf, 1.0], [0.5, -np.inf], [1.0, 2.0]]
+        for y in map(np.array, (signed, infinite)):
+            with np.errstate(invalid="ignore"):
+                trace = run(asym3, y, lossy6, 6)
+                expected = oracle_cumulative_mass(asym3, y, lossy6, 6, round_name)
+            assert_same_bits(trace, expected)
+
+    def test_single_agent(self):
+        g, y = build_graph(1, []), np.array([[2.0, -0.0]])
+        schedule = all_reliable(g, 4)
+        trace = run_convergent_robust_push_sum(g, y, schedule, 4)
+        assert_same_bits(trace, oracle_cumulative_mass(g, y, schedule, 4, "convergent_round"))
 
 
 class TestTraceApi:

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -36,6 +38,8 @@ from lossynet import (
     running_average,
     solve_reference,
 )
+from lossynet import consensus, dual_averaging, problems
+from lossynet.consensus import _CumulativeState
 
 single = build_graph(1, [])
 unit_box = Box([0.0], [1.0])
@@ -255,6 +259,152 @@ class TestDistributed:
             running_average(trace, 4, 5)
         with pytest.raises(IterationOutOfRangeError):
             running_average(trace, 1, 0)
+
+
+def interleaved_problem(d, feasible):
+    """Kinds out of order, [L2, Linear, Abs, L2, Abs, Linear], with the first
+    L2 and Abs anchors at the origin, where every agent starts: the first
+    round evaluates both exactly at their kink."""
+    rng = np.random.default_rng(d)
+
+    def anchor():
+        return rng.uniform(-0.8, 0.8, d)
+
+    components = (
+        L2DistanceCost(np.zeros(d)),
+        LinearCost(anchor()),
+        AbsDistanceCost(np.zeros(d)),
+        L2DistanceCost(anchor()),
+        AbsDistanceCost(anchor()),
+        LinearCost(anchor()),
+    )
+    return OptProblem(components, feasible)
+
+
+FEASIBLE_SETS = {"box": lambda d: Box(-np.ones(d), np.ones(d)), "ball": lambda d: Ball(1.0, d)}
+
+
+def interleaved_run(set_name, d, T=80):
+    g = random_strongly_connected(6, np.random.default_rng(3))
+    problem = interleaved_problem(d, FEASIBLE_SETS[set_name](d))
+    schedule = bernoulli_b_bounded(g, 0.5, 3, T, seed=3)
+    steps = StepSizeSchedule(0.8)
+    trace = run_distributed_dual_averaging(g, problem, schedule, steps, T)
+    return g, problem, schedule, steps, trace
+
+
+def oracle_dual_averaging(g, problem, schedule, steps, T):
+    """The allocating loop: scalar subgradients, fresh arrays every round
+    copied into the history afterwards, and ``np.clip`` for a box.  It drives
+    a standalone cumulative round, whose in-place runs test_consensus checks
+    bit for bit against the allocating round."""
+    n, d = g.n, problem.dim
+    fs = problem.feasible
+    state = _CumulativeState(g, np.zeros((n, d)))
+    mass = np.zeros((T + 1, n + g.num_edges, d + 1))
+    mass[0, :n, d] = 1.0
+    estimates = np.zeros((T + 1, n, d))
+    subgradients = np.zeros((T, n, d))
+    x = np.zeros((n, d))
+    for t in range(1, T + 1):
+        state.convergent_round(schedule.delivered(t))
+        grads = np.stack([c.subgradient(x[i]) for i, c in enumerate(problem.components)])
+        state.mass[:, :d] += grads
+        y = -steps.alpha(t - 1) * (state.mass[:, :d] / state.mass[:, d:])
+        x = np.clip(y, fs.lower, fs.upper) if isinstance(fs, Box) else fs.project(y)
+        mass[t, :n] = state.mass
+        mass[t, n:] = state.sent[state.src] - state.delivered
+        subgradients[t - 1] = grads
+        estimates[t] = x
+    return mass, estimates, subgradients
+
+
+class TestInPlaceLoop:
+    @pytest.mark.parametrize("set_name", sorted(FEASIBLE_SETS))
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_recorded_subgradients_are_the_scalar_ones(self, set_name, d):
+        _, problem, _, _, trace = interleaved_run(set_name, d)
+        for t in range(1, trace.horizon + 1):
+            for i, c in enumerate(problem.components):
+                expected = c.subgradient(trace.estimates[t - 1, i])
+                assert trace.subgradients[t - 1, i].tobytes() == expected.tobytes()
+        # Round 1 sits on the origin anchors: the kink subgradient +0.
+        for i in (0, 2):
+            assert trace.estimates[0, i].tolist() == [0.0] * d
+            g = trace.subgradients[0, i]
+            assert g.tolist() == [0.0] * d and not np.signbit(g).any()
+
+    @pytest.mark.parametrize("set_name", sorted(FEASIBLE_SETS))
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_the_allocating_loop(self, set_name, d):
+        g, problem, schedule, steps, trace = interleaved_run(set_name, d)
+        T = trace.horizon
+        mass, estimates, subgradients = oracle_dual_averaging(g, problem, schedule, steps, T)
+        assert trace.values.tobytes() == np.ascontiguousarray(mass[..., :d]).tobytes()
+        assert trace.weights.tobytes() == np.ascontiguousarray(mass[..., d]).tobytes()
+        assert trace.estimates.tobytes() == estimates.tobytes()
+        assert trace.subgradients.tobytes() == subgradients.tobytes()
+
+
+class TestRunIsolation:
+    """Runs on one graph, schedule and problem, back to back with different
+    inputs and step constants, share no array and leave nothing behind."""
+
+    def test_back_to_back_runs(self, monkeypatch):
+        buffers = []
+
+        class TrackedState(_CumulativeState):
+            def __init__(self, g, inputs):
+                super().__init__(g, inputs)
+                buffers.append(weakref.ref(self))
+                for name in ("sent", "delivered", "_offered", "_increments", "_flat_dst"):
+                    buffers.append(weakref.ref(getattr(self, name)))
+
+        monkeypatch.setattr(consensus, "_CumulativeState", TrackedState)
+        monkeypatch.setattr(dual_averaging, "_CumulativeState", TrackedState)
+        g = random_strongly_connected(6, np.random.default_rng(8))
+        problem = interleaved_problem(2, Box(-np.ones(2), np.ones(2)))
+        params = [(c.c if isinstance(c, LinearCost) else c.a).copy() for c in problem.components]
+        schedule = bernoulli_b_bounded(g, 0.5, 3, 50, seed=8)
+        y1 = np.random.default_rng(1).uniform(-2.0, 2.0, (6, 2))
+        y2 = np.random.default_rng(2).uniform(-2.0, 2.0, (6, 2))
+        kept = (y1.copy(), y2.copy())
+
+        def runs(y, constant):
+            return [
+                consensus.run_robust_push_sum(g, y, schedule, 50),
+                consensus.run_convergent_robust_push_sum(g, y, schedule, 50),
+                dual_averaging.run_distributed_dual_averaging(
+                    g, problem, schedule, StepSizeSchedule(constant), 50
+                ),
+            ]
+
+        def arrays(trace):
+            names = ("values", "weights", "estimates", "subgradients")
+            return [getattr(trace, k) for k in names if hasattr(trace, k)]
+
+        first = runs(y1, 0.7)
+        snapshot = [a.tobytes() for trace in first for a in arrays(trace)]
+        gc.collect()
+        assert len(buffers) == 18 and all(ref() is None for ref in buffers)
+        second = runs(y2, 2.5)
+        gc.collect()
+        assert len(buffers) == 36 and all(ref() is None for ref in buffers)
+        assert [a.tobytes() for trace in first for a in arrays(trace)] == snapshot
+        for a in (a for trace in first for a in arrays(trace)):
+            assert not any(np.shares_memory(a, b) for trace in second for b in arrays(trace))
+        assert y1.tobytes() == kept[0].tobytes() and y2.tobytes() == kept[1].tobytes()
+        for c, p in zip(problem.components, params):
+            assert (c.c if isinstance(c, LinearCost) else c.a).tobytes() == p.tobytes()
+        # The two runs differ, so a shared buffer would have shown.
+        assert not np.array_equal(first[0].values, second[0].values)
+        assert not np.array_equal(first[2].estimates, second[2].estimates)
+
+    @pytest.mark.parametrize("module", [consensus, dual_averaging, problems])
+    def test_no_module_level_buffers_or_caches(self, module):
+        for name, value in vars(module).items():
+            assert not isinstance(value, np.ndarray), name
+            assert not hasattr(value, "cache_info"), name
 
 
 class TestMixingError:

@@ -36,6 +36,19 @@ class TestBox:
         out = box.project(np.array([[-1.0], [0.3], [7.0]]))
         assert out.ravel().tolist() == [0.0, 0.3, 1.0]
 
+    def test_projection_has_the_bits_of_clip(self):
+        # Signed zeros, infinities, NaN and subnormals, on bounds that are
+        # themselves signed zeros, in a batch long enough for SIMD loops.
+        special = [-0.0, 0.0, np.nan, -np.inf, np.inf, -1.0, 1.0, 0.5, -5e-324, 5e-324]
+        box = Box([-0.0, 0.0, -1.0], [0.0, -0.0, 0.5])
+        x = np.random.default_rng(4).choice(special, size=(300, 3))
+        expected = np.clip(x, box.lower, box.upper)
+        assert box.project(x).tobytes() == expected.tobytes()
+        out = np.empty_like(x)
+        assert box.project(x, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert box.project(x, out=x) is x and x.tobytes() == expected.tobytes()
+
     def test_contains_and_violation(self):
         box = Box([0.0, 0.0], [1.0, 1.0])
         assert box.contains([0.0, 1.0])
@@ -75,6 +88,15 @@ class TestBall:
         ball = Ball(1.0, 2)
         out = ball.project(np.array([[3.0, 4.0], [0.0, 0.5]]))
         assert np.allclose(out, [[0.6, 0.8], [0.0, 0.5]])
+
+    def test_projection_into_out(self):
+        ball = Ball(1.5, 3)
+        x = np.random.default_rng(2).uniform(-2.0, 2.0, (50, 3))
+        expected = ball.project(x)
+        out = np.empty_like(x)
+        assert ball.project(x, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert ball.project(x, out=x) is x and x.tobytes() == expected.tobytes()
 
     def test_contains_and_violation(self):
         ball = Ball(2.0, 2)
@@ -188,6 +210,16 @@ def _anchor(c) -> np.ndarray:
     return c.c if isinstance(c, LinearCost) else c.a
 
 
+def _batched_subgradients(p: OptProblem, x: np.ndarray) -> np.ndarray:
+    """p.subgradients(x), after checking that writing into a caller's array
+    (filled with NaN first) gives the same bits there."""
+    result = p.subgradients(x)
+    out = np.full(result.shape, np.nan)
+    assert p.subgradients(x, out=out) is out
+    assert out.tobytes() == result.tobytes()
+    return result
+
+
 class TestBatchedKernels:
     @pytest.mark.parametrize("seed", [1, 5, 2027])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -214,7 +246,7 @@ class TestBatchedKernels:
         rng = np.random.default_rng(seed + 2)
         for _ in range(20):
             x = rng.uniform(-2.0, 2.0, (p.n_components, d))
-            assert np.array_equal(p.subgradients(x), _scalar_subgradients(p, x))
+            assert np.array_equal(_batched_subgradients(p, x), _scalar_subgradients(p, x))
             total = np.zeros(d)
             for c in p.components:
                 total += c.subgradient(x[0])
@@ -225,7 +257,7 @@ class TestBatchedKernels:
         p = _mixed_problem(7, d)
         # Every agent sits on its own anchor.
         x = np.array([_anchor(c) for c in p.components])
-        grads = p.subgradients(x)
+        grads = _batched_subgradients(p, x)
         assert np.array_equal(grads, _scalar_subgradients(p, x))
         for c, g in zip(p.components, grads):
             if isinstance(c, LinearCost):
@@ -237,14 +269,14 @@ class TestBatchedKernels:
             abs_cost = next(c for c in p.components if isinstance(c, AbsDistanceCost))
             q = OptProblem((abs_cost,), p.feasible)
             point = abs_cost.a + np.eye(d)[0]
-            assert q.subgradients(point[None])[0].tolist() == [1.0] + [0.0] * (d - 1)
+            assert _batched_subgradients(q, point[None])[0].tolist() == [1.0] + [0.0] * (d - 1)
 
     def test_tiny_l2_offset_has_the_scalar_zero(self):
         # The squared offset underflows, so the norm is 0 and the scalar
         # oracle returns zeros although x != a.
         p = OptProblem((L2DistanceCost([0.0, 0.0]),), Box([-1.0, -1.0], [1.0, 1.0]))
         x = np.array([[1e-200, 0.0]])
-        assert p.subgradients(x).tolist() == [[0.0, 0.0]]
+        assert _batched_subgradients(p, x).tolist() == [[0.0, 0.0]]
         assert np.array_equal(p.subgradients(x), _scalar_subgradients(p, x))
 
     def test_box_contains_batch_matches_scalar(self):
