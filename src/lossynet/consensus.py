@@ -14,11 +14,15 @@ weight alike, so the protocol state is one mass array whose first d columns
 are the values and whose last column is the weight; a run's history is one
 (T+1, m, d+1) array, and a trace's ``values`` and ``weights`` are its views.
 
-Both cumulative variants, and distributed dual averaging, share one round,
-``_CumulativeState.robust_round``: convergent = robust + re-share.  The
-round works in place on buffers allocated once per run and writes round t's
-agent rows and in-flight buffer rows straight into history row t, so a
-round allocates nothing history-sized and nothing is copied afterwards.
+Both cumulative variants, and distributed dual averaging, iterate one
+run-level driver, the generator ``_CumulativeState.rounds``: convergent =
+robust + re-share.  It binds a run's work arrays, history views and (T, E,
+1) delivery masks once, before the first round, does each round in place,
+writes round t's agent rows and in-flight buffer rows straight into history
+row t and yields t; dual averaging adds its subgradients to those agent rows
+before the next round reads them.  The one array a round allocates is the
+(E, d+1) ``np.where`` result that becomes the delivered totals, so nothing
+history-sized is allocated and nothing is copied afterwards.
 ``run_push_sum`` deliberately keeps its own loop.  With every link
 delivering, the robust round reduces to it exactly, and the test suite uses
 it as the independent reference for that reduction, so routing it through
@@ -136,78 +140,90 @@ class ConsensusTrace(_NodeTrace):
 
 
 class _CumulativeState:
-    """Live network state for the cumulative-total protocols, updated in place.
+    """One run of a cumulative-total protocol: its live network state and
+    the driver of its rounds, bound once before the first round.
 
     Each quantity is one mass array whose first d columns are the value
     vector and whose last column is the weight, so every step of the round
-    moves both at once: ``mass`` (n, d+1) per agent, ``sent`` (n, d+1) the
-    running totals each agent has broadcast, and ``delivered`` (E, d+1) per
-    link the totals that actually arrived.  Buffer contents are
-    reconstructed as sent-minus-delivered rather than stored.
+    moves both at once: ``sent`` (n, d+1) the running totals each agent has
+    broadcast, and ``delivered`` (E, d+1) per link the totals that actually
+    arrived.  Buffer contents are reconstructed as sent-minus-delivered
+    rather than stored.
 
-    A round given a C-contiguous (m, d+1) history row writes into it: the n
-    agent rows become the new ``mass`` and the E link rows receive the
-    in-flight buffer contents.  Without a row (a standalone state) ``mass``
-    is updated in place and no buffer row is written.  ``sent``,
-    ``delivered``, the totals offered on each link and the per-link
-    increments are updated in place in arrays that belong to this state
-    alone, so a round allocates no array data.
+    The run writes into ``history``, a C-contiguous (T+1, m, d+1) mass
+    history whose row 0 holds the start: round t reads the n agent rows of
+    row t-1 and writes round t's agent rows and in-flight buffer rows into
+    row t.  The delivery masks of rounds 1..T are one (T, E, 1) boolean view
+    of the schedule's indicators.  The state's work arrays (the totals
+    offered on each link, the per-link increments, a flat destination index)
+    and the views the rounds use are made here or when the rounds start, and
+    belong to this run alone.
     """
 
-    def __init__(self, g: DirectedGraph, inputs: np.ndarray):
-        n, d = inputs.shape
+    def __init__(self, g: DirectedGraph, schedule: FailureSchedule, history: np.ndarray):
+        d1 = history.shape[2]
         self.src = g.edge_sources
-        self.dst = g.edge_destinations
         # The divisor of each mass entry, full width: a broadcast (n, 1)
         # divisor takes a slower loop for the same quotients.
-        self.shares = np.repeat((g.out_degrees + 1).astype(float)[:, None], d + 1, axis=1)
-        self.mass = np.hstack([inputs, np.ones((n, 1))])
-        self.sent = np.zeros((n, d + 1))
-        self.delivered = np.zeros((g.num_edges, d + 1))
-        self._offered = np.empty((g.num_edges, d + 1))
-        self._increments = np.empty((g.num_edges, d + 1))
+        self.shares = np.repeat((g.out_degrees + 1).astype(float)[:, None], d1, axis=1)
+        self.sent = np.zeros((g.n, d1))
+        self.delivered = np.zeros((g.num_edges, d1))
+        self._offered = np.empty((g.num_edges, d1))
+        self._increments = np.empty((g.num_edges, d1))
         # np.add.at over flat positions takes numpy's 1-d fast path; each
         # entry still receives its links' increments in edge order.
-        self._flat_dst = (self.dst[:, None] * (d + 1) + np.arange(d + 1)).ravel()
+        self._flat_dst = (g.edge_destinations[:, None] * d1 + np.arange(d1)).ravel()
+        self._masks = schedule.indicators[: len(history) - 1].view(bool)[:, :, None]
+        self._history = history
 
-    def robust_round(
-        self, delivered: np.ndarray, row: np.ndarray | None = None, reshare: bool = False
-    ) -> None:
-        """One round under the (E,) boolean delivery mask, into ``row`` if given.
+    def rounds(self, reshare: bool):
+        """Run rounds 1..T, yielding t once history row t is written.
 
-        Each entry takes the arithmetic of arrived = where(delivered, offered,
-        self.delivered): the increment arrived - self.delivered is offered -
-        delivered on a delivering link and delivered - delivered on a dropped
-        one, so non-finite totals propagate as they would through ``where``.
-        ``reshare`` adds the convergent variant's second half-round before
-        the buffer rows are written.
+        Round t divides each agent's mass by its out-degree + 1, adds the
+        shares to ``sent``, offers sent[src] on every link and takes, per
+        link, arrived = where(delivered mask, offered, delivered); each
+        receiver gains arrived - delivered (``np.add.at`` in edge order) and
+        ``delivered`` becomes ``arrived``.  So a dropped link adds
+        delivered - delivered, and non-finite totals propagate as they would
+        through ``where``.  ``reshare`` adds the convergent variant's second
+        half-round before the buffer rows, sent[src] - delivered, are
+        written.  The ``where`` result is the only array a round allocates.
+
+        A caller may change the agent rows of row t while the generator is
+        suspended there: round t+1 reads them (dual averaging adds its
+        subgradients so).
         """
         n = len(self.sent)
-        mass = self.mass if row is None else row[:n]
-        mask = delivered[:, None]
-        offered, increments = self._offered, self._increments
-        np.divide(self.mass, self.shares, out=mass)
-        np.add(self.sent, mass, out=self.sent)
-        # Edge sources are valid indices; mode "clip" writes straight into
-        # ``offered``, where "raise" would go through a temporary.
-        self.sent.take(self.src, 0, offered, "clip")
-        np.subtract(self.delivered, self.delivered, out=increments)
-        np.subtract(offered, self.delivered, out=increments, where=mask)
-        np.add.at(mass.ravel(), self._flat_dst, increments.ravel())
-        np.copyto(self.delivered, offered, where=mask)
-        if reshare:
-            np.divide(mass, self.shares, out=mass)
-            np.add(self.sent, mass, out=self.sent)
-        self.mass = mass
-        if row is not None:
+        shares, sent, offered, increments = self.shares, self.sent, self._offered, self._increments
+        take, src, flat_dst = sent.take, self.src, self._flat_dst
+        flat_increments = increments.reshape(-1)
+        # Local names: a round pays no module or attribute lookup for them.
+        add_at, divide, add, subtract, where = np.add.at, np.divide, np.add, np.subtract, np.where
+        agents = self._history[:, :n]
+        flat_agents = agents.reshape(len(agents), -1)
+        # Row t's views, made by iterating the arrays: cheaper than indexing.
+        rows = zip(self._masks, agents[1:], flat_agents[1:], self._history[1:, n:])
+        delivered = self.delivered
+        mass = agents[0]
+        for t, (mask, new, flat_new, buffers) in enumerate(rows, 1):
+            divide(mass, shares, new)
+            add(sent, new, sent)
+            # Edge sources are valid indices; mode "clip" writes straight
+            # into ``offered``, where "raise" would go through a temporary.
+            take(src, 0, offered, "clip")
+            arrived = where(mask, offered, delivered)
+            subtract(arrived, delivered, increments)
+            add_at(flat_new, flat_dst, flat_increments)
+            self.delivered = delivered = arrived
             if reshare:
-                self.sent.take(self.src, 0, offered, "clip")
-            np.subtract(offered, self.delivered, out=row[n:])
-
-    def convergent_round(self, delivered: np.ndarray, row: np.ndarray | None = None) -> None:
-        # Second half of the round: broadcast a share of the fresh aggregate
-        # as well, so buffers never sit on stale mass.
-        self.robust_round(delivered, row, reshare=True)
+                # Second half of the round: broadcast a share of the fresh
+                # aggregate as well, so buffers never sit on stale mass.
+                divide(new, shares, new)
+                add(sent, new, sent)
+                take(src, 0, offered, "clip")
+            subtract(offered, delivered, buffers)
+            mass = new
+            yield t
 
 
 def _check_schedule(g: DirectedGraph, schedule: FailureSchedule, T: int) -> None:
@@ -265,18 +281,15 @@ def run_push_sum(g: DirectedGraph, y, T: int) -> ConsensusTrace:
     return ConsensusTrace(ag, inputs, values, weights)
 
 
-def _run_cumulative(g, y, schedule, T, step_name) -> ConsensusTrace:
+def _run_cumulative(g, y, schedule, T, reshare) -> ConsensusTrace:
     inputs = _input_matrix(y, g.n)
     if T < 0:
         raise ValueError(f"horizon must be >= 0, got {T}")
     _check_schedule(g, schedule, T)
     ag = augment(g)
     mass, values, weights = _allocate(ag, inputs, T)
-    state = _CumulativeState(g, inputs)
-    step = getattr(state, step_name)
-    delivered = schedule.indicators.view(bool)
-    for t in range(1, T + 1):
-        step(delivered[t - 1], mass[t])
+    for _ in _CumulativeState(g, schedule, mass).rounds(reshare):
+        pass
     return ConsensusTrace(ag, inputs, values, weights)
 
 
@@ -291,7 +304,7 @@ def run_robust_push_sum(
     preserved every round, but buffer mass can stay large between deliveries,
     so no worst-case rate certificate applies to this variant.
     """
-    return _run_cumulative(g, y, schedule, T, "robust_round")
+    return _run_cumulative(g, y, schedule, T, reshare=False)
 
 
 def run_convergent_robust_push_sum(
@@ -304,7 +317,7 @@ def run_convergent_robust_push_sum(
     B iterations, the worst agent ratio error after t rounds is bounded by
     :func:`consensus_rate_bound`.
     """
-    return _run_cumulative(g, y, schedule, T, "convergent_round")
+    return _run_cumulative(g, y, schedule, T, reshare=True)
 
 
 def contraction_constants(g: DirectedGraph, B: int) -> tuple[float, float, int]:

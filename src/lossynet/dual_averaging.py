@@ -174,26 +174,38 @@ def run_distributed_dual_averaging(
     _check_schedule(g, schedule, T)
     n, d = g.n, problem.dim
     ag = augment(g)
-    duals = np.zeros((n, d))
-    state = _CumulativeState(g, duals)
-    mass, values, weights = _allocate(ag, duals, T)
+    mass, values, weights = _allocate(ag, np.zeros((n, d)), T)
     with _horizon_fits(T):
         estimates = np.zeros((T + 1, n, d))
         subgradients = np.zeros((T, n, d))
 
+    # Everything a round uses is bound here, once per run: the round
+    # driver, the subgradient kernel with its scratch and the projection
+    # with its bounds.
     # Each step writes where the trace keeps it, with the operations and
     # operand order of the textbook update, so every entry has the bits an
     # allocating loop gives: the round fills mass[t]; g = subgradients[t-1]
     # at estimates[t-1]; z += g on the agent rows of mass[t]; estimates[t]
     # = z / w, then times -alpha(t-1), then projected onto the feasible set.
-    delivered = schedule.indicators.view(bool)
-    for t in range(1, T + 1):
-        state.convergent_round(delivered[t - 1], mass[t])
-        grads = problem.subgradients(estimates[t - 1], out=subgradients[t - 1])
-        z = state.mass[:, :d]
-        z += grads
-        x = np.divide(z, state.mass[:, d:], out=estimates[t])
-        proximal_projection(x, steps.alpha(t - 1), problem.feasible, out=x)
+    rounds = _CumulativeState(g, schedule, mass).rounds(reshare=True)
+    kernel = problem._subgradient_kernel()
+    project = problem.feasible._projector((n, d))
+    alpha = steps.alpha
+    add, divide, multiply = np.add, np.divide, np.multiply
+    # Round t's views, made by iterating the arrays alongside the rounds:
+    # estimates[t-1], subgradients[t-1], then z, w and estimates[t].
+    steps_views = zip(
+        rounds, estimates, subgradients, mass[1:, :n, :d], mass[1:, :n, d:], estimates[1:]
+    )
+    # A squared norm that overflows is rescaled by the kernel; numpy's
+    # overflow warning for it is silenced here rather than once per round,
+    # so any other overflow in the loop shows only as a non-finite value,
+    # which the certificates fail on.
+    with np.errstate(over="ignore"):
+        for t, previous, grads, z, w, x in steps_views:
+            add(z, kernel(previous, grads), z)
+            divide(z, w, x)
+            project(multiply(x, -alpha(t - 1), x), x)
     return OptTrace(problem, ag, steps, estimates, values, weights, subgradients)
 
 

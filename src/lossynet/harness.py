@@ -448,18 +448,15 @@ def _stream_psi(emit, product: np.ndarray) -> None:
     significant digits."""
     m = product.shape[0]
     emit("row,col,value\n")
-    # One format per call with the column ids filled in; the cells are the
-    # row id and the entry's text, in turn.
-    fmt = "".join([f"%d,{j + 1},%s\n" for j in range(m)])
+    # One template for every row with the column ids filled in: each row
+    # puts its id in once with ``str.replace``, then ``%`` fills in the
+    # row's entry texts.
+    template = "".join([f"\0,{j + 1},%s\n" for j in range(m)])
     block = max(1, _BLOCK_CELLS // m)
-    cells = np.empty((block, m, 2), dtype=object)
     for start in range(0, m, block):
-        stop = min(start + block, m)
-        c = cells[: stop - start]
-        c[:, :, 0] = np.arange(start + 1, stop + 1)[:, None]
-        c[:, :, 1] = _g17(product[start:stop])
-        for row in c.reshape(stop - start, -1).tolist():
-            emit(fmt % tuple(row))
+        texts = _g17(product[start : start + block]).tolist()
+        for i, row in enumerate(texts, start + 1):
+            emit(template.replace("\0", str(i)) % tuple(row))
 
 
 def _jsonable(obj):

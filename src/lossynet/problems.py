@@ -7,19 +7,25 @@ kinks where 0 is a valid subgradient they return 0, so runs are deterministic.
 Each cost class also has batched kernels over stacked parameters, which
 :class:`OptProblem` uses to evaluate all components of a kind at once.  They
 give the bits of the scalar ``value``/``subgradient`` methods, which stay as
-their reference.  The subgradient kernels run on all n rows at once against
-full-width parameter arrays and write into a caller's array, so the round
-loop gathers and scatters nothing.
+their reference.  A run's subgradient kernel (``OptProblem._subgradient_kernel``)
+is made once, before the first round, with scratch of its own: it runs each
+kind on all n rows at once against full-width parameter arrays and writes
+into a caller's array, so a round gathers, scatters and allocates nothing in
+it.  Likewise a feasible set's ``_projector`` binds one run's projection, the
+box with its bounds broadcast to the batch shape.  A finite offset or point
+whose squared norm overflows gets the norm rescaled by its largest |entry|,
+as the certificates' norms do, in the scalar and batched paths alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
+from .consensus import _rescue_norms
 from .errors import ConfigError, DimensionMismatchError, DimensionTooLargeError
 
 __all__ = [
@@ -50,6 +56,25 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     ``(x * x).sum(-1)`` and ``np.linalg.norm(x, axis=-1)`` do not.
     """
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _shrink(radius: float, x, out) -> np.ndarray:
+    """x scaled into the ball of ``radius`` into ``out``, each point by
+    radius / its norm where that norm exceeds the radius.  A norm whose
+    square overflowed is rescued after one cheap check (as in
+    ``L2DistanceCost._kernel``); callers silence numpy's overflow warning."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    if not sum(norms.ravel().tolist()) < math.inf:
+        norms = _rescue_norms(x, norms[..., 0])[..., None]
+    scale = np.where(norms > radius, radius / np.where(norms == 0, 1, norms), 1.0)
+    return np.multiply(x, scale, out=out)
+
+
+def _clip(lower, upper, x, out) -> np.ndarray:
+    """x clipped to [lower, upper] into ``out``: ``np.maximum`` then
+    ``np.minimum`` give the bits of ``np.clip`` at about 60% of its call
+    cost on an (8, 2) batch."""
+    return np.minimum(np.maximum(x, lower, out=out), upper, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,11 +114,14 @@ class Box:
 
     def project(self, x, out=None) -> np.ndarray:
         """The nearest point of the box to each point of x, written into
-        ``out`` when given (which may be x itself).  ``np.maximum`` then
-        ``np.minimum`` give the bits of ``np.clip`` at about 60% of its
-        call cost on an (8, 2) batch."""
-        x = np.asarray(x, dtype=float)
-        return np.minimum(np.maximum(x, self.lower, out=out), self.upper, out=out)
+        ``out`` when given (which may be x itself)."""
+        return _clip(self.lower, self.upper, np.asarray(x, dtype=float), out)
+
+    def _projector(self, shape):
+        """``project(x, out)`` for one run's float batches of ``shape``,
+        with the bounds broadcast to that shape once: a ufunc call with
+        equal-shape operands costs less than half of one that broadcasts."""
+        return partial(_clip, *(np.broadcast_to(b, shape).copy() for b in (self.lower, self.upper)))
 
     def contains(self, x, tol: float = 1e-12):
         """Whether x lies in the box up to ``tol``: a bool for one point, a
@@ -135,11 +163,15 @@ class Ball:
 
     def project(self, x, out=None) -> np.ndarray:
         """The nearest point of the ball to each point of x, written into
-        ``out`` when given (which may be x itself)."""
-        x = np.asarray(x, dtype=float)
-        norms = np.linalg.norm(x, axis=-1, keepdims=True)
-        scale = np.where(norms > self.radius, self.radius / np.where(norms == 0, 1, norms), 1.0)
-        return np.multiply(x, scale, out=out)
+        ``out`` when given (which may be x itself).  A finite point whose
+        squared norm overflows is scaled by its rescued norm."""
+        with np.errstate(over="ignore"):
+            return _shrink(self.radius, np.asarray(x, dtype=float), out)
+
+    def _projector(self, shape):
+        """``project(x, out)`` for one run's float batches of ``shape``;
+        callers run it under ``np.errstate(over="ignore")``."""
+        return partial(_shrink, self.radius)
 
     def contains(self, x, tol: float = 1e-12):
         """Whether x lies in the ball up to ``tol``: a bool for one point, a
@@ -181,7 +213,9 @@ class LinearCost:
         return self.c.copy()
 
     # Batched kernels for OptProblem, over the parameters (here c) of j
-    # costs of this kind stacked as (j, d).
+    # costs of this kind stacked as (j, d).  ``_kernel(params)`` makes one
+    # run's subgradient kernel, ``kernel(x, out)``: row i of the (j, d)
+    # ``out`` becomes the subgradient at x[i], and ``out`` is returned.
     _PARAM = "c"
 
     @staticmethod
@@ -190,10 +224,12 @@ class LinearCost:
         return (params[:, None, None, :] @ points[None, :, :, None])[..., 0, 0]
 
     @staticmethod
-    def _subgradients(params: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(j, d) subgradients written into ``out``, row i at point x[i]."""
-        np.copyto(out, params)
-        return out
+    def _kernel(params: np.ndarray):
+        def kernel(x, out):
+            np.copyto(out, params)
+            return out
+
+        return kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +263,11 @@ class AbsDistanceCost:
         return np.abs(points[None, :, :] - params[:, None, :]).sum(axis=2)
 
     @staticmethod
-    def _subgradients(params: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return np.sign(np.subtract(x, params, out=out), out=out)
+    def _kernel(params: np.ndarray):
+        def kernel(x, out):
+            return np.sign(np.subtract(x, params, out), out)
+
+        return kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +292,8 @@ class L2DistanceCost:
 
     def subgradient(self, x) -> np.ndarray:
         diff = np.asarray(x, dtype=float) - self.a
-        norm = np.linalg.norm(diff)
+        with np.errstate(over="ignore"):
+            norm = _rescue_norms(diff, np.linalg.norm(diff))
         if norm == 0.0:
             return np.zeros_like(diff)
         return diff / norm
@@ -265,13 +305,32 @@ class L2DistanceCost:
         return _row_norms(points[None, :, :] - params[:, None, :])
 
     @staticmethod
-    def _subgradients(params: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        diff = x - params
-        norms = _row_norms(diff)[:, None]
-        # Rows whose norm is 0 (x == a, or an offset whose square underflows)
-        # keep the scalar oracle's +0.
-        out.fill(0.0)
-        return np.divide(diff, norms, out=out, where=norms != 0.0)
+    def _kernel(params: np.ndarray):
+        # Scratch of this kernel alone: the offsets, their stacked row and
+        # column views for the norm dot of _row_norms, the norms (also as a
+        # flat view) and the nonzero mask.
+        diff = np.empty(params.shape)
+        rows, cols = diff[:, None, :], diff[:, :, None]
+        squares = np.empty((len(params), 1, 1))
+        norms, flat_norms = squares[:, :, 0], squares.reshape(-1)
+        nonzero = np.empty(norms.shape, dtype=bool)
+
+        def kernel(x, out):
+            np.subtract(x, params, diff)
+            np.sqrt(np.matmul(rows, cols, squares), squares)
+            # One check per call, and the cheapest: the Python sum of the
+            # norms is finite unless a squared norm overflowed, a norm is
+            # NaN or the norms add up beyond the float range.  The rescue
+            # changes only the infinite norms of finite offsets.
+            if not sum(flat_norms.tolist()) < math.inf:
+                flat_norms[:] = _rescue_norms(diff, flat_norms)
+            # Rows whose norm is 0 (x == a, or an offset whose square
+            # underflows) keep the scalar oracle's +0.
+            np.not_equal(norms, 0.0, nonzero)
+            out.fill(0.0)
+            return np.divide(diff, norms, out=out, where=nonzero)
+
+        return kernel
 
 
 _COST_KINDS = (LinearCost, AbsDistanceCost, L2DistanceCost)
@@ -365,21 +424,37 @@ class OptProblem:
 
     def subgradients(self, x, out=None) -> np.ndarray:
         """Row i: a subgradient of component i at x[i], for x of shape (n, d),
-        written into ``out`` (n, d) when given, which must not overlap x.
+        written into ``out`` (n, d) when given, which must not overlap x."""
+        x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty((self.n_components, self.dim))
+        with np.errstate(over="ignore"):
+            return self._subgradient_kernel()(x, out)
+
+    def _subgradient_kernel(self):
+        """One run's ``kernel(x, out)``, the batched ``subgradients`` with
+        its scratch bound once; callers run it under
+        ``np.errstate(over="ignore")``, since a squared norm may overflow
+        before it is rescued.
 
         The first kind's kernel fills every row of ``out``; each further kind
         runs on all rows into a temporary and copies in its own rows.  A row
         is thus also run through the other kinds' formulas: their results are
-        discarded, but a floating-point warning they raise is not.
+        discarded, but a floating-point warning they raise is not.  Nothing
+        is stored on the problem, so runs share no scratch.
         """
-        x = np.asarray(x, dtype=float)
-        if out is None:
-            out = np.empty((self.n_components, self.dim))
         (kind, params, _), *rest = self._wide
-        kind._subgradients(params, x, out)
-        for kind, params, rows in rest:
-            np.copyto(out, kind._subgradients(params, x, np.empty_like(out)), where=rows)
-        return out
+        first = kind._kernel(params)
+        further = tuple((kind._kernel(params), rows) for kind, params, rows in rest)
+        temporary = np.empty((self.n_components, self.dim))
+
+        def kernel(x, out):
+            first(x, out)
+            for kind_kernel, rows in further:
+                np.copyto(out, kind_kernel(x, temporary), where=rows)
+            return out
+
+        return kernel
 
     def objective(self, x) -> float:
         return float(self.objective_at(np.reshape(x, (1, self.dim)))[0])

@@ -27,7 +27,7 @@ from lossynet import (
     run_robust_push_sum,
     scripted_schedule,
 )
-from lossynet.consensus import _CumulativeState
+from lossynet.consensus import _allocate, _CumulativeState
 
 
 def reference_cumulative(g, y, schedule, T, convergent):
@@ -197,33 +197,33 @@ def test_mass_is_preserved_every_iteration(seed, n, B, convergent):
     assert np.abs(weight_totals - n).max() <= 1e-9 * n
 
 
-# Each round and the power of D = out-degree + 1 that bounds the share of
-# its weight an agent keeps: the robust round divides once, the convergent
-# round twice.
-ROUND_KEEPS = (("robust_round", 1), ("convergent_round", 2))
+# Each round (with or without the re-share) and the power of D = out-degree
+# + 1 that bounds the share of its weight an agent keeps: the robust round
+# divides once, the convergent round twice.
+ROUND_KEEPS = ((False, 1), (True, 2))
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cumulative_state_invariants(seed):
-    """On a standalone state (no history row): broadcast totals never
-    decrease, delivered totals never exceed them, and each real weight keeps
-    at least 1/D of itself in a robust round and 1/D**2 in a convergent one."""
-    for round_name, power in ROUND_KEEPS:
+    """Between the rounds of a run: broadcast totals never decrease,
+    delivered totals never exceed them, and each real weight keeps at least
+    1/D of itself in a robust round and 1/D**2 in a convergent one."""
+    for reshare, power in ROUND_KEEPS:
         rng = np.random.default_rng(seed)
         g = random_strongly_connected(int(rng.integers(2, 5)), rng)
         schedule = bernoulli_b_bounded(g, 0.6, 3, 30, seed=seed)
-        state = _CumulativeState(g, rng.uniform(0, 1, size=(g.n, 1)))
+        history, _, weights = _allocate(augment(g), rng.uniform(0, 1, size=(g.n, 1)), 30)
+        state = _CumulativeState(g, schedule, history)
         D = (g.out_degrees + 1).astype(float)
         prev_sent = state.sent[:, -1].copy()
-        for t in range(1, 31):
-            prev_w = state.mass[:, -1].copy()
-            getattr(state, round_name)(schedule.delivered(t))
+        for t in state.rounds(reshare):
             sent_w = state.sent[:, -1]
             assert np.all(sent_w >= prev_sent - 1e-15)
             assert np.all(state.delivered[:, -1] <= sent_w[state.src] + 1e-15)
-            assert np.all(state.mass[:, -1] >= prev_w / D**power - 1e-15)
+            assert np.all(weights[t, : g.n] >= weights[t - 1, : g.n] / D**power - 1e-15)
             prev_sent = sent_w.copy()
+        assert t == 30
 
 
 class _AllocatingState:

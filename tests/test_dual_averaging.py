@@ -31,6 +31,7 @@ from lossynet import (
     certify_optimality_gap,
     mixing_error_bound,
     optimality_gap_bound,
+    periodic_adversarial,
     proximal_projection,
     random_strongly_connected,
     run_centralized_dual_averaging,
@@ -294,34 +295,62 @@ def interleaved_run(set_name, d, T=80):
 
 
 def oracle_dual_averaging(g, problem, schedule, steps, T):
-    """The allocating loop: scalar subgradients, fresh arrays every round
-    copied into the history afterwards, and ``np.clip`` for a box.  It drives
-    a standalone cumulative round, whose in-place runs test_consensus checks
-    bit for bit against the allocating round."""
+    """The allocating loop: the convergent cumulative round on fresh arrays
+    every round (as test_consensus's allocating round), scalar subgradients,
+    ``np.clip`` for a box, and each round's state written into the history
+    afterwards."""
     n, d = g.n, problem.dim
     fs = problem.feasible
-    state = _CumulativeState(g, np.zeros((n, d)))
+    src, dst = g.edge_sources, g.edge_destinations
+    D = (g.out_degrees + 1).astype(float)[:, None]
+    agents = np.hstack([np.zeros((n, d)), np.ones((n, 1))])
+    sent, delivered = np.zeros((n, d + 1)), np.zeros((g.num_edges, d + 1))
     mass = np.zeros((T + 1, n + g.num_edges, d + 1))
-    mass[0, :n, d] = 1.0
+    mass[0, :n] = agents
     estimates = np.zeros((T + 1, n, d))
     subgradients = np.zeros((T, n, d))
     x = np.zeros((n, d))
     for t in range(1, T + 1):
-        state.convergent_round(schedule.delivered(t))
+        share = agents / D
+        sent = sent + share
+        arrived = np.where(schedule.delivered(t)[:, None], sent[src], delivered)
+        np.add.at(share, dst, arrived - delivered)
+        delivered = arrived
+        agents = share / D
+        sent = sent + agents
         grads = np.stack([c.subgradient(x[i]) for i, c in enumerate(problem.components)])
-        state.mass[:, :d] += grads
-        y = -steps.alpha(t - 1) * (state.mass[:, :d] / state.mass[:, d:])
+        agents[:, :d] += grads
+        y = -steps.alpha(t - 1) * (agents[:, :d] / agents[:, d:])
         x = np.clip(y, fs.lower, fs.upper) if isinstance(fs, Box) else fs.project(y)
-        mass[t, :n] = state.mass
-        mass[t, n:] = state.sent[state.src] - state.delivered
+        mass[t, :n] = agents
+        mass[t, n:] = sent[src] - delivered
         subgradients[t - 1] = grads
         estimates[t] = x
     return mass, estimates, subgradients
 
 
+def assert_matches_oracle(g, problem, schedule, steps, T):
+    trace = run_distributed_dual_averaging(g, problem, schedule, steps, T)
+    d = problem.dim
+    mass, estimates, subgradients = oracle_dual_averaging(g, problem, schedule, steps, T)
+    assert trace.values.tobytes() == np.ascontiguousarray(mass[..., :d]).tobytes()
+    assert trace.weights.tobytes() == np.ascontiguousarray(mass[..., d]).tobytes()
+    assert trace.estimates.tobytes() == estimates.tobytes()
+    assert trace.subgradients.tobytes() == subgradients.tobytes()
+    return trace
+
+
+# Problems of one cost kind: the kernel's loop over further kinds is empty.
+SINGLE_KIND = {
+    "linear": lambda rng, n, d: [LinearCost(rng.uniform(-1.0, 1.0, d)) for _ in range(n)],
+    "abs": lambda rng, n, d: [AbsDistanceCost(rng.uniform(-0.8, 0.8, d)) for _ in range(n)],
+    "l2": lambda rng, n, d: [L2DistanceCost(rng.uniform(-0.8, 0.8, d)) for _ in range(n)],
+}
+
+
 class TestInPlaceLoop:
     @pytest.mark.parametrize("set_name", sorted(FEASIBLE_SETS))
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_recorded_subgradients_are_the_scalar_ones(self, set_name, d):
         _, problem, _, _, trace = interleaved_run(set_name, d)
         for t in range(1, trace.horizon + 1):
@@ -335,15 +364,79 @@ class TestInPlaceLoop:
             assert g.tolist() == [0.0] * d and not np.signbit(g).any()
 
     @pytest.mark.parametrize("set_name", sorted(FEASIBLE_SETS))
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_the_allocating_loop(self, set_name, d):
         g, problem, schedule, steps, trace = interleaved_run(set_name, d)
-        T = trace.horizon
-        mass, estimates, subgradients = oracle_dual_averaging(g, problem, schedule, steps, T)
-        assert trace.values.tobytes() == np.ascontiguousarray(mass[..., :d]).tobytes()
-        assert trace.weights.tobytes() == np.ascontiguousarray(mass[..., d]).tobytes()
-        assert trace.estimates.tobytes() == estimates.tobytes()
-        assert trace.subgradients.tobytes() == subgradients.tobytes()
+        assert_matches_oracle(g, problem, schedule, steps, trace.horizon)
+
+    @pytest.mark.parametrize("set_name", sorted(FEASIBLE_SETS))
+    @pytest.mark.parametrize("kind", sorted(SINGLE_KIND))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_single_kind_matches_the_allocating_loop(self, set_name, kind, d):
+        rng = np.random.default_rng(len(kind) + d)
+        g = random_strongly_connected(5, rng)
+        problem = OptProblem(tuple(SINGLE_KIND[kind](rng, g.n, d)), FEASIBLE_SETS[set_name](d))
+        schedule = bernoulli_b_bounded(g, 0.5, 3, 60, seed=d)
+        assert_matches_oracle(g, problem, schedule, StepSizeSchedule(0.9), 60)
+
+    @pytest.mark.parametrize("set_name", sorted(FEASIBLE_SETS))
+    @pytest.mark.parametrize("make_schedule", [all_reliable, periodic_adversarial])
+    def test_all_true_and_all_false_rounds(self, set_name, make_schedule):
+        # all_reliable delivers on every link in every round; the periodic
+        # schedule drops every link in whole rounds between deliveries.
+        g = random_strongly_connected(6, np.random.default_rng(3))
+        problem = interleaved_problem(2, FEASIBLE_SETS[set_name](2))
+        args = (g, 60) if make_schedule is all_reliable else (g, 3, 60)
+        schedule = make_schedule(*args)
+        masks = schedule.indicators.astype(bool)
+        assert masks.all(axis=1).any()
+        if make_schedule is periodic_adversarial:
+            assert (~masks).all(axis=1).any()
+        assert_matches_oracle(g, problem, schedule, StepSizeSchedule(0.8), 60)
+
+    @pytest.mark.parametrize("set_name", ["box", "ball"])
+    def test_overflowing_norms_match_the_allocating_loop(self, set_name):
+        # A wide set and a huge step put the estimates near 1e250, where
+        # the squared L2 offsets overflow: the kernel rescues them, with no
+        # numpy warning, and every agent keeps moving.
+        g = random_strongly_connected(5, np.random.default_rng(4))
+        feasible = Box([-1e300] * 2, [1e300] * 2) if set_name == "box" else Ball(1e300, 2)
+        rng = np.random.default_rng(4)
+        components = tuple(L2DistanceCost(rng.uniform(-1.0, 1.0, 2)) for _ in range(g.n))
+        problem = OptProblem(components[:-1] + (AbsDistanceCost([0.0, 0.0]),), feasible)
+        schedule = bernoulli_b_bounded(g, 0.5, 3, 40, seed=4)
+        trace = assert_matches_oracle(g, problem, schedule, StepSizeSchedule(1e250), 40)
+        assert np.abs(trace.estimates[1:]).max() > 1e154
+        norms = np.linalg.norm(trace.subgradients[1:, :-1], axis=-1)
+        assert np.allclose(norms, 1.0, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("seed", [1, 2027])
+    def test_benchmark_shape(self, seed):
+        # An 8-agent directed ring with |.|_1 and |.|_2 costs alternating,
+        # in the box [-1, 1]^2, under B = 2 drops with p = 0.5.
+        rng = np.random.default_rng(seed)
+        g = build_graph(8, [(i, i % 8 + 1) for i in range(1, 9)])
+        anchors = rng.uniform(-1.0, 1.0, (8, 2))
+        components = tuple(
+            AbsDistanceCost(a) if i % 2 == 0 else L2DistanceCost(a) for i, a in enumerate(anchors)
+        )
+        problem = OptProblem(components, Box([-1.0, -1.0], [1.0, 1.0]))
+        schedule = bernoulli_b_bounded(g, 0.5, 2, 500, seed=seed)
+        assert_matches_oracle(g, problem, schedule, StepSizeSchedule(1.0), 500)
+
+
+def _closure_arrays(fn):
+    """The arrays bound in a kernel's closure cells, through nested kernels
+    and tuples of them."""
+    stack = [c.cell_contents for c in fn.__closure__ or ()]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, tuple):
+            stack.extend(item)
+        elif callable(item) and getattr(item, "__closure__", None):
+            stack.extend(c.cell_contents for c in item.__closure__)
 
 
 class TestRunIsolation:
@@ -351,17 +444,49 @@ class TestRunIsolation:
     inputs and step constants, share no array and leave nothing behind."""
 
     def test_back_to_back_runs(self, monkeypatch):
-        buffers = []
+        # Weak references to what each run binds: the round state with its
+        # work arrays and mask view, the round generator, the subgradient
+        # kernel with its scratch, and the projection with its bounds.
+        tracked = []
+        kinds = []
+
+        def track(kind, *objects):
+            kinds.append(kind)
+            tracked.extend(weakref.ref(o) for o in objects)
 
         class TrackedState(_CumulativeState):
-            def __init__(self, g, inputs):
-                super().__init__(g, inputs)
-                buffers.append(weakref.ref(self))
-                for name in ("sent", "delivered", "_offered", "_increments", "_flat_dst"):
-                    buffers.append(weakref.ref(getattr(self, name)))
+            def __init__(self, g, schedule, history):
+                super().__init__(g, schedule, history)
+                names = ("shares", "sent", "delivered", "_offered", "_increments", "_flat_dst",
+                         "_masks")
+                track("state", self, *(getattr(self, name) for name in names))
+
+            def rounds(self, reshare):
+                rounds = super().rounds(reshare)
+                track("rounds", rounds)
+                return rounds
+
+        make_kernel, make_projector = OptProblem._subgradient_kernel, Box._projector
+
+        def tracked_kernel(problem):
+            kernel = make_kernel(problem)
+            owned = {id(a) for group in problem._wide for a in group[1:]}
+            scratch = [a for a in _closure_arrays(kernel) if id(a) not in owned]
+            assert scratch
+            track("kernel", kernel, *scratch)
+            return kernel
+
+        def tracked_projector(box, shape):
+            project = make_projector(box, shape)
+            bounds = [a for a in project.args if isinstance(a, np.ndarray)]
+            assert len(bounds) == 2 and all(b.shape == shape for b in bounds)
+            track("projector", project, *bounds)
+            return project
 
         monkeypatch.setattr(consensus, "_CumulativeState", TrackedState)
         monkeypatch.setattr(dual_averaging, "_CumulativeState", TrackedState)
+        monkeypatch.setattr(OptProblem, "_subgradient_kernel", tracked_kernel)
+        monkeypatch.setattr(Box, "_projector", tracked_projector)
         g = random_strongly_connected(6, np.random.default_rng(8))
         problem = interleaved_problem(2, Box(-np.ones(2), np.ones(2)))
         params = [(c.c if isinstance(c, LinearCost) else c.a).copy() for c in problem.components]
@@ -383,13 +508,22 @@ class TestRunIsolation:
             names = ("values", "weights", "estimates", "subgradients")
             return [getattr(trace, k) for k in names if hasattr(trace, k)]
 
+        # What a run binds is not stored on the objects it reads.
+        owners = (g, schedule, problem, problem.feasible)
         first = runs(y1, 0.7)
+        attributes = [dict(vars(o)) for o in owners]
         snapshot = [a.tobytes() for trace in first for a in arrays(trace)]
         gc.collect()
-        assert len(buffers) == 18 and all(ref() is None for ref in buffers)
+        count = len(tracked)
+        assert kinds == ["state", "rounds"] * 3 + ["kernel", "projector"]
+        assert all(ref() is None for ref in tracked)
         second = runs(y2, 2.5)
         gc.collect()
-        assert len(buffers) == 36 and all(ref() is None for ref in buffers)
+        assert len(tracked) == 2 * count and all(ref() is None for ref in tracked)
+        for o, before in zip(owners, attributes):
+            after = vars(o)
+            assert after.keys() == before.keys()
+            assert all(after[k] is v for k, v in before.items())
         assert [a.tobytes() for trace in first for a in arrays(trace)] == snapshot
         for a in (a for trace in first for a in arrays(trace)):
             assert not any(np.shares_memory(a, b) for trace in second for b in arrays(trace))

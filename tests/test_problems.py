@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,50 @@ class TestBatchedKernels:
 
         with pytest.raises(TypeError, match="unknown cost component"):
             OptProblem((Custom([1.0]),), unit_interval)
+
+
+# Finite points whose squared norm overflows; the repo's filterwarnings =
+# error turns any numpy warning on them into a failure.
+HUGE = [[1e200, 1e200], [-3e307, 4e307], [1e155, -1e155]]
+HALF_ROOT = math.sqrt(0.5)
+
+
+class TestOverflowingNorms:
+    """A norm whose square overflows is rescaled by the largest |entry|, as
+    the certificates' norms are: the direction is that of the point, not 0."""
+
+    def test_l2_subgradient_is_the_unit_direction(self):
+        cost = L2DistanceCost([0.0, 0.0])
+        assert np.allclose(cost.subgradient([1e200, 1e200]), [HALF_ROOT] * 2, rtol=1e-15, atol=0)
+        assert np.allclose(cost.subgradient([-3e307, 4e307]), [-0.6, 0.8], rtol=1e-15, atol=0)
+        # Finite norms keep their bits.
+        assert cost.subgradient([3.0, 4.0]).tolist() == [0.6, 0.8]
+
+    def test_batched_subgradients_match_the_scalar_oracle(self):
+        components = (L2DistanceCost([0.0, 0.0]), AbsDistanceCost([1.0, -1.0]),
+                      L2DistanceCost([0.5, -0.5]), L2DistanceCost([-0.25, 0.0]),
+                      L2DistanceCost([0.0, 0.0]))
+        p = OptProblem(components, Box([-1.0, -1.0], [1.0, 1.0]))
+        # Overflowing rows between an ordinary row and a NaN row, which stays NaN.
+        x = np.array(HUGE[:2] + [[0.3, 0.2], HUGE[2], [math.nan, 1.0]])
+        grads = _batched_subgradients(p, x)
+        assert grads.tobytes() == _scalar_subgradients(p, x).tobytes()
+        assert np.allclose(grads[0], [HALF_ROOT] * 2, rtol=1e-15, atol=0)
+        assert np.allclose(grads[3], [HALF_ROOT, -HALF_ROOT], rtol=1e-15, atol=0)
+        assert np.isnan(grads[4]).all()
+
+    def test_ball_projection_lands_on_the_boundary(self):
+        ball = Ball(1.0, 2)
+        assert np.allclose(ball.project([1e200, 1e200]), [HALF_ROOT] * 2, rtol=1e-15, atol=0)
+        x = np.array(HUGE + [[3.0, 4.0], [0.1, 0.2]])
+        projected = ball.project(x)
+        assert np.allclose(np.linalg.norm(projected[:4], axis=1), 1.0, rtol=1e-15, atol=0)
+        # Finite norms keep their bits: the ordinary rows as projected
+        # without any rescue.
+        ordinary = x[3:]
+        norms = np.linalg.norm(ordinary, axis=-1, keepdims=True)
+        expected = ordinary * np.where(norms > 1.0, 1.0 / norms, 1.0)
+        assert projected[3:].tobytes() == expected.tobytes()
 
 
 class TestSolveReference:
