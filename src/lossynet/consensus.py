@@ -371,9 +371,15 @@ def _rescue_norms(x: np.ndarray, norms) -> np.ndarray:
     are finite; where squaring overflowed although x is finite, the norm of
     x over its largest |entry|, scaled back.  Finite norms keep their bits.
     Callers run it under ``np.errstate(over="ignore")``: a norm beyond the
-    float range stays infinite."""
-    norms = np.array(norms, dtype=float)
-    redo = np.isinf(norms) & np.isfinite(x).all(axis=-1)
+    float range stays infinite.  With no infinite norm, ``norms`` comes back
+    as given (as an array) after one pass over it; otherwise the rescued
+    norms are a copy."""
+    norms = np.asarray(norms, dtype=float)
+    infinite = np.isinf(norms)
+    if not infinite.any():
+        return norms
+    norms = norms.copy()
+    redo = infinite & np.isfinite(x).all(axis=-1)
     if redo.any():
         rows = x[redo]
         scale = np.abs(rows).max(axis=-1)

@@ -8,13 +8,18 @@ Each cost class also has batched kernels over stacked parameters, which
 :class:`OptProblem` uses to evaluate all components of a kind at once.  They
 give the bits of the scalar ``value``/``subgradient`` methods, which stay as
 their reference.  A run's subgradient kernel (``OptProblem._subgradient_kernel``)
-is made once, before the first round, with scratch of its own: it runs each
-kind on all n rows at once against full-width parameter arrays and writes
-into a caller's array, so a round gathers, scatters and allocates nothing in
-it.  Likewise a feasible set's ``_projector`` binds one run's projection, the
-box with its bounds broadcast to the batch shape.  A finite offset or point
-whose squared norm overflows gets the norm rescaled by its largest |entry|,
-as the certificates' norms do, in the scalar and batched paths alike.
+is made once, before the first round, with scratch of its own.  A call
+subtracts one offset per row, x[i] minus row i's own parameter, and runs
+each kind on all n rows of it at once, writing into a caller's array, so a
+round gathers, scatters and allocates nothing in it.  The L2 rows divide by
+their norms in one plain call, or, when some row's offset has a zero or
+overflowing norm, in the rescued, masked division that keeps the scalar
+oracle's +0; both give the same bits.  Likewise a feasible set's
+``_projector`` binds one run's projection, the box with its bounds
+broadcast to the batch shape.  A finite offset or point whose squared norm
+overflows gets the norm rescaled by its largest |entry|, as the
+certificates' norms do, in values, subgradients and projections, scalar and
+batched alike.
 """
 
 from __future__ import annotations
@@ -212,10 +217,14 @@ class LinearCost:
     def subgradient(self, x) -> np.ndarray:
         return self.c.copy()
 
-    # Batched kernels for OptProblem, over the parameters (here c) of j
-    # costs of this kind stacked as (j, d).  ``_kernel(params)`` makes one
-    # run's subgradient kernel, ``kernel(x, out)``: row i of the (j, d)
-    # ``out`` becomes the subgradient at x[i], and ``out`` is returned.
+    # Batched kernels for OptProblem.  ``_values`` takes the parameters
+    # (here c) of j costs of this kind stacked as (j, d).  ``_kernel(params,
+    # diff, rows)`` makes one run's subgradient kernel, ``kernel(out)``, over
+    # the (n, d) ``params`` holding each row's own parameter and the (n, d)
+    # offsets ``diff`` = x - params, which the caller fills before each call:
+    # row i of ``out`` becomes the subgradient at x[i] for a cost of this
+    # kind with parameter params[i], and ``out`` is returned.  Only the rows
+    # of this kind, where the (n, 1) mask ``rows`` is true, are kept.
     _PARAM = "c"
 
     @staticmethod
@@ -224,8 +233,8 @@ class LinearCost:
         return (params[:, None, None, :] @ points[None, :, :, None])[..., 0, 0]
 
     @staticmethod
-    def _kernel(params: np.ndarray):
-        def kernel(x, out):
+    def _kernel(params: np.ndarray, diff: np.ndarray, rows: np.ndarray):
+        def kernel(out):
             np.copyto(out, params)
             return out
 
@@ -263,11 +272,8 @@ class AbsDistanceCost:
         return np.abs(points[None, :, :] - params[:, None, :]).sum(axis=2)
 
     @staticmethod
-    def _kernel(params: np.ndarray):
-        def kernel(x, out):
-            return np.sign(np.subtract(x, params, out), out)
-
-        return kernel
+    def _kernel(params: np.ndarray, diff: np.ndarray, rows: np.ndarray):
+        return partial(np.sign, diff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +294,9 @@ class L2DistanceCost:
         return 1.0
 
     def value(self, x) -> float:
-        return float(np.linalg.norm(np.asarray(x, dtype=float) - self.a))
+        diff = np.asarray(x, dtype=float) - self.a
+        with np.errstate(over="ignore"):
+            return float(_rescue_norms(diff, np.linalg.norm(diff)))
 
     def subgradient(self, x) -> np.ndarray:
         diff = np.asarray(x, dtype=float) - self.a
@@ -302,33 +310,39 @@ class L2DistanceCost:
 
     @staticmethod
     def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return _row_norms(points[None, :, :] - params[:, None, :])
+        diffs = points[None, :, :] - params[:, None, :]
+        with np.errstate(over="ignore"):
+            return _rescue_norms(diffs, _row_norms(diffs))
 
     @staticmethod
-    def _kernel(params: np.ndarray):
-        # Scratch of this kernel alone: the offsets, their stacked row and
-        # column views for the norm dot of _row_norms, the norms (also as a
-        # flat view) and the nonzero mask.
-        diff = np.empty(params.shape)
-        rows, cols = diff[:, None, :], diff[:, :, None]
-        squares = np.empty((len(params), 1, 1))
+    def _kernel(params: np.ndarray, diff: np.ndarray, rows: np.ndarray):
+        # Scratch of this kernel alone: the offsets' stacked row and column
+        # views for the norm dot of _row_norms, the norms (also as a flat
+        # view) and the mask of rows to divide.
+        stacked, cols = diff[:, None, :], diff[:, :, None]
+        squares = np.empty((len(diff), 1, 1))
         norms, flat_norms = squares[:, :, 0], squares.reshape(-1)
-        nonzero = np.empty(norms.shape, dtype=bool)
+        divided = np.empty(norms.shape, dtype=bool)
 
-        def kernel(x, out):
-            np.subtract(x, params, diff)
-            np.sqrt(np.matmul(rows, cols, squares), squares)
-            # One check per call, and the cheapest: the Python sum of the
-            # norms is finite unless a squared norm overflowed, a norm is
-            # NaN or the norms add up beyond the float range.  The rescue
-            # changes only the infinite norms of finite offsets.
-            if not sum(flat_norms.tolist()) < math.inf:
-                flat_norms[:] = _rescue_norms(diff, flat_norms)
+        def kernel(out):
+            np.sqrt(np.matmul(stacked, cols, squares), squares)
+            # One check per call, and the cheapest, on the listed norms:
+            # their Python sum is finite unless a squared norm overflowed, a
+            # norm is NaN or the norms add up beyond the float range.  With
+            # a finite sum and no zero norm, one plain division is the
+            # masked one below on every row.
+            listed = flat_norms.tolist()
+            if sum(listed) < math.inf and 0.0 not in listed:
+                return np.divide(diff, norms, out)
+            # The rescue changes only the infinite norms of finite offsets.
             # Rows whose norm is 0 (x == a, or an offset whose square
-            # underflows) keep the scalar oracle's +0.
-            np.not_equal(norms, 0.0, nonzero)
+            # underflows) keep the scalar oracle's +0.  Rows of other kinds
+            # are skipped: an offset of theirs beyond the float range would
+            # divide inf by inf, and warn, for a result that is discarded.
+            flat_norms[:] = _rescue_norms(diff, flat_norms)
+            np.logical_and(np.not_equal(norms, 0.0, divided), rows, divided)
             out.fill(0.0)
-            return np.divide(diff, norms, out=out, where=nonzero)
+            return np.divide(diff, norms, out=out, where=divided)
 
         return kernel
 
@@ -366,22 +380,22 @@ class OptProblem:
                     f"component dimension {c.dim} != feasible-set dimension {d}"
                 )
         object.__setattr__(self, "components", components)
-        # The components stacked by kind, for the batched kernels: (kind,
-        # component indices, (j, d) parameters) for objective_at, and (kind,
-        # (n, d) parameters holding the kind's rows and zeros elsewhere, (n, 1)
-        # row mask) for subgradients, which evaluates every kind on all rows.
-        groups, wide = [], []
+        # The components stacked for the batched kernels: (kind, component
+        # indices, (j, d) parameters) per kind for objective_at; and for
+        # subgradients, which evaluates every kind on all rows, one (n, d)
+        # array of each row's own parameter and (kind, (n, 1) row mask) per
+        # kind.
+        params = np.array([getattr(c, c._PARAM) for c in components])
+        groups, kinds = [], []
         for kind in _COST_KINDS:
             rows = np.array([[type(c) is kind] for c in components])
             if rows.any():
                 idx = np.flatnonzero(rows)
-                params = np.array([getattr(components[i], kind._PARAM) for i in idx])
-                full = np.zeros((len(components), d))
-                full[idx] = params
-                groups.append((kind, idx, params))
-                wide.append((kind, full, rows))
+                groups.append((kind, idx, params[idx]))
+                kinds.append((kind, rows))
         object.__setattr__(self, "_groups", tuple(groups))
-        object.__setattr__(self, "_wide", tuple(wide))
+        object.__setattr__(self, "_kinds", tuple(kinds))
+        object.__setattr__(self, "_params", params)
         if self.optimum is not None:
             object.__setattr__(
                 self, "optimum", np.atleast_1d(np.asarray(self.optimum, dtype=float))
@@ -437,21 +451,28 @@ class OptProblem:
         ``np.errstate(over="ignore")``, since a squared norm may overflow
         before it is rescued.
 
-        The first kind's kernel fills every row of ``out``; each further kind
-        runs on all rows into a temporary and copies in its own rows.  A row
-        is thus also run through the other kinds' formulas: their results are
-        discarded, but a floating-point warning they raise is not.  Nothing
-        is stored on the problem, so runs share no scratch.
+        A call subtracts the offsets x - params once, each row against its
+        own parameter, and every kind reads them.  The first kind's kernel
+        fills every row of ``out``; each further kind runs on all rows into
+        a temporary and copies in its own rows.  A row is thus also run
+        through the other kinds' formulas, whose results are discarded.  The
+        L2 rows take one plain division when no row's offset has a zero or
+        non-finite norm, and otherwise the rescued, masked division, which
+        skips the rows of other kinds; both give the same bits where both
+        apply.  Nothing is stored on the problem, so runs share no scratch.
         """
-        (kind, params, _), *rest = self._wide
-        first = kind._kernel(params)
-        further = tuple((kind._kernel(params), rows) for kind, params, rows in rest)
-        temporary = np.empty((self.n_components, self.dim))
+        params = self._params
+        diff = np.empty(params.shape)
+        (kind, first_rows), *rest = self._kinds
+        first = kind._kernel(params, diff, first_rows)
+        further = tuple((kind._kernel(params, diff, rows), rows) for kind, rows in rest)
+        temporary = np.empty(params.shape)
 
         def kernel(x, out):
-            first(x, out)
+            np.subtract(x, params, diff)
+            first(out)
             for kind_kernel, rows in further:
-                np.copyto(out, kind_kernel(x, temporary), where=rows)
+                np.copyto(out, kind_kernel(temporary), where=rows)
             return out
 
         return kernel

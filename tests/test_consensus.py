@@ -27,7 +27,7 @@ from lossynet import (
     run_robust_push_sum,
     scripted_schedule,
 )
-from lossynet.consensus import _allocate, _CumulativeState
+from lossynet.consensus import _allocate, _CumulativeState, _rescue_norms
 
 
 def reference_cumulative(g, y, schedule, T, convergent):
@@ -564,3 +564,47 @@ class TestNonFiniteMeasurement:
         trace.weights[4, 0] = -1.0
         with pytest.raises(ZeroWeightError, match="at iteration 3"):
             certify_consensus_bound(trace, 1)
+
+
+class TestRescueNorms:
+    """``_rescue_norms`` returns finite norms as given, rescues the infinite
+    norms of finite rows by their largest |entry|, and never writes into a
+    caller's array."""
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2)])
+    def test_finite_norms_come_back_as_given(self, shape):
+        x = np.random.default_rng(len(shape)).uniform(-2.0, 2.0, shape)
+        x.reshape(-1, 2)[1:2] = 0.0  # a zero norm, where there is a second row
+        norms = np.linalg.norm(x, axis=-1)
+        kept = (x.tobytes(), norms.tobytes())
+        rescued = _rescue_norms(x, norms)
+        assert rescued.shape == norms.shape and rescued.tobytes() == kept[1]
+        assert (x.tobytes(), norms.tobytes()) == kept
+
+    def test_a_python_float_comes_back_as_an_array(self):
+        rescued = _rescue_norms(np.array([3.0, 4.0]), 5.0)
+        assert isinstance(rescued, np.ndarray) and rescued.shape == () and rescued == 5.0
+
+    def test_infinite_norms_of_finite_rows_are_rescued(self):
+        # Squares that overflow, an ordinary row, a zero row, and a row
+        # that is itself infinite, whose norm stays infinite.
+        x = np.array([[1e200, 1e200], [3.0, 4.0], [-3e307, 4e307], [0.0, 0.0], [math.inf, 1.0]])
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(x, axis=-1)
+            kept = (x.tobytes(), norms.tobytes())
+            rescued = _rescue_norms(x, norms)
+        assert (x.tobytes(), norms.tobytes()) == kept
+        assert np.isinf(norms[[0, 2, 4]]).all()
+        assert np.allclose(rescued[[0, 2]], [math.sqrt(2.0) * 1e200, 5e307], rtol=1e-15, atol=0)
+        assert rescued[[1, 3]].tolist() == [5.0, 0.0]
+        assert rescued[4] == math.inf
+
+    def test_rescue_over_stacked_rows(self):
+        # The (j, k) norms of (j, k, d) offsets, as the batched values take
+        # them: each rescued entry equals the rescue of its row alone.
+        x = np.array([[[1e200, -1e200], [0.5, 0.25]], [[2.0, 0.0], [1e155, 1e155]]])
+        with np.errstate(over="ignore"):
+            rescued = _rescue_norms(x, np.linalg.norm(x, axis=-1))
+            rows = [_rescue_norms(row, np.linalg.norm(row)) for row in x.reshape(-1, 2)]
+        assert rescued.ravel().tolist() == [float(r) for r in rows]
+        assert np.isfinite(rescued).all()

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import weakref
 
@@ -412,17 +413,115 @@ class TestInPlaceLoop:
 
     @pytest.mark.parametrize("seed", [1, 2027])
     def test_benchmark_shape(self, seed):
-        # An 8-agent directed ring with |.|_1 and |.|_2 costs alternating,
-        # in the box [-1, 1]^2, under B = 2 drops with p = 0.5.
-        rng = np.random.default_rng(seed)
-        g = build_graph(8, [(i, i % 8 + 1) for i in range(1, 9)])
-        anchors = rng.uniform(-1.0, 1.0, (8, 2))
-        components = tuple(
-            AbsDistanceCost(a) if i % 2 == 0 else L2DistanceCost(a) for i, a in enumerate(anchors)
-        )
-        problem = OptProblem(components, Box([-1.0, -1.0], [1.0, 1.0]))
-        schedule = bernoulli_b_bounded(g, 0.5, 2, 500, seed=seed)
+        g, problem, schedule = benchmark_shape(seed, 500)
         assert_matches_oracle(g, problem, schedule, StepSizeSchedule(1.0), 500)
+
+    @pytest.mark.parametrize("set_name", sorted(FEASIBLE_SETS))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_three_kinds_share_one_offset(self, set_name, d):
+        # [Linear, Abs, L2] twice: the kernel subtracts x - params on the
+        # linear rows too, and the linear kind, first, fills every row.
+        rng = np.random.default_rng(10 + d)
+        g = random_strongly_connected(6, rng)
+        kinds = (LinearCost, AbsDistanceCost, L2DistanceCost) * 2
+        problem = OptProblem(
+            tuple(kind(rng.uniform(-0.8, 0.8, d)) for kind in kinds), FEASIBLE_SETS[set_name](d)
+        )
+        schedule = bernoulli_b_bounded(g, 0.5, 3, 60, seed=d)
+        assert_matches_oracle(g, problem, schedule, StepSizeSchedule(0.9), 60)
+
+    def test_l2_norm_zero_mid_run(self):
+        # Linear costs drive every agent into the corner (1, 1), where the
+        # L2 agent's anchor sits: its offset norm becomes exactly 0 after
+        # round 1, and its subgradient there is the scalar oracle's +0.
+        problem, trace = corner_run(L2DistanceCost([1.0, 1.0]))
+        norms = offset_norms(problem, trace)
+        at_anchor = np.flatnonzero(norms[:, 0] == 0.0)
+        assert at_anchor.size and at_anchor[0] >= 1
+        grads = trace.subgradients[at_anchor, 0]
+        assert (grads == 0.0).all() and not np.signbit(grads).any()
+
+    @pytest.mark.parametrize("offset", ["zero", "overflow"])
+    def test_slow_division_from_a_non_l2_row(self, offset):
+        # Only a non-L2 row has a zero offset (an |.|_1 anchor on the corner
+        # the agents reach) or an overflowing one (a linear cost of 1e300),
+        # so the L2 rows take the rescued, masked division while each of
+        # their own norms is finite and nonzero.
+        special = AbsDistanceCost([1.0, 1.0]) if offset == "zero" else LinearCost([1e300, -1e300])
+        problem, trace = corner_run(special)
+        norms = offset_norms(problem, trace)
+        l2 = [isinstance(c, L2DistanceCost) for c in problem.components]
+        assert (norms[:, l2] > 0.0).all() and np.isfinite(norms[:, l2]).all()
+        slow = ((norms == 0.0) | np.isinf(norms)).any(axis=1)
+        assert slow[1:].any()
+        # The corner is reached mid-run, so that run takes both divisions;
+        # the linear cost of 1e300 overflows in every round.
+        assert slow.all() == (offset == "overflow")
+
+
+def benchmark_shape(seed, T):
+    """An 8-agent directed ring with |.|_1 and |.|_2 costs alternating, in
+    the box [-1, 1]^2, under B = 2 drops with p = 0.5."""
+    rng = np.random.default_rng(seed)
+    g = build_graph(8, [(i, i % 8 + 1) for i in range(1, 9)])
+    anchors = rng.uniform(-1.0, 1.0, (8, 2))
+    components = tuple(
+        AbsDistanceCost(a) if i % 2 == 0 else L2DistanceCost(a) for i, a in enumerate(anchors)
+    )
+    problem = OptProblem(components, Box([-1.0, -1.0], [1.0, 1.0]))
+    return g, problem, bernoulli_b_bounded(g, 0.5, 2, T, seed=seed)
+
+
+def corner_run(first, T=60):
+    """The problem and trace of a run with agent 1's cost ``first``, then
+    linear costs of -(1, 1), which push every estimate into the box corner
+    (1, 1), and L2 costs anchored inside the box; checked against the
+    allocating loop bit for bit."""
+    g = random_strongly_connected(6, np.random.default_rng(5))
+    anchors = np.random.default_rng(5).uniform(-0.8, 0.8, (2, 2))
+    components = (first, LinearCost([-1.0, -1.0]), L2DistanceCost(anchors[0]),
+                  LinearCost([-1.0, -1.0]), L2DistanceCost(anchors[1]), LinearCost([-1.0, -1.0]))
+    problem = OptProblem(components, Box([-1.0, -1.0], [1.0, 1.0]))
+    schedule = bernoulli_b_bounded(g, 0.5, 3, T, seed=5)
+    return problem, assert_matches_oracle(g, problem, schedule, StepSizeSchedule(1.0), T)
+
+
+def offset_norms(problem, trace):
+    """(T, n): the norm of each row's offset x - parameter that round t's
+    kernel divides by, for estimates[t - 1]."""
+    params = np.array([c.c if isinstance(c, LinearCost) else c.a for c in problem.components])
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(trace.estimates[:-1] - params, axis=-1)
+
+
+# sha256 of the arrays of a benchmark-shaped run at T = 10^4, made before
+# the kernel took one shared offset and a plain division.
+LIBRARY_RUN_DIGESTS = {
+    1: {
+        "estimates": "be45ef955833c8ae1afc3c1f9ba54ae08bd266457410da14b6e8aae0cc47d050",
+        "subgradients": "bb2b17c84568e6a8ac72dff26575b3041b1bd0582b160d6158790f5874cd586d",
+        "values": "93067107185f4e1943e0c1915e7b0d5f30ca5750b176db81c88fb22c0df08b99",
+        "weights": "68ba5b44e27d8e33bab71cea26602e7c586f0cd11495900d119ed787930108f2",
+    },
+    2027: {
+        "estimates": "5fc8a459623b9b12069167b182651bfce31b5fe60f5979a9023b17057e78aea3",
+        "subgradients": "0b494d37ab63316d0b21eb5ce73932e6a91b0ab5c95f7284019f8e7e26c97a42",
+        "values": "b1682b9984320ab15851c1ff1641426e17b211faf788f759d12a355305e4e83e",
+        "weights": "0906f883b377a0f9b88ba9e98deef0fa2f0b531be9e1f07d5a1f052426b952c3",
+    },
+}
+
+
+class TestLibraryRunDigests:
+    @pytest.mark.parametrize("seed", sorted(LIBRARY_RUN_DIGESTS))
+    def test_benchmark_shape_at_ten_thousand_rounds(self, seed):
+        g, problem, schedule = benchmark_shape(seed, 10_000)
+        trace = run_distributed_dual_averaging(g, problem, schedule, StepSizeSchedule(1.0), 10_000)
+        digests = {
+            name: hashlib.sha256(getattr(trace, name).tobytes()).hexdigest()
+            for name in LIBRARY_RUN_DIGESTS[seed]
+        }
+        assert digests == LIBRARY_RUN_DIGESTS[seed]
 
 
 def _closure_arrays(fn):
@@ -470,9 +569,13 @@ class TestRunIsolation:
 
         def tracked_kernel(problem):
             kernel = make_kernel(problem)
-            owned = {id(a) for group in problem._wide for a in group[1:]}
+            owned = {id(problem._params)} | {id(rows) for _, rows in problem._kinds}
             scratch = [a for a in _closure_arrays(kernel) if id(a) not in owned]
-            assert scratch
+            # The shared offsets are scratch of the run: after a call, one
+            # scratch array holds x - params.
+            x = np.random.default_rng(0).uniform(-1.0, 1.0, problem._params.shape)
+            kernel(x, np.empty_like(x))
+            assert any(np.array_equal(a, x - problem._params) for a in scratch)
             track("kernel", kernel, *scratch)
             return kernel
 
@@ -508,9 +611,14 @@ class TestRunIsolation:
             names = ("values", "weights", "estimates", "subgradients")
             return [getattr(trace, k) for k in names if hasattr(trace, k)]
 
-        # What a run binds is not stored on the objects it reads.
+        # What a run binds is not stored on the objects it reads.  The
+        # problem keeps the attributes it was built with (the graph caches
+        # its tables on first use), and none of them changes between runs.
         owners = (g, schedule, problem, problem.feasible)
+        built = dict(vars(problem))
         first = runs(y1, 0.7)
+        assert vars(problem).keys() == built.keys()
+        assert all(vars(problem)[k] is v for k, v in built.items())
         attributes = [dict(vars(o)) for o in owners]
         snapshot = [a.tobytes() for trace in first for a in arrays(trace)]
         gc.collect()

@@ -364,6 +364,44 @@ class TestOverflowingNorms:
         assert np.allclose(grads[3], [HALF_ROOT, -HALF_ROOT], rtol=1e-15, atol=0)
         assert np.isnan(grads[4]).all()
 
+    @pytest.mark.parametrize("kind", [LinearCost, AbsDistanceCost])
+    def test_other_kinds_offsets_beyond_the_float_range(self, kind):
+        # x - param overflows to inf on a row of another kind, which the L2
+        # formula also runs on: the batched kernel raises no invalid-value
+        # warning there, and gives the scalar oracle's bits (the scalar
+        # |.|_1 oracle overflows in its own subtraction).
+        p = OptProblem((kind([-1e308]), L2DistanceCost([0.0]), L2DistanceCost([1e308])),
+                       Box([-1.7e308], [1.7e308]))
+        x = np.array([[1e308], [0.5], [0.0]])
+        with np.errstate(over="ignore"):
+            expected = _scalar_subgradients(p, x)
+        assert _batched_subgradients(p, x).tobytes() == expected.tobytes()
+
+    def test_l2_value_is_the_rescued_norm(self):
+        cost = L2DistanceCost([0.0, 0.0])
+        assert np.isclose(cost.value([1e200, 1e200]), math.sqrt(2.0) * 1e200, rtol=1e-15, atol=0)
+        assert np.isclose(cost.value([-3e307, 4e307]), 5e307, rtol=1e-15, atol=0)
+        # Finite norms keep their bits.
+        assert cost.value([3.0, 4.0]) == 5.0
+        assert L2DistanceCost([0.5, -0.5]).value([0.3, 0.2]) == float(np.linalg.norm([-0.2, 0.7]))
+
+    def test_objective_at_matches_the_scalar_values(self):
+        components = (L2DistanceCost([0.0, 0.0]), AbsDistanceCost([1.0, -1.0]),
+                      LinearCost([0.25, 0.5]), L2DistanceCost([0.5, -0.5]))
+        p = OptProblem(components, Box([-1.0, -1.0], [1.0, 1.0]))
+        # Ordinary rows between overflowing ones, in one block; the mean of
+        # the values stays in the float range.
+        points = np.array([HUGE[0], [0.3, 0.2], [-3e200, 4e200], [0.0, 0.0], HUGE[2]])
+        values = p.objective_at(points)
+        assert np.isfinite(values).all()
+        assert values.tolist() == [_scalar_objective(p, x) for x in points]
+        assert [p.objective(x) for x in points] == values.tolist()
+        # Finite norms keep their bits: the ordinary rows as evaluated alone.
+        assert values[[1, 3]].tolist() == p.objective_at(points[[1, 3]]).tolist()
+        l2_only = OptProblem((components[0],), p.feasible)
+        expected = [math.sqrt(2.0) * 1e200, 5e307, math.sqrt(2.0) * 1e155]
+        assert np.allclose(l2_only.objective_at(HUGE), expected, rtol=1e-15, atol=0)
+
     def test_ball_projection_lands_on_the_boundary(self):
         ball = Ball(1.0, 2)
         assert np.allclose(ball.project([1e200, 1e200]), [HALF_ROOT] * 2, rtol=1e-15, atol=0)
