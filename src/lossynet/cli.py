@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Four subcommands: ``consensus``, ``optimize``, and ``matrix-audit`` run the
+One subcommand per mode of :data:`lossynet.harness.MODES` runs the
 experiment described by a JSON config (whose ``mode`` must match the
-subcommand) and write artifacts into ``--out``; ``verify-schedule`` checks a
-schedule against a claimed reliability window without running anything.
+subcommand) and writes artifacts into ``--out``; ``verify-schedule`` checks
+a schedule against a claimed reliability window without running anything.
 Exit codes: 0 when every certification passed, 2 when one failed, 1 on an
 operational error (bad config, unreadable file, invalid arguments).
 """
@@ -14,21 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import schedules
-from .errors import ConfigError, LossyNetError
-from .harness import (
-    _as_horizon,
-    _as_positive_int,
-    _build_graph,
-    _build_schedule,
-    _check_schedule_spec,
-    _read_config,
-    load_config,
-    run_experiment,
-    write_json,
-)
-
-RUN_COMMANDS = ("consensus", "optimize", "matrix-audit")
+from .errors import LossyNetError
+from .harness import MODES, load_config, run_experiment, schedule_verdict, write_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,54 +24,29 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Consensus and distributed optimization over lossy directed networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "consensus": "run a push-sum variant and certify its conservation/rate guarantees",
-        "optimize": "run distributed dual averaging and certify its gap/mixing guarantees",
-        "matrix-audit": "build the mixing-matrix product over a window and certify its bounds",
-        "verify-schedule": "check that a failure schedule delivers within the claimed window",
-    }
-    for name in (*RUN_COMMANDS, "verify-schedule"):
-        p = sub.add_parser(name, help=helps[name])
+
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the schedule seed")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument(
-            "--tee-csv", action="store_true", help="also print the trace CSV to stdout"
+        return p
+
+    for name, mode in MODES.items():
+        command(name, mode.does).add_argument(
+            "--tee-csv", action="store_true", help=f"also print {mode.artifact} to stdout"
         )
+    command("verify-schedule", "checks that a failure schedule delivers within the claimed window")
     return parser
 
 
 def _verify_schedule(args) -> int:
-    """Config shape: {"graph": {...}, "schedule": {...}, "B": int, "horizon": int}.
-
-    ``horizon`` sizes generated schedules and is ignored for csv schedules,
-    whose files carry their own length.
-    """
-    raw, root = _read_config(args.config)
-    if not isinstance(raw, dict) or set(raw) - {"graph", "schedule", "B", "horizon"}:
-        raise ConfigError('verify-schedule config needs {"graph", "schedule", "B", "horizon"}')
-    g = _build_graph(raw.get("graph"), root)
-    B = _as_positive_int(raw.get("B"), "B")
-    sched_spec = _check_schedule_spec(raw.get("schedule"))
-    horizon = raw.get("horizon")
-    horizon = _as_horizon(0 if horizon is None and sched_spec["kind"] == "csv" else horizon)
-    schedule, _ = _build_schedule(sched_spec, horizon, g, args.seed, root)
-
-    worst = schedules.worst_gap(schedule)
-    satisfied = schedules.verify_b_bounded(schedule, B)
-    verdict = {
-        "b_window": B,
-        "satisfied": satisfied,
-        "worst_gap": worst,
-        "schedule_window": schedule.window,
-        "horizon": schedule.horizon,
-    }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    verdict_path = out_dir / "verdict.json"
+    verdict = schedule_verdict(args.config, args.seed)
+    verdict_path = Path(args.out) / "verdict.json"
+    verdict_path.parent.mkdir(parents=True, exist_ok=True)
     verdict_path.write_text(write_json(verdict))
     print(f"wrote {verdict_path}", file=sys.stderr)
-    return 0 if satisfied else 2
+    return 0 if verdict["satisfied"] else 2
 
 
 def main(argv=None) -> int:

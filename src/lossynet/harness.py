@@ -16,6 +16,7 @@ import copy
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .dual_averaging import (
     certify_optimality_gap,
     run_distributed_dual_averaging,
 )
-from .errors import ConfigError, LossyNetError, _horizon_fits
+from .errors import ConfigError, _horizon_fits
 from .graphs import DirectedGraph, augment, graph_from_spec
 from .mixing import _audit_window
 from .problems import (
@@ -58,18 +59,11 @@ __all__ = [
     "write_json",
 ]
 
-MODES = ("consensus", "optimize", "matrix-audit")
-ALGORITHMS = ("plain", "robust", "convergent")
-SCHEDULE_KINDS = ("all_reliable", "bernoulli", "periodic", "csv")
 TOLERANCE_KEYS = (
-    "mass_rtol",
-    "rate_slack",
-    "entry_slack",
-    "contraction_slack",
-    "gap_slack",
-    "mixing_slack",
+    "mass_rtol", "rate_slack", "entry_slack", "contraction_slack", "gap_slack", "mixing_slack"
 )
 
+# The consensus algorithms, by the name a config gives them.
 _RUNNERS = {
     "plain": lambda g, y, sched, T: run_push_sum(g, y, T),
     "robust": run_robust_push_sum,
@@ -97,7 +91,15 @@ def _as_horizon(value) -> int:
     return value
 
 
-def _normalize_inputs(raw) -> tuple:
+def _one_of(value, table: dict, what: str):
+    """``value`` when it names an entry of ``table``."""
+    names = tuple(table)
+    _require(value in names, f"{what} must be one of {names}, got {value!r}")
+    return value
+
+
+def _as_inputs(raw, horizon) -> tuple:
+    _require(raw is not None, "consensus mode needs inputs")
     _require(isinstance(raw, (list, tuple)) and len(raw) > 0, "inputs must be a nonempty list")
     flat = all(_is_number(v) for v in raw)
     rows = [[v] for v in raw] if flat else raw
@@ -120,6 +122,29 @@ def _normalize_inputs(raw) -> tuple:
     return tuple(v for (v,) in values) if flat else values
 
 
+def _as_problem(value, horizon) -> dict:
+    _require(isinstance(value, dict), "optimize mode needs a problem object")
+    return copy.deepcopy(value)
+
+
+def _as_step_constant(value, horizon) -> float:
+    _require(
+        _is_finite_number(value) and value > 0,
+        f"step_constant must be positive and finite, got {value!r}",
+    )
+    return float(value)
+
+
+def _as_window(window, horizon) -> dict:
+    _require(isinstance(window, dict), 'matrix-audit mode needs {"window": {start, end}}')
+    _require(set(window) == {"start", "end"}, "window needs exactly start and end")
+    start = _as_positive_int(window.get("start"), "window start")
+    end = _as_positive_int(window.get("end"), "window end")
+    _require(start <= end, f"window start {start} exceeds end {end}")
+    _require(end <= horizon, f"window end {end} exceeds horizon {horizon}")
+    return {"start": start, "end": end}
+
+
 def _check_graph_spec(spec) -> None:
     _require(
         isinstance(spec, dict)
@@ -128,34 +153,54 @@ def _check_graph_spec(spec) -> None:
     )
 
 
+def _check_bernoulli(spec: dict) -> None:
+    p = spec.get("p_drop")
+    _require(_is_number(p) and 0.0 <= p < 1.0, f"p_drop must lie in [0, 1), got {p!r}")
+    _as_positive_int(spec.get("B"), "schedule B")
+    seed = spec.get("seed", 0)
+    _require(_is_int(seed) and seed >= 0, "schedule seed must be a nonnegative integer")
+
+
+@dataclass(frozen=True)
+class _ScheduleKind:
+    """A schedule kind: the keys its spec may hold besides ``kind``, its
+    ``build(spec, graph, horizon, seed, root)``, the check of the keys'
+    values, and whether the schedule is generated over the horizon rather
+    than read with its own length."""
+
+    keys: tuple
+    build: Callable
+    check: Callable = lambda spec: None
+    generated: bool = True
+
+
+SCHEDULE_KINDS = {
+    "all_reliable": _ScheduleKind((), lambda s, g, T, seed, root: schedules.all_reliable(g, T)),
+    "bernoulli": _ScheduleKind(
+        ("p_drop", "B", "seed"),
+        lambda s, g, T, seed, root: schedules.bernoulli_b_bounded(g, s["p_drop"], s["B"], T, seed),
+        _check_bernoulli,
+    ),
+    "periodic": _ScheduleKind(
+        ("B",),
+        lambda s, g, T, seed, root: schedules.periodic_adversarial(g, s["B"], T),
+        lambda s: _as_positive_int(s.get("B"), "schedule B"),
+    ),
+    "csv": _ScheduleKind(
+        ("path",),
+        lambda s, g, T, seed, root: schedules.read_schedule_csv(g, _located(s["path"], root)),
+        lambda s: _require(isinstance(s.get("path"), str), "csv schedule needs a path string"),
+        generated=False,
+    ),
+}
+
+
 def _check_schedule_spec(spec) -> dict:
     _require(isinstance(spec, dict), "schedule must be an object")
-    kind = spec.get("kind")
-    _require(kind in SCHEDULE_KINDS, f"schedule kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
-    allowed = {
-        "all_reliable": {"kind"},
-        "bernoulli": {"kind", "p_drop", "B", "seed"},
-        "periodic": {"kind", "B"},
-        "csv": {"kind", "path"},
-    }[kind]
-    extra = set(spec) - allowed
-    _require(not extra, f"schedule keys {sorted(extra)} not allowed for kind {kind!r}")
-    if kind == "bernoulli":
-        p = spec.get("p_drop")
-        _require(
-            _is_number(p) and 0.0 <= p < 1.0,
-            f"p_drop must lie in [0, 1), got {p!r}",
-        )
-        _as_positive_int(spec.get("B"), "schedule B")
-        if "seed" in spec:
-            _require(
-                _is_int(spec["seed"]) and spec["seed"] >= 0,
-                "schedule seed must be a nonnegative integer",
-            )
-    elif kind == "periodic":
-        _as_positive_int(spec.get("B"), "schedule B")
-    elif kind == "csv":
-        _require(isinstance(spec.get("path"), str), "csv schedule needs a path string")
+    kind = SCHEDULE_KINDS[_one_of(spec.get("kind"), SCHEDULE_KINDS, "schedule kind")]
+    extra = set(spec) - {"kind", *kind.keys}
+    _require(not extra, f"schedule keys {sorted(extra)} not allowed for kind {spec['kind']!r}")
+    kind.check(spec)
     return copy.deepcopy(spec)
 
 
@@ -163,13 +208,14 @@ def _check_schedule_spec(spec) -> dict:
 class ExperimentConfig:
     """Validated, immutable description of one experiment.
 
-    ``from_dict`` and ``to_dict`` round-trip exactly.  ``root`` is the
-    directory that a relative ``graph.path`` or ``schedule.path`` is read
-    against: :func:`load_config` sets the config file's directory, and None
-    means the working directory.  ``to_dict`` leaves it out and echoes each
-    path as the config wrote it, so a config echoed into a summary reads the
-    same on every host, and re-runs as-is from the original config's
-    directory.
+    ``from_dict`` and ``to_dict`` round-trip exactly.  A field that
+    :data:`MODES` gives to one mode keeps its default under the others.
+    ``root`` is the directory that a relative ``graph.path`` or
+    ``schedule.path`` is read against: :func:`load_config` sets the config
+    file's directory, and None means the working directory.  ``to_dict``
+    leaves it out and echoes each path as the config wrote it, so a config
+    echoed into a summary reads the same on every host, and re-runs as-is
+    from the original config's directory.
     """
 
     mode: str
@@ -187,62 +233,31 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "config must be a JSON object")
-        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"root"}
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-        mode = raw.get("mode")
-        _require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
+        name = _one_of(raw.get("mode"), MODES, "mode")
+        mode = MODES[name]
 
         graph = raw.get("graph")
         _check_graph_spec(graph)
-
         horizon = _as_horizon(raw.get("horizon"))
-
-        algorithm = raw.get("algorithm", "convergent")
-        inputs = raw.get("inputs")
-        problem = raw.get("problem")
-        step_constant = raw.get("step_constant")
-        window = raw.get("window")
-
-        if mode == "consensus":
-            _require(algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}")
-            _require(inputs is not None, "consensus mode needs inputs")
-            inputs = _normalize_inputs(inputs)
-            _require(problem is None, "consensus mode does not take a problem")
-            _require(step_constant is None, "consensus mode does not take step_constant")
-            _require(window is None, "consensus mode does not take a window")
-        elif mode == "optimize":
-            _require("algorithm" not in raw, "optimize mode always runs the convergent protocol")
-            _require(isinstance(problem, dict), "optimize mode needs a problem object")
-            problem = copy.deepcopy(problem)
-            _require(
-                _is_finite_number(step_constant) and step_constant > 0,
-                f"step_constant must be positive and finite, got {step_constant!r}",
-            )
-            step_constant = float(step_constant)
-            _require(inputs is None, "optimize mode does not take inputs")
-            _require(window is None, "optimize mode does not take a window")
-        else:
-            _require("algorithm" not in raw, "matrix-audit mode has no algorithm choice")
-            _require(isinstance(window, dict), 'matrix-audit mode needs {"window": {start, end}}')
-            _require(set(window) == {"start", "end"}, "window needs exactly start and end")
-            start = _as_positive_int(window.get("start"), "window start")
-            end = _as_positive_int(window.get("end"), "window end")
-            _require(start <= end, f"window start {start} exceeds end {end}")
-            _require(end <= horizon, f"window end {end} exceeds horizon {horizon}")
-            window = {"start": start, "end": end}
-            _require(inputs is None, "matrix-audit mode does not take inputs")
-            _require(problem is None, "matrix-audit mode does not take a problem")
-            _require(step_constant is None, "matrix-audit mode does not take step_constant")
+        # Another mode's key is rejected when present, even as null; an own
+        # key left out is parsed from its field's default.
+        foreign = sorted((set(raw) - set(mode.keys)) & {k for m in MODES.values() for k in m.keys})
+        _require(not foreign, f"{name} mode does not take {', '.join(foreign)}: it {mode.does}")
+        own = {
+            key: parse(raw.get(key, getattr(ExperimentConfig, key)), horizon)
+            for key, parse in mode.keys.items()
+        }
 
         schedule = raw.get("schedule")
-        if mode == "consensus" and algorithm == "plain":
+        if own.get("algorithm") == "plain":
             _require(
                 schedule is None,
                 "the plain algorithm assumes reliable links; omit the schedule",
             )
-        elif schedule is None:
-            raise ConfigError(f"{mode} mode needs a schedule")
         else:
+            _require(schedule is not None, f"{name} mode needs a schedule")
             schedule = _check_schedule_spec(schedule)
 
         tolerances = raw.get("tolerances", {})
@@ -252,41 +267,23 @@ class ExperimentConfig:
         for key, value in tolerances.items():
             _require(_is_number(value), f"tolerance {key} must be a number, got {value!r}")
             _require(_is_finite_number(value), f"tolerance {key} must be finite, got {value!r}")
-        tolerances = {
-            k: float(v) for k, v in sorted(tolerances.items())
-        }
+        tolerances = {k: float(v) for k, v in sorted(tolerances.items())}
 
         return ExperimentConfig(
-            mode=mode,
+            mode=name,
             graph=copy.deepcopy(graph),
             horizon=horizon,
             schedule=schedule,
-            algorithm=algorithm,
-            inputs=inputs,
-            problem=problem,
-            step_constant=step_constant,
-            window=window,
             tolerances=tolerances,
+            **own,
         )
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "mode": self.mode,
-            "graph": copy.deepcopy(self.graph),
-            "horizon": self.horizon,
-        }
+        out: dict = {"mode": self.mode, "graph": copy.deepcopy(self.graph), "horizon": self.horizon}
         if self.schedule is not None:
             out["schedule"] = copy.deepcopy(self.schedule)
-        if self.mode == "consensus":
-            out["algorithm"] = self.algorithm
-            out["inputs"] = [
-                list(row) if isinstance(row, tuple) else row for row in self.inputs
-            ]
-        elif self.mode == "optimize":
-            out["problem"] = copy.deepcopy(self.problem)
-            out["step_constant"] = self.step_constant
-        else:
-            out["window"] = dict(self.window)
+        for key in MODES[self.mode].keys:
+            out[key] = _jsonable(getattr(self, key))
         if self.tolerances:
             out["tolerances"] = dict(self.tolerances)
         return out
@@ -365,23 +362,40 @@ def _build_schedule(
     spec: dict | None, T: int, g: DirectedGraph, seed: int | None, root: Path | None = None
 ) -> tuple[FailureSchedule | None, int | None]:
     """Instantiate the schedule; returns it with the seed that took effect."""
-    if seed is not None and seed < 0:
-        raise ConfigError("schedule seed must be a nonnegative integer")
+    _require(seed is None or seed >= 0, "schedule seed must be a nonnegative integer")
     if spec is None:
         return None, seed
-    kind = spec["kind"]
-    if kind == "csv":
-        return schedules.read_schedule_csv(g, _located(spec["path"], root)), seed
-    with _horizon_fits(T):
-        if kind == "all_reliable":
-            return schedules.all_reliable(g, T), seed
-        if kind == "bernoulli":
-            effective = seed if seed is not None else spec.get("seed", 0)
-            return (
-                schedules.bernoulli_b_bounded(g, spec["p_drop"], spec["B"], T, seed=effective),
-                effective,
-            )
-        return schedules.periodic_adversarial(g, spec["B"], T), seed
+    kind = SCHEDULE_KINDS[spec["kind"]]
+    if seed is None and "seed" in kind.keys:
+        seed = spec.get("seed", 0)
+    with _horizon_fits(T) if kind.generated else contextlib.nullcontext():
+        return kind.build(spec, g, T, seed, root), seed
+
+
+def schedule_verdict(path, seed: int | None = None) -> dict:
+    """Whether the schedule of a ``{"graph", "schedule", "B", "horizon"}``
+    config file delivers every link within ``B`` rounds, read as a run
+    config is.  ``horizon`` sizes generated schedules; a schedule read from
+    a file has its own length and may omit it."""
+    raw, root = _read_config(path)
+    _require(
+        isinstance(raw, dict) and not set(raw) - {"graph", "schedule", "B", "horizon"},
+        'verify-schedule config needs {"graph", "schedule", "B", "horizon"}',
+    )
+    g = _build_graph(raw.get("graph"), root)
+    B = _as_positive_int(raw.get("B"), "B")
+    spec = _check_schedule_spec(raw.get("schedule"))
+    horizon = raw.get("horizon")
+    generated = SCHEDULE_KINDS[spec["kind"]].generated
+    horizon = _as_horizon(0 if horizon is None and not generated else horizon)
+    schedule, _ = _build_schedule(spec, horizon, g, seed, root)
+    return {
+        "b_window": B,
+        "satisfied": schedules.verify_b_bounded(schedule, B),
+        "worst_gap": schedules.worst_gap(schedule),
+        "schedule_window": schedule.window,
+        "horizon": schedule.horizon,
+    }
 
 
 def _g17(a: np.ndarray) -> np.ndarray:
@@ -545,20 +559,17 @@ def _run_consensus(cfg, g, schedule, emit) -> dict:
                 "bound": cert.worst_bound,
                 "passed": cert.passed,
             }
-    summary = {
+    return {
         "n": g.n,
         "algorithm": cfg.algorithm,
         "average_input": trace.average_input,
         "final_error": consensus_error(trace, trace.horizon),
         "certifications": certifications,
     }
-    return summary
 
 
 def _grid_reference_slack(problem) -> float:
-    if problem.optimum is not None:
-        return 0.0
-    if all(isinstance(c, LinearCost) for c in problem.components):
+    if problem.optimum is not None or all(isinstance(c, LinearCost) for c in problem.components):
         return 0.0
     return problem.lipschitz_bound * GRID_STEP_FRACTION * problem.feasible.diameter
 
@@ -567,7 +578,6 @@ def _run_optimize(cfg, g, schedule, emit) -> dict:
     problem = problem_from_spec(cfg.problem)
     steps = StepSizeSchedule(cfg.step_constant)
     trace = run_distributed_dual_averaging(g, problem, schedule, steps, cfg.horizon)
-    d = trace.dim
     _stream_trace(emit, trace, trace.estimates)
 
     B = schedule.window
@@ -576,7 +586,7 @@ def _run_optimize(cfg, g, schedule, emit) -> dict:
     reference = solve_reference(problem)
     summary = {
         "n": g.n,
-        "dim": d,
+        "dim": trace.dim,
         "step_constant": cfg.step_constant,
         "b_window": B,
         "reference": {"x": reference.x, "value": reference.value},
@@ -618,7 +628,7 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
         entry_slack=cfg.tolerance("entry_slack", 1e-12),
     )
     _stream_psi(emit, product)
-    summary = {
+    return {
         "n": g.n,
         "b_window": B,
         "window": {"start": start, "end": end},
@@ -632,7 +642,6 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
             "row_contraction": contraction.passed,
         },
     }
-    return summary
 
 
 def _collect_pass(summary: dict) -> bool:
@@ -641,18 +650,39 @@ def _collect_pass(summary: dict) -> bool:
     return all(flags)
 
 
-_MODE_RUNS = {
-    "consensus": (_run_consensus, "trace.csv"),
-    "optimize": (_run_optimize, "trace.csv"),
-    "matrix-audit": (_run_audit, "psi.csv"),
+@dataclass(frozen=True)
+class _Mode:
+    """An experiment mode: its config keys with their parsers ``(value,
+    horizon)``, its runner ``(cfg, graph, schedule, emit) -> summary``, the
+    file the runner streams, and what it does (CLI help, error messages)."""
+
+    keys: dict
+    run: Callable
+    artifact: str
+    does: str
+
+
+MODES = {
+    "consensus": _Mode(
+        {"algorithm": lambda value, horizon: _one_of(value, _RUNNERS, "algorithm"),
+         "inputs": _as_inputs},
+        _run_consensus, "trace.csv",
+        "runs a push-sum variant and certifies its conservation and rate bounds",
+    ),
+    "optimize": _Mode(
+        {"problem": _as_problem, "step_constant": _as_step_constant}, _run_optimize, "trace.csv",
+        "runs dual averaging over the convergent protocol and certifies its gap and mixing bounds",
+    ),
+    "matrix-audit": _Mode(
+        {"window": _as_window}, _run_audit, "psi.csv",
+        "multiplies the convergent protocol's round matrices over a window and certifies the "
+        "product's bounds",
+    ),
 }
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir,
-    seed: int | None = None,
-    tee_csv: bool = False,
+    cfg: ExperimentConfig, out_dir, seed: int | None = None, tee_csv: bool = False
 ) -> RunArtifact:
     """Execute one experiment and write its artifacts into ``out_dir``.
 
@@ -670,8 +700,8 @@ def run_experiment(
     created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    run, name = _MODE_RUNS[cfg.mode]
-    paths = (out_dir / name, out_dir / "summary.json")
+    mode = MODES[cfg.mode]
+    paths = (out_dir / mode.artifact, out_dir / "summary.json")
     staged = [path.with_name(path.name + ".tmp") for path in paths]
     try:
         with open(staged[0], "w") as fh:
@@ -681,14 +711,13 @@ def run_experiment(
                 if tee_csv:
                     print(text, end="")
 
-            summary = run(cfg, g, schedule, emit)
+            summary = mode.run(cfg, g, schedule, emit)
 
         passed = _collect_pass(summary)
-        summary["mode"] = cfg.mode
-        summary["horizon"] = cfg.horizon
-        summary["seed"] = effective_seed
-        summary["pass"] = passed
-        summary["config"] = cfg.to_dict()
+        summary.update(
+            {"mode": cfg.mode, "horizon": cfg.horizon, "seed": effective_seed, "pass": passed,
+             "config": cfg.to_dict()}
+        )
 
         artifact = RunArtifact(
             summary=summary,

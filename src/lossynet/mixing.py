@@ -152,7 +152,7 @@ def evolve_by_matrices(
     return ConsensusTrace(ag, inputs, values, weights)
 
 
-def _check_row_stochastic(A: np.ndarray, tol: float) -> np.ndarray:
+def _check_row_stochastic(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotRowStochasticError(f"expected a square matrix, got shape {A.shape}")
@@ -160,33 +160,33 @@ def _check_row_stochastic(A: np.ndarray, tol: float) -> np.ndarray:
     # A NaN or infinite entry makes its row sum non-finite as well.
     if not np.isfinite(sums).all():
         raise NotRowStochasticError("matrix has a non-finite entry or row sum")
-    if A.size and (A.min() < -tol or np.abs(sums - 1.0).max() > tol):
+    if A.size and (A.min() < -ROW_SUM_TOL or np.abs(sums - 1.0).max() > ROW_SUM_TOL):
         raise NotRowStochasticError(
             "matrix is not row stochastic within tolerance "
-            f"{tol} (min entry {A.min()}, worst row-sum error "
+            f"{ROW_SUM_TOL} (min entry {A.min()}, worst row-sum error "
             f"{np.abs(sums - 1.0).max()})"
         )
     return A
 
 
-def delta_coefficient(A, tol: float = ROW_SUM_TOL) -> float:
+def delta_coefficient(A) -> float:
     """Largest spread within any column, max_j (max_i A_ij - min_i A_ij).
 
     Zero exactly when all rows are identical; at most 1 for row-stochastic
     input.
     """
-    A = _check_row_stochastic(A, tol)
+    A = _check_row_stochastic(A)
     return float((A.max(axis=0) - A.min(axis=0)).max())
 
 
-def lambda_coefficient(A, tol: float = ROW_SUM_TOL) -> float:
+def lambda_coefficient(A) -> float:
     """1 minus the smallest overlap between any two rows.
 
     The overlap of rows a and b is sum_j min(a_j, b_j); disjoint supports give
     coefficient 1, identical rows give 0.  Products contract column spread at
     least this fast.
     """
-    A = _check_row_stochastic(A, tol)
+    A = _check_row_stochastic(A)
     if A.min() >= 0.0:
         # Two rows with disjoint supports overlap by exactly 0, and no pair
         # overlaps by less.  A negative entry within tolerance can make an

@@ -262,8 +262,10 @@ class AbsDistanceCost:
         return float(np.abs(np.asarray(x, dtype=float) - self.a).sum())
 
     def subgradient(self, x) -> np.ndarray:
-        # sign() is 0 at kinks, where 0 is a valid subgradient.
-        return np.sign(np.asarray(x, dtype=float) - self.a)
+        # sign() is 0 at kinks, where 0 is a valid subgradient; an offset
+        # beyond the float range is an infinite one of the same sign.
+        with np.errstate(over="ignore"):
+            return np.sign(np.asarray(x, dtype=float) - self.a)
 
     _PARAM = "a"
 
@@ -418,11 +420,17 @@ class OptProblem:
     def _mean(self, rows: np.ndarray) -> np.ndarray:
         """Mean over components of per-component rows, summed from zero in
         component order as Python's ``sum`` does; ``np.sum`` may round
-        differently."""
+        differently.  Where that sum leaves the float range, the rows are
+        summed divided by the number of components instead."""
         total = np.zeros(rows.shape[1:])
-        for row in rows:
-            total += row
-        return total / self.n_components
+        with np.errstate(over="ignore"):
+            for row in rows:
+                total += row
+            mean = total / self.n_components
+            lost = ~np.isfinite(mean)
+            if lost.any():
+                mean[lost] = sum(row[lost] / self.n_components for row in rows)
+        return mean
 
     def objective_at(self, points) -> np.ndarray:
         """The objective at each of k points (k, d), as (k,)."""

@@ -115,6 +115,35 @@ class TestConfigValidation:
             cfg = ExperimentConfig.from_dict(raw)
             assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("raw", [CONSENSUS_RAW, OPTIMIZE_RAW, AUDIT_RAW],
+                             ids=["consensus", "optimize", "matrix-audit"])
+    def test_echo_holds_every_own_key(self, raw):
+        # Each raw config sets all of its mode's own keys.
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.to_dict() == raw
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_vector_inputs_echo_as_lists(self):
+        inputs = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        cfg = ExperimentConfig.from_dict(dict(CONSENSUS_RAW, inputs=inputs))
+        assert cfg.inputs == ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0))
+        assert cfg.to_dict()["inputs"] == inputs
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("mode, key", [
+        ("consensus", "problem"), ("consensus", "step_constant"), ("consensus", "window"),
+        ("optimize", "algorithm"), ("optimize", "inputs"), ("optimize", "window"),
+        ("matrix-audit", "algorithm"), ("matrix-audit", "inputs"), ("matrix-audit", "problem"),
+        ("matrix-audit", "step_constant"),
+    ])
+    def test_another_modes_key_is_rejected_even_as_null(self, mode, key):
+        raw = {"consensus": CONSENSUS_RAW, "optimize": OPTIMIZE_RAW, "matrix-audit": AUDIT_RAW}[mode]
+        value = {"algorithm": "convergent", "inputs": [0.0, 1.0], "problem": OPTIMIZE_RAW["problem"],
+                 "step_constant": 1.0, "window": {"start": 1, "end": 3}}[key]
+        for present in (value, None):
+            with pytest.raises(ConfigError, match=f"{mode} mode does not take {key}"):
+                ExperimentConfig.from_dict({**raw, key: present})
+
     def test_requires_object(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(["consensus"])
@@ -1122,6 +1151,15 @@ class TestCli:
         code = main(["optimize", "--config", config, "--out", str(tmp_path)])
         assert code == 1
         assert "does not match" in capsys.readouterr().err
+
+    def test_verify_schedule_takes_no_tee_csv(self, tmp_path, capsys):
+        # Only the run subcommands write a CSV to echo.
+        config = _write(tmp_path, "v.json", dict(VERIFY_RAW, graph=CONSENSUS_RAW["graph"]))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify-schedule", "--config", config, "--out", str(tmp_path / "v"), "--tee-csv"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tee-csv" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def test_missing_config(self, tmp_path, capsys):
         code = main(["consensus", "--config", str(tmp_path / "no.json")])

@@ -1,6 +1,9 @@
+import ast
 import importlib
+from pathlib import Path
 
 import lossynet
+from lossynet import cli
 
 # The package surface as it was listed by hand in ``lossynet/__init__.py``
 # before that list was derived from the modules' own ``__all__``, less
@@ -48,3 +51,22 @@ def test_each_name_is_the_object_its_module_defines():
             assert getattr(lossynet, public) is obj, public
     assert sorted(homes) == lossynet.__all__
 
+
+def test_cli_imports_no_private_harness_name():
+    # The config's shape lives in the harness; the CLI reads it through
+    # public names only.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("harness", "lossynet.harness")
+        for alias in node.names
+    ]
+    assert "load_config" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+    # Nor through the module: ``harness._name``.
+    assert not any(
+        isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "harness" and node.attr.startswith("_")
+        for node in ast.walk(tree)
+    )

@@ -368,13 +368,12 @@ class TestOverflowingNorms:
     def test_other_kinds_offsets_beyond_the_float_range(self, kind):
         # x - param overflows to inf on a row of another kind, which the L2
         # formula also runs on: the batched kernel raises no invalid-value
-        # warning there, and gives the scalar oracle's bits (the scalar
-        # |.|_1 oracle overflows in its own subtraction).
+        # warning there, and gives the bits of the bare scalar oracle, which
+        # raises no overflow warning in its own |.|_1 subtraction either.
         p = OptProblem((kind([-1e308]), L2DistanceCost([0.0]), L2DistanceCost([1e308])),
                        Box([-1.7e308], [1.7e308]))
         x = np.array([[1e308], [0.5], [0.0]])
-        with np.errstate(over="ignore"):
-            expected = _scalar_subgradients(p, x)
+        expected = _scalar_subgradients(p, x)
         assert _batched_subgradients(p, x).tobytes() == expected.tobytes()
 
     def test_l2_value_is_the_rescued_norm(self):
@@ -401,6 +400,21 @@ class TestOverflowingNorms:
         l2_only = OptProblem((components[0],), p.feasible)
         expected = [math.sqrt(2.0) * 1e200, 5e307, math.sqrt(2.0) * 1e155]
         assert np.allclose(l2_only.objective_at(HUGE), expected, rtol=1e-15, atol=0)
+
+    def test_objective_at_whose_values_sum_beyond_the_float_range(self):
+        # The values at (-3e307, 4e307) are finite, but their sum is about
+        # 1.8e308: the mean is their sum divided by 4 term by term, with no
+        # overflow warning, and the other points keep the plain sum's bits.
+        components = (L2DistanceCost([0.0, 0.0]), AbsDistanceCost([1.0, -1.0]),
+                      LinearCost([0.25, 0.5]), L2DistanceCost([0.5, -0.5]))
+        p = OptProblem(components, Box([-1.0, -1.0], [1.0, 1.0]))
+        points = np.array([[0.3, 0.2], HUGE[1], HUGE[0]])
+        values = p.objective_at(points)
+        expected = sum(c.value(HUGE[1]) / 4 for c in components)
+        assert math.isfinite(expected) and values[1] == expected
+        assert np.isclose(expected, 4.5625e307, rtol=1e-15, atol=0)
+        assert p.objective(HUGE[1]) == expected
+        assert values[[0, 2]].tolist() == [_scalar_objective(p, x) for x in points[[0, 2]]]
 
     def test_ball_projection_lands_on_the_boundary(self):
         ball = Ball(1.0, 2)
