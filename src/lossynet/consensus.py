@@ -42,6 +42,7 @@ from .errors import (
     NegativeInputError,
     ScheduleTooShortError,
     ZeroWeightError,
+    _check_horizon,
     _horizon_fits,
 )
 from .graphs import AugmentedGraph, DirectedGraph, augment
@@ -267,8 +268,7 @@ def run_push_sum(g: DirectedGraph, y, T: int) -> ConsensusTrace:
         approaches the input average.  Buffer rows stay zero because nothing
         is ever in flight.
     """
-    if T < 0:
-        raise ValueError(f"horizon must be >= 0, got {T}")
+    _check_horizon(T)
     inputs = _input_matrix(y, g.n)
     ag = augment(g)
     mass, values, weights = _allocate(ag, inputs, T)
@@ -283,8 +283,7 @@ def run_push_sum(g: DirectedGraph, y, T: int) -> ConsensusTrace:
 
 def _run_cumulative(g, y, schedule, T, reshare) -> ConsensusTrace:
     inputs = _input_matrix(y, g.n)
-    if T < 0:
-        raise ValueError(f"horizon must be >= 0, got {T}")
+    _check_horizon(T)
     _check_schedule(g, schedule, T)
     ag = augment(g)
     mass, values, weights = _allocate(ag, inputs, T)

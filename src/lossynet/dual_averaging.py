@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     HorizonTooShortError,
     IterationOutOfRangeError,
+    _check_horizon,
     _horizon_fits,
 )
 from .problems import Ball, Box, OptProblem, ReferenceSolution, solve_reference
@@ -117,8 +118,7 @@ def run_centralized_dual_averaging(
     Starting from z = x = 0, each iteration adds a subgradient of the
     averaged objective to z and sets x to the projection of the scaled dual.
     """
-    if T < 0:
-        raise IterationOutOfRangeError(f"horizon must be >= 0, got {T}")
+    _check_horizon(T)
     d = problem.dim
     estimates = np.zeros((T + 1, d))
     duals = np.zeros((T + 1, d))
@@ -171,6 +171,7 @@ def run_distributed_dual_averaging(
         raise DimensionMismatchError(
             f"problem has {problem.n_components} components for {g.n} agents"
         )
+    _check_horizon(T)
     _check_schedule(g, schedule, T)
     n, d = g.n, problem.dim
     ag = augment(g)

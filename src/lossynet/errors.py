@@ -81,11 +81,22 @@ __all__ = sorted(
 )
 
 
+def _check_horizon(T: int) -> None:
+    """The one horizon rule of runs and schedules: T >= 0."""
+    if T < 0:
+        raise IterationOutOfRangeError(f"horizon must be >= 0, got {T}")
+
+
 @contextmanager
 def _horizon_fits(T: int):
     """Turn a failed allocation of horizon-sized arrays into a LossyNetError
-    that names the horizon and, through numpy's message, the size asked for."""
+    that names the horizon and, through numpy's message, the size asked for.
+    numpy raises MemoryError when the host lacks the memory, and ValueError
+    when the size leaves its index range ("array is too big", "Maximum
+    allowed dimension exceeded").  A LossyNetError passes through as it is."""
     try:
         yield
-    except MemoryError as exc:
+    except LossyNetError:
+        raise
+    except (MemoryError, ValueError) as exc:
         raise LossyNetError(f"horizon {T} does not fit in memory: {exc}") from exc

@@ -42,12 +42,7 @@ from .errors import ConfigError, _horizon_fits
 from .graphs import DirectedGraph, augment, graph_from_spec
 from .mixing import _audit_window
 from .problems import (
-    GRID_STEP_FRACTION,
-    LinearCost,
-    _is_finite_number,
-    _is_int,
-    problem_from_spec,
-    solve_reference,
+    _is_finite_number, _is_int, _reference_slack, problem_from_spec, solve_reference
 )
 from .schedules import FailureSchedule
 
@@ -233,7 +228,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "config must be a JSON object")
-        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
+        # ``root`` is where the config was read from, not a key of it.
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig) if f.name != "root"}
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
         name = _one_of(raw.get("mode"), MODES, "mode")
         mode = MODES[name]
@@ -568,12 +564,6 @@ def _run_consensus(cfg, g, schedule, emit) -> dict:
     }
 
 
-def _grid_reference_slack(problem) -> float:
-    if problem.optimum is not None or all(isinstance(c, LinearCost) for c in problem.components):
-        return 0.0
-    return problem.lipschitz_bound * GRID_STEP_FRACTION * problem.feasible.diameter
-
-
 def _run_optimize(cfg, g, schedule, emit) -> dict:
     problem = problem_from_spec(cfg.problem)
     steps = StepSizeSchedule(cfg.step_constant)
@@ -593,7 +583,7 @@ def _run_optimize(cfg, g, schedule, emit) -> dict:
         "certifications": certifications,
     }
     if cfg.horizon >= block:
-        gap_slack = cfg.tolerance("gap_slack", _grid_reference_slack(problem))
+        gap_slack = cfg.tolerance("gap_slack", _reference_slack(problem))
         gap = certify_optimality_gap(trace, B, reference, slack=gap_slack)
         certifications["optimality_gap_bound"] = {
             "measured": gap.worst_gap,

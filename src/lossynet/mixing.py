@@ -22,6 +22,7 @@ from .errors import (
     IterationOutOfRangeError,
     NotRowStochasticError,
     WindowTooShortError,
+    _check_horizon,
 )
 from .graphs import AugmentedGraph
 from .schedules import FailureSchedule
@@ -137,8 +138,7 @@ def evolve_by_matrices(
     up to floating-point noise; the simulation and the matrices are two
     independent encodings of the same round.
     """
-    if T < 0:
-        raise ValueError(f"horizon must be >= 0, got {T}")
+    _check_horizon(T)
     if schedule.horizon < T:
         raise IterationOutOfRangeError(
             f"schedule covers {schedule.horizon} iterations, run needs {T}"

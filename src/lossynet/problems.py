@@ -4,10 +4,12 @@ A problem is a mean of per-agent convex costs minimized over a box or a
 Euclidean ball.  Component oracles return a value and one subgradient; at
 kinks where 0 is a valid subgradient they return 0, so runs are deterministic.
 
-Each cost class also has batched kernels over stacked parameters, which
-:class:`OptProblem` uses to evaluate all components of a kind at once.  They
-give the bits of the scalar ``value``/``subgradient`` methods, which stay as
-their reference.  A run's subgradient kernel (``OptProblem._subgradient_kernel``)
+Each cost kind is declared once, as a class naming its parameter field
+(``_PARAM``) and spec name (``_NAME``), with scalar
+``value``/``subgradient`` oracles and batched kernels that give their bits.
+:class:`OptProblem` stacks its components once, an (n, d) parameter array
+and a row mask per kind, which ``objective_at`` and the subgradient kernel
+both read.  A run's subgradient kernel (``OptProblem._subgradient_kernel``)
 is made once, before the first round, with scratch of its own.  A call
 subtracts one offset per row, x[i] minus row i's own parameter, and runs
 each kind on all n rows of it at once, writing into a caller's array, so a
@@ -15,11 +17,10 @@ round gathers, scatters and allocates nothing in it.  The L2 rows divide by
 their norms in one plain call, or, when some row's offset has a zero or
 overflowing norm, in the rescued, masked division that keeps the scalar
 oracle's +0; both give the same bits.  Likewise a feasible set's
-``_projector`` binds one run's projection, the box with its bounds
-broadcast to the batch shape.  A finite offset or point whose squared norm
-overflows gets the norm rescaled by its largest |entry|, as the
-certificates' norms do, in values, subgradients and projections, scalar and
-batched alike.
+``_projector`` binds one run's projection, the box with its bounds broadcast
+to the batch shape.  A finite offset or point whose squared norm overflows
+gets the norm rescaled by its largest |entry|, as the certificates' norms
+do, in values, subgradients and projections, scalar and batched alike.
 """
 
 from __future__ import annotations
@@ -194,18 +195,35 @@ class Ball:
         return [np.linspace(-self.radius, self.radius, points) for _ in range(self.dim)]
 
 
-@dataclass(frozen=True, eq=False)
-class LinearCost:
-    """h(x) = <c, x>."""
+class _Cost:
+    """A cost kind: the parameter field ``_PARAM`` names is kept as a 1-d
+    float array, whose size is the dimension; ``_NAME`` is its spec name.
 
-    c: np.ndarray
+    Batched kernels for OptProblem.  ``_values`` takes the parameters of j
+    costs of a kind stacked as (j, d).  ``_kernel(params, diff, rows)``
+    makes one run's subgradient kernel, ``kernel(out)``, over the (n, d)
+    ``params`` holding each row's own parameter and the (n, d) offsets
+    ``diff`` = x - params, which the caller fills before each call: row i
+    of ``out`` becomes the subgradient at x[i] for a cost of this kind with
+    parameter params[i], and ``out`` is returned.  Only the rows of this
+    kind, where the (n, 1) mask ``rows`` is true, are kept.
+    """
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.atleast_1d(np.asarray(self.c, dtype=float)))
+        value = np.atleast_1d(np.asarray(getattr(self, self._PARAM), dtype=float))
+        object.__setattr__(self, self._PARAM, value)
 
     @property
     def dim(self) -> int:
-        return int(self.c.size)
+        return int(getattr(self, self._PARAM).size)
+
+
+@dataclass(frozen=True, eq=False)
+class LinearCost(_Cost):
+    """h(x) = <c, x>."""
+
+    c: np.ndarray
+    _PARAM, _NAME = "c", "linear"
 
     @property
     def lipschitz(self) -> float:
@@ -216,16 +234,6 @@ class LinearCost:
 
     def subgradient(self, x) -> np.ndarray:
         return self.c.copy()
-
-    # Batched kernels for OptProblem.  ``_values`` takes the parameters
-    # (here c) of j costs of this kind stacked as (j, d).  ``_kernel(params,
-    # diff, rows)`` makes one run's subgradient kernel, ``kernel(out)``, over
-    # the (n, d) ``params`` holding each row's own parameter and the (n, d)
-    # offsets ``diff`` = x - params, which the caller fills before each call:
-    # row i of ``out`` becomes the subgradient at x[i] for a cost of this
-    # kind with parameter params[i], and ``out`` is returned.  Only the rows
-    # of this kind, where the (n, 1) mask ``rows`` is true, are kept.
-    _PARAM = "c"
 
     @staticmethod
     def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -242,17 +250,11 @@ class LinearCost:
 
 
 @dataclass(frozen=True, eq=False)
-class AbsDistanceCost:
+class AbsDistanceCost(_Cost):
     """h(x) = sum_k |x_k - a_k|; the scalar absolute distance when d = 1."""
 
     a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=float)))
-
-    @property
-    def dim(self) -> int:
-        return int(self.a.size)
+    _PARAM, _NAME = "a", "abs_distance"
 
     @property
     def lipschitz(self) -> float:
@@ -267,8 +269,6 @@ class AbsDistanceCost:
         with np.errstate(over="ignore"):
             return np.sign(np.asarray(x, dtype=float) - self.a)
 
-    _PARAM = "a"
-
     @staticmethod
     def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
         return np.abs(points[None, :, :] - params[:, None, :]).sum(axis=2)
@@ -279,17 +279,11 @@ class AbsDistanceCost:
 
 
 @dataclass(frozen=True, eq=False)
-class L2DistanceCost:
+class L2DistanceCost(_Cost):
     """h(x) = ||x - a||_2."""
 
     a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=float)))
-
-    @property
-    def dim(self) -> int:
-        return int(self.a.size)
+    _PARAM, _NAME = "a", "l2_distance"
 
     @property
     def lipschitz(self) -> float:
@@ -307,8 +301,6 @@ class L2DistanceCost:
         if norm == 0.0:
             return np.zeros_like(diff)
         return diff / norm
-
-    _PARAM = "a"
 
     @staticmethod
     def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -360,8 +352,8 @@ class OptProblem:
     otherwise the worst component bound is used.  ``optimum`` may carry a
     known minimizer, which :func:`solve_reference` returns directly.
     Components must be ``LinearCost``, ``AbsDistanceCost`` or
-    ``L2DistanceCost``; their parameters are copied into per-kind stacks
-    here, so later changes to a component's array are not seen.
+    ``L2DistanceCost``; their parameters are copied into one stack here,
+    so later changes to a component's array are not seen.
     """
 
     components: tuple
@@ -382,21 +374,13 @@ class OptProblem:
                     f"component dimension {c.dim} != feasible-set dimension {d}"
                 )
         object.__setattr__(self, "components", components)
-        # The components stacked for the batched kernels: (kind, component
-        # indices, (j, d) parameters) per kind for objective_at; and for
-        # subgradients, which evaluates every kind on all rows, one (n, d)
-        # array of each row's own parameter and (kind, (n, 1) row mask) per
-        # kind.
+        # The components stacked once for the batched kernels: one (n, d)
+        # array of each row's own parameter, and (kind, (n, 1) row mask)
+        # for each kind present.
         params = np.array([getattr(c, c._PARAM) for c in components])
-        groups, kinds = [], []
-        for kind in _COST_KINDS:
-            rows = np.array([[type(c) is kind] for c in components])
-            if rows.any():
-                idx = np.flatnonzero(rows)
-                groups.append((kind, idx, params[idx]))
-                kinds.append((kind, rows))
-        object.__setattr__(self, "_groups", tuple(groups))
-        object.__setattr__(self, "_kinds", tuple(kinds))
+        rows = [np.array([[type(c) is kind] for c in components]) for kind in _COST_KINDS]
+        kinds = tuple((kind, mask) for kind, mask in zip(_COST_KINDS, rows) if mask.any())
+        object.__setattr__(self, "_kinds", kinds)
         object.__setattr__(self, "_params", params)
         if self.optimum is not None:
             object.__setattr__(
@@ -439,8 +423,9 @@ class OptProblem:
         for start in range(0, points.shape[0], POINTS_PER_BLOCK):
             block = points[start : start + POINTS_PER_BLOCK]
             values = np.empty((self.n_components, block.shape[0]))
-            for kind, idx, params in self._groups:
-                values[idx] = kind._values(params, block)
+            for kind, rows in self._kinds:
+                own = rows[:, 0]
+                values[own] = kind._values(self._params[own], block)
             out[start : start + block.shape[0]] = self._mean(values)
         return out
 
@@ -530,6 +515,21 @@ def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -
     return x
 
 
+def _exact_reference(p: OptProblem) -> bool:
+    """Whether :func:`solve_reference` gives p's minimum exactly: a known
+    optimum is attached, or every component is linear, whose mean has a
+    closed-form minimizer."""
+    return p.optimum is not None or [kind for kind, _ in p._kinds] == [LinearCost]
+
+
+def _reference_slack(p: OptProblem) -> float:
+    """How far :func:`solve_reference`'s default value may lie above p's
+    minimum: 0 where it is exact, else lipschitz * its default grid step."""
+    if _exact_reference(p):
+        return 0.0
+    return p.lipschitz_bound * GRID_STEP_FRACTION * p.feasible.diameter
+
+
 def solve_reference(p: OptProblem, grid_step: float | None = None) -> ReferenceSolution:
     """Reference minimizer and value.
 
@@ -539,17 +539,17 @@ def solve_reference(p: OptProblem, grid_step: float | None = None) -> ReferenceS
     lipschitz * grid_step (default step 1e-4 of the set diameter).
     """
     fs = p.feasible
-    if p.optimum is not None:
-        x = fs.project(p.optimum)
-        return ReferenceSolution(x, p.objective(x))
-
-    if all(isinstance(c, LinearCost) for c in p.components):
-        cbar = np.mean([c.c for c in p.components], axis=0)
-        if isinstance(fs, Ball):
-            norm = np.linalg.norm(cbar)
-            x = np.zeros(fs.dim) if norm == 0.0 else -fs.radius * cbar / norm
+    if _exact_reference(p):
+        if p.optimum is not None:
+            x = fs.project(p.optimum)
         else:
-            x = np.where(cbar > 0, fs.lower, np.where(cbar < 0, fs.upper, fs.project(np.zeros(fs.dim))))
+            cbar = np.mean(p._params, axis=0)
+            if isinstance(fs, Ball):
+                norm = np.linalg.norm(cbar)
+                x = np.zeros(fs.dim) if norm == 0.0 else -fs.radius * cbar / norm
+            else:
+                zero = fs.project(np.zeros(fs.dim))
+                x = np.where(cbar > 0, fs.lower, np.where(cbar < 0, fs.upper, zero))
         return ReferenceSolution(x, p.objective(x))
 
     if p.dim > 2:
@@ -623,13 +623,6 @@ def _set_from_spec(spec: dict) -> Box | Ball:
         raise ConfigError(f"{kind} set: {exc}") from exc
 
 
-_COMPONENT_KINDS = {
-    "linear": lambda params: LinearCost(_vector(params, "c", "linear component")),
-    "abs_distance": lambda params: AbsDistanceCost(_vector(params, "a", "abs_distance component")),
-    "l2_distance": lambda params: L2DistanceCost(_vector(params, "a", "l2_distance component")),
-}
-
-
 def problem_from_spec(spec: dict) -> OptProblem:
     """Build a problem from its JSON description.
 
@@ -651,10 +644,11 @@ def problem_from_spec(spec: dict) -> OptProblem:
         raise ConfigError("problem components must be a nonempty list of objects")
     components = []
     for comp in comps:
-        kind = comp.get("kind")
-        if kind not in _COMPONENT_KINDS:
-            raise ConfigError(f"unknown component kind {kind!r}")
-        components.append(_COMPONENT_KINDS[kind](comp))
+        # Names are compared, not hashed, so any JSON value is looked up.
+        kind = next((k for k in _COST_KINDS if k._NAME == comp.get("kind")), None)
+        if kind is None:
+            raise ConfigError(f"unknown component kind {comp.get('kind')!r}")
+        components.append(kind(_vector(comp, kind._PARAM, f"{kind._NAME} component")))
     lipschitz = spec.get("L")
     if lipschitz is not None:
         lipschitz = _number(lipschitz, "problem L")

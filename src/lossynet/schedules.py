@@ -20,6 +20,7 @@ from .errors import (
     IterationOutOfRangeError,
     MalformedScheduleError,
     NeverReliableLinkError,
+    _check_horizon,
 )
 from .graphs import DirectedGraph
 
@@ -107,8 +108,7 @@ def scripted_schedule(g: DirectedGraph, T: int, table: dict) -> FailureSchedule:
     smallest B the data satisfies; a link with no delivery at all has no such
     B inside the horizon and is rejected.
     """
-    if T < 0:
-        raise ValueError(f"horizon must be >= 0, got {T}")
+    _check_horizon(T)
     entries = [
         (int(key[0][0]), int(key[0][1]), int(key[1]), int(value) if value in (0, 1) else -1)
         for key, value in table.items()
@@ -210,8 +210,7 @@ def bernoulli_b_bounded(
         raise ValueError(f"p_drop must lie in [0, 1), got {p_drop}")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    if T < 0:
-        raise ValueError(f"horizon must be >= 0, got {T}")
+    _check_horizon(T)
     rng = np.random.default_rng(seed)
     proposed = rng.random((T, g.num_edges)) < p_drop
     # A proposed drop is forced to deliver exactly when its 1-based position
@@ -234,8 +233,7 @@ def periodic_adversarial(g: DirectedGraph, B: int, T: int) -> FailureSchedule:
     worst case allowed by a window of B."""
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    if T < 0:
-        raise ValueError(f"horizon must be >= 0, got {T}")
+    _check_horizon(T)
     # A slice rather than t % B: B may lie beyond the 64-bit range.
     ticks = np.zeros(T, dtype=np.uint8)
     ticks[B - 1 :: B] = 1
@@ -245,8 +243,7 @@ def periodic_adversarial(g: DirectedGraph, B: int, T: int) -> FailureSchedule:
 
 def all_reliable(g: DirectedGraph, T: int) -> FailureSchedule:
     """Every link delivers at every iteration."""
-    if T < 0:
-        raise ValueError(f"horizon must be >= 0, got {T}")
+    _check_horizon(T)
     return FailureSchedule(g, np.ones((T, g.num_edges), dtype=np.uint8), 1)
 
 

@@ -153,6 +153,13 @@ class TestRobustPushSum:
             run_robust_push_sum(two_cycle, [0.0, 1.0], all_reliable(asym3, 5), 5)
 
 
+class TestNegativeHorizon:
+    @pytest.mark.parametrize("run", [run_robust_push_sum, run_convergent_robust_push_sum])
+    def test_cumulative_runners(self, two_cycle, run):
+        with pytest.raises(IterationOutOfRangeError, match=r"^horizon must be >= 0, got -1$"):
+            run(two_cycle, [0.0, 1.0], all_reliable(two_cycle, 2), -1)
+
+
 class TestConvergentRobustPushSum:
     def test_matches_scalar_reference(self, asym3, lossy6):
         y = [0.25, 1.5, -2.0]

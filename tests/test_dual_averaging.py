@@ -164,6 +164,13 @@ def median_problem_single():
 
 
 class TestDistributed:
+    def test_rejects_negative_horizon(self):
+        # Once an IndexError from the empty history it allocated.
+        with pytest.raises(IterationOutOfRangeError, match=r"^horizon must be >= 0, got -1$"):
+            run_distributed_dual_averaging(
+                single, median_problem_single(), all_reliable(single, 2), StepSizeSchedule(1.0), -1
+            )
+
     def test_single_agent_equals_centralized_box(self):
         p = median_problem_single()
         steps = StepSizeSchedule(1.0)

@@ -152,6 +152,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({**CONSENSUS_RAW, "extra": 1})
 
+    def test_root_is_not_a_config_key(self):
+        # The directory paths are read against comes from where the config
+        # file lies, never from the config itself.
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['root'\]"):
+            ExperimentConfig.from_dict({**CONSENSUS_RAW, "root": "/elsewhere"})
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode"):
             ExperimentConfig.from_dict({**CONSENSUS_RAW, "mode": "simulate"})
@@ -405,6 +411,18 @@ class TestOptimizeRuns:
         text = (tmp_path / "summary.json").read_text()
         assert '"bound": "Infinity"' in text
         assert artifact.summary["certifications"]["optimality_gap_bound"]["bound"] == math.inf
+
+    @pytest.mark.parametrize("feasible", [
+        {"kind": "box", "lower": [0.0], "upper": [1.0]}, {"kind": "ball", "radius": 1.0},
+    ], ids=["box", "ball"])
+    def test_all_linear_reference_is_exact(self, tmp_path, feasible):
+        # The mean cost is -x/6, minimized in closed form at x = 1.
+        components = [{"kind": "linear", "c": [c]} for c in (1.0, -2.0, 0.5)]
+        problem = dict(OPTIMIZE_RAW["problem"], set=feasible, components=components)
+        artifact = run_experiment(ExperimentConfig.from_dict(dict(OPTIMIZE_RAW, problem=problem)),
+                                  tmp_path)
+        assert artifact.summary["reference"]["x"] == [1.0]
+        assert artifact.summary["certifications"]["optimality_gap_bound"]["slack"] == 0.0
 
     def test_short_horizon_skips_certification(self, tmp_path):
         raw = dict(OPTIMIZE_RAW, horizon=2)
@@ -947,6 +965,10 @@ BAD_PROBLEMS = [
     ({"set": {"kind": "ball", "radius": "2"}}, "ball set radius must be a finite number"),
     ({"set": {"kind": "box", "lower": [0.0], "upper": [1.0], "radius_sq": [1]}},
      "box set radius_sq must be a finite number"),
+    ({"components": [{"kind": "huber", "a": [0.0]}] * 3}, "unknown component kind 'huber'"),
+    ({"components": [{"kind": ["linear"], "c": [1.0]}] * 3},
+     "unknown component kind ['linear']"),
+    ({"components": [{"kind": {"a": 1}, "a": [1.0]}] * 3}, "unknown component kind {'a': 1}"),
 ]
 
 # Inputs of a three-agent consensus run that are not finite or whose
@@ -1038,6 +1060,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: horizon 1000000000000 does not fit in memory: ")
         assert f"Unable to allocate {size}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", [2**62, 2**63 - 1, 2**63, 2**64])
+    @pytest.mark.parametrize("raw", [CONSENSUS_RAW, OPTIMIZE_RAW, AUDIT_RAW],
+                             ids=["consensus", "optimize", "matrix-audit"])
+    def test_horizon_beyond_numpy_sizes(self, tmp_path, capsys, raw, horizon):
+        # numpy refuses such sizes with a ValueError of its own ("array is
+        # too big", "Maximum allowed dimension exceeded") before asking the
+        # host for memory.
+        config = _write(tmp_path, "c.json", dict(raw, horizon=horizon))
+        out = tmp_path / "out"
+        assert main([raw["mode"], "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: horizon {horizon} does not fit in memory: ")
         assert not out.exists()
 
     def test_periodic_window_beyond_64_bits(self, tmp_path, capsys):

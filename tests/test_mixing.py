@@ -179,6 +179,12 @@ class TestEvolveMatchesSimulation:
                 augment(two_cycle), all_reliable(two_cycle, 2), [0.0, 1.0], 3
             )
 
+    def test_negative_horizon(self, two_cycle):
+        with pytest.raises(IterationOutOfRangeError, match=r"^horizon must be >= 0, got -1$"):
+            evolve_by_matrices(
+                augment(two_cycle), all_reliable(two_cycle, 2), [0.0, 1.0], -1
+            )
+
 
 class TestSpreadCoefficients:
     def test_identical_rows_have_zero_spread(self):

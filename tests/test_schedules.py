@@ -67,6 +67,21 @@ class TestFailureSchedule:
             s.delivered(t)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda g: scripted_schedule(g, -1, {}),
+        lambda g: bernoulli_b_bounded(g, 0.5, 2, -1, seed=0),
+        lambda g: periodic_adversarial(g, 2, -1),
+        lambda g: all_reliable(g, -1),
+    ],
+    ids=["scripted", "bernoulli", "periodic", "all_reliable"],
+)
+def test_generators_reject_negative_horizon(two_cycle, make):
+    with pytest.raises(IterationOutOfRangeError, match=r"^horizon must be >= 0, got -1$"):
+        make(two_cycle)
+
+
 class TestWorstGap:
     def test_all_ones_gives_one(self, two_cycle):
         assert worst_gap(all_reliable(two_cycle, 5)) == 1
