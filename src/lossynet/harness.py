@@ -394,6 +394,13 @@ def schedule_verdict(path, seed: int | None = None) -> dict:
     }
 
 
+def _texts(keys: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` texts of float bit patterns ``keys`` (int64), as an
+    object array, in one format call."""
+    text = ("%.17g\n" * keys.size % tuple(keys.view(np.float64).tolist())).split("\n")
+    return np.array(text[:-1], dtype=object)
+
+
 def _g17(a: np.ndarray) -> np.ndarray:
     """The ``%.17g`` text of every entry of a float array, as an object
     array of its shape.  Each distinct bit pattern is formatted once, in one
@@ -402,8 +409,7 @@ def _g17(a: np.ndarray) -> np.ndarray:
     bits rather than on equality keeps ``-0`` apart from ``0``."""
     bits = np.asarray(a, dtype=np.float64).view(np.int64)
     keys, inverse = np.unique(bits, return_inverse=True)
-    text = ("%.17g\n" * keys.size % tuple(keys.view(np.float64).tolist())).split("\n")
-    return np.array(text[:-1], dtype=object)[inverse.reshape(bits.shape)]
+    return _texts(keys)[inverse.reshape(bits.shape)]
 
 
 # Cells per call of ``_g17``: a writer formats a block of rounds or matrix
@@ -463,9 +469,22 @@ def _stream_psi(emit, product: np.ndarray) -> None:
     # row's entry texts.
     template = "".join([f"\0,{j + 1},%s\n" for j in range(m)])
     block = max(1, _BLOCK_CELLS // m)
+    # A near-rank-one product repeats its values from block to block: each
+    # block looks its bit keys up among the previous block's sorted keys and
+    # texts, and formats only the keys it does not find there.
+    keys, texts = np.empty(0, dtype=np.int64), np.empty(0, dtype=object)
     for start in range(0, m, block):
-        texts = _g17(product[start : start + block]).tolist()
-        for i, row in enumerate(texts, start + 1):
+        bits = np.asarray(product[start : start + block], dtype=np.float64).view(np.int64)
+        new, inverse = np.unique(bits, return_inverse=True)
+        at = np.searchsorted(keys, new)
+        known = at < keys.size
+        known[known] = keys[at[known]] == new[known]
+        carried = np.empty(new.size, dtype=object)
+        carried[known] = texts[at[known]]
+        carried[~known] = _texts(new[~known])
+        keys, texts = new, carried
+        rows = texts[inverse.reshape(bits.shape)].tolist()
+        for i, row in enumerate(rows, start + 1):
             emit(template.replace("\0", str(i)) % tuple(row))
 
 

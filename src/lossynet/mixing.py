@@ -6,6 +6,10 @@ row vector v, one round is v <- v @ M[t].  This module builds M[t] from a
 failure schedule, forms window products, and certifies the two facts the
 convergence argument rests on, a positive lower bound on every entry of long
 enough products and geometric decay of the column spread.
+
+A window product, and so the audit, fills one round-matrix buffer per
+window: each round rewrites only the entries a delivery changes, choosing
+each from a per-graph table of its delivered and dropped values.
 """
 
 from __future__ import annotations
@@ -44,33 +48,66 @@ ROW_SUM_TOL = 1e-8
 
 @lru_cache(maxsize=8)
 def _round_tables(ag: AugmentedGraph) -> dict:
-    """The parts of M[t] that do not depend on the round's deliveries: the
-    flat position of each entry group and the degree terms of its formula."""
+    """Everything about M[t] but the round's deliveries: the agent diagonal,
+    and for each delivery-dependent entry its flat position, its edge, and
+    its value when that edge delivers and when it drops.  No two entries
+    share a position."""
     g = ag.base
     n, shape = g.n, (ag.m, ag.m)
     D = (g.out_degrees + 1).astype(float)
     src, dst = g.edge_sources, g.edge_destinations
-    buf = n + np.arange(g.num_edges)
+    edges = np.arange(g.num_edges)
+    buf = n + edges
     Ds = D[src]
+    # Mass arriving at the sender of edge k this round is re-shared
+    # immediately, so anything edge f delivers there also reaches k's buffer.
     f, k = g.relay_pairs
+
+    def values(b: np.ndarray) -> np.ndarray:
+        # The entries, in the order of "positions", for per-edge deliveries b.
+        bf = b[f]
+        return np.concatenate([
+            b / (Ds * D[dst]),
+            b / D[dst],
+            1.0 / Ds**2 + (1.0 - b) / Ds,
+            1.0 - b,
+            bf / (D[src[f]] * Ds[k]),
+            bf / Ds[k],
+        ])
+
     at = np.ravel_multi_index
     return {
         "agents": at((np.arange(n), np.arange(n)), shape),
         "agent_keep": 1.0 / D**2,
-        "agent_out": at((src, dst), shape),
-        "agent_out_den": Ds * D[dst],
-        "buffer_out": at((buf, dst), shape),
-        "buffer_out_den": D[dst],
-        "sender_keep": at((src, buf), shape),
-        "sender_keep_base": 1.0 / Ds**2,
-        "sender_keep_den": Ds,
-        "buffer_keep": at((buf, buf), shape),
-        "relay_edges": f,
-        "relay": at((src[f], buf[k]), shape),
-        "relay_den": D[src[f]] * Ds[k],
-        "buffer_relay": at((buf[f], buf[k]), shape),
-        "buffer_relay_den": Ds[k],
+        "positions": np.concatenate([
+            at((src, dst), shape),
+            at((buf, dst), shape),
+            at((src, buf), shape),
+            at((buf, buf), shape),
+            at((src[f], buf[k]), shape),
+            at((buf[f], buf[k]), shape),
+        ]),
+        "edges": np.concatenate([edges, edges, edges, edges, f, f]),
+        "delivered": values(np.ones(g.num_edges)),
+        "dropped": values(np.zeros(g.num_edges)),
     }
+
+
+def _round_buffer(ag: AugmentedGraph, schedule: FailureSchedule) -> tuple[np.ndarray, dict]:
+    """An m x m round matrix with only the agent diagonal written, which no
+    delivery changes, and the tables that fill in the rest of a round."""
+    if schedule.graph != ag.base:
+        raise DimensionMismatchError("schedule was built for a different graph")
+    tab = _round_tables(ag)
+    M = np.zeros((ag.m, ag.m))
+    M.reshape(-1)[tab["agents"]] = tab["agent_keep"]
+    return M, tab
+
+
+def _fill_round(M: np.ndarray, tab: dict, schedule: FailureSchedule, t: int) -> None:
+    """Write round t's delivery-dependent entries into the round matrix M."""
+    delivered = schedule.delivered(t)[tab["edges"]]
+    M.reshape(-1)[tab["positions"]] = np.where(delivered, tab["delivered"], tab["dropped"])
 
 
 def iteration_matrix(ag: AugmentedGraph, schedule: FailureSchedule, t: int) -> np.ndarray:
@@ -81,22 +118,8 @@ def iteration_matrix(ag: AugmentedGraph, schedule: FailureSchedule, t: int) -> n
     round), delivered links carry shares onward, and a dropped link leaves
     the edge's buffer holding its own mass plus the sender's fresh share.
     """
-    if schedule.graph != ag.base:
-        raise DimensionMismatchError("schedule was built for a different graph")
-    b = schedule.delivered(t).astype(float)
-    tab = _round_tables(ag)
-    M = np.zeros((ag.m, ag.m))
-    entries = M.reshape(-1)
-    entries[tab["agents"]] = tab["agent_keep"]
-    entries[tab["agent_out"]] = b / tab["agent_out_den"]
-    entries[tab["buffer_out"]] = b / tab["buffer_out_den"]
-    entries[tab["sender_keep"]] = tab["sender_keep_base"] + (1.0 - b) / tab["sender_keep_den"]
-    entries[tab["buffer_keep"]] = 1.0 - b
-    # Mass arriving at the sender of edge k this round is re-shared
-    # immediately, so anything edge f delivers there also reaches k's buffer.
-    bf = b[tab["relay_edges"]]
-    entries[tab["relay"]] = bf / tab["relay_den"]
-    entries[tab["buffer_relay"]] = bf / tab["buffer_relay_den"]
+    M, tab = _round_buffer(ag, schedule)
+    _fill_round(M, tab, schedule, t)
     return M
 
 
@@ -117,10 +140,13 @@ def matrix_product(
 
 def _window_product(ag, schedule, r, t, lambdas=None) -> np.ndarray:
     """M[r] @ ... @ M[t] in two m x m buffers that swap roles each round;
-    with a list ``lambdas``, also appends lambda(M[k]) for every round."""
+    with a list ``lambdas``, also appends lambda(M[k]) for every round.
+    Every M[k] is filled into one round buffer: the agent diagonal once per
+    window, the delivery-dependent entries once per round."""
+    M, tab = _round_buffer(ag, schedule)
     product, spare = np.eye(ag.m), np.empty((ag.m, ag.m))
     for k in range(r, t + 1):
-        M = iteration_matrix(ag, schedule, k)
+        _fill_round(M, tab, schedule, k)
         np.matmul(product, M, out=spare)
         product, spare = spare, product
         if lambdas is not None:
@@ -152,21 +178,23 @@ def evolve_by_matrices(
     return ConsensusTrace(ag, inputs, values, weights)
 
 
-def _check_row_stochastic(A: np.ndarray) -> np.ndarray:
+def _check_row_stochastic(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """A as a float array, and its smallest entry."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NotRowStochasticError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise NotRowStochasticError(f"expected a non-empty square matrix, got shape {A.shape}")
     sums = A.sum(axis=1)
     # A NaN or infinite entry makes its row sum non-finite as well.
     if not np.isfinite(sums).all():
         raise NotRowStochasticError("matrix has a non-finite entry or row sum")
-    if A.size and (A.min() < -ROW_SUM_TOL or np.abs(sums - 1.0).max() > ROW_SUM_TOL):
+    low = A.min()
+    if low < -ROW_SUM_TOL or np.abs(sums - 1.0).max() > ROW_SUM_TOL:
         raise NotRowStochasticError(
             "matrix is not row stochastic within tolerance "
-            f"{ROW_SUM_TOL} (min entry {A.min()}, worst row-sum error "
+            f"{ROW_SUM_TOL} (min entry {low}, worst row-sum error "
             f"{np.abs(sums - 1.0).max()})"
         )
-    return A
+    return A, low
 
 
 def delta_coefficient(A) -> float:
@@ -175,7 +203,7 @@ def delta_coefficient(A) -> float:
     Zero exactly when all rows are identical; at most 1 for row-stochastic
     input.
     """
-    A = _check_row_stochastic(A)
+    A, _ = _check_row_stochastic(A)
     return float((A.max(axis=0) - A.min(axis=0)).max())
 
 
@@ -186,8 +214,8 @@ def lambda_coefficient(A) -> float:
     coefficient 1, identical rows give 0.  Products contract column spread at
     least this fast.
     """
-    A = _check_row_stochastic(A)
-    if A.min() >= 0.0:
+    A, low = _check_row_stochastic(A)
+    if low >= 0.0:
         # Two rows with disjoint supports overlap by exactly 0, and no pair
         # overlaps by less.  A negative entry within tolerance can make an
         # overlap negative, so that case takes the row-by-row minimum.

@@ -701,6 +701,45 @@ class TestDistinctValueWriters:
         product = np.random.default_rng(cells).choice([0.0, -0.0, 0.5, 1.0 / 3.0], size=(11, 11))
         assert _streamed(_stream_psi, product) == _streamed(_oracle_stream_psi, product)
 
+    # Value pools of consecutive psi blocks, cycled: a value in block 1,
+    # absent from block 2 and back in block 3; -0 and 0 on either side of
+    # every boundary; and blocks that share no value at all.
+    CARRY_POOLS = {
+        "returning": [[1.0 / 3.0, 0.25, 0.5], [0.25, 0.5, 0.75], [1.0 / 3.0, 0.75, 0.25]],
+        "signed_zero": [[-0.0, 0.5], [0.0, 0.5]],
+        "disjoint": [[1e300, 0.25], [1.0 / 3.0, 2.0 / 3.0, 5e-324], [0.75, 1.0]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CARRY_POOLS))
+    @pytest.mark.parametrize("cells", ["1", "m - 1", "m", "2m"])
+    def test_psi_blocks_carry_texts(self, monkeypatch, case, cells):
+        m = 6
+        cells = {"1": 1, "m - 1": m - 1, "m": m, "2m": 2 * m}[cells]
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
+        rows = max(1, cells // m)
+        pools = self.CARRY_POOLS[case]
+        rng = np.random.default_rng(len(pools) + rows)
+        product = np.empty((m, m))
+        for b, start in enumerate(range(0, m, rows)):
+            pool = pools[b % len(pools)]
+            for i in range(start, min(start + rows, m)):
+                product[i] = rng.permutation(np.resize(pool, m))
+        formatted = []
+        texts = harness._texts
+
+        def counting(keys):
+            formatted.append(keys.size)
+            return texts(keys)
+
+        monkeypatch.setattr(harness, "_texts", counting)
+        chunks = _streamed(_stream_psi, product)
+        assert chunks == _streamed(_oracle_stream_psi, product)
+        # Each block formats exactly the bit patterns the block before lacks.
+        blocks = [set(product[i : i + rows].view(np.int64).ravel()) for i in range(0, m, rows)]
+        assert sum(formatted) == sum(len(b - a) for a, b in zip([set()] + blocks, blocks))
+        if case == "signed_zero":
+            assert ",-0\n" in "".join(chunks) and ",0\n" in "".join(chunks)
+
     def test_trace_memory_does_not_grow_with_horizon(self):
         g = graph_from_spec(DIGEST_GRAPH)
         y = np.random.default_rng(1).uniform(-1.0, 1.0, g.n)

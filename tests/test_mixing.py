@@ -1,6 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lossynet.mixing
@@ -28,7 +31,7 @@ from lossynet import (
     run_experiment,
     scripted_schedule,
 )
-from lossynet.mixing import ROW_SUM_TOL
+from lossynet.mixing import ROW_SUM_TOL, _audit_window, _round_tables, _window_product
 
 # Augmented two-cycle: nodes 1, 2 then buffers for (1,2) and (2,1).
 M_RELIABLE = np.array(
@@ -214,6 +217,11 @@ class TestSpreadCoefficients:
         with pytest.raises(NotRowStochasticError, match="non-finite"):
             coefficient(np.array([[bad, 0.5], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("coefficient", [delta_coefficient, lambda_coefficient])
+    def test_rejects_empty_matrix(self, coefficient):
+        with pytest.raises(NotRowStochasticError, match="non-empty square"):
+            coefficient(np.zeros((0, 0)))
+
     def test_rejects_negative_entries(self):
         with pytest.raises(NotRowStochasticError):
             lambda_coefficient(np.array([[1.2, -0.2], [0.5, 0.5]]))
@@ -374,13 +382,13 @@ class TestContraction:
 class TestAuditPass:
     def test_audit_builds_each_round_matrix_once(self, tmp_path, monkeypatch):
         calls = []
-        original = lossynet.mixing.iteration_matrix
+        original = lossynet.mixing._fill_round
 
-        def counting(ag, schedule, t):
+        def counting(M, tab, schedule, t):
             calls.append(t)
-            return original(ag, schedule, t)
+            return original(M, tab, schedule, t)
 
-        monkeypatch.setattr(lossynet.mixing, "iteration_matrix", counting)
+        monkeypatch.setattr(lossynet.mixing, "_fill_round", counting)
         raw = {
             "mode": "matrix-audit",
             "graph": {"n": 3, "edges": [[1, 2], [2, 1], [2, 3], [3, 1]]},
@@ -391,3 +399,56 @@ class TestAuditPass:
         artifact = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
         assert artifact.summary["pass_flags"]["entry_lower_bound"] is not None
         assert calls == list(range(3, 12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        p_drop=st.floats(0.0, 0.9),
+        r=st.integers(1, 8),
+        length=st.integers(1, 8),
+    )
+    @example(seed=3, n=1, p_drop=0.5, r=2, length=4)  # no edges at all
+    @example(seed=5, n=4, p_drop=0.5, r=8, length=1)  # one round
+    def test_window_matches_fresh_round_matrices(self, seed, n, p_drop, r, length):
+        # The reused buffer against a fold over matrices built from scratch
+        # by the edge-loop oracle, and the lambdas against the public builder.
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected(n, rng)
+        ag = augment(g)
+        schedule = bernoulli_b_bounded(g, p_drop, 2, 8, seed=seed)
+        t = min(8, r + length - 1)
+        lambdas = []
+        product = _window_product(ag, schedule, r, t, lambdas)
+        expected = np.eye(ag.m)
+        for k in range(r, t + 1):
+            expected = expected @ oracle_iteration_matrix(ag, schedule, k)
+        assert np.array_equal(product, expected)
+        assert np.array_equal(product, matrix_product(ag, schedule, r, t))
+        assert lambdas == [
+            lambda_coefficient(iteration_matrix(ag, schedule, k)) for k in range(r, t + 1)
+        ]
+        audited, contraction, _ = _audit_window(ag, schedule, r, t, 2)
+        assert np.array_equal(audited, product)
+        assert contraction.lambda_product == math.prod(lambdas)
+
+    def test_audit_memory_does_not_grow_with_window(self):
+        # The complete graph on 8 agents has 1008 delivery-dependent entries
+        # for m = 64, so a selection table with one row per round of a
+        # 1000-round window would take about 1 MB, against about 0.2 MB for the whole audit of
+        # a 50-round window.  Only the per-round lambdas may pile up, at
+        # well under 64 bytes each.
+        g = build_graph(8, [(i, j) for i in range(1, 9) for j in range(1, 9) if i != j])
+        ag = augment(g)
+        assert _round_tables(ag)["positions"].size == 1008
+        schedule = bernoulli_b_bounded(g, 0.5, 2, 1000, seed=1)
+        _audit_window(ag, schedule, 1, 1, 2)
+        peaks = []
+        for T in (50, 1000):
+            tracemalloc.start()
+            try:
+                _audit_window(ag, schedule, 1, T, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 950 * 64
