@@ -11,6 +11,7 @@ operational error (bad config, unreadable file, invalid arguments).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .errors import LossyNetError
 from .harness import MODES, load_config, run_experiment, schedule_verdict, write_json
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lossynet",

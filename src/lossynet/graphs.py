@@ -29,7 +29,6 @@ __all__ = [
     "is_strongly_connected",
     "random_strongly_connected",
     "graph_from_spec",
-    "graph_to_spec",
 ]
 
 
@@ -180,7 +179,3 @@ def random_strongly_connected(
 def graph_from_spec(spec: dict) -> DirectedGraph:
     """Build a graph from the JSON form {"n": int, "edges": [[i, j], ...]}."""
     return build_graph(int(spec["n"]), [(int(i), int(j)) for i, j in spec["edges"]])
-
-
-def graph_to_spec(g: DirectedGraph) -> dict:
-    return {"n": g.n, "edges": [[i, j] for i, j in g.edges]}

@@ -38,11 +38,11 @@ from .dual_averaging import (
     certify_optimality_gap,
     run_distributed_dual_averaging,
 )
-from .errors import ConfigError, _horizon_fits
+from .errors import ConfigError, DimensionMismatchError, _horizon_fits
 from .graphs import DirectedGraph, augment, graph_from_spec
 from .mixing import _audit_window
 from .problems import (
-    _is_finite_number, _is_int, _reference_slack, problem_from_spec, solve_reference
+    _COST_KINDS, Ball, Box, OptProblem, _check_reference_dim, _reference_slack, solve_reference
 )
 from .schedules import FailureSchedule
 
@@ -50,6 +50,7 @@ __all__ = [
     "ExperimentConfig",
     "RunArtifact",
     "load_config",
+    "problem_from_spec",
     "run_experiment",
     "write_json",
 ]
@@ -71,8 +72,48 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _only(spec: dict, keys, what: str) -> None:
+    """The one unknown-key rule of every config object."""
+    extra = set(spec) - set(keys)
+    _require(not extra, f"unknown {what} keys: {sorted(extra, key=str)}")
+
+
+def _field(spec, key: str, where: str):
+    """``spec[key]``, or a ConfigError when ``spec`` is not an object with it."""
+    _require(isinstance(spec, dict) and key in spec, f"{where} needs {key!r}")
+    return spec[key]
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _number(value, what: str) -> float:
+    _require(_is_finite_number(value), f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _vector(spec, key: str, where: str) -> np.ndarray:
+    """``spec[key]``, a finite number or a nonempty list of them, as floats."""
+    value = _field(spec, key, where)
+    items = value if isinstance(value, list) else [value]
+    _require(
+        items and all(map(_is_finite_number, items)),
+        f"{where} {key} must be a finite number or a list of them, got {value!r}",
+    )
+    return np.array(items, dtype=float)
 
 
 def _as_positive_int(value, key: str) -> int:
@@ -117,8 +158,61 @@ def _as_inputs(raw, horizon) -> tuple:
     return tuple(v for (v,) in values) if flat else values
 
 
+def _set_from_spec(spec, d: int) -> Box | Ball:
+    _require(isinstance(spec, dict), "problem set must be an object")
+    kind = spec.get("kind")
+    # Compared, not hashed, so any JSON value is looked up.
+    keys = ("lower", "upper") if kind == "box" else ("radius",) if kind == "ball" else None
+    _require(keys is not None, f"unknown feasible-set kind {kind!r}")
+    _only(spec, ("kind", "radius_sq", *keys), f"{kind} set")
+    radius_sq = spec.get("radius_sq")
+    if radius_sq is not None:
+        radius_sq = _number(radius_sq, f"{kind} set radius_sq")
+    if kind == "box":
+        cls, args = Box, [_vector(spec, key, "box set") for key in keys]
+    else:
+        cls, args = Ball, (_number(_field(spec, "radius", "ball set"), "ball set radius"), d)
+    try:
+        return cls(*args, radius_sq=radius_sq)
+    except ValueError as exc:  # lower above upper, unequal lengths, radius <= 0, radius_sq < 0
+        raise ConfigError(f"{kind} set: {exc}") from exc
+
+
+def problem_from_spec(spec: dict) -> OptProblem:
+    """Build a problem from its JSON description.
+
+    Expected shape: {"d": int, "set": {"kind": "box"|"ball", ...},
+    "components": [{"kind": "linear"|"abs_distance"|"l2_distance", ...}, ...],
+    "L": optional float}; a key that none of its objects takes is a ConfigError.
+    """
+    d = _field(spec, "d", "problem")
+    _only(spec, ("d", "set", "components", "L"), "problem")
+    _require(_is_int(d) and d >= 1, f"problem d must be a positive integer, got {d!r}")
+    fs = _set_from_spec(_field(spec, "set", "problem"), d)
+    if fs.dim != d:
+        raise DimensionMismatchError(f"feasible set dimension {fs.dim} != d = {d}")
+    comps = _field(spec, "components", "problem")
+    _require(
+        isinstance(comps, list) and comps and all(isinstance(c, dict) for c in comps),
+        "problem components must be a nonempty list of objects",
+    )
+    components = []
+    for comp in comps:
+        # Names are compared, not hashed, so any JSON value is looked up.
+        kind = next((k for k in _COST_KINDS if k._NAME == comp.get("kind")), None)
+        _require(kind is not None, f"unknown component kind {comp.get('kind')!r}")
+        _only(comp, ("kind", kind._PARAM), f"{kind._NAME} component")
+        components.append(kind(_vector(comp, kind._PARAM, f"{kind._NAME} component")))
+    lipschitz = spec.get("L")
+    if lipschitz is not None:
+        lipschitz = _number(lipschitz, "problem L")
+        _require(lipschitz >= 0, f"problem L must be >= 0, got {lipschitz!r}")
+    return OptProblem(tuple(components), fs, lipschitz)
+
+
 def _as_problem(value, horizon) -> dict:
     _require(isinstance(value, dict), "optimize mode needs a problem object")
+    _check_reference_dim(problem_from_spec(value))
     return copy.deepcopy(value)
 
 
@@ -141,11 +235,13 @@ def _as_window(window, horizon) -> dict:
 
 
 def _check_graph_spec(spec) -> None:
+    """A graph spec is exactly ``{"path": str}`` or exactly ``{"n", "edges"}``."""
+    path = isinstance(spec, dict) and isinstance(spec.get("path"), str)
     _require(
-        isinstance(spec, dict)
-        and (isinstance(spec.get("path"), str) or {"n", "edges"} <= set(spec)),
+        path or isinstance(spec, dict) and {"n", "edges"} <= set(spec),
         'graph needs either {"path": ...} or {"n": ..., "edges": ...}',
     )
+    _only(spec, ("path",) if path else ("n", "edges"), "graph")
 
 
 def _check_bernoulli(spec: dict) -> None:
@@ -193,8 +289,7 @@ SCHEDULE_KINDS = {
 def _check_schedule_spec(spec) -> dict:
     _require(isinstance(spec, dict), "schedule must be an object")
     kind = SCHEDULE_KINDS[_one_of(spec.get("kind"), SCHEDULE_KINDS, "schedule kind")]
-    extra = set(spec) - {"kind", *kind.keys}
-    _require(not extra, f"schedule keys {sorted(extra)} not allowed for kind {spec['kind']!r}")
+    _only(spec, ("kind", *kind.keys), f"{spec['kind']} schedule")
     kind.check(spec)
     return copy.deepcopy(spec)
 
@@ -229,8 +324,7 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "config must be a JSON object")
         # ``root`` is where the config was read from, not a key of it.
-        unknown = set(raw) - {f.name for f in fields(ExperimentConfig) if f.name != "root"}
-        _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+        _only(raw, [f.name for f in fields(ExperimentConfig) if f.name != "root"], "config")
         name = _one_of(raw.get("mode"), MODES, "mode")
         mode = MODES[name]
 
@@ -258,8 +352,7 @@ class ExperimentConfig:
 
         tolerances = raw.get("tolerances", {})
         _require(isinstance(tolerances, dict), "tolerances must be an object")
-        bad = set(tolerances) - set(TOLERANCE_KEYS)
-        _require(not bad, f"unknown tolerance keys: {sorted(bad)}")
+        _only(tolerances, TOLERANCE_KEYS, "tolerance")
         for key, value in tolerances.items():
             _require(_is_number(value), f"tolerance {key} must be a number, got {value!r}")
             _require(_is_finite_number(value), f"tolerance {key} must be finite, got {value!r}")
@@ -343,6 +436,7 @@ def _build_graph(spec, root: Path | None = None) -> DirectedGraph:
         isinstance(spec, dict) and {"n", "edges"} <= set(spec),
         f'{where} needs {{"n": ..., "edges": ...}}',
     )
+    _only(spec, ("n", "edges"), where)
     _as_positive_int(spec["n"], f"{where} n")
     edges = spec["edges"]
     _require(
@@ -375,9 +469,9 @@ def schedule_verdict(path, seed: int | None = None) -> dict:
     a file has its own length and may omit it."""
     raw, root = _read_config(path)
     _require(
-        isinstance(raw, dict) and not set(raw) - {"graph", "schedule", "B", "horizon"},
-        'verify-schedule config needs {"graph", "schedule", "B", "horizon"}',
+        isinstance(raw, dict), 'verify-schedule config needs {"graph", "schedule", "B", "horizon"}'
     )
+    _only(raw, ("graph", "schedule", "B", "horizon"), "verify-schedule config")
     g = _build_graph(raw.get("graph"), root)
     B = _as_positive_int(raw.get("B"), "B")
     spec = _check_schedule_spec(raw.get("schedule"))

@@ -32,7 +32,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .consensus import _rescue_norms
-from .errors import ConfigError, DimensionMismatchError, DimensionTooLargeError
+from .errors import DimensionMismatchError, DimensionTooLargeError
 
 __all__ = [
     "Box",
@@ -43,7 +43,6 @@ __all__ = [
     "OptProblem",
     "ReferenceSolution",
     "solve_reference",
-    "problem_from_spec",
 ]
 
 GRID_STEP_FRACTION = 1e-4
@@ -100,6 +99,9 @@ class Box:
             raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("box lower bound exceeds upper bound")
+        # radius_sq bounds psi(x*) = (1/2)||x*||^2, which is never negative.
+        if self.radius_sq is not None and not self.radius_sq >= 0:
+            raise ValueError(f"radius_sq must be >= 0, got {self.radius_sq!r}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -156,6 +158,8 @@ class Ball:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        if self.radius_sq is not None and not self.radius_sq >= 0:
+            raise ValueError(f"radius_sq must be >= 0, got {self.radius_sq!r}")
 
     @property
     def diameter(self) -> float:
@@ -523,21 +527,30 @@ def _exact_reference(p: OptProblem) -> bool:
 
 
 def _reference_slack(p: OptProblem) -> float:
-    """How far :func:`solve_reference`'s default value may lie above p's
-    minimum: 0 where it is exact, else lipschitz * its default grid step."""
+    """How far the value of :func:`solve_reference` may lie above p's
+    minimum: 0 where it is exact, else lipschitz * its grid step."""
     if _exact_reference(p):
         return 0.0
     return p.lipschitz_bound * GRID_STEP_FRACTION * p.feasible.diameter
 
 
-def solve_reference(p: OptProblem, grid_step: float | None = None) -> ReferenceSolution:
+def _check_reference_dim(p: OptProblem) -> None:
+    """The one reference rule: d <= 2, unless :func:`solve_reference` is exact for p."""
+    if p.dim > 2 and not _exact_reference(p):
+        raise DimensionTooLargeError(
+            f"grid search covers d <= 2 only, got d = {p.dim}; attach a known optimum"
+        )
+
+
+def solve_reference(p: OptProblem) -> ReferenceSolution:
     """Reference minimizer and value.
 
     Uses a known optimum when attached, the closed form for purely linear
     objectives, and otherwise a coarse grid plus golden-section refinement
     for d <= 2; the value error of the grid path is at most about
-    lipschitz * grid_step (default step 1e-4 of the set diameter).
+    lipschitz * grid step, a step of 1e-4 of the set diameter.
     """
+    _check_reference_dim(p)
     fs = p.feasible
     if _exact_reference(p):
         if p.optimum is not None:
@@ -552,11 +565,7 @@ def solve_reference(p: OptProblem, grid_step: float | None = None) -> ReferenceS
                 x = np.where(cbar > 0, fs.lower, np.where(cbar < 0, fs.upper, zero))
         return ReferenceSolution(x, p.objective(x))
 
-    if p.dim > 2:
-        raise DimensionTooLargeError(
-            f"grid search covers d <= 2 only, got d = {p.dim}; attach a known optimum"
-        )
-    step = GRID_STEP_FRACTION * fs.diameter if grid_step is None else float(grid_step)
+    step = GRID_STEP_FRACTION * fs.diameter
     axes = fs.grid_axes(COARSE_POINTS)
     if p.dim == 1:
         candidates = axes[0][:, None]
@@ -568,90 +577,3 @@ def solve_reference(p: OptProblem, grid_step: float | None = None) -> ReferenceS
     best = candidates[np.argmin(p.objective_at(candidates))]
     x = _golden_refine(p.objective_at, best, fs, step)
     return ReferenceSolution(x, p.objective(x))
-
-
-def _field(spec, key: str, where: str):
-    """``spec[key]``, or a ConfigError when ``spec`` is not an object with it."""
-    if not isinstance(spec, dict) or key not in spec:
-        raise ConfigError(f"{where} needs {key!r}")
-    return spec[key]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    """A JSON number (not a bool) that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _number(value, what: str) -> float:
-    if not _is_finite_number(value):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _vector(spec, key: str, where: str) -> np.ndarray:
-    """``spec[key]``, a finite number or a nonempty list of them, as floats."""
-    value = _field(spec, key, where)
-    items = value if isinstance(value, list) else [value]
-    if not items or not all(map(_is_finite_number, items)):
-        raise ConfigError(f"{where} {key} must be a finite number or a list of them, got {value!r}")
-    return np.array(items, dtype=float)
-
-
-def _set_from_spec(spec: dict) -> Box | Ball:
-    kind = spec.get("kind")
-    radius_sq = spec.get("radius_sq")
-    if radius_sq is not None:
-        radius_sq = _number(radius_sq, f"{kind} set radius_sq")
-    if kind == "box":
-        cls, args = Box, (_vector(spec, "lower", "box set"), _vector(spec, "upper", "box set"))
-    elif kind == "ball":
-        cls, args = Ball, (_number(_field(spec, "radius", "ball set"), "ball set radius"), spec["d"])
-    else:
-        raise ConfigError(f"unknown feasible-set kind {kind!r}")
-    try:
-        return cls(*args, radius_sq=radius_sq)
-    except ValueError as exc:  # lower above upper, unequal lengths, radius <= 0
-        raise ConfigError(f"{kind} set: {exc}") from exc
-
-
-def problem_from_spec(spec: dict) -> OptProblem:
-    """Build a problem from its JSON description.
-
-    Expected shape: {"d": int, "set": {"kind": "box"|"ball", ...},
-    "components": [{"kind": "linear"|"abs_distance"|"l2_distance", ...}, ...],
-    "L": optional float}.
-    """
-    d = _field(spec, "d", "problem")
-    if not _is_int(d) or d < 1:
-        raise ConfigError(f"problem d must be a positive integer, got {d!r}")
-    set_spec = _field(spec, "set", "problem")
-    if not isinstance(set_spec, dict):
-        raise ConfigError("problem set must be an object")
-    fs = _set_from_spec({"d": d, **set_spec})
-    if fs.dim != d:
-        raise DimensionMismatchError(f"feasible set dimension {fs.dim} != d = {d}")
-    comps = _field(spec, "components", "problem")
-    if not isinstance(comps, list) or not comps or not all(isinstance(c, dict) for c in comps):
-        raise ConfigError("problem components must be a nonempty list of objects")
-    components = []
-    for comp in comps:
-        # Names are compared, not hashed, so any JSON value is looked up.
-        kind = next((k for k in _COST_KINDS if k._NAME == comp.get("kind")), None)
-        if kind is None:
-            raise ConfigError(f"unknown component kind {comp.get('kind')!r}")
-        components.append(kind(_vector(comp, kind._PARAM, f"{kind._NAME} component")))
-    lipschitz = spec.get("L")
-    if lipschitz is not None:
-        lipschitz = _number(lipschitz, "problem L")
-        if lipschitz < 0:
-            raise ConfigError(f"problem L must be >= 0, got {lipschitz!r}")
-    return OptProblem(tuple(components), fs, lipschitz)

@@ -1,10 +1,14 @@
+import copy
 import csv
 import hashlib
 import io
 import json
 import math
+import random
+import re
 import shutil
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +22,6 @@ from lossynet import (
     StepSizeSchedule,
     bernoulli_b_bounded,
     graph_from_spec,
-    graph_to_spec,
     load_config,
     problem_from_spec,
     random_strongly_connected,
@@ -28,7 +31,7 @@ from lossynet import (
     write_json,
     write_schedule_csv,
 )
-from lossynet import harness, schedules
+from lossynet import cli, harness, schedules
 from lossynet.cli import main
 from lossynet.harness import _RUNNERS, _stream_psi, _stream_trace
 
@@ -151,6 +154,22 @@ class TestConfigValidation:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({**CONSENSUS_RAW, "extra": 1})
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"tolerances": {"mass_tol": 1e-9}}, "unknown tolerance keys: ['mass_tol']"),
+        ({"schedule": {"kind": "all_reliable", "B": 2}},
+         "unknown all_reliable schedule keys: ['B']"),
+        ({"schedule": {**CONSENSUS_RAW["schedule"], "p": 0.5}},
+         "unknown bernoulli schedule keys: ['p']"),
+        ({"graph": {**CONSENSUS_RAW["graph"], "path": "ring.json"}},
+         "unknown graph keys: ['edges', 'n']"),
+        ({"graph": {**CONSENSUS_RAW["graph"], "directed": True}},
+         "unknown graph keys: ['directed']"),
+        ({"graph": {"path": "ring.json", "n": 3}}, "unknown graph keys: ['n']"),
+    ])
+    def test_every_object_rejects_unknown_keys(self, edit, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_dict({**CONSENSUS_RAW, **edit})
 
     def test_root_is_not_a_config_key(self):
         # The directory paths are read against comes from where the config
@@ -987,6 +1006,10 @@ MALFORMED_CSV = [
 ]
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("not to be called for a config that is rejected")
+
+
 # Problem fields replaced in OPTIMIZE_RAW, each malformed.
 BAD_PROBLEMS = [
     ({"set": {"kind": "box", "lower": [1.0], "upper": [0.0]}},
@@ -1008,6 +1031,19 @@ BAD_PROBLEMS = [
     ({"components": [{"kind": ["linear"], "c": [1.0]}] * 3},
      "unknown component kind ['linear']"),
     ({"components": [{"kind": {"a": 1}, "a": [1.0]}] * 3}, "unknown component kind {'a': 1}"),
+    ({"set": {"kind": [], "lower": [0.0], "upper": [1.0]}}, "unknown feasible-set kind []"),
+    ({"set": {"kind": "box", "lower": [0.0], "upper": [1.0], "radius_sq": -1e30}},
+     "box set: radius_sq must be >= 0"),
+    ({"set": {"kind": "ball", "radius": 1.0, "radius_sq": -5e-324}},
+     "ball set: radius_sq must be >= 0"),
+    # Every object of the problem rejects a key it does not know.
+    ({"Lipschitz": 1e-9}, "unknown problem keys: ['Lipschitz']"),
+    ({"optimum": [0.5]}, "unknown problem keys: ['optimum']"),
+    ({"set": {"kind": "box", "lower": [0.0], "upper": [1.0], "radius": 2.0}},
+     "unknown box set keys: ['radius']"),
+    ({"set": {"kind": "ball", "radius": 1.0, "d": 1}}, "unknown ball set keys: ['d']"),
+    ({"components": [{"kind": "linear", "c": [1.0], "a": [0.0]}] * 3},
+     "unknown linear component keys: ['a']"),
 ]
 
 # Inputs of a three-agent consensus run that are not finite or whose
@@ -1128,10 +1164,31 @@ class TestCli:
             assert main([command, "--config", config, "--out", out]) == 0, command
 
     @pytest.mark.parametrize("problem, message", BAD_PROBLEMS)
-    def test_optimize_malformed_problem(self, tmp_path, capsys, problem, message):
+    def test_optimize_malformed_problem(self, tmp_path, capsys, monkeypatch, problem, message):
+        # The problem is parsed at load, with every other key: no schedule
+        # is generated for a config that is then rejected.
         raw = dict(OPTIMIZE_RAW, problem=dict(OPTIMIZE_RAW["problem"], **problem))
+        with pytest.raises(LossyNetError, match=re.escape(message)):
+            ExperimentConfig.from_dict(raw)
+        monkeypatch.setattr(schedules, "bernoulli_b_bounded", _never_called)
         assert self._optimize_exit(tmp_path, raw) == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, key, code", [("l2_distance", "a", 1), ("linear", "c", 0)])
+    def test_grid_reference_dimension_is_checked_at_load(self, tmp_path, capsys, monkeypatch, kind,
+                                                         key, code):
+        # A d = 3 problem needs an exact reference, which an all-linear one
+        # has: any other fails before its first round.
+        problem = {"d": 3, "set": {"kind": "ball", "radius": 1.0},
+                   "components": [{"kind": kind, key: [0.1 * i, 0.2, -0.3]} for i in range(3)]}
+        raw = dict(OPTIMIZE_RAW, horizon=20, problem=problem)
+        if code == 1:
+            monkeypatch.setattr(harness, "run_distributed_dual_averaging", _never_called)
+        assert self._optimize_exit(tmp_path, raw) == code
+        err = capsys.readouterr().err
+        assert ("error: grid search covers d <= 2 only, got d = 3" in err) == (code == 1)
+        assert (tmp_path / "out").exists() == (code == 0)
 
     def test_signed_quick_start_inputs(self, tmp_path, capsys):
         # The README quick start: graph, schedule and signed inputs.
@@ -1186,7 +1243,7 @@ class TestCli:
         g = random_strongly_connected(50, np.random.default_rng(0), 0.15)
         raw = dict(
             CONSENSUS_RAW,
-            graph=graph_to_spec(g),
+            graph={"n": g.n, "edges": [list(e) for e in g.edges]},
             horizon=20,
             inputs=[float(i % 7) for i in range(g.n)],
         )
@@ -1321,7 +1378,28 @@ class TestCli:
         config = _write(tmp_path, "v.json", raw)
         code = main(["verify-schedule", "--config", config, "--out", str(tmp_path)])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: unknown verify-schedule config keys: ['mode']" in capsys.readouterr().err
+
+    def test_graph_spec_takes_one_form(self, tmp_path, capsys):
+        # A path next to an inline graph would drop the inline one.
+        (tmp_path / "ring.json").write_text(json.dumps(CONSENSUS_RAW["graph"]))
+        both = dict(CONSENSUS_RAW["graph"], path="ring.json")
+        assert _run_with_graph(tmp_path, both) == [1, 1]
+        assert capsys.readouterr().err.count("error: unknown graph keys: ['edges', 'n']") == 2
+        assert _run_with_graph(tmp_path, dict(CONSENSUS_RAW["graph"], nodes=3)) == [1, 1]
+        assert capsys.readouterr().err.count("error: unknown graph keys: ['nodes']") == 2
+        (tmp_path / "ring.json").write_text(json.dumps(dict(CONSENSUS_RAW["graph"], m=6)))
+        assert _run_with_graph(tmp_path, {"path": "ring.json"}) == [1, 1]
+        assert capsys.readouterr().err.count("ring.json keys: ['m']") == 2
+
+    def test_parser_is_built_once_and_keeps_no_flags(self, tmp_path, capsys):
+        config = _write(tmp_path, "c.json", dict(CONSENSUS_RAW, horizon=2))
+        assert main(["consensus", "--config", config, "--out", str(tmp_path / "a"),
+                     "--tee-csv"]) == 0
+        assert capsys.readouterr().out.startswith("t,node_id,kind,")
+        assert main(["consensus", "--config", config, "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli._build_parser() is cli._build_parser()
 
     def test_graph_file_not_json(self, tmp_path, capsys):
         (tmp_path / "ring.json").write_text("{nope")
@@ -1416,3 +1494,127 @@ class TestCli:
         assert main(["verify-schedule", "--config", "sub/v.json", "--out", str(tmp_path / "v")]) == 0
         assert main(["consensus", "--config", "sub/c.json", "--out", str(tmp_path / "c")]) == 0
         assert seen == [(ring, str((data / "s.csv").resolve()))] * 2
+
+
+# The typed-error contract under mutation: seeded cases, each a config (or a
+# graph file or schedule CSV) with one or two values replaced by an edge
+# value or deleted, maybe with an unknown key inserted into one of its
+# objects.  Each exits 0, 1 or 2 with no traceback, and exit 1 leaves no
+# output directory.  numpy's floating-point warnings are not tracebacks on
+# the command line, and two inputs the config accepts raise them (counters
+# that overflow on inputs near 1e308, and the gap constants of a box bound
+# at -1e308), so the cases let those through; every other warning fails.
+FUZZ_POOL = [1e308, -1e308, math.nan, math.inf, -math.inf, 5e-324, 2**63, 10**30, "", [], {},
+             None, True, False, [[1, [2.5]], [[]]]]
+FUZZ_CELLS = ["", " ", "x", "nan", "inf", "-1", "0", "2", "1.5", "1e308", "9223372036854775808",
+              '"1"', "1_0", "٣", "1,2"]
+FUZZ_HEADERS = ["", "src", "dst", "t", "indicator", "time", "T"]
+FUZZ_BYTES = [b"\x00", b"\xff", b"\x80", b'"', b"{", b",", b"\n", b"9", b"-", b""]
+_DELETE = object()
+
+
+def _nodes(obj):
+    """(container, key, value) for every value inside ``obj``, containers
+    included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield obj, key, value
+        yield from _nodes(value)
+
+
+def _mutated(rng, obj):
+    """``obj`` with one or two values replaced from FUZZ_POOL or deleted, or
+    with an unknown key in one of its objects and at most one value changed;
+    and whether it got the unknown key."""
+    obj = copy.deepcopy(obj)
+    unknown = rng.random() < 0.3
+    count = rng.choice([0, 1] if unknown else [1, 2])
+    for _ in range(count):
+        nodes = list(_nodes(obj))
+        if not nodes:
+            break
+        parent, key, _ = rng.choice(nodes)
+        value = rng.choice(FUZZ_POOL + [_DELETE])
+        if value is _DELETE:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+    if unknown:
+        objects = [obj] + [value for _, _, value in _nodes(obj) if isinstance(value, dict)]
+        rng.choice(objects)["zz_unknown"] = rng.choice(FUZZ_POOL)
+    return obj, unknown
+
+
+def _mutated_csv(rng, text: str) -> bytes:
+    """A schedule CSV with one byte, one cell or one header name changed."""
+    lines = [line.split(",") for line in text.splitlines()]
+    what = rng.choice(["byte", "cell", "header"])
+    if what == "byte":
+        data = text.encode()
+        at = rng.randrange(len(data))
+        return data[:at] + rng.choice(FUZZ_BYTES) + data[at + 1 :]
+    row = 0 if what == "header" else rng.randrange(1, len(lines))
+    lines[row][rng.randrange(len(lines[row]))] = rng.choice(
+        FUZZ_HEADERS if what == "header" else FUZZ_CELLS
+    )
+    return "\n".join(",".join(cells) for cells in lines).encode() + b"\n"
+
+
+class TestFuzz:
+    CASES = 900
+    FILE_CASES = 200
+
+    @staticmethod
+    def _exit(tmp_path, capsys, name, command, config: bytes, case) -> int:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(config)
+        out = tmp_path / f"{name}-out"
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "(overflow|invalid value) encountered",
+                                        RuntimeWarning)
+                code = main([command, "--config", str(path), "--out", str(out)])
+        except Exception as exc:  # a traceback: the contract's one failure
+            pytest.fail(f"{command} raised {exc!r} on {case}")
+        capsys.readouterr()
+        assert code in (0, 1, 2), case
+        assert code != 1 or not out.exists(), case
+        return code
+
+    def test_configs(self, tmp_path, capsys):
+        rng = random.Random(20261019)
+        bases = (CONSENSUS_RAW, OPTIMIZE_RAW, AUDIT_RAW)
+        for i in range(self.CASES):
+            base = bases[i % 3]
+            raw, unknown = _mutated(rng, base)
+            code = self._exit(tmp_path, capsys, f"c{i}", base["mode"], json.dumps(raw).encode(),
+                              raw)
+            assert code == 1 or not unknown, raw
+
+    def test_graph_files_and_schedule_csvs(self, tmp_path, capsys):
+        rng = random.Random(7)
+        ring = graph_from_spec(CONSENSUS_RAW["graph"])
+        write_schedule_csv(all_reliable(ring, 4), tmp_path / "base.csv")
+        csv_text = (tmp_path / "base.csv").read_text()
+        graph_text = json.dumps(CONSENSUS_RAW["graph"]).encode()
+        refs = {"graph": {"path": "g.json"}, "schedule": {"kind": "csv", "path": "s.csv"}}
+        runs = (("verify-schedule", dict(VERIFY_RAW, horizon=4, **refs)),
+                ("consensus", dict(CONSENSUS_RAW, horizon=4, **refs)))
+        for i in range(self.FILE_CASES):
+            unknown = False
+            graph, schedule = graph_text, csv_text.encode()
+            if rng.random() < 0.5:
+                schedule = _mutated_csv(rng, csv_text)
+            elif rng.random() < 0.5:
+                at = rng.randrange(len(graph_text))
+                graph = graph_text[:at] + rng.choice(FUZZ_BYTES) + graph_text[at + 1 :]
+            else:
+                spec, unknown = _mutated(rng, CONSENSUS_RAW["graph"])
+                graph = json.dumps(spec).encode()
+            (tmp_path / "g.json").write_bytes(graph)
+            (tmp_path / "s.csv").write_bytes(schedule)
+            case = (graph, schedule)
+            for command, raw in runs:
+                code = self._exit(tmp_path, capsys, f"{command}{i}", command,
+                                  json.dumps(raw).encode(), case)
+                assert code == 1 or not unknown, case

@@ -7,7 +7,8 @@ from lossynet import cli
 
 # The package surface as it was listed by hand in ``lossynet/__init__.py``
 # before that list was derived from the modules' own ``__all__``, less
-# ``emit_summary`` (a one-line wrapper around ``write_json``, since removed).
+# ``emit_summary`` (a one-line wrapper around ``write_json``) and
+# ``graph_to_spec`` (called by tests only), both since removed.
 PUBLIC_NAMES = [
     "AbsDistanceCost", "AugmentedGraph", "Ball", "Box", "CentralizedTrace", "ConfigError",
     "ConsensusCertificate", "ConsensusTrace", "ContractionReport", "DimensionMismatchError",
@@ -22,7 +23,7 @@ PUBLIC_NAMES = [
     "certify_consensus_bound", "certify_contraction", "certify_entry_lower_bound",
     "certify_mixing_error", "certify_optimality_gap", "consensus_error", "consensus_rate_bound",
     "contraction_constants", "delta_coefficient", "evolve_by_matrices", "graph_from_spec",
-    "graph_to_spec", "is_strongly_connected", "iteration_matrix", "lambda_coefficient",
+    "is_strongly_connected", "iteration_matrix", "lambda_coefficient",
     "load_config", "matrix_product", "mixing_error_bound", "optimality_gap_bound",
     "periodic_adversarial", "problem_from_spec", "proximal_projection",
     "random_strongly_connected", "read_schedule_csv", "run_centralized_dual_averaging",

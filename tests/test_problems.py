@@ -77,6 +77,11 @@ class TestBox:
             Box([2.0], [1.0])
         with pytest.raises(ValueError):
             Box([0.0], [np.inf])
+        # radius_sq bounds psi(x*) >= 0.
+        for bad in (-1e30, -5e-324, np.nan):
+            with pytest.raises(ValueError, match="radius_sq must be >= 0"):
+                Box([0.0], [1.0], radius_sq=bad)
+        assert Box([0.0], [1.0], radius_sq=0.0).psi_radius_sq == 0.0
 
 
 class TestBall:
@@ -122,6 +127,10 @@ class TestBall:
             Ball(0.0, 2)
         with pytest.raises(ValueError):
             Ball(1.0, 0)
+        for bad in (-1e30, -5e-324, np.nan):
+            with pytest.raises(ValueError, match="radius_sq must be >= 0"):
+                Ball(1.0, 2, radius_sq=bad)
+        assert Ball(1.0, 2, radius_sq=0.0).psi_radius_sq == 0.0
 
 
 class TestCosts:
@@ -475,11 +484,6 @@ class TestSolveReference:
         ref = solve_reference(p)
         assert np.linalg.norm(ref.x - [0.3, 0.4]) < 1e-3
         assert ref.value < 1e-3
-
-    def test_grid_step_override(self):
-        p = OptProblem((AbsDistanceCost([0.3]),), unit_interval)
-        ref = solve_reference(p, grid_step=1e-6)
-        assert abs(ref.x[0] - 0.3) < 1e-5
 
     def test_high_dimension_needs_known_optimum(self):
         p = OptProblem((L2DistanceCost([0.0, 0.0, 0.0]),), Ball(1.0, 3))
