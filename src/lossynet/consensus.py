@@ -39,7 +39,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IterationOutOfRangeError,
-    NegativeInputError,
     ScheduleTooShortError,
     ZeroWeightError,
     _check_horizon,
@@ -337,22 +336,22 @@ def contraction_constants(g: DirectedGraph, B: int) -> tuple[float, float, int]:
 def consensus_rate_bound(g: DirectedGraph, B: int, y, t: int) -> float:
     """A-priori bound on the worst ratio error of the convergent protocol.
 
-    Valid for nonnegative inputs on any B-window schedule:
+    Valid on any B-window schedule: for nonnegative inputs,
     ||z_i[t] / w_i[t] - avg(y)|| <= ||sum(y)|| / (n beta**block) *
-    gamma**floor(t / block).
+    gamma**floor(t / block).  Signed inputs take the bound of the inputs
+    shifted per coordinate by min(0, min_i y_i): ratios and their average
+    move alike under a shift, so the errors stay the same.
     """
     inputs = _input_matrix(y, g.n)
-    if np.any(inputs < 0):
-        raise NegativeInputError("the rate bound is stated for nonnegative inputs")
     if t < 1:
         raise IterationOutOfRangeError(f"iteration must be >= 1, got {t}")
     return float(_rate_bounds(g, B, inputs, np.array([t]))[0])
 
 
 def _rate_bounds(g: DirectedGraph, B: int, inputs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """consensus_rate_bound at each iteration of ``ts`` for nonnegative inputs."""
+    """consensus_rate_bound at each iteration of ``ts``."""
     beta, gamma, block = contraction_constants(g, B)
-    sums = inputs.sum(axis=0)
+    sums = (inputs - np.minimum(0.0, inputs.min(axis=0))).sum(axis=0)
     with np.errstate(over="ignore"):
         total = float(_rescue_norms(sums, np.linalg.norm(sums)))
     floor = beta**block
@@ -433,10 +432,9 @@ class ConsensusCertificate:
 def certify_consensus_bound(
     trace: ConsensusTrace, B: int, slack: float = 0.0
 ) -> ConsensusCertificate:
-    """Check consensus_error(t) <= consensus_rate_bound(t) + slack for t in 1..T.
+    """Check consensus_error(t) <= consensus_rate_bound(t) + slack for t in 1..T,
+    signed inputs included.
 
-    The bound is that of the inputs shifted per coordinate by min(0, min_i y_i):
-    ratios are shift-equivariant, so signed inputs keep their measured error.
     The reported worst point maximizes error - bound, so ``worst_error`` and
     ``worst_bound`` are the measured-versus-bound pair closest to violation.
     """
@@ -445,8 +443,7 @@ def certify_consensus_bound(
         return ConsensusCertificate(T, None, None, None, None, True)
     n = trace.n
     errors = _ratio_errors(trace.values[1:, :n], trace.weights[1:, :n], trace.average_input, 1)
-    shifted = trace.inputs - np.minimum(0.0, trace.inputs.min(axis=0))
-    bounds = _rate_bounds(trace.graph, B, shifted, np.arange(1, T + 1))
+    bounds = _rate_bounds(trace.graph, B, trace.inputs, np.arange(1, T + 1))
     i, passed = _worst_point(errors, bounds, slack)
     return ConsensusCertificate(
         T, i + 1, float(errors[i]), float(bounds[i]), float(errors[-1]), passed

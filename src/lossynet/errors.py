@@ -52,10 +52,6 @@ class NotRowStochasticError(LossyNetError):
     """A matrix expected to be row stochastic is not, beyond tolerance."""
 
 
-class NegativeInputError(LossyNetError):
-    """Nonnegative inputs are required for the mass-based consensus bound."""
-
-
 class ZeroWeightError(LossyNetError):
     """A ratio estimate was requested where an agent's weight is not positive."""
 

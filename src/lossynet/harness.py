@@ -40,7 +40,7 @@ from .dual_averaging import (
 )
 from .errors import ConfigError, DimensionMismatchError, _horizon_fits
 from .graphs import DirectedGraph, augment, graph_from_spec
-from .mixing import _audit_window
+from .mixing import CONTRACTION_SLACK, ENTRY_SLACK, _audit_window
 from .problems import (
     _COST_KINDS, Ball, Box, OptProblem, _check_reference_dim, _reference_slack, solve_reference
 )
@@ -54,10 +54,6 @@ __all__ = [
     "run_experiment",
     "write_json",
 ]
-
-TOLERANCE_KEYS = (
-    "mass_rtol", "rate_slack", "entry_slack", "contraction_slack", "gap_slack", "mixing_slack"
-)
 
 # The consensus algorithms, by the name a config gives them.
 _RUNNERS = {
@@ -352,7 +348,13 @@ class ExperimentConfig:
 
         tolerances = raw.get("tolerances", {})
         _require(isinstance(tolerances, dict), "tolerances must be an object")
-        _only(tolerances, TOLERANCE_KEYS, "tolerance")
+        _only(tolerances, mode.tolerances, f"{name} tolerance")
+        if "rate_slack" in tolerances:
+            algorithm = own["algorithm"]
+            _require(
+                algorithm == "convergent",
+                f"rate_slack needs the convergent algorithm: the {algorithm} one has no rate bound",
+            )
         for key, value in tolerances.items():
             _require(_is_number(value), f"tolerance {key} must be a number, got {value!r}")
             _require(_is_finite_number(value), f"tolerance {key} must be finite, got {value!r}")
@@ -377,8 +379,10 @@ class ExperimentConfig:
             out["tolerances"] = dict(self.tolerances)
         return out
 
-    def tolerance(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
+    def tolerance(self, key: str) -> float:
+        """The config's value of one of its mode's tolerances, else the mode's default."""
+        value = self.tolerances.get(key, MODES[self.mode].tolerances[key])
+        return float(value(self) if callable(value) else value)
 
 
 def _read_json(path: Path, what: str):
@@ -451,12 +455,15 @@ def _build_graph(spec, root: Path | None = None) -> DirectedGraph:
 def _build_schedule(
     spec: dict | None, T: int, g: DirectedGraph, seed: int | None, root: Path | None = None
 ) -> tuple[FailureSchedule | None, int | None]:
-    """Instantiate the schedule; returns it with the seed that took effect."""
+    """Instantiate the schedule; returns it with the seed that took effect,
+    None unless its kind takes one."""
     _require(seed is None or seed >= 0, "schedule seed must be a nonnegative integer")
     if spec is None:
-        return None, seed
+        return None, None
     kind = SCHEDULE_KINDS[spec["kind"]]
-    if seed is None and "seed" in kind.keys:
+    if "seed" not in kind.keys:
+        seed = None
+    elif seed is None:
         seed = spec.get("seed", 0)
     with _horizon_fits(T) if kind.generated else contextlib.nullcontext():
         return kind.build(spec, g, T, seed, root), seed
@@ -479,10 +486,11 @@ def schedule_verdict(path, seed: int | None = None) -> dict:
     generated = SCHEDULE_KINDS[spec["kind"]].generated
     horizon = _as_horizon(0 if horizon is None and not generated else horizon)
     schedule, _ = _build_schedule(spec, horizon, g, seed, root)
+    worst_gap = schedules.worst_gap(schedule)
     return {
         "b_window": B,
-        "satisfied": schedules.verify_b_bounded(schedule, B),
-        "worst_gap": schedules.worst_gap(schedule),
+        "satisfied": worst_gap <= B,
+        "worst_gap": worst_gap,
         "schedule_window": schedule.window,
         "horizon": schedule.horizon,
     }
@@ -640,6 +648,12 @@ def write_json(obj) -> str:
     return _render_json(_jsonable(obj), 0) + "\n"
 
 
+def _certification(measured, bound, passed, **where) -> dict:
+    """One entry of a summary's ``certifications``: the measured value, its
+    bound, the verdict, and where the certificate was taken."""
+    return {"measured": measured, "bound": bound, "passed": passed, **where}
+
+
 def _mass_certifications(trace: ConsensusTrace, rtol: float) -> dict:
     totals = trace.values.sum(axis=1)
     target = trace.inputs.sum(axis=0)
@@ -647,7 +661,7 @@ def _mass_certifications(trace: ConsensusTrace, rtol: float) -> dict:
     value_dev = float(np.abs(totals - target).max()) / scale
     weight_dev = float(np.abs(trace.weights.sum(axis=1) - trace.n).max()) / trace.n
     return {
-        f"{name}_mass_conservation": {"measured": dev, "bound": rtol, "passed": dev <= rtol}
+        f"{name}_mass_conservation": _certification(dev, rtol, dev <= rtol)
         for name, dev in (("value", value_dev), ("weight", weight_dev))
     }
 
@@ -659,15 +673,12 @@ def _run_consensus(cfg, g, schedule, emit) -> dict:
 
     certifications: dict = {}
     if cfg.horizon >= 1:
-        certifications = _mass_certifications(trace, cfg.tolerance("mass_rtol", 1e-9))
+        certifications = _mass_certifications(trace, cfg.tolerance("mass_rtol"))
         if cfg.algorithm == "convergent":
-            cert = certify_consensus_bound(trace, schedule.window, cfg.tolerance("rate_slack", 0.0))
-            certifications["consensus_rate_bound"] = {
-                "worst_t": cert.worst_t,
-                "measured": cert.worst_error,
-                "bound": cert.worst_bound,
-                "passed": cert.passed,
-            }
+            cert = certify_consensus_bound(trace, schedule.window, cfg.tolerance("rate_slack"))
+            certifications["consensus_rate_bound"] = _certification(
+                cert.worst_error, cert.worst_bound, cert.passed, worst_t=cert.worst_t
+            )
     return {
         "n": g.n,
         "algorithm": cfg.algorithm,
@@ -696,23 +707,16 @@ def _run_optimize(cfg, g, schedule, emit) -> dict:
         "certifications": certifications,
     }
     if cfg.horizon >= block:
-        gap_slack = cfg.tolerance("gap_slack", _reference_slack(problem))
+        gap_slack = cfg.tolerance("gap_slack")
         gap = certify_optimality_gap(trace, B, reference, slack=gap_slack)
-        certifications["optimality_gap_bound"] = {
-            "measured": gap.worst_gap,
-            "bound": gap.bound,
-            "slack": gap_slack,
-            "worst_agent": gap.worst_agent,
-            "passed": gap.passed,
-        }
+        certifications["optimality_gap_bound"] = _certification(
+            gap.worst_gap, gap.bound, gap.passed, slack=gap_slack, worst_agent=gap.worst_agent
+        )
         summary["per_agent_gap"] = list(gap.gaps)
-        mixing = certify_mixing_error(trace, B, slack=cfg.tolerance("mixing_slack", 0.0))
-        certifications["mixing_error_bound"] = {
-            "measured": mixing.worst_error,
-            "bound": mixing.bound,
-            "worst_t": mixing.worst_t,
-            "passed": mixing.passed,
-        }
+        mixing = certify_mixing_error(trace, B, slack=cfg.tolerance("mixing_slack"))
+        certifications["mixing_error_bound"] = _certification(
+            mixing.worst_error, mixing.bound, mixing.passed, worst_t=mixing.worst_t
+        )
     return summary
 
 
@@ -722,13 +726,8 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
     start, end = cfg.window["start"], cfg.window["end"]
     beta, _, block = contraction_constants(g, B)
     product, contraction, entry = _audit_window(
-        ag,
-        schedule,
-        start,
-        end,
-        B,
-        contraction_slack=cfg.tolerance("contraction_slack", 1e-10),
-        entry_slack=cfg.tolerance("entry_slack", 1e-12),
+        ag, schedule, start, end, B,
+        cfg.tolerance("contraction_slack"), cfg.tolerance("entry_slack"),
     )
     _stream_psi(emit, product)
     return {
@@ -757,12 +756,15 @@ def _collect_pass(summary: dict) -> bool:
 class _Mode:
     """An experiment mode: its config keys with their parsers ``(value,
     horizon)``, its runner ``(cfg, graph, schedule, emit) -> summary``, the
-    file the runner streams, and what it does (CLI help, error messages)."""
+    file the runner streams, what it does (CLI help, error messages), and
+    its tolerances with their defaults, each a number or a function of the
+    config."""
 
     keys: dict
     run: Callable
     artifact: str
     does: str
+    tolerances: dict
 
 
 MODES = {
@@ -771,15 +773,19 @@ MODES = {
          "inputs": _as_inputs},
         _run_consensus, "trace.csv",
         "runs a push-sum variant and certifies its conservation and rate bounds",
+        {"mass_rtol": 1e-9, "rate_slack": 0.0},
     ),
     "optimize": _Mode(
         {"problem": _as_problem, "step_constant": _as_step_constant}, _run_optimize, "trace.csv",
         "runs dual averaging over the convergent protocol and certifies its gap and mixing bounds",
+        {"gap_slack": lambda cfg: _reference_slack(problem_from_spec(cfg.problem)),
+         "mixing_slack": 0.0},
     ),
     "matrix-audit": _Mode(
         {"window": _as_window}, _run_audit, "psi.csv",
         "multiplies the convergent protocol's round matrices over a window and certifies the "
         "product's bounds",
+        {"contraction_slack": CONTRACTION_SLACK, "entry_slack": ENTRY_SLACK},
     ),
 }
 

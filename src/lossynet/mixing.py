@@ -20,7 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .consensus import ConsensusTrace, _allocate, _input_matrix, contraction_constants
+from .consensus import (
+    ConsensusTrace, _allocate, _check_schedule, _input_matrix, contraction_constants
+)
 from .errors import (
     DimensionMismatchError,
     IterationOutOfRangeError,
@@ -44,6 +46,9 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-8
+# The default slacks of the two window-product certificates.
+CONTRACTION_SLACK = 1e-10
+ENTRY_SLACK = 1e-12
 
 
 @lru_cache(maxsize=8)
@@ -165,10 +170,7 @@ def evolve_by_matrices(
     independent encodings of the same round.
     """
     _check_horizon(T)
-    if schedule.horizon < T:
-        raise IterationOutOfRangeError(
-            f"schedule covers {schedule.horizon} iterations, run needs {T}"
-        )
+    _check_schedule(ag.base, schedule, T)
     inputs = _input_matrix(y, ag.base.n)
     _, values, weights = _allocate(ag, inputs, T)
     for t in range(1, T + 1):
@@ -258,8 +260,8 @@ def _audit_window(
     r: int,
     t: int,
     B: int,
-    contraction_slack: float = 1e-10,
-    entry_slack: float = 1e-12,
+    contraction_slack: float = CONTRACTION_SLACK,
+    entry_slack: float = ENTRY_SLACK,
 ) -> tuple[np.ndarray, ContractionReport, EntryBoundReport | None]:
     """Both certificates of M[r] ... M[t] from one pass over the window.
 
@@ -292,7 +294,7 @@ def certify_entry_lower_bound(
     r: int,
     t: int,
     B: int,
-    slack: float = 1e-12,
+    slack: float = ENTRY_SLACK,
 ) -> EntryBoundReport:
     """Every entry of M[r] ... M[t] is at least beta**(n B + 1) once the
     window spans at least n B + 1 iterations of a B-window schedule."""
@@ -310,7 +312,7 @@ def certify_contraction(
     r: int,
     t: int,
     B: int,
-    slack: float = 1e-10,
+    slack: float = CONTRACTION_SLACK,
 ) -> ContractionReport:
     """Check both contraction certificates on M[r] ... M[t]:
 

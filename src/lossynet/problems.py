@@ -111,7 +111,9 @@ class Box:
 
     @property
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
+        with np.errstate(over="ignore"):
+            width = self.upper - self.lower
+            return float(_rescue_norms(width, np.linalg.norm(width)))
 
     @property
     def psi_radius_sq(self) -> float:

@@ -98,7 +98,7 @@ def verify_b_bounded(schedule: FailureSchedule, B: int) -> bool:
     for every link.  Windows that do not fit the horizon are vacuous."""
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    return _max_outage_run(schedule.indicators) <= B - 1
+    return worst_gap(schedule) <= B
 
 
 def scripted_schedule(g: DirectedGraph, T: int, table: dict) -> FailureSchedule:

@@ -10,7 +10,6 @@ from lossynet import (
     ConsensusTrace,
     DimensionMismatchError,
     IterationOutOfRangeError,
-    NegativeInputError,
     ScheduleTooShortError,
     ZeroWeightError,
     all_reliable,
@@ -402,9 +401,10 @@ class TestRateBound:
         bounds = [consensus_rate_bound(two_cycle, 1, [1.0, 3.0], t) for t in range(1, 40)]
         assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
-    def test_rejects_negative_inputs(self, two_cycle):
-        with pytest.raises(NegativeInputError):
-            consensus_rate_bound(two_cycle, 1, [-1.0, 3.0], 3)
+    def test_signed_inputs_take_the_shifted_bound(self, two_cycle):
+        # Each coordinate shifts by min(0, min_i y_i): [-1, 3] becomes [0, 4].
+        signed = consensus_rate_bound(two_cycle, 1, [-1.0, 3.0], 3)
+        assert signed == consensus_rate_bound(two_cycle, 1, [0.0, 4.0], 3)
 
     def test_rejects_iteration_zero(self, two_cycle):
         with pytest.raises(IterationOutOfRangeError):
@@ -528,7 +528,7 @@ class TestSignedInputs:
         base = run_convergent_robust_push_sum(asym3, shifted, schedule, 400)
         cert = certify_consensus_bound(signed, 2)
         assert cert.passed
-        assert cert.worst_bound == consensus_rate_bound(asym3, 2, shifted, cert.worst_t)
+        assert cert.worst_bound == consensus_rate_bound(asym3, 2, y, cert.worst_t)
         # Ratios are shift-equivariant: the shift moves every ratio and the
         # average alike, so the two runs measure the same errors.
         errors = [consensus_error(signed, t) for t in range(1, 401)]

@@ -1,6 +1,7 @@
 import copy
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -34,6 +35,7 @@ from lossynet import (
 from lossynet import cli, harness, schedules
 from lossynet.cli import main
 from lossynet.harness import _RUNNERS, _stream_psi, _stream_trace
+from lossynet.problems import _reference_slack
 
 
 # Oracle: the per-cell trace writer the streamed one replaced (rows of
@@ -156,7 +158,7 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({**CONSENSUS_RAW, "extra": 1})
 
     @pytest.mark.parametrize("edit, message", [
-        ({"tolerances": {"mass_tol": 1e-9}}, "unknown tolerance keys: ['mass_tol']"),
+        ({"tolerances": {"mass_tol": 1e-9}}, "unknown consensus tolerance keys: ['mass_tol']"),
         ({"schedule": {"kind": "all_reliable", "B": 2}},
          "unknown all_reliable schedule keys: ['B']"),
         ({"schedule": {**CONSENSUS_RAW["schedule"], "p": 0.5}},
@@ -273,8 +275,88 @@ class TestConfigValidation:
         cfg = ExperimentConfig.from_dict(
             {**CONSENSUS_RAW, "tolerances": {"mass_rtol": 1e-6}}
         )
-        assert cfg.tolerance("mass_rtol", 1e-9) == 1e-6
-        assert cfg.tolerance("rate_slack", 0.5) == 0.5
+        assert cfg.tolerance("mass_rtol") == 1e-6
+        assert cfg.tolerance("rate_slack") == 0.0
+
+
+RAWS = {"consensus": CONSENSUS_RAW, "optimize": OPTIMIZE_RAW, "matrix-audit": AUDIT_RAW}
+
+# Each mode's tolerances: the default, the name in lossynet.harness that the
+# runner hands the tolerance to, and that callee's parameter that takes it.
+TOLERANCES = {
+    "consensus": {
+        "mass_rtol": (1e-9, "_mass_certifications", "rtol"),
+        "rate_slack": (0.0, "certify_consensus_bound", "slack"),
+    },
+    "optimize": {
+        "gap_slack": (_reference_slack(problem_from_spec(OPTIMIZE_RAW["problem"])),
+                      "certify_optimality_gap", "slack"),
+        "mixing_slack": (0.0, "certify_mixing_error", "slack"),
+    },
+    "matrix-audit": {
+        "contraction_slack": (1e-10, "_audit_window", "contraction_slack"),
+        "entry_slack": (1e-12, "_audit_window", "entry_slack"),
+    },
+}
+OWN_TOLERANCES = [(mode, key) for mode, table in TOLERANCES.items() for key in table]
+FOREIGN_TOLERANCES = [
+    (mode, key) for mode in TOLERANCES for other, table in TOLERANCES.items() if other != mode
+    for key in table
+]
+
+
+class TestTolerances:
+    def test_each_mode_declares_its_own(self):
+        assert {name: set(mode.tolerances) for name, mode in harness.MODES.items()} == {
+            name: set(table) for name, table in TOLERANCES.items()
+        }
+
+    @pytest.mark.parametrize("mode, key", OWN_TOLERANCES)
+    def test_own_tolerance_reaches_its_certificate(self, tmp_path, monkeypatch, mode, key):
+        default, callee, param = TOLERANCES[mode][key]
+        original = getattr(harness, callee)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(inspect.signature(original).bind(*args, **kwargs).arguments[param])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, callee, spy)
+        for i, tolerances in enumerate(({}, {key: 0.125})):
+            cfg = ExperimentConfig.from_dict(dict(RAWS[mode], tolerances=tolerances))
+            run_experiment(cfg, tmp_path / str(i))
+        assert seen == [default, 0.125]
+
+    @pytest.mark.parametrize("mode, key", FOREIGN_TOLERANCES)
+    def test_another_modes_tolerance_exits_1(self, tmp_path, capsys, mode, key):
+        config = _write(tmp_path, "c.json", dict(RAWS[mode], tolerances={key: 0.0}))
+        out = tmp_path / "out"
+        assert main([mode, "--config", config, "--out", str(out)]) == 1
+        assert f"error: unknown {mode} tolerance keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["plain", "robust"])
+    def test_rate_slack_needs_convergent(self, tmp_path, capsys, algorithm):
+        raw = dict(CONSENSUS_RAW, algorithm=algorithm, tolerances={"rate_slack": 1.0})
+        if algorithm == "plain":
+            del raw["schedule"]
+        config, out = _write(tmp_path, "c.json", raw), tmp_path / "out"
+        assert main(["consensus", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"rate_slack needs the convergent algorithm: the {algorithm} one" in err
+        assert not out.exists()
+
+    def test_gap_slack_of_a_box_whose_width_squared_overflows(self, tmp_path):
+        # The box's psi radius overflows as it should (the gap bound is
+        # infinite); the default slack, lipschitz * grid step, does not.
+        problem = copy.deepcopy(OPTIMIZE_RAW["problem"])
+        problem["set"]["lower"] = [-1e308]
+        cfg = ExperimentConfig.from_dict(dict(OPTIMIZE_RAW, problem=problem))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered in square", RuntimeWarning)
+            summary = run_experiment(cfg, tmp_path).summary
+        slack = summary["certifications"]["optimality_gap_bound"]["slack"]
+        assert math.isfinite(slack) and slack == pytest.approx(1e304, rel=1e-15)
 
 
 class TestLoadConfig:
@@ -1107,6 +1189,22 @@ class TestCli:
             assert main([command, "--config", config, "--out", str(out)]) == 1
             assert "must be finite" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("schedule", [{"kind": "periodic", "B": 3}, {"kind": "all_reliable"},
+                                          {"kind": "csv", "path": "s.csv"}, None],
+                             ids=["periodic", "all_reliable", "csv", "plain"])
+    def test_seed_override_that_takes_no_effect_is_not_reported(self, tmp_path, schedule):
+        # Only a bernoulli schedule draws from a seed.
+        ring = graph_from_spec(CONSENSUS_RAW["graph"])
+        write_schedule_csv(all_reliable(ring, 40), tmp_path / "s.csv")
+        raw = dict(CONSENSUS_RAW, horizon=40, schedule=schedule)
+        if schedule is None:
+            raw["algorithm"] = "plain"
+            del raw["schedule"]
+        out = tmp_path / "out"
+        config = _write(tmp_path, "c.json", raw)
+        assert main(["consensus", "--config", config, "--out", str(out), "--seed", "11"]) == 0
+        assert json.loads((out / "summary.json").read_text())["seed"] is None
 
     def test_negative_seed_override(self, tmp_path, capsys):
         # numpy's generator would reject it with a ValueError traceback.

@@ -12,6 +12,7 @@ from lossynet import (
     ExperimentConfig,
     IterationOutOfRangeError,
     NotRowStochasticError,
+    ScheduleTooShortError,
     WindowTooShortError,
     all_reliable,
     augment,
@@ -177,7 +178,8 @@ class TestEvolveMatchesSimulation:
         assert np.abs(sim.weights - mat.weights).max() < 1e-11
 
     def test_horizon_checked(self, two_cycle):
-        with pytest.raises(IterationOutOfRangeError):
+        # The simulation's schedule rule, with its error and message.
+        with pytest.raises(ScheduleTooShortError, match="covers 2 iterations, run needs 3"):
             evolve_by_matrices(
                 augment(two_cycle), all_reliable(two_cycle, 2), [0.0, 1.0], 3
             )

@@ -7,8 +7,10 @@ from lossynet import cli
 
 # The package surface as it was listed by hand in ``lossynet/__init__.py``
 # before that list was derived from the modules' own ``__all__``, less
-# ``emit_summary`` (a one-line wrapper around ``write_json``) and
-# ``graph_to_spec`` (called by tests only), both since removed.
+# ``emit_summary`` (a one-line wrapper around ``write_json``),
+# ``graph_to_spec`` (called by tests only) and ``NegativeInputError``
+# (nothing raises it since the rate bound takes signed inputs), all since
+# removed.
 PUBLIC_NAMES = [
     "AbsDistanceCost", "AugmentedGraph", "Ball", "Box", "CentralizedTrace", "ConfigError",
     "ConsensusCertificate", "ConsensusTrace", "ContractionReport", "DimensionMismatchError",
@@ -16,7 +18,7 @@ PUBLIC_NAMES = [
     "EntryBoundReport", "ExperimentConfig", "FailureSchedule", "GapCertificate",
     "HorizonTooShortError", "IncompleteTableError", "IterationOutOfRangeError", "L2DistanceCost",
     "LinearCost", "LossyNetError", "MalformedScheduleError", "MixingCertificate",
-    "NegativeInputError", "NeverReliableLinkError", "NotRowStochasticError",
+    "NeverReliableLinkError", "NotRowStochasticError",
     "NotStronglyConnectedError", "OptProblem", "OptTrace", "ReferenceSolution", "RunArtifact",
     "ScheduleTooShortError", "SelfLoopError", "StepSizeSchedule", "WindowTooShortError",
     "ZeroWeightError", "all_reliable", "augment", "bernoulli_b_bounded", "build_graph",
@@ -71,3 +73,18 @@ def test_cli_imports_no_private_harness_name():
         and node.value.id == "harness" and node.attr.startswith("_")
         for node in ast.walk(tree)
     )
+
+
+def test_every_error_class_is_raised():
+    # An error class that nothing in the package raises is surface with no use.
+    def name(exc):
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+
+    raised = {
+        name(node.exc)
+        for path in Path(lossynet.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    assert set(lossynet.errors.__all__) - raised == set()

@@ -425,6 +425,15 @@ class TestOverflowingNorms:
         assert p.objective(HUGE[1]) == expected
         assert values[[0, 2]].tolist() == [_scalar_objective(p, x) for x in points[[0, 2]]]
 
+    def test_box_diameter_is_the_rescued_norm(self):
+        # Squaring the width 1e308 overflows; the diameter does not, and
+        # the test's warnings-as-errors setting shows that none is raised.
+        assert Box([-1e308], [1.0]).diameter == 1e308
+        diameter = Box([-1e308, -3e307], [0.0, 1e307]).diameter
+        assert np.isclose(diameter, math.hypot(1e308, 4e307), rtol=1e-15, atol=0)
+        # Finite norms keep their bits.
+        assert Box([0.0, -1.0], [3.0, 3.0]).diameter == float(np.linalg.norm([3.0, 4.0]))
+
     def test_ball_projection_lands_on_the_boundary(self):
         ball = Ball(1.0, 2)
         assert np.allclose(ball.project([1e200, 1e200]), [HALF_ROOT] * 2, rtol=1e-15, atol=0)
