@@ -334,9 +334,7 @@ def certify_optimality_gap(
     bound = optimality_gap_bound(trace.problem, trace.graph, B, trace.step, T)
     if reference is None:
         reference = solve_reference(trace.problem)
-    # Agent-major, so each agent's sum runs as over its own (T, d) slice in
-    # running_average: pairwise for d = 1, row by row for d > 1.
-    averages = np.ascontiguousarray(trace.estimates[1:].transpose(1, 0, 2)).mean(axis=1)
+    averages = np.array([running_average(trace, agent) for agent in range(1, trace.n + 1)])
     gaps = trace.problem.objective_at(averages) - reference.value
     worst, passed = _worst_point(gaps, bound, slack)
     return GapCertificate(

@@ -503,22 +503,34 @@ def _texts(keys: np.ndarray) -> np.ndarray:
     return np.array(text[:-1], dtype=object)
 
 
-def _g17(a: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` text of every entry of a float array, as an object
-    array of its shape.  Each distinct bit pattern is formatted once, in one
-    format call: values repeat (the equal shares on one sender's out-links,
-    the entries a window product repeats across its rows), and keying on
-    bits rather than on equality keeps ``-0`` apart from ``0``."""
-    bits = np.asarray(a, dtype=np.float64).view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    return _texts(keys)[inverse.reshape(bits.shape)]
-
-
-# Cells per call of ``_g17``: a writer formats a block of rounds or matrix
-# rows at once, so that values repeated across a block are formatted once
-# and numpy's cost per call is paid once per block, while the memory a block
-# takes stays bounded whatever the horizon or matrix size.
+# Cells per block of ``_emit_lines``: a writer formats a block of rounds or
+# matrix rows at once, so that values repeated across a block are formatted
+# once and numpy's cost per call is paid once per block, while the memory a
+# block takes stays bounded whatever the horizon or matrix size.
 _BLOCK_CELLS = 4096
+
+
+def _emit_lines(emit, template: str, blocks) -> None:
+    """One ``emit`` per group (a round, a matrix row) of ``blocks``, which
+    yields (labels, values) with one row of values per label: ``template``
+    with each ``\\0`` set to the label and each ``%s`` to a value's ``%.17g``
+    text.  Values repeat (equal shares on one sender's out-links, entries a
+    window product repeats across rows), so a block keys them on their bits,
+    which keeps ``-0`` apart from ``0``, and formats only the keys that the
+    previous block's sorted keys and texts lack."""
+    keys, texts = np.empty(0, dtype=np.int64), np.empty(0, dtype=object)
+    for labels, values in blocks:
+        bits = np.asarray(values, dtype=np.float64).view(np.int64)
+        new, inverse = np.unique(bits, return_inverse=True)
+        at = np.searchsorted(keys, new)
+        known = at < keys.size
+        known[known] = keys[at[known]] == new[known]
+        carried = np.empty(new.size, dtype=object)
+        carried[known] = texts[at[known]]
+        carried[~known] = _texts(new[~known])
+        keys, texts = new, carried
+        for label, row in zip(labels, texts[inverse.reshape(bits.shape)].tolist()):
+            emit(template.replace("\0", str(label)) % tuple(row))
 
 
 def _stream_trace(emit, trace, estimates=None) -> None:
@@ -530,34 +542,35 @@ def _stream_trace(emit, trace, estimates=None) -> None:
     header = ["t", "node_id", "kind", *(f"z_{k}" for k in range(d)), "w",
               *(f"{last}_{k}" for k in range(d))]
     emit(",".join(header) + "\n")
-    # One format per round, node ids and kinds filled in; the cells are t,
-    # then the texts of z, w, and the ratio or x (empty for optimize buffers).
+    # One template per round, node ids and kinds filled in.  Optimize
+    # buffers print no x: their x cells are empty text in the template, and
+    # their values stop at w.
     width = 2 * d + 1
-    fmt = "".join(
-        f"%d,{p + 1},{'real' if p < n else 'virtual'}{',%s' * width}\n" for p in range(m)
+    buffer_tail = ",%s" * d if estimates is None else "," * d
+    template = "".join(
+        [f"\0,{p + 1},real{',%s' * width}\n" for p in range(n)]
+        + [f"\0,{p + 1},virtual{',%s' * (d + 1)}{buffer_tail}\n" for p in range(n, m)]
     )
-    block = max(1, _BLOCK_CELLS // (m * width))
-    values = np.empty((block, m, width))
-    # Optimize buffers print no x: a constant keeps those cells to one format.
-    values[:, n:, d + 1 :] = 0.0
-    cells = np.empty((block, m, width + 1), dtype=object)
-    for start in range(0, trace.horizon + 1, block):
-        stop = min(start + block, trace.horizon + 1)
-        v, c = values[: stop - start], cells[: stop - start]
-        w = trace.weights[start:stop, :, None]
-        v[:, :, :d] = trace.values[start:stop]
-        v[:, :, d : d + 1] = w
-        if estimates is None:
-            v[:, :, d + 1 :] = np.nan
-            np.divide(v[:, :, :d], w, out=v[:, :, d + 1 :], where=w != 0)
-        else:
-            v[:, :n, d + 1 :] = estimates[start:stop]
-        c[:, :, 0] = np.arange(start, stop)[:, None]
-        c[:, :, 1:] = _g17(v)
-        if estimates is not None:
-            c[:, n:, d + 2 :] = ""
-        for row in c.reshape(stop - start, -1).tolist():
-            emit(fmt % tuple(row))
+    rounds = max(1, _BLOCK_CELLS // (m * width))
+    values = np.empty((rounds, m, width))
+
+    def blocks():
+        for start in range(0, trace.horizon + 1, rounds):
+            stop = min(start + rounds, trace.horizon + 1)
+            k = stop - start
+            v, w = values[:k], trace.weights[start:stop, :, None]
+            v[:, :, :d] = trace.values[start:stop]
+            v[:, :, d : d + 1] = w
+            if estimates is None:
+                v[:, :, d + 1 :] = np.nan
+                np.divide(v[:, :, :d], w, out=v[:, :, d + 1 :], where=w != 0)
+                cells = v.reshape(k, -1)
+            else:
+                v[:, :n, d + 1 :] = estimates[start:stop]
+                cells = np.hstack((v[:, :n].reshape(k, -1), v[:, n:, : d + 1].reshape(k, -1)))
+            yield range(start, stop), cells
+
+    _emit_lines(emit, template, blocks())
 
 
 def _stream_psi(emit, product: np.ndarray) -> None:
@@ -566,28 +579,13 @@ def _stream_psi(emit, product: np.ndarray) -> None:
     significant digits."""
     m = product.shape[0]
     emit("row,col,value\n")
-    # One template for every row with the column ids filled in: each row
-    # puts its id in once with ``str.replace``, then ``%`` fills in the
-    # row's entry texts.
-    template = "".join([f"\0,{j + 1},%s\n" for j in range(m)])
-    block = max(1, _BLOCK_CELLS // m)
-    # A near-rank-one product repeats its values from block to block: each
-    # block looks its bit keys up among the previous block's sorted keys and
-    # texts, and formats only the keys it does not find there.
-    keys, texts = np.empty(0, dtype=np.int64), np.empty(0, dtype=object)
-    for start in range(0, m, block):
-        bits = np.asarray(product[start : start + block], dtype=np.float64).view(np.int64)
-        new, inverse = np.unique(bits, return_inverse=True)
-        at = np.searchsorted(keys, new)
-        known = at < keys.size
-        known[known] = keys[at[known]] == new[known]
-        carried = np.empty(new.size, dtype=object)
-        carried[known] = texts[at[known]]
-        carried[~known] = _texts(new[~known])
-        keys, texts = new, carried
-        rows = texts[inverse.reshape(bits.shape)].tolist()
-        for i, row in enumerate(rows, start + 1):
-            emit(template.replace("\0", str(i)) % tuple(row))
+    rows = max(1, _BLOCK_CELLS // m)
+    _emit_lines(
+        emit,
+        "".join(f"\0,{j + 1},%s\n" for j in range(m)),
+        ((range(start + 1, start + rows + 1), product[start : start + rows])
+         for start in range(0, m, rows)),
+    )
 
 
 def _jsonable(obj):

@@ -120,7 +120,8 @@ class Box:
         """Upper bound on (1/2)||x||^2 over the set, overridable via radius_sq."""
         if self.radius_sq is not None:
             return float(self.radius_sq)
-        return float(0.5 * np.maximum(self.lower**2, self.upper**2).sum())
+        with np.errstate(over="ignore"):
+            return float(0.5 * np.maximum(self.lower**2, self.upper**2).sum())
 
     def project(self, x, out=None) -> np.ndarray:
         """The nearest point of the box to each point of x, written into

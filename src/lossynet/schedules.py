@@ -30,7 +30,6 @@ __all__ = [
     "bernoulli_b_bounded",
     "periodic_adversarial",
     "all_reliable",
-    "verify_b_bounded",
     "worst_gap",
     "write_schedule_csv",
     "read_schedule_csv",
@@ -91,14 +90,6 @@ def _max_outage_run(indicators: np.ndarray) -> int:
 def worst_gap(schedule: FailureSchedule) -> int:
     """Smallest B the stored indicators actually satisfy (1 when all-reliable)."""
     return _max_outage_run(schedule.indicators) + 1
-
-
-def verify_b_bounded(schedule: FailureSchedule, B: int) -> bool:
-    """Check that every length-B window inside [1, T] contains a delivery
-    for every link.  Windows that do not fit the horizon are vacuous."""
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
-    return worst_gap(schedule) <= B
 
 
 def scripted_schedule(g: DirectedGraph, T: int, table: dict) -> FailureSchedule:

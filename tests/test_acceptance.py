@@ -33,7 +33,6 @@ from lossynet import (
     evolve_by_matrices,
     iteration_matrix,
     periodic_adversarial,
-    random_strongly_connected,
     run_centralized_dual_averaging,
     run_convergent_robust_push_sum,
     run_distributed_dual_averaging,
@@ -42,6 +41,8 @@ from lossynet import (
     run_robust_push_sum,
     solve_reference,
 )
+
+from random_graphs import random_strongly_connected
 
 GRID_SLACK = 1e-4  # lipschitz * grid step of the numeric reference
 

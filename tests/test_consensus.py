@@ -20,13 +20,14 @@ from lossynet import (
     consensus_error,
     consensus_rate_bound,
     contraction_constants,
-    random_strongly_connected,
     run_convergent_robust_push_sum,
     run_push_sum,
     run_robust_push_sum,
     scripted_schedule,
 )
 from lossynet.consensus import _allocate, _CumulativeState, _rescue_norms
+
+from random_graphs import random_strongly_connected
 
 
 def reference_cumulative(g, y, schedule, T, convergent):

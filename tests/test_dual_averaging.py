@@ -34,7 +34,6 @@ from lossynet import (
     optimality_gap_bound,
     periodic_adversarial,
     proximal_projection,
-    random_strongly_connected,
     run_centralized_dual_averaging,
     run_distributed_dual_averaging,
     running_average,
@@ -42,6 +41,8 @@ from lossynet import (
 )
 from lossynet import consensus, dual_averaging, problems
 from lossynet.consensus import _CumulativeState
+
+from random_graphs import random_strongly_connected
 
 single = build_graph(1, [])
 unit_box = Box([0.0], [1.0])

@@ -14,10 +14,11 @@ from lossynet import (
     build_graph,
     graph_from_spec,
     is_strongly_connected,
-    random_strongly_connected,
     run_robust_push_sum,
     scripted_schedule,
 )
+
+from random_graphs import random_strongly_connected
 
 
 class TestDirectedGraph:

@@ -25,7 +25,6 @@ from lossynet import (
     graph_from_spec,
     load_config,
     problem_from_spec,
-    random_strongly_connected,
     run_convergent_robust_push_sum,
     run_distributed_dual_averaging,
     run_experiment,
@@ -36,6 +35,8 @@ from lossynet import cli, harness, schedules
 from lossynet.cli import main
 from lossynet.harness import _RUNNERS, _stream_psi, _stream_trace
 from lossynet.problems import _reference_slack
+
+from random_graphs import random_strongly_connected
 
 
 # Oracle: the per-cell trace writer the streamed one replaced (rows of
@@ -352,9 +353,7 @@ class TestTolerances:
         problem = copy.deepcopy(OPTIMIZE_RAW["problem"])
         problem["set"]["lower"] = [-1e308]
         cfg = ExperimentConfig.from_dict(dict(OPTIMIZE_RAW, problem=problem))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "overflow encountered in square", RuntimeWarning)
-            summary = run_experiment(cfg, tmp_path).summary
+        summary = run_experiment(cfg, tmp_path).summary
         slack = summary["certifications"]["optimality_gap_bound"]["slack"]
         assert math.isfinite(slack) and slack == pytest.approx(1e304, rel=1e-15)
 
@@ -802,29 +801,28 @@ class TestDistinctValueWriters:
         product = np.random.default_rng(cells).choice([0.0, -0.0, 0.5, 1.0 / 3.0], size=(11, 11))
         assert _streamed(_stream_psi, product) == _streamed(_oracle_stream_psi, product)
 
-    # Value pools of consecutive psi blocks, cycled: a value in block 1,
-    # absent from block 2 and back in block 3; -0 and 0 on either side of
-    # every boundary; and blocks that share no value at all.
+    # Value pools of consecutive blocks, cycled: a value in block 1, absent
+    # from block 2 and back in block 3; -0 and 0 on either side of every
+    # boundary; and blocks that share no value at all.
     CARRY_POOLS = {
         "returning": [[1.0 / 3.0, 0.25, 0.5], [0.25, 0.5, 0.75], [1.0 / 3.0, 0.75, 0.25]],
         "signed_zero": [[-0.0, 0.5], [0.0, 0.5]],
         "disjoint": [[1e300, 0.25], [1.0 / 3.0, 2.0 / 3.0, 5e-324], [0.75, 1.0]],
     }
 
-    @pytest.mark.parametrize("case", sorted(CARRY_POOLS))
-    @pytest.mark.parametrize("cells", ["1", "m - 1", "m", "2m"])
-    def test_psi_blocks_carry_texts(self, monkeypatch, case, cells):
-        m = 6
-        cells = {"1": 1, "m - 1": m - 1, "m": m, "2m": 2 * m}[cells]
-        monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
-        rows = max(1, cells // m)
-        pools = self.CARRY_POOLS[case]
-        rng = np.random.default_rng(len(pools) + rows)
-        product = np.empty((m, m))
-        for b, start in enumerate(range(0, m, rows)):
-            pool = pools[b % len(pools)]
-            for i in range(start, min(start + rows, m)):
-                product[i] = rng.permutation(np.resize(pool, m))
+    @staticmethod
+    def _pooled(pools, groups: int, per_block: int, size: int) -> np.ndarray:
+        """``groups`` rows of ``size`` values, each block of ``per_block``
+        rows drawn from the next pool."""
+        rng = np.random.default_rng(len(pools) + per_block)
+        return np.array([
+            rng.permutation(np.resize(pools[g // per_block % len(pools)], size))
+            for g in range(groups)
+        ])
+
+    @staticmethod
+    def _counted_texts(monkeypatch) -> list:
+        """The number of keys of each ``_texts`` call, from now on."""
         formatted = []
         texts = harness._texts
 
@@ -833,13 +831,51 @@ class TestDistinctValueWriters:
             return texts(keys)
 
         monkeypatch.setattr(harness, "_texts", counting)
+        return formatted
+
+    @staticmethod
+    def _missing(blocks: list) -> int:
+        """The bit patterns each block lacks from the block before, summed."""
+        return sum(len(b - a) for a, b in zip([set()] + blocks, blocks))
+
+    @pytest.mark.parametrize("case", sorted(CARRY_POOLS))
+    @pytest.mark.parametrize("cells", ["1", "m - 1", "m", "2m"])
+    def test_psi_blocks_carry_texts(self, monkeypatch, case, cells):
+        m = 6
+        cells = {"1": 1, "m - 1": m - 1, "m": m, "2m": 2 * m}[cells]
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
+        rows = max(1, cells // m)
+        product = self._pooled(self.CARRY_POOLS[case], m, rows, m)
+        formatted = self._counted_texts(monkeypatch)
         chunks = _streamed(_stream_psi, product)
         assert chunks == _streamed(_oracle_stream_psi, product)
         # Each block formats exactly the bit patterns the block before lacks.
         blocks = [set(product[i : i + rows].view(np.int64).ravel()) for i in range(0, m, rows)]
-        assert sum(formatted) == sum(len(b - a) for a, b in zip([set()] + blocks, blocks))
+        assert sum(formatted) == self._missing(blocks)
         if case == "signed_zero":
             assert ",-0\n" in "".join(chunks) and ",0\n" in "".join(chunks)
+
+    @pytest.mark.parametrize("case", sorted(CARRY_POOLS))
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("estimates", [False, True])
+    def test_trace_blocks_carry_texts(self, monkeypatch, case, rounds, estimates):
+        # Unit weights, so each round's ratios are its values; the agents'
+        # x are their values too, and optimize buffers format no x.
+        n, m, d, T = 2, 5, 1, 7
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", rounds * m * (2 * d + 1))
+        values = self._pooled(self.CARRY_POOLS[case], T + 1, rounds, m * d).reshape(T + 1, m, d)
+        trace = _fake_trace(n, values, np.ones((T + 1, m)))
+        x = values[:, :n] if estimates else None
+        formatted = self._counted_texts(monkeypatch)
+        chunks = _streamed(_stream_trace, trace, x)
+        assert chunks == _streamed(_oracle_stream_trace, trace, x)
+        assert len(chunks) == 1 + T + 1
+        one = np.float64(1.0).view(np.int64)
+        blocks = [set(values[t : t + rounds].view(np.int64).ravel()) | {one}
+                  for t in range(0, T + 1, rounds)]
+        assert sum(formatted) == self._missing(blocks)
+        if case == "signed_zero":
+            assert ",-0," in "".join(chunks) and ",0," in "".join(chunks)
 
     def test_trace_memory_does_not_grow_with_horizon(self):
         g = graph_from_spec(DIGEST_GRAPH)

@@ -27,12 +27,13 @@ from lossynet import (
     lambda_coefficient,
     matrix_product,
     periodic_adversarial,
-    random_strongly_connected,
     run_convergent_robust_push_sum,
     run_experiment,
     scripted_schedule,
 )
 from lossynet.mixing import ROW_SUM_TOL, _audit_window, _round_tables, _window_product
+
+from random_graphs import random_strongly_connected
 
 # Augmented two-cycle: nodes 1, 2 then buffers for (1,2) and (2,1).
 M_RELIABLE = np.array(

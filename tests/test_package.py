@@ -8,9 +8,10 @@ from lossynet import cli
 # The package surface as it was listed by hand in ``lossynet/__init__.py``
 # before that list was derived from the modules' own ``__all__``, less
 # ``emit_summary`` (a one-line wrapper around ``write_json``),
-# ``graph_to_spec`` (called by tests only) and ``NegativeInputError``
-# (nothing raises it since the rate bound takes signed inputs), all since
-# removed.
+# ``graph_to_spec`` (called by tests only), ``NegativeInputError``
+# (nothing raises it since the rate bound takes signed inputs),
+# ``verify_b_bounded`` (``worst_gap`` compared with B) and
+# ``random_strongly_connected`` (a test helper now), all since removed.
 PUBLIC_NAMES = [
     "AbsDistanceCost", "AugmentedGraph", "Ball", "Box", "CentralizedTrace", "ConfigError",
     "ConsensusCertificate", "ConsensusTrace", "ContractionReport", "DimensionMismatchError",
@@ -28,10 +29,10 @@ PUBLIC_NAMES = [
     "is_strongly_connected", "iteration_matrix", "lambda_coefficient",
     "load_config", "matrix_product", "mixing_error_bound", "optimality_gap_bound",
     "periodic_adversarial", "problem_from_spec", "proximal_projection",
-    "random_strongly_connected", "read_schedule_csv", "run_centralized_dual_averaging",
+    "read_schedule_csv", "run_centralized_dual_averaging",
     "run_convergent_robust_push_sum", "run_distributed_dual_averaging", "run_experiment",
     "run_push_sum", "run_robust_push_sum", "running_average", "scripted_schedule",
-    "solve_reference", "verify_b_bounded", "worst_gap", "write_json", "write_schedule_csv",
+    "solve_reference", "worst_gap", "write_json", "write_schedule_csv",
 ]
 
 MODULES = ("consensus", "dual_averaging", "errors", "graphs", "harness", "mixing", "problems",
@@ -88,3 +89,30 @@ def test_every_error_class_is_raised():
         if isinstance(node, ast.Raise) and node.exc is not None
     }
     assert set(lossynet.errors.__all__) - raised == set()
+
+
+# Public names that nothing in ``src/lossynet`` or ``demos/`` loads, each
+# with the reason it stays public.
+UNCALLED_PUBLIC_NAMES = {
+    "consensus_rate_bound": "the README's library API: the rate bound at one iteration",
+    "scripted_schedule": "the README's library API: a schedule from an explicit table",
+    "write_schedule_csv": "the README's library API: the CSV that read_schedule_csv reads",
+    "evolve_by_matrices": "the matrix encoding of the rounds, which acceptance criterion 03 "
+                          "checks the simulator against",
+    "run_centralized_dual_averaging": "the failure-free centralized baseline of the paper's "
+                                      "rate claim",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # A public name is surface only if the package or a demo uses it.
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert demos
+    loaded = set()
+    for path in [*Path(lossynet.__file__).parent.glob("*.py"), *demos]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(set(lossynet.__all__) - loaded) == sorted(UNCALLED_PUBLIC_NAMES)

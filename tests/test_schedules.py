@@ -20,7 +20,6 @@ from lossynet import (
     periodic_adversarial,
     read_schedule_csv,
     scripted_schedule,
-    verify_b_bounded,
     worst_gap,
     write_schedule_csv,
 )
@@ -99,15 +98,8 @@ class TestWorstGap:
         )
         assert worst_gap(s) == 3
 
-    def test_verify_b_bounded(self, two_cycle):
-        s = periodic_adversarial(two_cycle, 3, 12)
-        assert verify_b_bounded(s, 3)
-        assert verify_b_bounded(s, 4)
-        assert not verify_b_bounded(s, 2)
-
-    def test_verify_rejects_bad_b(self, two_cycle):
-        with pytest.raises(ValueError):
-            verify_b_bounded(all_reliable(two_cycle, 2), 0)
+    def test_periodic_schedule_meets_its_window(self, two_cycle):
+        assert worst_gap(periodic_adversarial(two_cycle, 3, 12)) == 3
 
 
 class TestScriptedSchedule:
@@ -208,7 +200,7 @@ class TestGenerators:
         s = bernoulli_b_bounded(g, p, B, T, seed=seed)
         assert s.horizon == T
         assert s.window == B
-        assert verify_b_bounded(s, B)
+        assert worst_gap(s) <= B
         # Forcing only converts drops into deliveries, so every realized drop
         # must coincide with a raw Bernoulli drop proposal.
         proposed = np.random.default_rng(seed).random((T, g.num_edges)) < p
