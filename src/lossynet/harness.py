@@ -507,7 +507,7 @@ def _texts(keys: np.ndarray) -> np.ndarray:
 # matrix rows at once, so that values repeated across a block are formatted
 # once and numpy's cost per call is paid once per block, while the memory a
 # block takes stays bounded whatever the horizon or matrix size.
-_BLOCK_CELLS = 4096
+_BLOCK_CELLS = 16384
 
 
 def _emit_lines(emit, template: str, blocks) -> None:
@@ -516,20 +516,12 @@ def _emit_lines(emit, template: str, blocks) -> None:
     with each ``\\0`` set to the label and each ``%s`` to a value's ``%.17g``
     text.  Values repeat (equal shares on one sender's out-links, entries a
     window product repeats across rows), so a block keys them on their bits,
-    which keeps ``-0`` apart from ``0``, and formats only the keys that the
-    previous block's sorted keys and texts lack."""
-    keys, texts = np.empty(0, dtype=np.int64), np.empty(0, dtype=object)
+    which keeps ``-0`` apart from ``0``, and formats each key once."""
     for labels, values in blocks:
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
-        new, inverse = np.unique(bits, return_inverse=True)
-        at = np.searchsorted(keys, new)
-        known = at < keys.size
-        known[known] = keys[at[known]] == new[known]
-        carried = np.empty(new.size, dtype=object)
-        carried[known] = texts[at[known]]
-        carried[~known] = _texts(new[~known])
-        keys, texts = new, carried
-        for label, row in zip(labels, texts[inverse.reshape(bits.shape)].tolist()):
+        keys, inverse = np.unique(bits, return_inverse=True)
+        texts = _texts(keys)[inverse.reshape(bits.shape)]
+        for label, row in zip(labels, texts.tolist()):
             emit(template.replace("\0", str(label)) % tuple(row))
 
 

@@ -46,9 +46,12 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-8
-# The default slacks of the two window-product certificates.
+# The default slacks of the two window-product certificates.  The entry
+# certificate needs none: it allows for the product's rounding itself.
 CONTRACTION_SLACK = 1e-10
-ENTRY_SLACK = 1e-12
+ENTRY_SLACK = 0.0
+# Unit roundoff of float64, u = 2**-53.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @lru_cache(maxsize=8)
@@ -284,8 +287,41 @@ def _audit_window(
     if t - r + 1 >= block:
         min_entry = float(product.min())
         bound = beta**block
-        entry = EntryBoundReport((r, t), min_entry, bound, min_entry >= bound - entry_slack)
+        floor = bound * (1.0 + _product_gamma(t - r + 1, ag.m))
+        entry = EntryBoundReport((r, t), min_entry, bound, min_entry >= floor - entry_slack)
     return product, contraction, entry
+
+
+def _product_gamma(length: int, m: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) (*Accuracy and Stability of
+    Numerical Algorithms*, section 3.5), the rounding allowance of the entry
+    check on a product of ``length`` m x m round matrices: k = length *
+    (m + 3), and 0 for a single node, whose round matrix is [1].
+
+    Every matrix here is nonnegative, so each rounding is relative to the
+    value it makes, and relative errors compose: (1 + gamma_a)(1 + gamma_b)
+    <= 1 + gamma_(a + b).  A round matrix's entry is exact (0, 1 - b), one
+    quotient of small integers whose products are exact (1 / D**2,
+    1 / (D_i D_j), 1 / D), or 1 / D**2 + 1 / D, a sum of two such positive
+    quotients; so each carries at most gamma_2.  The product starts from
+    the identity, which the first round copies exactly, and each later
+    round's inner products have m terms, so each adds gamma_m.  So the
+    computed product P' and the exact P satisfy |P' - P| <= gamma_a P
+    entrywise, a = 2 * length + m * (length - 1).
+
+    The check computes the bound too: beta = 1 / D**2 carries one rounding,
+    which beta**block raises to block = n B + 1 of them, pow adds at most
+    one, and the threshold beta**block * (1 + gamma_k) two more: block + 3
+    in all.  With block <= length, and m >= 3 whenever a node has a link,
+    a + block + 3 <= k.  So a computed smallest entry at or above the computed
+    threshold shows that every exact entry is at least beta**(n B + 1);
+    the check needs no absolute slack.  The analysis holds while no partial
+    product underflows into the subnormal range.  A bound that underflows
+    to 0.0 cannot fail: every computed entry is at least 0.0."""
+    if m == 1:
+        return 0.0
+    ku = length * (m + 3) * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
 
 
 def certify_entry_lower_bound(
@@ -297,7 +333,10 @@ def certify_entry_lower_bound(
     slack: float = ENTRY_SLACK,
 ) -> EntryBoundReport:
     """Every entry of M[r] ... M[t] is at least beta**(n B + 1) once the
-    window spans at least n B + 1 iterations of a B-window schedule."""
+    window spans at least n B + 1 iterations of a B-window schedule.  The
+    computed product passes when its smallest entry is at least that bound
+    times 1 + gamma_k, its rounding allowance (:func:`_product_gamma`),
+    minus ``slack``."""
     _, _, block = contraction_constants(ag.base, B)
     if t - r + 1 < block:
         raise WindowTooShortError(

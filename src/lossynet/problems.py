@@ -75,6 +75,16 @@ def _shrink(radius: float, x, out) -> np.ndarray:
     return np.multiply(x, scale, out=out)
 
 
+def _grid_axis(lo: float, hi: float, points: int) -> np.ndarray:
+    """``np.linspace(lo, hi, points)``, also when hi - lo passes the float
+    range: then in units of the larger bound, scaled back."""
+    lo, hi = float(lo), float(hi)
+    if math.isfinite(hi - lo):
+        return np.linspace(lo, hi, points)
+    scale = max(abs(lo), abs(hi))
+    return scale * np.linspace(lo / scale, hi / scale, points)
+
+
 def _clip(lower, upper, x, out) -> np.ndarray:
     """x clipped to [lower, upper] into ``out``: ``np.maximum`` then
     ``np.minimum`` give the bits of ``np.clip`` at about 60% of its call
@@ -145,7 +155,7 @@ class Box:
         return float(self.lower[k]), float(self.upper[k])
 
     def grid_axes(self, points: int) -> list[np.ndarray]:
-        return [np.linspace(self.lower[k], self.upper[k], points) for k in range(self.dim)]
+        return [_grid_axis(self.lower[k], self.upper[k], points) for k in range(self.dim)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,9 +180,14 @@ class Ball:
 
     @property
     def psi_radius_sq(self) -> float:
+        """Upper bound on (1/2)||x||^2 over the set, overridable via radius_sq;
+        infinite when the radius squared passes the float range."""
         if self.radius_sq is not None:
             return float(self.radius_sq)
-        return 0.5 * float(self.radius) ** 2
+        try:
+            return 0.5 * float(self.radius) ** 2
+        except OverflowError:
+            return math.inf
 
     def project(self, x, out=None) -> np.ndarray:
         """The nearest point of the ball to each point of x, written into
@@ -190,16 +205,25 @@ class Ball:
         """Whether x lies in the ball up to ``tol``: a bool for one point, a
         boolean array over the leading axes for a batch of points."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = _row_norms(x) <= self.radius + tol
+        with np.errstate(over="ignore"):
+            inside = _rescue_norms(x, _row_norms(x)) <= self.radius + tol
         return bool(inside) if x.ndim == 1 else inside
 
     def axis_interval(self, x, k: int) -> tuple[float, float]:
-        rest = float(np.sum(np.delete(np.asarray(x, dtype=float), k) ** 2))
-        half = float(np.sqrt(max(self.radius**2 - rest, 0.0)))
+        """The chord of the ball through x along axis k.  When a square
+        passes the float range, the chord is taken in units of the radius."""
+        rest = np.delete(np.asarray(x, dtype=float), k)
+        try:
+            with np.errstate(over="raise"):
+                half = float(np.sqrt(max(self.radius**2 - float(np.sum(rest**2)), 0.0)))
+        except (OverflowError, FloatingPointError):
+            with np.errstate(over="ignore"):
+                unit = float(np.sum((rest / self.radius) ** 2))
+            half = float(self.radius) * math.sqrt(max(1.0 - unit, 0.0))
         return -half, half
 
     def grid_axes(self, points: int) -> list[np.ndarray]:
-        return [np.linspace(-self.radius, self.radius, points) for _ in range(self.dim)]
+        return [_grid_axis(-self.radius, self.radius, points) for _ in range(self.dim)]
 
 
 class _Cost:

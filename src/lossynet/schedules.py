@@ -138,15 +138,47 @@ def _edge_ids(g: DirectedGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return k
 
 
+def _is_complete(k, t, value, T: int, E: int) -> bool:
+    """Whether the entries, on edge ids ``k``, name each cell of edges x
+    [1, T] once with a value of 0 or 1: T * E entries in range, counted once
+    each over their cell ids."""
+    if t.size != T * E:
+        return False
+    if not t.size:
+        return True
+    if not ((k < E) & (t >= 1) & (t <= T) & (value >= 0) & (value <= 1)).all():
+        return False
+    return bool(np.bincount(k * T + (t - 1), minlength=t.size).all())
+
+
 def _table_schedule(g, T, src, dst, t, value, row_of=None) -> FailureSchedule:
     """The schedule of the entries ((src, dst), t) -> value, which must cover
     edges x [1, T] exactly.  Errors, first to last: a repeat, at ``row_of(i)``
     (without rows, a repeat is an unexpected entry); the first entry off
     edges x [1, T] or with a value other than 0 or 1; the smallest missing
-    (edge, t); a link that never delivers.  Repeats and gaps are found by
-    sorting, so memory stays linear in the entries whatever t they name."""
+    (edge, t); a link that never delivers.  A complete table can raise only
+    the last, so it is accepted after one count over its cells; any other is
+    checked by sorting, so memory stays linear in the entries whatever t
+    they name."""
     E = g.num_edges
     k = _edge_ids(g, src, dst)
+    if not _is_complete(k, t, value, T, E):
+        _check_table(g, T, src, dst, t, value, k, row_of)
+    ind = np.zeros((T, E), dtype=np.uint8)
+    ind[t - 1, k] = value
+    if T >= 1:
+        dead = np.flatnonzero(ind.sum(axis=0) == 0)
+        if dead.size:
+            raise NeverReliableLinkError(
+                f"link {g.edges[int(dead[0])]} never delivers within horizon {T}"
+            )
+    return FailureSchedule(g, ind, _max_outage_run(ind) + 1)
+
+
+def _check_table(g, T, src, dst, t, value, k, row_of) -> None:
+    """Raise the first of :func:`_table_schedule`'s errors before a dead
+    link that the entries, on edge ids ``k``, give."""
+    E = g.num_edges
     # By edge, then iteration; the sort is stable, so a repeat follows its first.
     order = np.lexsort((t, k))
     k_sorted, t_sorted = k[order], t[order]
@@ -178,15 +210,6 @@ def _table_schedule(g, T, src, dst, t, value, row_of=None) -> FailureSchedule:
             f"table is missing edge {g.edges[first // T]} at iteration {first % T + 1} "
             f"({T * E - t.size} entries missing in total)"
         )
-    ind = np.zeros((T, E), dtype=np.uint8)
-    ind[t - 1, k] = value
-    if T >= 1:
-        dead = np.flatnonzero(ind.sum(axis=0) == 0)
-        if dead.size:
-            raise NeverReliableLinkError(
-                f"link {g.edges[int(dead[0])]} never delivers within horizon {T}"
-            )
-    return FailureSchedule(g, ind, _max_outage_run(ind) + 1)
 
 
 def bernoulli_b_bounded(
@@ -251,16 +274,28 @@ def write_schedule_csv(schedule: FailureSchedule, path) -> None:
 _COLUMNS = ("src", "dst", "t", "indicator")
 
 
-def _loaded_columns(fh, width: int, cols: list):
-    """The rest of ``fh`` as the src, dst, t and indicator columns, parsed by
-    ``np.loadtxt``; None for the ``csv`` path to decide.  That is the case
-    when the body is empty, when ``np.loadtxt`` warns on a cell, rejects one
-    (quoted, ``1_0``, non-ASCII digits, text, undecodable bytes) or reads
-    another width than the header's, and when a value is out of range."""
+# Suffixes that ``np.loadtxt`` decompresses a path by.
+_COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
+
+
+def _loaded_columns(path, skiprows: int, encoding: str, width: int, cols: list):
+    """The lines of ``path`` after its first ``skiprows`` as the src, dst, t
+    and indicator columns, parsed by ``np.loadtxt``; None for the ``csv``
+    path to decide.  That is the case when the body is empty, when
+    ``np.loadtxt`` warns on a cell, rejects one (quoted, ``1_0``, non-ASCII
+    digits, text, undecodable bytes) or reads another width than the
+    header's, when a value is out of range, and when the name ends in a
+    compression suffix.  ``np.loadtxt`` reads a path in chunks, but an open
+    handle line by line; the path is made absolute so that it is never
+    taken for a URL."""
+    path = Path(path).absolute()
+    if path.suffix in _COMPRESSED:
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cells = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+            cells = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, comments=None,
+                               skiprows=skiprows, encoding=encoding)
     except (ValueError, Warning):
         return None
     if cells.shape[1] != width:
@@ -333,18 +368,18 @@ def read_schedule_csv(g: DirectedGraph, path) -> FailureSchedule:
         with open(Path(path), newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            header_line = reader.line_num
+            header_line, encoding = reader.line_num, fh.encoding
             position = {name: c for c, name in enumerate(header)}
             width, cols = len(header), [position.get(name) for name in _COLUMNS]
-            columns = lines = None
-            if None not in cols:
-                columns = _loaded_columns(fh, width, cols)
-            elif header or any(reader):
+            if None in cols and (header or any(reader)):
                 raise MalformedScheduleError(
                     f"row {header_line}: header {','.join(header)!r} does not name "
                     f"the columns {','.join(_COLUMNS)}"
                 )
-            # Else the file holds no cell at all: the csv path reads no row.
+            # Else a file with no cell at all takes the csv path, which reads no row.
+        columns = lines = None
+        if None not in cols:
+            columns = _loaded_columns(path, header_line, encoding, width, cols)
         if columns is None:
             columns, lines = _csv_columns(path, width, cols)
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -10,6 +10,7 @@ from lossynet import (
     ConsensusTrace,
     DimensionMismatchError,
     IterationOutOfRangeError,
+    LossyNetError,
     ScheduleTooShortError,
     ZeroWeightError,
     all_reliable,
@@ -26,6 +27,7 @@ from lossynet import (
     scripted_schedule,
 )
 from lossynet.consensus import _allocate, _CumulativeState, _rescue_norms
+from lossynet.errors import _horizon_fits
 
 from random_graphs import random_strongly_connected
 
@@ -158,6 +160,22 @@ class TestNegativeHorizon:
     def test_cumulative_runners(self, two_cycle, run):
         with pytest.raises(IterationOutOfRangeError, match=r"^horizon must be >= 0, got -1$"):
             run(two_cycle, [0.0, 1.0], all_reliable(two_cycle, 2), -1)
+
+
+class TestHorizonFits:
+    def test_lets_a_lossynet_error_through(self):
+        # A LossyNetError is a ValueError, but it is no allocation failure:
+        # it leaves as it came, not as "does not fit in memory".
+        error = ScheduleTooShortError("schedule covers 2 iterations, run needs 5")
+        with pytest.raises(ScheduleTooShortError) as raised:
+            with _horizon_fits(5):
+                raise error
+        assert raised.value is error
+
+    def test_names_the_horizon_of_a_failed_allocation(self):
+        with pytest.raises(LossyNetError, match=r"^horizon 5 does not fit in memory: too big$"):
+            with _horizon_fits(5):
+                raise ValueError("too big")
 
 
 class TestConvergentRobustPushSum:
@@ -388,6 +406,10 @@ class TestRateBound:
         assert beta == 0.25
         assert gamma == 1.0 - 0.25**3
         assert block == 3
+
+    def test_contraction_constants_reject_a_zero_window(self, two_cycle):
+        with pytest.raises(ValueError, match=r"^B must be >= 1, got 0$"):
+            contraction_constants(two_cycle, 0)
 
     def test_constants_use_max_degree(self, asym3):
         beta, _, block = contraction_constants(asym3, 2)

@@ -296,7 +296,7 @@ TOLERANCES = {
     },
     "matrix-audit": {
         "contraction_slack": (1e-10, "_audit_window", "contraction_slack"),
-        "entry_slack": (1e-12, "_audit_window", "entry_slack"),
+        "entry_slack": (0.0, "_audit_window", "entry_slack"),
     },
 }
 OWN_TOLERANCES = [(mode, key) for mode, table in TOLERANCES.items() for key in table]
@@ -803,7 +803,8 @@ class TestDistinctValueWriters:
 
     # Value pools of consecutive blocks, cycled: a value in block 1, absent
     # from block 2 and back in block 3; -0 and 0 on either side of every
-    # boundary; and blocks that share no value at all.
+    # boundary; and blocks that share no value at all.  No block borrows a
+    # text from another, so each formats every bit pattern it holds.
     CARRY_POOLS = {
         "returning": [[1.0 / 3.0, 0.25, 0.5], [0.25, 0.5, 0.75], [1.0 / 3.0, 0.75, 0.25]],
         "signed_zero": [[-0.0, 0.5], [0.0, 0.5]],
@@ -833,11 +834,6 @@ class TestDistinctValueWriters:
         monkeypatch.setattr(harness, "_texts", counting)
         return formatted
 
-    @staticmethod
-    def _missing(blocks: list) -> int:
-        """The bit patterns each block lacks from the block before, summed."""
-        return sum(len(b - a) for a, b in zip([set()] + blocks, blocks))
-
     @pytest.mark.parametrize("case", sorted(CARRY_POOLS))
     @pytest.mark.parametrize("cells", ["1", "m - 1", "m", "2m"])
     def test_psi_blocks_carry_texts(self, monkeypatch, case, cells):
@@ -849,9 +845,9 @@ class TestDistinctValueWriters:
         formatted = self._counted_texts(monkeypatch)
         chunks = _streamed(_stream_psi, product)
         assert chunks == _streamed(_oracle_stream_psi, product)
-        # Each block formats exactly the bit patterns the block before lacks.
+        # Each block formats each of its distinct bit patterns once.
         blocks = [set(product[i : i + rows].view(np.int64).ravel()) for i in range(0, m, rows)]
-        assert sum(formatted) == self._missing(blocks)
+        assert formatted == [len(b) for b in blocks]
         if case == "signed_zero":
             assert ",-0\n" in "".join(chunks) and ",0\n" in "".join(chunks)
 
@@ -873,7 +869,7 @@ class TestDistinctValueWriters:
         one = np.float64(1.0).view(np.int64)
         blocks = [set(values[t : t + rounds].view(np.int64).ravel()) | {one}
                   for t in range(0, T + 1, rounds)]
-        assert sum(formatted) == self._missing(blocks)
+        assert formatted == [len(b) for b in blocks]
         if case == "signed_zero":
             assert ",-0," in "".join(chunks) and ",0," in "".join(chunks)
 
@@ -881,7 +877,10 @@ class TestDistinctValueWriters:
         g = graph_from_spec(DIGEST_GRAPH)
         y = np.random.default_rng(1).uniform(-1.0, 1.0, g.n)
         peaks = []
-        for T in (200, 2000):
+        # Rounds per block at d = 1 (z, w and the ratio per node): both
+        # horizons span several blocks.
+        rounds = harness._BLOCK_CELLS // (3 * (g.n + g.num_edges))
+        for T in (2 * rounds, 8 * rounds):
             trace = run_convergent_robust_push_sum(g, y, bernoulli_b_bounded(g, 0.5, 3, T, seed=1), T)
             calls = [0]
 
@@ -1198,6 +1197,22 @@ class TestCli:
     def _optimize_exit(self, tmp_path, raw) -> int:
         config = _write(tmp_path, "o.json", raw)
         return main(["optimize", "--config", config, "--out", str(tmp_path / "out")])
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        config = _write(tmp_path, "c.json", CONSENSUS_RAW)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main(["consensus", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == ""
+
+    def test_optimize_on_a_ball_whose_radius_squared_overflows(self, tmp_path, capsys):
+        problem = dict(OPTIMIZE_RAW["problem"], set={"kind": "ball", "radius": 1e200})
+        assert self._optimize_exit(tmp_path, dict(OPTIMIZE_RAW, problem=problem)) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["certifications"]["optimality_gap_bound"]["bound"] == "Infinity"
+        assert "error" not in capsys.readouterr().err
 
     def test_optimize_problem_without_d(self, tmp_path, capsys):
         problem = {k: v for k, v in OPTIMIZE_RAW["problem"].items() if k != "d"}
@@ -1694,8 +1709,21 @@ def _mutated_csv(rng, text: str) -> bytes:
     return "\n".join(",".join(cells) for cells in lines).encode() + b"\n"
 
 
+# The optimize base on a two-dimensional ball, with a component of each kind,
+# so that the fuzzer reaches the ball's code as well as the box's.
+OPTIMIZE_BALL_RAW = dict(OPTIMIZE_RAW, problem={
+    "d": 2,
+    "set": {"kind": "ball", "radius": 1.0},
+    "components": [
+        {"kind": "linear", "c": [0.5, -0.25]},
+        {"kind": "abs_distance", "a": [0.0, 0.5]},
+        {"kind": "l2_distance", "a": [-0.5, 0.25]},
+    ],
+})
+
+
 class TestFuzz:
-    CASES = 900
+    CASES = 1200
     FILE_CASES = 200
 
     @staticmethod
@@ -1717,9 +1745,9 @@ class TestFuzz:
 
     def test_configs(self, tmp_path, capsys):
         rng = random.Random(20261019)
-        bases = (CONSENSUS_RAW, OPTIMIZE_RAW, AUDIT_RAW)
+        bases = (CONSENSUS_RAW, OPTIMIZE_RAW, AUDIT_RAW, OPTIMIZE_BALL_RAW)
         for i in range(self.CASES):
-            base = bases[i % 3]
+            base = bases[i % len(bases)]
             raw, unknown = _mutated(rng, base)
             code = self._exit(tmp_path, capsys, f"c{i}", base["mode"], json.dumps(raw).encode(),
                               raw)

@@ -326,6 +326,71 @@ class TestEntryLowerBound:
             assert report.passed
 
 
+def _audit_benchmark_graph():
+    """30 agents and 140 links (m = 170), out-degree at most 9, strongly
+    connected: the shape of the matrix-audit benchmark."""
+    rng = np.random.default_rng(1)
+    n = 30
+    order = rng.permutation(n) + 1
+    edges = {(int(order[k]), int(order[(k + 1) % n])) for k in range(n)}
+    out = np.ones(n + 1, dtype=int)
+    while len(edges) < 140:
+        i, j = (int(v) for v in rng.integers(1, n + 1, size=2))
+        if i != j and (i, j) not in edges and out[i] < 9:
+            edges.add((i, j))
+            out[i] += 1
+    return build_graph(n, sorted(edges))
+
+
+def _move_entry(monkeypatch, value: float) -> None:
+    """Make every window product carry ``value`` at [0, 1], the rest of
+    that entry moved into [0, 0], so that row sums stay as they were."""
+    original = lossynet.mixing._window_product
+
+    def mutant(*args, **kwargs):
+        product = original(*args, **kwargs)
+        product[0, 0] += product[0, 1] - value
+        product[0, 1] = value
+        return product
+
+    monkeypatch.setattr(lossynet.mixing, "_window_product", mutant)
+
+
+class TestEntryRoundingAllowance:
+    def test_zero_entry_fails_at_benchmark_shape(self, monkeypatch):
+        # The bound, about 1e-180 here, lies far below any absolute slack
+        # an entry check could add.
+        g = _audit_benchmark_graph()
+        ag, B = augment(g), 3
+        block = g.n * B + 1
+        schedule = bernoulli_b_bounded(g, 0.5, B, block, seed=1)
+        report = certify_entry_lower_bound(ag, schedule, 1, block, B)
+        assert report.passed and 0.0 < report.bound < 1e-170 < report.min_entry
+        _move_entry(monkeypatch, 0.0)
+        report = certify_entry_lower_bound(ag, schedule, 1, block, B)
+        assert report.min_entry == 0.0 and not report.passed
+
+    @pytest.mark.parametrize("excess, passed", [(0.0, False), (1.0, True)])
+    def test_threshold_is_the_bound_times_one_plus_gamma(self, monkeypatch, two_cycle,
+                                                         excess, passed):
+        # One block on the reliable two-cycle, whose smallest entry is then
+        # bound * (1 + excess * gamma_k).  The bound itself fails: rounding
+        # may have lifted an exact entry below the bound up to it.
+        ag, schedule = augment(two_cycle), all_reliable(two_cycle, 3)
+        gamma = lossynet.mixing._product_gamma(3, ag.m)
+        assert 0.0 < gamma < 1e-14
+        entry = 0.25**3 * (1.0 + excess * gamma)
+        _move_entry(monkeypatch, entry)
+        report = certify_entry_lower_bound(ag, schedule, 1, 3, 1)
+        assert report.min_entry == entry and report.passed is passed
+
+    def test_a_single_node_is_exact(self):
+        g = build_graph(1, [])
+        assert lossynet.mixing._product_gamma(5, 1) == 0.0
+        report = certify_entry_lower_bound(augment(g), all_reliable(g, 2), 1, 2, 1)
+        assert report.min_entry == report.bound == 1.0 and report.passed
+
+
 class TestContraction:
     def test_reliable_two_cycle(self, two_cycle):
         report = certify_contraction(

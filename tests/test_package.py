@@ -116,3 +116,39 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     assert sorted(set(lossynet.__all__) - loaded) == sorted(UNCALLED_PUBLIC_NAMES)
+
+
+# Public methods and properties that nothing in ``src/lossynet`` or
+# ``demos/`` loads as an attribute, each with the reason it stays public.
+UNCALLED_PUBLIC_METHODS = {
+    "StepSizeSchedule.partial_sum": "the sum of the steps that the paper's gap bound is stated "
+                                    "in; the bound evaluates its closed-form envelope instead",
+    "LinearCost.subgradient": "the scalar oracle of the batched kernel, kept until the "
+                              "benchmark's tracer stops wrapping it (ROADMAP item 9)",
+    "AbsDistanceCost.subgradient": "the scalar oracle of the batched kernel, kept until the "
+                                   "benchmark's tracer stops wrapping it (ROADMAP item 9)",
+    "L2DistanceCost.subgradient": "the scalar oracle of the batched kernel, kept until the "
+                                  "benchmark's tracer stops wrapping it (ROADMAP item 9)",
+    "CentralizedTrace.running_average": "the averaged iterate of the failure-free baseline, "
+                                        "whose runner is public for the same reason",
+}
+
+
+def test_every_public_method_has_a_caller():
+    # A public method or property is surface only if the package or a demo
+    # loads it as an attribute.
+    package = sorted(Path(lossynet.__file__).parent.glob("*.py"))
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    loaded, methods = set(), {}
+    for path in [*package, *demos]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and path in package:
+                methods.update(
+                    (f"{node.name}.{item.name}", item.name) for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+    assert len(methods) > 40
+    uncalled = sorted(qualified for qualified, name in methods.items() if name not in loaded)
+    assert uncalled == sorted(UNCALLED_PUBLIC_METHODS)

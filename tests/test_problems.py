@@ -335,6 +335,21 @@ class TestBatchedKernels:
         assert np.array_equal(ref.x, x)
         assert ref.value == _scalar_objective(p, x)
 
+    def test_golden_refine_skips_an_axis_within_the_step(self):
+        # Axis 1 of the box is one point, so each cycle opens a golden
+        # section (one call on two points) on axis 0 only.
+        box = Box([0.0, 0.25], [1.0, 0.25])
+        calls = []
+
+        def fun(points):
+            calls.append(points.copy())
+            return np.abs(points[:, 0] - 0.3)
+
+        x = _golden_refine(fun, np.array([0.5, 0.25]), box, 1e-4, cycles=3)
+        assert sum(len(points) == 2 for points in calls) == 3
+        assert all((points[:, 1] == 0.25).all() for points in calls)
+        assert x[1] == 0.25 and abs(x[0] - 0.3) < 1e-4
+
     def test_unknown_component_kind(self):
         class Custom(LinearCost):
             pass
@@ -446,6 +461,37 @@ class TestOverflowingNorms:
         norms = np.linalg.norm(ordinary, axis=-1, keepdims=True)
         expected = ordinary * np.where(norms > 1.0, 1.0 / norms, 1.0)
         assert projected[3:].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("radius", [1e200, np.float64(1e200)])
+    def test_ball_whose_radius_squared_overflows(self, radius):
+        # The radius squared passes the float range: the chord is taken in
+        # units of the radius, and the psi radius is infinite, as a box's is.
+        ball = Ball(radius, 2)
+        assert ball.axis_interval([0.0, 0.0], 0) == (-1e200, 1e200)
+        lo, hi = ball.axis_interval([0.6e200, 1e308], 1)
+        assert lo == -hi and hi == pytest.approx(0.8e200, rel=1e-15)
+        assert ball.axis_interval([1e308, 0.0], 1) == (-0.0, 0.0)
+        assert ball.psi_radius_sq == math.inf
+        # Finite squares keep their bits.
+        half = float(np.sqrt(1e150**2 - 0.6e150**2))
+        assert Ball(1e150, 2).axis_interval([0.6e150, 0.0], 1) == (-half, half)
+        assert Ball(1e150, 1).psi_radius_sq == 0.5 * 1e150**2
+
+    def test_sets_whose_width_passes_the_float_range(self):
+        # A width of 2e308: the grid is taken in units of the larger bound,
+        # and a ball point whose square overflows is still inside.
+        assert Ball(1e308, 1).grid_axes(5)[0].tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]
+        assert Box([-1e308], [1e308]).grid_axes(3)[0].tolist() == [-1e308, 0.0, 1e308]
+        ball = Ball(1e308, 2)
+        assert ball.contains([5e307, 5e307]) and not ball.contains([1e308, 1e308])
+        assert ball.contains(np.array([[5e307, 0.0], [1e308, 1e308]])).tolist() == [True, False]
+        # The coarse grid keeps its points, so the reference lies within one
+        # grid step (1e306) of the optimum.
+        ref = solve_reference(OptProblem((L2DistanceCost([5e307, 1e307]),), ball))
+        assert ref.value <= 1e306
+        # Finite widths keep linspace's bits.
+        axis = np.linspace(-1.25, 1.25, COARSE_POINTS)
+        assert Ball(1.25, 2).grid_axes(COARSE_POINTS)[1].tobytes() == axis.tobytes()
 
 
 class TestSolveReference:

@@ -145,6 +145,14 @@ def _bernoulli_reference(g, p_drop, B, T, seed):
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("make", [
+        lambda g: bernoulli_b_bounded(g, 0.5, 0, 5, seed=1),
+        lambda g: periodic_adversarial(g, 0, 5),
+    ], ids=["bernoulli", "periodic"])
+    def test_reject_a_zero_window(self, two_cycle, make):
+        with pytest.raises(ValueError, match=r"^B must be >= 1, got 0$"):
+            make(two_cycle)
+
     @settings(max_examples=60, deadline=None)
     @given(
         p=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
@@ -643,6 +651,100 @@ SCRIPTED_TABLES = {
     "never reliable": lambda tb: {**tb, **{((3, 4), t): 0 for t in (1, 2, 3)}},
     "mixed values": lambda tb: {**tb, ((1, 2), 1): True, ((2, 3), 2): 0.0, ((3, 4), 3): np.int64(0)},
 }
+
+
+def _lossy_lines():
+    """Header plus rows of a lossy RING4 schedule, and the schedule."""
+    s = bernoulli_b_bounded(RING4, 0.5, 3, 9, seed=4)
+    rows = [f"{i},{j},{t},{v}" for k, (i, j) in enumerate(RING4.edges)
+            for t, v in enumerate(s.indicators[:, k].tolist(), start=1)]
+    return ["src,dst,t,indicator"] + rows, s
+
+
+# Files whose body np.loadtxt parses from the path, skipping the lines the
+# header took, each with what the reader that parsed it from the open csv
+# handle gave: a schedule (None: the lossy one) or an error and its message.
+PATH_READ_FILES = {
+    "crlf": (lambda ls: "\r\n".join(ls) + "\r\n", None),
+    "lone cr": (lambda ls: "\r".join(ls) + "\r", None),
+    "crlf without a final line end": (lambda ls: "\r\n".join(ls), None),
+    "blank lines between rows": (lambda ls: "\n\n".join(ls) + "\n\n", None),
+    "blank lines and crlf": (lambda ls: "\r\n\r\n".join(ls) + "\r\n", None),
+    "quoted multi-line header cell": (
+        lambda ls: "\n".join([ls[0] + ',"a\nnote"'] + [r + ",7" for r in ls[1:]]) + "\n", None),
+    "quoted multi-line header cell, crlf and cr": (
+        lambda ls: "\r\n".join([ls[0] + ',"a\r\nb\rc"'] + [r + ",7" for r in ls[1:]]) + "\r\n",
+        None),
+    "repeated row": (lambda ls: "\n".join(ls + [ls[5]]) + "\n",
+                     (IncompleteTableError, "row 47 repeats edge (1, 2) at iteration 5")),
+    "missing row": (lambda ls: "\n".join(ls[:4] + ls[5:]) + "\n",
+                    (IncompleteTableError,
+                     "table is missing edge (1, 2) at iteration 4 (1 entries missing in total)")),
+    "unknown edge": (lambda ls: "\n".join(ls[:7] + ["1,3,1,1"] + ls[7:]) + "\n",
+                     (IncompleteTableError,
+                      "unexpected table entry for edge (1, 3) at iteration 1")),
+    "never delivering link": (
+        lambda ls: "\n".join(ls[:10] + [f"2,3,{t},0" for t in range(1, 10)] + ls[19:]) + "\n",
+        (NeverReliableLinkError, "link (2, 3) never delivers within horizon 9")),
+}
+
+
+class TestBodyReadFromThePath:
+    @pytest.mark.parametrize("case", sorted(PATH_READ_FILES))
+    def test_gives_what_the_handle_reader_gave(self, tmp_path, monkeypatch, case):
+        lines, s = _lossy_lines()
+        text, expected = PATH_READ_FILES[case]
+        path = tmp_path / "s.csv"
+        path.write_bytes(text(lines).encode())
+        if expected is None:
+            expected = (s.indicators.tolist(), worst_gap(s), s.horizon)
+            assert _outcome(_oracle_read, RING4, path) == expected
+            # np.loadtxt reads the whole body: the csv path is never taken.
+            monkeypatch.setattr(schedules, "_csv_columns", None)
+        assert _outcome(read_schedule_csv, RING4, path) == expected
+
+    def test_complete_table_is_counted_not_sorted(self, tmp_path, monkeypatch):
+        lines, s = _lossy_lines()
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(schedules, "_check_table", None)
+        assert np.array_equal(read_schedule_csv(RING4, path).indicators, s.indicators)
+
+    def test_extra_text_column_takes_the_csv_path(self, tmp_path):
+        lines, s = _lossy_lines()
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join([lines[0] + ",note"] + [r + ",x" for r in lines[1:]]) + "\n")
+        expected = (s.indicators.tolist(), worst_gap(s), s.horizon)
+        assert _outcome(read_schedule_csv, RING4, path) == expected
+
+    def test_undecodable_byte_in_a_row(self, tmp_path):
+        lines, _ = _lossy_lines()
+        data = ("\n".join(lines) + "\n").encode()
+        at = data.index(b"\n2,3,1,") + 5
+        path = tmp_path / "s.csv"
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        message = (f"cannot read {path} as CSV text: 'utf-8' codec can't decode byte 0xff "
+                   f"in position {at}: invalid start byte")
+        with pytest.raises(MalformedScheduleError, match=f"^{re.escape(message)}$"):
+            read_schedule_csv(RING4, path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compression_suffix_takes_the_csv_path(self, tmp_path, suffix):
+        # np.loadtxt would decompress a path by its suffix; this file is text.
+        lines, s = _lossy_lines()
+        path = tmp_path / f"s.csv{suffix}"
+        path.write_text("\n".join(lines) + "\n")
+        expected = (s.indicators.tolist(), worst_gap(s), s.horizon)
+        assert _outcome(read_schedule_csv, RING4, path) == expected
+
+    def test_path_that_reads_as_a_url_is_a_local_file(self, tmp_path, monkeypatch):
+        lines, s = _lossy_lines()
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "s.csv").write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(schedules, "_csv_columns", None)
+        schedule = read_schedule_csv(RING4, "http://host/s.csv")
+        assert np.array_equal(schedule.indicators, s.indicators)
 
 
 class TestScriptedMatchesOracle:
