@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import json
 import math
 import time
@@ -496,11 +497,141 @@ def schedule_verdict(path, seed: int | None = None) -> dict:
     }
 
 
+def _ceil_power(y: int) -> float:
+    """The smallest double at or above 10**y, from exact integers."""
+    t = float(10**y) if y >= 0 else 1 / 10**-y
+    num, den = t.as_integer_ratio()
+    power_num, power_den = (10**y, 1) if y >= 0 else (1, 10**-y)
+    return t if num * power_den >= power_num * den else math.nextafter(t, math.inf)
+
+
+# The binades 2**k <= |x| < 2**(k + 1) that hold fixed-notation texts: below
+# 2**-14 every value is under 1e-4, and from 2**57 every value is 1e17 or more.
+_FIXED_BINADES = range(-14, 57)
+_SPLITTER = 2.0**27 + 1  # Veltkamp's constant for binary64
+_TEXT_WIDTH = 24  # sign, "0.000", 17 digits and at least one space
+_FALLBACK = 42  # the group of values left to %.17g; fixed groups are 0..41
+
+
+@functools.cache
+def _text_tables():
+    """Built on the first ``_texts`` call: per biased binary exponent, the
+    decimal exponent of the binade's start (99 outside the fixed binades)
+    and the smallest double at or above the next power of ten; 10**P for
+    P = 0..20 with its Veltkamp split; and the 4-digit ASCII blocks as
+    uint32 words, the second half with trailing zeros as spaces."""
+    first = np.full(2048, 99, dtype=np.int64)
+    step = np.full(2048, np.inf)
+    for k in _FIXED_BINADES:
+        # floor(log10 2**k): 2**-j is never a power of ten.
+        x = len(str(2**k)) - 1 if k >= 0 else -len(str(2**-k))
+        first[k + 1023], step[k + 1023] = x, _ceil_power(x + 1)
+    scale = np.array([float(10**p) for p in range(21)])
+    c = _SPLITTER * scale
+    scale_hi = c - (c - scale)
+    quads = [b"%04d" % q for q in range(10000)]
+    quads += [q.rstrip(b"0").ljust(4) for q in quads]
+    quad = np.frombuffer(b"".join(quads), dtype=np.uint32)
+    return first, step, scale, scale_hi, scale - scale_hi, quad
+
+
+def _fixed_digits(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-notation digits of float bit patterns ``keys`` (int64):
+    each key's group, X + 4 + 21 * (sign bit) for a decimal exponent X in
+    -4..16 or ``_FALLBACK`` for a text that ``%.17g`` must make, and its 17
+    ASCII digits (an (n, 17) uint8 array), trailing zeros as spaces.
+
+    No rounding error.  Take a = |x| in a fixed binade, 2**-14 <= a < 2**57.
+    X = floor(log10 a) is exact: the binade's start gives it, plus one when
+    a reaches the smallest double at or above 10**(X + 1).  With
+    P = 16 - X, 10**16 <= a * 10**P < 10**17.  For the fixed X (-4..16), P
+    is 0..20 and 10**P = 5**P * 2**P, with 5**P < 2**53, is a double: its
+    double-double residual is 0.  Dekker's product with Veltkamp splits
+    (Numer. Math. 1971; no FMA) then gives a * 10**P = p + e exactly, as
+    a >= 2**-14 and a * 10**P <= 10**17 keep every split and partial
+    product far from overflow and underflow.  p >= 10**16 > 2**53 is an
+    even integer and |e| <= ulp(p) / 2 <= 8, so D = p + rint(e) is
+    a * 10**P rounded half to even, the rounding of ``%.17g``: the error is
+    0, so no margin around ties is needed.  D is below 10**17 unless
+    a * 10**P >= 10**17 - 1/2 rounds up a decade; such a value falls back
+    (no double next to a power of ten in the fixed range does).  So do
+    ±0, subnormals, NaN, ±inf and exponent-form texts (X < -4 or X >= 17).
+    The temporaries end with this call, before the texts are laid out."""
+    first, step, scale, scale_hi, scale_lo, quad = _text_tables()
+    a = np.abs(keys.view(np.float64))
+    binade = (keys >> 52) & 2047
+    X = first[binade] + (a >= step[binade])
+    fixed = (X >= -4) & (X <= 16)
+    # Rows left to %.17g compute the digits of 10**16, with no overflow.
+    a = np.where(fixed, a, 1e16)
+    P = np.where(fixed, 16 - X, 0)
+    b, b_hi, b_lo = scale[P], scale_hi[P], scale_lo[P]
+    p = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    D = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    fixed &= D < 10**17
+    # D as a lead digit and four 4-digit blocks; a block followed by zero
+    # blocks only takes its ASCII from the half with trailing spaces.
+    hi = D // 10**8
+    lo = D - hi * 10**8
+    lead = hi // 10**8
+    hi -= lead * 10**8
+    blocks = np.empty((4, D.size), dtype=np.int64)
+    blocks[0] = hi // 10**4
+    blocks[1] = hi - blocks[0] * 10**4
+    blocks[2] = lo // 10**4
+    blocks[3] = lo - blocks[2] * 10**4
+    blocks[:3] += 10000 * np.logical_and.accumulate(blocks[:0:-1] == 0)[::-1]
+    blocks[3] += 10000
+    words = np.empty((D.size, 5), dtype=np.uint32)
+    words[:, 1:] = quad[blocks.T]
+    digits = words.view(np.uint8)[:, 3:]
+    digits[:, 0] = lead + ord("0")
+    return np.where(fixed, X + 4 + 21 * (keys < 0), _FALLBACK), digits
+
+
 def _texts(keys: np.ndarray) -> np.ndarray:
     """The ``%.17g`` texts of float bit patterns ``keys`` (int64), as an
-    object array, in one format call."""
-    text = ("%.17g\n" * keys.size % tuple(keys.view(np.float64).tolist())).split("\n")
-    return np.array(text[:-1], dtype=object)
+    object array.  Fixed-notation texts are laid out from
+    ``_fixed_digits``; the rest come from ``%.17g`` itself.
+
+    Each row of an (n, 24) ASCII buffer of spaces gets its key's digits
+    laid out per group: ``ddd.ddd`` (integer zeros kept, ``.`` dropped when
+    nothing follows) or ``0.000ddd``.  Sorted keys put each group in one
+    run of rows, so a few slice copies fill the buffer; any order gives the
+    same texts.  One decode and one whitespace split then give one text per
+    key."""
+    group, digits = _fixed_digits(keys)
+    out = np.full((keys.size, _TEXT_WIDTH), ord(" "), dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+    for start, stop in zip(starts, starts[1:] + [keys.size]):
+        row, d = out[start:stop], digits[start:stop]
+        if group[start] == _FALLBACK:  # a placeholder, replaced below
+            row[:, 0] = ord("?")
+            continue
+        negative, exp = divmod(int(group[start]), 21)
+        exp -= 4
+        if negative:
+            row[:, 0] = ord("-")
+            row = row[:, 1:]
+        if exp < 0:
+            row[:, : 1 - exp] = ord("0")
+            row[:, 1] = ord(".")
+            row[:, 1 - exp : 18 - exp] = d
+        else:
+            np.bitwise_or(d[:, : exp + 1], 0x10, out=row[:, : exp + 1])  # " " | 0x10 is "0"
+            if exp < 16:
+                np.minimum(d[:, exp + 1], ord("."), out=row[:, exp + 1])  # "." unless " "
+                row[:, exp + 2 : 18] = d[:, exp + 1 :]
+    texts = out.tobytes().decode("ascii").split()
+    slow = np.flatnonzero(group == _FALLBACK)
+    printf = ("%.17g\n" * slow.size % tuple(keys[slow].view(np.float64).tolist())).split()
+    for i, text in zip(slow.tolist(), printf):
+        texts[i] = text
+    return np.array(texts, dtype=object)
 
 
 # Cells per block of ``_emit_lines``: a writer formats a block of rounds or
@@ -720,6 +851,10 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
         cfg.tolerance("contraction_slack"), cfg.tolerance("entry_slack"),
     )
     _stream_psi(emit, product)
+    # gamma_bound and beta_bound in log10, which do not round to 1 or
+    # underflow to 0 at large out-degrees or long blocks.
+    blocks = (end - start + 1) // block
+    log10_gamma = blocks * math.log1p(-(beta**block)) / math.log(10) if blocks else 0.0
     return {
         "n": g.n,
         "b_window": B,
@@ -729,6 +864,8 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
         "gamma_bound": contraction.gamma_bound,
         "min_entry": float(product.min()),
         "beta_bound": beta**block,
+        "log10_beta_bound": block * math.log10(beta),
+        "log10_gamma_bound": log10_gamma,
         "pass_flags": {
             "entry_lower_bound": None if entry is None else entry.passed,
             "row_contraction": contraction.passed,

@@ -515,10 +515,21 @@ class ReferenceSolution:
     value: float
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_cut(a, b):
+    """a + invphi * (b - a), the golden-section point from a towards b.  A
+    chord wider than the float range, such as the diameter of a ball of
+    radius 1e308, is cut in halves, which keeps it finite."""
+    if math.isinf(b - a):
+        return 2.0 * (a / 2.0 + _INVPHI * (b / 2.0 - a / 2.0))
+    return a + _INVPHI * (b - a)
+
+
 def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -> np.ndarray:
     """Cyclic per-coordinate golden-section refinement down to width ``step``;
     ``fun`` maps k points (k, d) to their k values."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x = x.copy()
     for _ in range(cycles):
         for k in range(x.size):
@@ -526,20 +537,20 @@ def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -
             a, b = lo, hi
             if b - a <= step:
                 continue
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
+            c = _golden_cut(b, a)
+            d = _golden_cut(a, b)
             xc, xd = x.copy(), x.copy()
             xc[k], xd[k] = c, d
             fc, fd = fun(np.array([xc, xd]))
             while b - a > step:
                 if fc < fd:
                     b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
+                    c = _golden_cut(b, a)
                     xc[k] = c
                     fc = fun(xc[None])[0]
                 else:
                     a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
+                    d = _golden_cut(a, b)
                     xd[k] = d
                     fd = fun(xd[None])[0]
             x[k] = 0.5 * (a + b)
@@ -553,12 +564,19 @@ def _exact_reference(p: OptProblem) -> bool:
     return p.optimum is not None or [kind for kind, _ in p._kinds] == [LinearCost]
 
 
+def _times_diameter(c: float, fs: Box | Ball) -> float:
+    """c times the diameter of ``fs``.  A ball's is taken in units of its
+    radius, 2 * (c * radius): the same bits as c * (2 * radius), and finite
+    where 2 * radius is not."""
+    return 2.0 * (c * float(fs.radius)) if isinstance(fs, Ball) else c * fs.diameter
+
+
 def _reference_slack(p: OptProblem) -> float:
     """How far the value of :func:`solve_reference` may lie above p's
     minimum: 0 where it is exact, else lipschitz * its grid step."""
     if _exact_reference(p):
         return 0.0
-    return p.lipschitz_bound * GRID_STEP_FRACTION * p.feasible.diameter
+    return _times_diameter(p.lipschitz_bound * GRID_STEP_FRACTION, p.feasible)
 
 
 def _check_reference_dim(p: OptProblem) -> None:
@@ -592,7 +610,7 @@ def solve_reference(p: OptProblem) -> ReferenceSolution:
                 x = np.where(cbar > 0, fs.lower, np.where(cbar < 0, fs.upper, zero))
         return ReferenceSolution(x, p.objective(x))
 
-    step = GRID_STEP_FRACTION * fs.diameter
+    step = _times_diameter(GRID_STEP_FRACTION, fs)
     axes = fs.grid_axes(COARSE_POINTS)
     if p.dim == 1:
         candidates = axes[0][:, None]

@@ -14,6 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossynet import (
     ConfigError,
@@ -357,6 +359,19 @@ class TestTolerances:
         slack = summary["certifications"]["optimality_gap_bound"]["slack"]
         assert math.isfinite(slack) and slack == pytest.approx(1e304, rel=1e-15)
 
+    def test_gap_slack_of_a_ball_whose_diameter_overflows(self, tmp_path):
+        # The diameter 2e308 is not a float; the grid step and the slack
+        # are taken in units of the radius, and the golden-section search
+        # cuts the chord in halves, so the refinement runs.
+        problem = dict(OPTIMIZE_RAW["problem"], set={"kind": "ball", "radius": 1e308})
+        cfg = ExperimentConfig.from_dict(dict(OPTIMIZE_RAW, problem=problem))
+        summary = run_experiment(cfg, tmp_path).summary
+        slack = summary["certifications"]["optimality_gap_bound"]["slack"]
+        assert math.isfinite(slack) and slack == pytest.approx(2e304, rel=1e-15)
+        # The coarse grid's best point is 0; the refinement moves off it.
+        assert summary["reference"]["x"][0] != 0.0
+        assert summary["reference"]["value"] - 1 / 3 <= slack
+
 
 class TestLoadConfig:
     def test_resolves_referenced_files(self, tmp_path):
@@ -550,6 +565,43 @@ class TestAuditRuns:
         lines = (tmp_path / "psi.csv").read_text().splitlines()
         assert lines[0] == "row,col,value"
         assert len(lines) == 1 + 16
+
+    def test_log10_bounds_match_the_bounds(self, tmp_path):
+        summary = run_experiment(ExperimentConfig.from_dict(AUDIT_RAW), tmp_path).summary
+        # beta = 1/4 and one block of nB + 1 = 3 rounds.
+        assert summary["log10_beta_bound"] == 3 * math.log10(0.25)
+        assert 10 ** summary["log10_beta_bound"] == pytest.approx(summary["beta_bound"], rel=1e-14)
+        assert 10 ** summary["log10_gamma_bound"] == pytest.approx(
+            summary["gamma_bound"], rel=1e-14
+        )
+
+    @staticmethod
+    def _ring_audit(tmp_path, n: int, B: int, end: int) -> dict:
+        """The summary of an audit of [1, end] on a directed n-ring, where
+        beta = 1/4 and a block is nB + 1 rounds."""
+        raw = {
+            "mode": "matrix-audit",
+            "graph": {"n": n, "edges": [[i, i % n + 1] for i in range(1, n + 1)]},
+            "horizon": end,
+            "schedule": {"kind": "bernoulli", "p_drop": 0.5, "B": B, "seed": 1},
+            "window": {"start": 1, "end": end},
+        }
+        return run_experiment(ExperimentConfig.from_dict(raw), tmp_path).summary
+
+    def test_log10_gamma_bound_where_gamma_bound_rounds_to_one(self, tmp_path):
+        summary = self._ring_audit(tmp_path, 40, 2, 81)
+        beta_bound = 0.25**81
+        assert summary["beta_bound"] == beta_bound and summary["gamma_bound"] == 1.0
+        assert summary["log10_gamma_bound"] < 0.0
+        assert summary["log10_gamma_bound"] == pytest.approx(-beta_bound / math.log(10), rel=1e-12)
+
+    def test_log10_beta_bound_where_beta_bound_underflows(self, tmp_path):
+        # 4**-541 is below the smallest subnormal; one window round is no block.
+        summary = self._ring_audit(tmp_path, 60, 9, 2)
+        assert summary["beta_bound"] == 0.0
+        assert summary["log10_beta_bound"] == 541 * math.log10(0.25)
+        assert -326 < summary["log10_beta_bound"] < -325
+        assert summary["gamma_bound"] == 1.0 and summary["log10_gamma_bound"] == 0.0
 
     def test_short_window_skips_entry_bound(self, tmp_path):
         raw = dict(AUDIT_RAW, window={"start": 1, "end": 1})
@@ -897,6 +949,98 @@ class TestDistinctValueWriters:
         assert peaks[1] <= 2 * peaks[0]
 
 
+class TestTexts:
+    """``harness._texts`` against ``%.17g``, value by value."""
+
+    @staticmethod
+    def _assert_printf(values) -> None:
+        values = np.ravel(np.asarray(values, dtype=np.float64))
+        texts = harness._texts(values.view(np.int64))
+        assert texts.dtype == object and texts.shape == values.shape
+        assert texts.tolist() == ("%.17g\n" * values.size % tuple(values.tolist())).split()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats_in_any_order(self, values):
+        self._assert_printf(values)
+
+    @pytest.mark.parametrize("kind", ["bits", "uniform", "log_uniform"])
+    def test_random_values(self, kind):
+        rng = np.random.default_rng(1)
+        size = 200_000
+        values = {
+            "bits": lambda: rng.integers(-(2**63), 2**63, size, dtype=np.int64).view(np.float64),
+            "uniform": lambda: rng.uniform(0.0, 10.0, size),
+            "log_uniform": lambda: rng.choice([-1.0, 1.0], size) * 10 ** rng.uniform(-240, 240, size),
+        }[kind]()
+        # Sorted on their bits, as the writers pass them; the property
+        # above covers any order.
+        self._assert_printf(np.sort(values.view(np.int64)).view(np.float64))
+
+    def test_exact_17th_digit_ties_round_half_to_even(self):
+        # a * 10**P ends in exactly .5: 1234567890123456.2 and .8.
+        ties = [1234567890123456.25, 1234567890123456.75, 0.5, 2.5]
+        self._assert_printf([*ties, *(-t for t in ties)])
+        assert harness._texts(np.array([1234567890123456.25]).view(np.int64))[0] == "1234567890123456.2"
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # The 1e-5/1e-4 and 1e16/1e17 switches between the fixed and the
+        # exponent form, and every decade between them.
+        powers = [float(10**k) if k >= 0 else 1 / 10**-k for k in range(-6, 19)]
+        values = [np.nextafter(p, d) for p in powers for d in (-np.inf, np.inf)] + powers
+        self._assert_printf([*values, *(-v for v in values)])
+
+    def test_no_fixed_text_rounds_up_a_decade(self):
+        # The largest double below 10**j is the one nearest to it from
+        # below; as it does not print as 10**j, no double below does.  So
+        # the round-up fallback of a fixed-range value is never taken.
+        for j in range(-4, 18):
+            below = math.nextafter(harness._ceil_power(j), 0.0)
+            assert float("%.17g" % below) < harness._ceil_power(j)
+
+    def test_values_that_round_up_a_decade(self):
+        # The doubles nearest these powers lie below them and print as the
+        # power (exponent form, so from %.17g); also the largest doubles
+        # below 1e-4, 1 and 1e17.
+        values = [1e-305, 1e-174, 1e-79, 1e-14, 1e98, 1e220, 0.9999999999999999,
+                  np.nextafter(1e-4, 0), np.nextafter(1e17, 0), 99999999999999999.0]
+        self._assert_printf([*values, *(-v for v in values)])
+
+    def test_special_values(self):
+        nans = np.array([0x7FF8000000000000, -0x0008000000000000, 0x7FF0000000000001,
+                         0x7FF4000000000123, -0x000FFFFFFFFFFFFF], dtype=np.int64)
+        specials = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+                    1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]
+        self._assert_printf(specials)
+        texts = harness._texts(nans)
+        assert texts.tolist() == ["%.17g" % v for v in nans.view(np.float64).tolist()]
+        assert set(texts.tolist()) == {"nan"}
+
+    # One value for each way to %.17g: a binade with no fixed text below
+    # (2**-15 <= 5e-5 < 2**-14) and above (2**57 <= 2e17); a fixed binade
+    # whose value prints in exponent form (9e-5 and 1.2e17, decimal
+    # exponent -5 and 17); zero, subnormal, infinite and NaN bit patterns.
+    FALLBACKS = [5e-5, 2e17, 9e-5, 1.2e17, 0.0, 1e-310, math.inf, math.nan]
+
+    def test_one_value_per_fallback(self):
+        for value in self.FALLBACKS:
+            self._assert_printf([value, -value, 0.25, value])
+        # Fixed texts on either side of each switch.
+        self._assert_printf([1e-4, 1.0000000000000001e-4, 99999999999999984.0, 7e16, 6.2e-5])
+
+    def test_layout_of_each_group(self):
+        # Integer zeros kept, "." dropped when nothing follows, "0.000ddd".
+        values = [1.5, 10.0, 120.0, 100.25, 1e16, 1234567890123456.8, 0.1, 0.0123,
+                  0.00012, -0.000123, 3.0, -0.5]
+        assert harness._texts(np.array(values).view(np.int64)).tolist() == [
+            "1.5", "10", "120", "100.25", "10000000000000000", "1234567890123456.8",
+            "0.10000000000000001", "0.0123", "0.00012", "-0.00012300000000000001", "3", "-0.5",
+        ]
+
+    def test_empty(self):
+        assert harness._texts(np.array([], dtype=np.int64)).tolist() == []
+
+
 class TestOptimizeDigests:
     @pytest.mark.parametrize("set_name, seed", sorted(OPTIMIZE_DIGESTS))
     def test_artifacts_keep_their_bytes(self, tmp_path, capsys, set_name, seed):
@@ -997,6 +1141,9 @@ AUDIT_DIGESTS = {
         "5f331416b9e18ffe25bfe98f15c2364d52f79f2aae58d11b2850b84472370093"),
 }
 
+# Summary keys added after the digests above were pinned.
+AUDIT_ADDED_KEYS = ("log10_beta_bound", "log10_gamma_bound")
+
 
 def _seeded_audit_raw(start: int, end: int, seed: int) -> dict:
     return {
@@ -1016,9 +1163,13 @@ class TestAuditDigests:
         assert main(["matrix-audit", "--config", config, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["pass_flags"]["entry_lower_bound"] is None) == (end - start + 1 < 13)
-        digests = tuple(
-            hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("summary.json", "psi.csv")
+        # The log-space bounds are added keys: stripped, the summary keeps
+        # its pinned bytes.
+        for key in AUDIT_ADDED_KEYS:
+            del summary[key]
+        digests = (
+            hashlib.sha256(write_json(summary).encode()).hexdigest(),
+            hashlib.sha256((out / "psi.csv").read_bytes()).hexdigest(),
         )
         assert digests == AUDIT_DIGESTS[start, end, seed]
 

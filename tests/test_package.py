@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lossynet
@@ -152,3 +155,38 @@ def test_every_public_method_has_a_caller():
     assert len(methods) > 40
     uncalled = sorted(qualified for qualified, name in methods.items() if name not in loaded)
     assert uncalled == sorted(UNCALLED_PUBLIC_METHODS)
+
+
+
+# What a fresh interpreter reports after ``import lossynet``: the number of
+# %.17g digit tables built, and whether fractions and decimal were loaded.
+_IMPORT_WEIGHT = (
+    "print(harness._text_tables.cache_info().currsize, "
+    "'fractions' in sys.modules, 'decimal' in sys.modules)"
+)
+
+
+def _probe(code: str) -> list:
+    """The words a fresh interpreter prints for ``code``, with this
+    package first on its path."""
+    env = dict(os.environ)
+    src = str(Path(lossynet.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_import_builds_no_text_tables():
+    # The tables are built by the first trace or psi block, not at import,
+    # which every process pays for.
+    code = "import sys, lossynet; from lossynet import harness; " + _IMPORT_WEIGHT
+    assert _probe(code) == ["0", "False", "False"]
+
+
+def test_text_tables_load_neither_fractions_nor_decimal():
+    code = (
+        "import sys, numpy as np; from lossynet import harness; "
+        "harness._texts(np.array([0.1, 2.5, -1e-300]).view(np.int64)); " + _IMPORT_WEIGHT
+    )
+    assert _probe(code) == ["1", "False", "False"]
