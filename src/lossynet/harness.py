@@ -505,9 +505,6 @@ def _ceil_power(y: int) -> float:
     return t if num * power_den >= power_num * den else math.nextafter(t, math.inf)
 
 
-# The binades 2**k <= |x| < 2**(k + 1) that hold fixed-notation texts: below
-# 2**-14 every value is under 1e-4, and from 2**57 every value is 1e17 or more.
-_FIXED_BINADES = range(-14, 57)
 _SPLITTER = 2.0**27 + 1  # Veltkamp's constant for binary64
 _TEXT_WIDTH = 24  # sign, "0.000", 17 digits and at least one space
 _FALLBACK = 42  # the group of values left to %.17g; fixed groups are 0..41
@@ -515,24 +512,18 @@ _FALLBACK = 42  # the group of values left to %.17g; fixed groups are 0..41
 
 @functools.cache
 def _text_tables():
-    """Built on the first ``_texts`` call: per biased binary exponent, the
-    decimal exponent of the binade's start (99 outside the fixed binades)
-    and the smallest double at or above the next power of ten; 10**P for
-    P = 0..20 with its Veltkamp split; and the 4-digit ASCII blocks as
-    uint32 words, the second half with trailing zeros as spaces."""
-    first = np.full(2048, 99, dtype=np.int64)
-    step = np.full(2048, np.inf)
-    for k in _FIXED_BINADES:
-        # floor(log10 2**k): 2**-j is never a power of ten.
-        x = len(str(2**k)) - 1 if k >= 0 else -len(str(2**-k))
-        first[k + 1023], step[k + 1023] = x, _ceil_power(x + 1)
+    """Built on the first ``_texts`` call: the smallest doubles at or above
+    10**-4 ... 10**17; 10**P for P = 0..20 with its Veltkamp split; and the
+    4-digit ASCII blocks as uint32 words, the second half with trailing
+    zeros as spaces."""
+    powers = np.array([_ceil_power(y) for y in range(-4, 18)])
     scale = np.array([float(10**p) for p in range(21)])
     c = _SPLITTER * scale
     scale_hi = c - (c - scale)
     quads = [b"%04d" % q for q in range(10000)]
     quads += [q.rstrip(b"0").ljust(4) for q in quads]
     quad = np.frombuffer(b"".join(quads), dtype=np.uint32)
-    return first, step, scale, scale_hi, scale - scale_hi, quad
+    return powers, scale, scale_hi, scale - scale_hi, quad
 
 
 def _fixed_digits(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -541,14 +532,15 @@ def _fixed_digits(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     -4..16 or ``_FALLBACK`` for a text that ``%.17g`` must make, and its 17
     ASCII digits (an (n, 17) uint8 array), trailing zeros as spaces.
 
-    No rounding error.  Take a = |x| in a fixed binade, 2**-14 <= a < 2**57.
-    X = floor(log10 a) is exact: the binade's start gives it, plus one when
-    a reaches the smallest double at or above 10**(X + 1).  With
+    No rounding error.  Take a = |x|.  X = floor(log10 a) is exact for
+    10**-4 <= a < 10**17: a lies between the smallest doubles at or above
+    10**X and 10**(X + 1).  Outside, as for ±0, subnormals, ±inf and NaN
+    (which sorts last), X is -5 or 17, an exponent-form text.  With
     P = 16 - X, 10**16 <= a * 10**P < 10**17.  For the fixed X (-4..16), P
     is 0..20 and 10**P = 5**P * 2**P, with 5**P < 2**53, is a double: its
     double-double residual is 0.  Dekker's product with Veltkamp splits
     (Numer. Math. 1971; no FMA) then gives a * 10**P = p + e exactly, as
-    a >= 2**-14 and a * 10**P <= 10**17 keep every split and partial
+    a >= 10**-4 and a * 10**P <= 10**17 keep every split and partial
     product far from overflow and underflow.  p >= 10**16 > 2**53 is an
     even integer and |e| <= ulp(p) / 2 <= 8, so D = p + rint(e) is
     a * 10**P rounded half to even, the rounding of ``%.17g``: the error is
@@ -557,10 +549,9 @@ def _fixed_digits(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (no double next to a power of ten in the fixed range does).  So do
     ±0, subnormals, NaN, ±inf and exponent-form texts (X < -4 or X >= 17).
     The temporaries end with this call, before the texts are laid out."""
-    first, step, scale, scale_hi, scale_lo, quad = _text_tables()
+    powers, scale, scale_hi, scale_lo, quad = _text_tables()
     a = np.abs(keys.view(np.float64))
-    binade = (keys >> 52) & 2047
-    X = first[binade] + (a >= step[binade])
+    X = np.searchsorted(powers, a, side="right") - 5
     fixed = (X >= -4) & (X <= 16)
     # Rows left to %.17g compute the digits of 10**16, with no overflow.
     a = np.where(fixed, a, 1e16)
@@ -851,10 +842,6 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
         cfg.tolerance("contraction_slack"), cfg.tolerance("entry_slack"),
     )
     _stream_psi(emit, product)
-    # gamma_bound and beta_bound in log10, which do not round to 1 or
-    # underflow to 0 at large out-degrees or long blocks.
-    blocks = (end - start + 1) // block
-    log10_gamma = blocks * math.log1p(-(beta**block)) / math.log(10) if blocks else 0.0
     return {
         "n": g.n,
         "b_window": B,
@@ -864,8 +851,9 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
         "gamma_bound": contraction.gamma_bound,
         "min_entry": float(product.min()),
         "beta_bound": beta**block,
+        # beta_bound in log10, which does not underflow to 0.
         "log10_beta_bound": block * math.log10(beta),
-        "log10_gamma_bound": log10_gamma,
+        "log10_gamma_bound": contraction.log10_gamma_bound,
         "pass_flags": {
             "entry_lower_bound": None if entry is None else entry.passed,
             "row_contraction": contraction.passed,

@@ -254,6 +254,7 @@ class ContractionReport:
     delta: float
     lambda_product: float
     gamma_bound: float
+    log10_gamma_bound: float
     passed: bool
 
 
@@ -280,9 +281,12 @@ def _audit_window(
     product = _window_product(ag, schedule, r, t, lambdas)
     lam = math.prod(lambdas)
     delta = delta_coefficient(product)
-    gamma_bound = gamma ** ((t - r + 1) // block)
+    blocks = (t - r + 1) // block
+    gamma_bound = gamma**blocks
     passed = delta <= lam + contraction_slack and delta <= gamma_bound + contraction_slack
-    contraction = ContractionReport((r, t), delta, lam, gamma_bound, passed)
+    contraction = ContractionReport(
+        (r, t), delta, lam, gamma_bound, _log10_gamma_bound(beta**block, blocks), passed
+    )
     entry = None
     if t - r + 1 >= block:
         min_entry = float(product.min())
@@ -290,6 +294,17 @@ def _audit_window(
         floor = bound * (1.0 + _product_gamma(t - r + 1, ag.m))
         entry = EntryBoundReport((r, t), min_entry, bound, min_entry >= floor - entry_slack)
     return product, contraction, entry
+
+
+def _log10_gamma_bound(shortfall: float, blocks: int) -> float:
+    """log10 of gamma**blocks for gamma = 1 - shortfall, which neither rounds
+    to 1 nor underflows to 0 at large out-degrees or long blocks: 0.0 for no
+    block, and -inf where gamma is 0 (a single node, whose shortfall is 1)."""
+    if blocks == 0:
+        return 0.0
+    if shortfall == 1.0:
+        return -math.inf
+    return blocks * math.log1p(-shortfall) / math.log(10)
 
 
 def _product_gamma(length: int, m: int) -> float:

@@ -603,6 +603,22 @@ class TestAuditRuns:
         assert -326 < summary["log10_beta_bound"] < -325
         assert summary["gamma_bound"] == 1.0 and summary["log10_gamma_bound"] == 0.0
 
+    def test_log10_bounds_of_a_single_node(self, tmp_path):
+        # beta = 1, so gamma = 0: two blocks of nB + 1 = 2 rounds.
+        raw = {
+            "mode": "matrix-audit",
+            "graph": {"n": 1, "edges": []},
+            "horizon": 4,
+            "schedule": {"kind": "bernoulli", "p_drop": 0.5, "B": 1, "seed": 1},
+            "window": {"start": 1, "end": 4},
+        }
+        artifact = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        assert artifact.passed
+        summary = artifact.summary
+        assert summary["beta_bound"] == 1.0 and summary["log10_beta_bound"] == 0.0
+        assert summary["gamma_bound"] == 0.0
+        assert summary["log10_gamma_bound"] == -math.inf
+
     def test_short_window_skips_entry_bound(self, tmp_path):
         raw = dict(AUDIT_RAW, window={"start": 1, "end": 1})
         artifact = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
@@ -1016,10 +1032,9 @@ class TestTexts:
         assert texts.tolist() == ["%.17g" % v for v in nans.view(np.float64).tolist()]
         assert set(texts.tolist()) == {"nan"}
 
-    # One value for each way to %.17g: a binade with no fixed text below
-    # (2**-15 <= 5e-5 < 2**-14) and above (2**57 <= 2e17); a fixed binade
-    # whose value prints in exponent form (9e-5 and 1.2e17, decimal
-    # exponent -5 and 17); zero, subnormal, infinite and NaN bit patterns.
+    # One value for each way to %.17g: exponent-form texts below 1e-4 and
+    # from 1e17 (5e-5, 9e-5, 2e17 and 1.2e17, decimal exponent -5 and 17);
+    # zero, subnormal, infinite and NaN bit patterns.
     FALLBACKS = [5e-5, 2e17, 9e-5, 1.2e17, 0.0, 1e-310, math.inf, math.nan]
 
     def test_one_value_per_fallback(self):

@@ -446,6 +446,24 @@ class TestContraction:
         report = certify_contraction(augment(asym3), schedule, 1, 2 * block, 2)
         assert report.gamma_bound == gamma**2
 
+    def test_log10_gamma_bound_is_the_log_of_gamma_bound(self, two_cycle):
+        ag, schedule = augment(two_cycle), all_reliable(two_cycle, 6)
+        # Blocks of 3 rounds: none, one and two of them.
+        for t, blocks in ((2, 0), (3, 1), (6, 2)):
+            report = certify_contraction(ag, schedule, 1, t, 1)
+            assert report.log10_gamma_bound == pytest.approx(
+                blocks * math.log10(1.0 - 0.25**3), rel=1e-14
+            )
+            assert 10**report.log10_gamma_bound == pytest.approx(report.gamma_bound, rel=1e-14)
+
+    def test_log10_gamma_bound_of_a_single_node(self):
+        g = build_graph(1, [])
+        ag, schedule = augment(g), all_reliable(g, 4)
+        report = certify_contraction(ag, schedule, 1, 1, 1)
+        assert report.gamma_bound == 1.0 and report.log10_gamma_bound == 0.0
+        report = certify_contraction(ag, schedule, 1, 4, 1)
+        assert report.gamma_bound == 0.0 and report.log10_gamma_bound == -math.inf
+
 
 class TestAuditPass:
     def test_audit_builds_each_round_matrix_once(self, tmp_path, monkeypatch):
