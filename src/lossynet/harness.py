@@ -548,59 +548,72 @@ def _fixed_digits(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a * 10**P >= 10**17 - 1/2 rounds up a decade; such a value falls back
     (no double next to a power of ten in the fixed range does).  So do
     ±0, subnormals, NaN, ±inf and exponent-form texts (X < -4 or X >= 17).
-    The temporaries end with this call, before the texts are laid out."""
+    The float temporaries are reused in place and freed before the digit
+    stage."""
     powers, scale, scale_hi, scale_lo, quad = _text_tables()
     a = np.abs(keys.view(np.float64))
-    X = np.searchsorted(powers, a, side="right") - 5
-    fixed = (X >= -4) & (X <= 16)
+    X = np.searchsorted(powers, a, side="right")
+    X -= 5
+    slow = (X < -4) | (X > 16)
     # Rows left to %.17g compute the digits of 10**16, with no overflow.
-    a = np.where(fixed, a, 1e16)
-    P = np.where(fixed, 16 - X, 0)
-    b, b_hi, b_lo = scale[P], scale_hi[P], scale_lo[P]
-    p = a * b
-    c = _SPLITTER * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    D = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    fixed &= D < 10**17
+    a[slow] = 1e16
+    P = 16 - X
+    P[slow] = 0
+    # Dekker's product, term by term in the order
+    # e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo.
+    p = scale[P]
+    p *= a
+    b_hi, b_lo = scale_hi[P], scale_lo[P]
+    a_hi = _SPLITTER * a
+    e = a_hi - a
+    a_hi -= e
+    a -= a_hi  # a_lo
+    np.multiply(a_hi, b_hi, out=e)
+    e -= p
+    e += np.multiply(a_hi, b_lo, out=a_hi)
+    e += np.multiply(a, b_hi, out=b_hi)
+    e += np.multiply(a, b_lo, out=b_lo)
+    D = p.astype(np.int64)
+    D += np.rint(e, out=e).astype(np.int64)
+    del a, p, e, a_hi, b_hi, b_lo
+    slow |= D >= 10**17
     # D as a lead digit and four 4-digit blocks; a block followed by zero
     # blocks only takes its ASCII from the half with trailing spaces.
-    hi = D // 10**8
-    lo = D - hi * 10**8
-    lead = hi // 10**8
-    hi -= lead * 10**8
+    # In D's and P's buffers: D // 10**8 and D % 10**8, then the lead.
     blocks = np.empty((4, D.size), dtype=np.int64)
-    blocks[0] = hi // 10**4
-    blocks[1] = hi - blocks[0] * 10**4
-    blocks[2] = lo // 10**4
-    blocks[3] = lo - blocks[2] * 10**4
-    blocks[:3] += 10000 * np.logical_and.accumulate(blocks[:0:-1] == 0)[::-1]
+    np.divmod(D, 10**8, out=(D, P))
+    np.divmod(P, 10**4, out=(blocks[2], blocks[3]))
+    lead, hi = np.divmod(D, 10**8, out=(P, D))
+    np.divmod(hi, 10**4, out=(blocks[0], blocks[1]))
+    zeros = np.logical_and.accumulate(blocks[:0:-1] == 0)[::-1]
+    np.add(blocks[:3], 10000, out=blocks[:3], where=zeros)
     blocks[3] += 10000
     words = np.empty((D.size, 5), dtype=np.uint32)
     words[:, 1:] = quad[blocks.T]
     digits = words.view(np.uint8)[:, 3:]
     digits[:, 0] = lead + ord("0")
-    return np.where(fixed, X + 4 + 21 * (keys < 0), _FALLBACK), digits
+    X += 4
+    X[keys < 0] += 21
+    X[slow] = _FALLBACK
+    return X, digits
 
 
-def _texts(keys: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` texts of float bit patterns ``keys`` (int64), as an
-    object array.  Fixed-notation texts are laid out from
-    ``_fixed_digits``; the rest come from ``%.17g`` itself.
+def _laid_out(keys: np.ndarray) -> tuple[np.ndarray, bytes]:
+    """The groups of ``keys`` (as ``_fixed_digits`` gives them) and their
+    fixed-notation texts, one per key, as an ASCII buffer of n rows of 24
+    bytes, space-padded; a fallback row holds a ``?`` placeholder.
 
-    Each row of an (n, 24) ASCII buffer of spaces gets its key's digits
-    laid out per group: ``ddd.ddd`` (integer zeros kept, ``.`` dropped when
-    nothing follows) or ``0.000ddd``.  Sorted keys put each group in one
-    run of rows, so a few slice copies fill the buffer; any order gives the
-    same texts.  One decode and one whitespace split then give one text per
-    key."""
+    Each row gets its key's digits laid out per group: ``ddd.ddd`` (integer
+    zeros kept, ``.`` dropped when nothing follows) or ``0.000ddd``.  Sorted
+    keys put each group in one run of rows, so a few slice copies fill the
+    buffer; any order gives the same texts.  The digits end with this call,
+    before the caller splits the buffer."""
     group, digits = _fixed_digits(keys)
     out = np.full((keys.size, _TEXT_WIDTH), ord(" "), dtype=np.uint8)
     starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
     for start, stop in zip(starts, starts[1:] + [keys.size]):
         row, d = out[start:stop], digits[start:stop]
-        if group[start] == _FALLBACK:  # a placeholder, replaced below
+        if group[start] == _FALLBACK:  # a placeholder, replaced by _texts
             row[:, 0] = ord("?")
             continue
         negative, exp = divmod(int(group[start]), 21)
@@ -617,9 +630,17 @@ def _texts(keys: np.ndarray) -> np.ndarray:
             if exp < 16:
                 np.minimum(d[:, exp + 1], ord("."), out=row[:, exp + 1])  # "." unless " "
                 row[:, exp + 2 : 18] = d[:, exp + 1 :]
-    texts = out.tobytes().decode("ascii").split()
+    return group, out.tobytes()
+
+
+def _texts(keys: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` texts of float bit patterns ``keys`` (int64), as an
+    object array of ASCII bytes: one whitespace split of the buffer of
+    ``_laid_out``, with its fallback rows from ``%.17g`` itself."""
+    group, buffer = _laid_out(keys)
+    texts = buffer.split()
     slow = np.flatnonzero(group == _FALLBACK)
-    printf = ("%.17g\n" * slow.size % tuple(keys[slow].view(np.float64).tolist())).split()
+    printf = (b"%.17g\n" * slow.size % tuple(keys[slow].view(np.float64).tolist())).split()
     for i, text in zip(slow.tolist(), printf):
         texts[i] = text
     return np.array(texts, dtype=object)
@@ -632,38 +653,40 @@ def _texts(keys: np.ndarray) -> np.ndarray:
 _BLOCK_CELLS = 16384
 
 
-def _emit_lines(emit, template: str, blocks) -> None:
+def _emit_lines(emit, template: bytes, blocks) -> None:
     """One ``emit`` per group (a round, a matrix row) of ``blocks``, which
-    yields (labels, values) with one row of values per label: ``template``
-    with each ``\\0`` set to the label and each ``%s`` to a value's ``%.17g``
-    text.  Values repeat (equal shares on one sender's out-links, entries a
-    window product repeats across rows), so a block keys them on their bits,
-    which keeps ``-0`` apart from ``0``, and formats each key once."""
+    yields (labels, values) with one row of values per label: the bytes of
+    ``template`` with each ``\\0`` set to the label and each ``%s`` to a
+    value's ``%.17g`` text.  Values repeat (equal shares on one sender's
+    out-links, entries a window product repeats across rows), so a block
+    keys them on their bits, which keeps ``-0`` apart from ``0``, and
+    formats each key once."""
     for labels, values in blocks:
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
         keys, inverse = np.unique(bits, return_inverse=True)
         texts = _texts(keys)[inverse.reshape(bits.shape)]
         for label, row in zip(labels, texts.tolist()):
-            emit(template.replace("\0", str(label)) % tuple(row))
+            emit(template.replace(b"\0", b"%d" % label) % tuple(row))
 
 
 def _stream_trace(emit, trace, estimates=None) -> None:
-    """``trace.csv`` through ``emit``: the header, then one call per round.
-    Per node t, id, kind, z and w, then the ratio z / w (NaN for a zero
-    weight), or with ``estimates`` the agents' x and empty buffer cells."""
+    """``trace.csv`` through ``emit``, as ASCII bytes: the header, then one
+    call per round.  Per node t, id, kind, z and w, then the ratio z / w
+    (NaN for a zero weight), or with ``estimates`` the agents' x and empty
+    buffer cells."""
     n, m, d = trace.n, trace.m, trace.dim
     last = "ratio" if estimates is None else "x"
     header = ["t", "node_id", "kind", *(f"z_{k}" for k in range(d)), "w",
               *(f"{last}_{k}" for k in range(d))]
-    emit(",".join(header) + "\n")
+    emit(",".join(header).encode() + b"\n")
     # One template per round, node ids and kinds filled in.  Optimize
     # buffers print no x: their x cells are empty text in the template, and
     # their values stop at w.
     width = 2 * d + 1
-    buffer_tail = ",%s" * d if estimates is None else "," * d
-    template = "".join(
-        [f"\0,{p + 1},real{',%s' * width}\n" for p in range(n)]
-        + [f"\0,{p + 1},virtual{',%s' * (d + 1)}{buffer_tail}\n" for p in range(n, m)]
+    buffer_tail = b",%s" * d if estimates is None else b"," * d
+    template = b"".join(
+        [b"\0,%d,real%s\n" % (p + 1, b",%s" * width) for p in range(n)]
+        + [b"\0,%d,virtual%s%s\n" % (p + 1, b",%s" * (d + 1), buffer_tail) for p in range(n, m)]
     )
     rounds = max(1, _BLOCK_CELLS // (m * width))
     values = np.empty((rounds, m, width))
@@ -688,15 +711,15 @@ def _stream_trace(emit, trace, estimates=None) -> None:
 
 
 def _stream_psi(emit, product: np.ndarray) -> None:
-    """``psi.csv`` for a window product through ``emit``: the header, then
-    one call per matrix row of ``row,col,value`` lines, values with 17
-    significant digits."""
+    """``psi.csv`` for a window product through ``emit``, as ASCII bytes:
+    the header, then one call per matrix row of ``row,col,value`` lines,
+    values with 17 significant digits."""
     m = product.shape[0]
-    emit("row,col,value\n")
+    emit(b"row,col,value\n")
     rows = max(1, _BLOCK_CELLS // m)
     _emit_lines(
         emit,
-        "".join(f"\0,{j + 1},%s\n" for j in range(m)),
+        b"".join(b"\0,%d,%%s\n" % (j + 1) for j in range(m)),
         ((range(start + 1, start + rows + 1), product[start : start + rows])
          for start in range(0, m, rows)),
     )
@@ -928,12 +951,12 @@ def run_experiment(
     paths = (out_dir / mode.artifact, out_dir / "summary.json")
     staged = [path.with_name(path.name + ".tmp") for path in paths]
     try:
-        with open(staged[0], "w") as fh:
+        with open(staged[0], "wb") as fh:
 
-            def emit(text: str) -> None:
-                fh.write(text)
+            def emit(data: bytes) -> None:
+                fh.write(data)
                 if tee_csv:
-                    print(text, end="")
+                    print(data.decode("ascii"), end="")
 
             summary = mode.run(cfg, g, schedule, emit)
 

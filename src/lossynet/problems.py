@@ -567,8 +567,17 @@ def _exact_reference(p: OptProblem) -> bool:
 def _times_diameter(c: float, fs: Box | Ball) -> float:
     """c times the diameter of ``fs``.  A ball's is taken in units of its
     radius, 2 * (c * radius): the same bits as c * (2 * radius), and finite
-    where 2 * radius is not."""
-    return 2.0 * (c * float(fs.radius)) if isinstance(fs, Ball) else c * fs.diameter
+    where 2 * radius is not.  A box whose diameter passes the float range
+    has it taken in halves the same way, the half widths in units of the
+    largest, so that no square or sum overflows in any dimension."""
+    if isinstance(fs, Ball):
+        return 2.0 * (c * float(fs.radius))
+    diameter = fs.diameter
+    if math.isfinite(diameter):
+        return c * diameter
+    half = fs.upper / 2.0 - fs.lower / 2.0
+    scale = float(half.max())
+    return 2.0 * ((c * scale) * float(np.linalg.norm(half / scale)))
 
 
 def _reference_slack(p: OptProblem) -> float:

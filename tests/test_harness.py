@@ -359,6 +359,22 @@ class TestTolerances:
         slack = summary["certifications"]["optimality_gap_bound"]["slack"]
         assert math.isfinite(slack) and slack == pytest.approx(1e304, rel=1e-15)
 
+    def test_gap_slack_of_a_box_whose_diameter_overflows(self, tmp_path):
+        # The diameter 2e308 is not a float; the grid step and the slack
+        # are taken in halves, as a ball's are in units of its radius, so
+        # the refinement runs.  The gap bound stays infinite: the psi
+        # radius overflows.
+        problem = copy.deepcopy(OPTIMIZE_RAW["problem"])
+        problem["set"].update(lower=[-1e308], upper=[1e308])
+        cfg = ExperimentConfig.from_dict(dict(OPTIMIZE_RAW, problem=problem))
+        summary = run_experiment(cfg, tmp_path).summary
+        gap = summary["certifications"]["optimality_gap_bound"]
+        assert math.isfinite(gap["slack"]) and gap["slack"] == pytest.approx(2e304, rel=1e-15)
+        assert gap["bound"] == math.inf
+        # The coarse grid's best point is 0; the refinement moves off it.
+        assert summary["reference"]["x"][0] != 0.0
+        assert summary["reference"]["value"] - 1 / 3 <= gap["slack"]
+
     def test_gap_slack_of_a_ball_whose_diameter_overflows(self, tmp_path):
         # The diameter 2e308 is not a float; the grid step and the slack
         # are taken in units of the radius, and the golden-section search
@@ -644,7 +660,7 @@ class TestAuditRuns:
         chunks = []
         _stream_psi(chunks.append, product)
         assert len(chunks) == 1 + 7
-        assert "".join(chunks).encode() == (tmp_path / "expected.csv").read_bytes()
+        assert b"".join(chunks) == (tmp_path / "expected.csv").read_bytes()
 
 
 class TestTraceBytes:
@@ -790,8 +806,13 @@ def _oracle_stream_psi(emit, product: np.ndarray) -> None:
 
 
 def _streamed(writer, *args) -> list:
+    """The chunks ``writer`` emits, as text.  The package's writers emit
+    ASCII bytes, every chunk; the oracles emit text."""
     chunks = []
     writer(chunks.append, *args)
+    if writer in (_stream_trace, _stream_psi):
+        assert all(type(chunk) is bytes for chunk in chunks)
+        return [chunk.decode("ascii") for chunk in chunks]
     return chunks
 
 
@@ -973,7 +994,7 @@ class TestTexts:
         values = np.ravel(np.asarray(values, dtype=np.float64))
         texts = harness._texts(values.view(np.int64))
         assert texts.dtype == object and texts.shape == values.shape
-        assert texts.tolist() == ("%.17g\n" * values.size % tuple(values.tolist())).split()
+        assert texts.tolist() == (b"%.17g\n" * values.size % tuple(values.tolist())).split()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
@@ -997,7 +1018,8 @@ class TestTexts:
         # a * 10**P ends in exactly .5: 1234567890123456.2 and .8.
         ties = [1234567890123456.25, 1234567890123456.75, 0.5, 2.5]
         self._assert_printf([*ties, *(-t for t in ties)])
-        assert harness._texts(np.array([1234567890123456.25]).view(np.int64))[0] == "1234567890123456.2"
+        texts = harness._texts(np.array([1234567890123456.25]).view(np.int64))
+        assert texts[0] == b"1234567890123456.2"
 
     def test_powers_of_ten_and_their_neighbours(self):
         # The 1e-5/1e-4 and 1e16/1e17 switches between the fixed and the
@@ -1029,8 +1051,8 @@ class TestTexts:
                     1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]
         self._assert_printf(specials)
         texts = harness._texts(nans)
-        assert texts.tolist() == ["%.17g" % v for v in nans.view(np.float64).tolist()]
-        assert set(texts.tolist()) == {"nan"}
+        assert texts.tolist() == [b"%.17g" % v for v in nans.view(np.float64).tolist()]
+        assert set(texts.tolist()) == {b"nan"}
 
     # One value for each way to %.17g: exponent-form texts below 1e-4 and
     # from 1e17 (5e-5, 9e-5, 2e17 and 1.2e17, decimal exponent -5 and 17);
@@ -1048,8 +1070,9 @@ class TestTexts:
         values = [1.5, 10.0, 120.0, 100.25, 1e16, 1234567890123456.8, 0.1, 0.0123,
                   0.00012, -0.000123, 3.0, -0.5]
         assert harness._texts(np.array(values).view(np.int64)).tolist() == [
-            "1.5", "10", "120", "100.25", "10000000000000000", "1234567890123456.8",
-            "0.10000000000000001", "0.0123", "0.00012", "-0.00012300000000000001", "3", "-0.5",
+            b"1.5", b"10", b"120", b"100.25", b"10000000000000000", b"1234567890123456.8",
+            b"0.10000000000000001", b"0.0123", b"0.00012", b"-0.00012300000000000001", b"3",
+            b"-0.5",
         ]
 
     def test_empty(self):
@@ -1648,6 +1671,16 @@ class TestCli:
             g, np.asarray(CONSENSUS_RAW["inputs"]), bernoulli_b_bounded(g, 0.5, 3, 2, seed=7), 2
         )
         assert out == _oracle_trace_text(trace)
+
+    def test_consensus_tee_matches_trace(self, tmp_path, capsys):
+        # Every round of the full horizon, NaN ratio cells included.
+        config = _write(tmp_path, "c.json", CONSENSUS_RAW)
+        out = tmp_path / "out"
+        assert main(["consensus", "--config", config, "--out", str(out), "--tee-csv"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("\n") == 1 + 6 * (CONSENSUS_RAW["horizon"] + 1)
+        assert ",nan\n" in printed
+        assert printed.encode() == (out / "trace.csv").read_bytes()
 
     def test_verify_schedule_satisfied(self, tmp_path):
         raw = {

@@ -22,6 +22,7 @@ from lossynet.problems import (
     GRID_STEP_FRACTION,
     POINTS_PER_BLOCK,
     _golden_refine,
+    _times_diameter,
 )
 
 unit_interval = Box([0.0], [1.0])
@@ -448,6 +449,17 @@ class TestOverflowingNorms:
         assert np.isclose(diameter, math.hypot(1e308, 4e307), rtol=1e-15, atol=0)
         # Finite norms keep their bits.
         assert Box([0.0, -1.0], [3.0, 3.0]).diameter == float(np.linalg.norm([3.0, 4.0]))
+
+    def test_grid_step_of_a_box_whose_diameter_overflows(self):
+        # The width 2e308 is not a float: the step is taken in halves, the
+        # half widths in units of the largest, which also covers a half
+        # diameter beyond the float range (1.7e308 * sqrt(2)).
+        assert _times_diameter(1e-4, Box([-1e308], [1e308])) == 2.0 * (1e-4 * 1e308)
+        step = _times_diameter(1e-4, Box([-1.7e308, -1.7e308], [1.7e308, 1.7e308]))
+        assert np.isclose(step, 2.0 * 1.7e304 * math.sqrt(2.0), rtol=1e-15, atol=0)
+        # Finite diameters keep their bits.
+        box = Box([-1e308, -3e307], [0.0, 1e307])
+        assert _times_diameter(1e-4, box) == 1e-4 * box.diameter
 
     def test_ball_projection_lands_on_the_boundary(self):
         ball = Ball(1.0, 2)
