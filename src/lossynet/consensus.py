@@ -17,7 +17,7 @@ are the values and whose last column is the weight; a run's history is one
 Both cumulative variants, and distributed dual averaging, iterate one
 run-level driver, the generator ``_CumulativeState.rounds``: convergent =
 robust + re-share.  It binds a run's work arrays, history views and (T, E,
-1) delivery masks once, before the first round, does each round in place,
+d+1) delivery masks once, before the first round, does each round in place,
 writes round t's agent rows and in-flight buffer rows straight into history
 row t and yields t; dual averaging adds its subgradients to those agent rows
 before the next round reads them.  The one array a round allocates is the
@@ -153,8 +153,9 @@ class _CumulativeState:
     The run writes into ``history``, a C-contiguous (T+1, m, d+1) mass
     history whose row 0 holds the start: round t reads the n agent rows of
     row t-1 and writes round t's agent rows and in-flight buffer rows into
-    row t.  The delivery masks of rounds 1..T are one (T, E, 1) boolean view
-    of the schedule's indicators.  The state's work arrays (the totals
+    row t.  The delivery masks of rounds 1..T are one (T, E, d+1) boolean
+    view of the schedule's indicators, each link's indicator repeated over
+    the columns by a zero stride.  The state's work arrays (the totals
     offered on each link, the per-link increments, a flat destination index)
     and the views the rounds use are made here or when the rounds start, and
     belong to this run alone.
@@ -173,7 +174,12 @@ class _CumulativeState:
         # np.add.at over flat positions takes numpy's 1-d fast path; each
         # entry still receives its links' increments in edge order.
         self._flat_dst = (g.edge_destinations[:, None] * d1 + np.arange(d1)).ravel()
-        self._masks = schedule.indicators[: len(history) - 1].view(bool)[:, :, None]
+        # A view with the shape of the totals, so that ``np.where`` does not
+        # broadcast it; it allocates nothing.
+        T = len(history) - 1
+        self._masks = np.broadcast_to(
+            schedule.indicators[:T].view(bool)[:, :, None], (T, g.num_edges, d1)
+        )
         self._history = history
 
     def rounds(self, reshare: bool):
@@ -385,15 +391,57 @@ def _rescue_norms(x: np.ndarray, norms) -> np.ndarray:
     return norms
 
 
+# numpy's add.reduce sums an axis pairwise, in blocks of 8, where it is the
+# inner loop of the reduction: a contiguous axis of 8 or more entries, or a
+# node axis of 8 or more that a single coordinate leaves innermost.  Other
+# axes it adds from +0 left to right, which a loop over slices repeats bit
+# for bit in fewer numpy passes.
+_PAIRWISE = 8
+
+
+def _node_sums(values: np.ndarray) -> np.ndarray:
+    """``values.sum(axis=1)`` of a (k, m, d) view of a mass history, bit for
+    bit: the m node slices added from +0 left to right, or numpy's own
+    pairwise sum where it takes one (d = 1 and m >= 8).  The loop adds (d, k)
+    slices, rounds along the rows, and returns their transpose."""
+    k, m, d = values.shape
+    if d == 1 and m >= _PAIRWISE:
+        return values.sum(axis=1)
+    total = np.zeros((d, k))
+    for node in values.transpose(1, 2, 0):
+        total += node
+    return total.T
+
+
 def _ratio_errors(values, weights, center, first_t: int) -> np.ndarray:
     """max_i ||z_i / w_i - c|| per round: ``values`` (k, n, d) and ``weights``
     (k, n) are the real agents over k rounds from iteration ``first_t`` on,
     ``center`` is (d,) or (k, d).  Weights must be positive; a non-finite
-    error is left to the certificates to fail, without a numpy warning."""
-    bad = np.flatnonzero((weights <= 0.0).any(axis=1))
-    if bad.size:
-        raise ZeroWeightError(f"agent weight not positive at iteration {first_t + bad[0]}")
+    error is left to the certificates to fail, without a numpy warning.
+
+    With d < 8 the norms are built one coordinate at a time in C-ordered
+    (n, k) arrays, one row per agent, their squares added left to right as
+    ``np.linalg.norm`` adds them over a short axis; the maximum over the
+    agents then runs across whole rows.  Where a round's largest norm
+    overflowed, and for every d >= 8, the whole-array expression with the
+    rescued norms is taken instead; both give the same bits."""
+    bad = weights <= 0.0
+    if bad.any():
+        t = first_t + np.argwhere(bad)[0, 0]
+        raise ZeroWeightError(f"agent weight not positive at iteration {t}")
     with np.errstate(over="ignore", invalid="ignore"):
+        if values.shape[2] < _PAIRWISE:
+            for c, coordinate in enumerate(values.T):
+                diff = np.divide(coordinate, weights.T, np.empty(weights.T.shape))
+                diff -= center[..., c]
+                diff *= diff
+                if c:
+                    squares += diff
+                else:
+                    squares = diff
+            errors = np.sqrt(squares, squares).max(axis=0)
+            if not np.isinf(errors).any():
+                return errors
         diffs = values / weights[..., None] - np.expand_dims(center, -2)
         return _rescue_norms(diffs, np.linalg.norm(diffs, axis=2)).max(axis=1)
 

@@ -20,6 +20,7 @@ from .consensus import (
     _check_schedule,
     _CumulativeState,
     _NodeTrace,
+    _node_sums,
     _ratio_errors,
     _worst_point,
     contraction_constants,
@@ -302,7 +303,7 @@ def certify_mixing_error(trace: OptTrace, B: int, slack: float = 0.0) -> MixingC
     bound = mixing_error_bound(trace.graph, B, trace.problem.lipschitz_bound)
     n = trace.n
     values, weights = trace.values[block:], trace.weights[block:]
-    errors = _ratio_errors(values[:, :n], weights[:, :n], values.sum(axis=1) / n, block)
+    errors = _ratio_errors(values[:, :n], weights[:, :n], _node_sums(values) / n, block)
     worst, passed = _worst_point(errors, bound, slack)
     return MixingCertificate(T, block, bound, worst + block, float(errors[worst]), passed)
 

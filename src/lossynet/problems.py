@@ -12,7 +12,8 @@ and a row mask per kind, which ``objective_at`` and the subgradient kernel
 both read.  A run's subgradient kernel (``OptProblem._subgradient_kernel``)
 is made once, before the first round, with scratch of its own.  A call
 subtracts one offset per row, x[i] minus row i's own parameter, and runs
-each kind on all n rows of it at once, writing into a caller's array, so a
+each kind on all n rows of it at once, the first kind writing every row of
+a caller's array and each further kind its own rows (``where=``), so a
 round gathers, scatters and allocates nothing in it.  The L2 rows divide by
 their norms in one plain call, or, when some row's offset has a zero or
 overflowing norm, in the rescued, masked division that keeps the scalar
@@ -31,7 +32,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .consensus import _rescue_norms
+from .consensus import _PAIRWISE, _rescue_norms
 from .errors import DimensionMismatchError, DimensionTooLargeError
 
 __all__ = [
@@ -50,6 +51,15 @@ COARSE_POINTS = 201
 # Points per block in OptProblem.objective_at, which keeps its temporaries
 # near 1 MB for 8 components at d = 2 however many points it gets.
 POINTS_PER_BLOCK = 4096
+# OptProblem._mean sums fewer columns than this as Python floats.
+FEW_COLUMNS = 8
+
+
+def _writes(where) -> dict:
+    """The ufunc keywords that write where the mask ``where`` is true, or
+    none, which write every entry, for ``where`` None: a ``where=True`` adds
+    to the cost of a call on a small batch."""
+    return {} if where is None else {"where": where}
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -147,9 +157,18 @@ class Box:
     def contains(self, x, tol: float = 1e-12):
         """Whether x lies in the box up to ``tol``: a bool for one point, a
         boolean array over the leading axes for a batch of points."""
-        x = np.asarray(x, dtype=float)
-        inside = ((x >= self.lower - tol) & (x <= self.upper + tol)).all(axis=-1)
-        return bool(inside) if x.ndim <= 1 else inside
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        bounds = zip((self.lower - tol).tolist(), (self.upper + tol).tolist())
+        # One coordinate slice at a time: fewer passes than a (k, d) test
+        # reduced over its last axis.
+        for k, (lo, hi) in enumerate(bounds):
+            coordinate = x[..., k]
+            if k:
+                inside &= coordinate >= lo
+            else:
+                inside = coordinate >= lo
+            inside &= coordinate <= hi
+        return bool(inside) if x.ndim == 1 else inside
 
     def axis_interval(self, x, k: int) -> tuple[float, float]:
         return float(self.lower[k]), float(self.upper[k])
@@ -231,13 +250,14 @@ class _Cost:
     float array, whose size is the dimension; ``_NAME`` is its spec name.
 
     Batched kernels for OptProblem.  ``_values`` takes the parameters of j
-    costs of a kind stacked as (j, d).  ``_kernel(params, diff, rows)``
-    makes one run's subgradient kernel, ``kernel(out)``, over the (n, d)
-    ``params`` holding each row's own parameter and the (n, d) offsets
-    ``diff`` = x - params, which the caller fills before each call: row i
-    of ``out`` becomes the subgradient at x[i] for a cost of this kind with
-    parameter params[i], and ``out`` is returned.  Only the rows of this
-    kind, where the (n, 1) mask ``rows`` is true, are kept.
+    costs of a kind stacked as (j, d); callers silence numpy's overflow
+    warning for it.  ``_kernel(params, diff, rows, where)`` makes one run's
+    subgradient kernel, ``kernel(out)``, over the (n, d) ``params`` holding
+    each row's own parameter and the (n, d) offsets ``diff`` = x - params,
+    which the caller fills before each call: row i of ``out`` becomes the
+    subgradient at x[i] for a cost of this kind with parameter params[i],
+    on every row for ``where`` None, else where the (n, d) mask ``where`` is
+    true.  ``rows`` is the (n, 1) mask of this kind's rows.
     """
 
     def __post_init__(self):
@@ -272,12 +292,8 @@ class LinearCost(_Cost):
         return (params[:, None, None, :] @ points[None, :, :, None])[..., 0, 0]
 
     @staticmethod
-    def _kernel(params: np.ndarray, diff: np.ndarray, rows: np.ndarray):
-        def kernel(out):
-            np.copyto(out, params)
-            return out
-
-        return kernel
+    def _kernel(params: np.ndarray, diff: np.ndarray, rows: np.ndarray, where):
+        return partial(np.copyto, src=params, **_writes(where))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,11 +318,23 @@ class AbsDistanceCost(_Cost):
 
     @staticmethod
     def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return np.abs(points[None, :, :] - params[:, None, :]).sum(axis=2)
+        """(j, k) values at k points (k, d), each the sum of ``value``.  With
+        d < 8 the |offsets| are added one coordinate at a time, left to right
+        as numpy sums a short axis."""
+        if points.shape[1] >= _PAIRWISE:
+            return np.abs(points[None, :, :] - params[:, None, :]).sum(axis=2)
+        for k, (coordinate, param) in enumerate(zip(points.T, params.T)):
+            term = np.subtract(coordinate, param[:, None])
+            np.abs(term, term)
+            if k:
+                total += term
+            else:
+                total = term
+        return total
 
     @staticmethod
-    def _kernel(params: np.ndarray, diff: np.ndarray, rows: np.ndarray):
-        return partial(np.sign, diff)
+    def _kernel(params: np.ndarray, diff: np.ndarray, rows: np.ndarray, where):
+        return partial(np.sign, diff, **_writes(where))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,11 +364,10 @@ class L2DistanceCost(_Cost):
     @staticmethod
     def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
         diffs = points[None, :, :] - params[:, None, :]
-        with np.errstate(over="ignore"):
-            return _rescue_norms(diffs, _row_norms(diffs))
+        return _rescue_norms(diffs, _row_norms(diffs))
 
     @staticmethod
-    def _kernel(params: np.ndarray, diff: np.ndarray, rows: np.ndarray):
+    def _kernel(params: np.ndarray, diff: np.ndarray, rows: np.ndarray, where):
         # Scratch of this kernel alone: the offsets' stacked row and column
         # views for the norm dot of _row_norms, the norms (also as a flat
         # view) and the mask of rows to divide.
@@ -348,6 +375,7 @@ class L2DistanceCost(_Cost):
         squares = np.empty((len(diff), 1, 1))
         norms, flat_norms = squares[:, :, 0], squares.reshape(-1)
         divided = np.empty(norms.shape, dtype=bool)
+        where = True if where is None else where
 
         def kernel(out):
             np.sqrt(np.matmul(stacked, cols, squares), squares)
@@ -355,10 +383,10 @@ class L2DistanceCost(_Cost):
             # their Python sum is finite unless a squared norm overflowed, a
             # norm is NaN or the norms add up beyond the float range.  With
             # a finite sum and no zero norm, one plain division is the
-            # masked one below on every row.
+            # masked one below on every row it writes.
             listed = flat_norms.tolist()
             if sum(listed) < math.inf and 0.0 not in listed:
-                return np.divide(diff, norms, out)
+                return np.divide(diff, norms, out, where=where)
             # The rescue changes only the infinite norms of finite offsets.
             # Rows whose norm is 0 (x == a, or an offset whose square
             # underflows) keep the scalar oracle's +0.  Rows of other kinds
@@ -366,7 +394,7 @@ class L2DistanceCost(_Cost):
             # divide inf by inf, and warn, for a result that is discarded.
             flat_norms[:] = _rescue_norms(diff, flat_norms)
             np.logical_and(np.not_equal(norms, 0.0, divided), rows, divided)
-            out.fill(0.0)
+            np.copyto(out, 0.0, where=where)
             return np.divide(diff, norms, out=out, where=divided)
 
         return kernel
@@ -413,6 +441,9 @@ class OptProblem:
         kinds = tuple((kind, mask) for kind, mask in zip(_COST_KINDS, rows) if mask.any())
         object.__setattr__(self, "_kinds", kinds)
         object.__setattr__(self, "_params", params)
+        # Each kind's own rows and their parameters, for objective_at.
+        stacks = tuple((kind, rows[:, 0], params[rows[:, 0]]) for kind, rows in kinds)
+        object.__setattr__(self, "_stacks", stacks)
         if self.optimum is not None:
             object.__setattr__(
                 self, "optimum", np.atleast_1d(np.asarray(self.optimum, dtype=float))
@@ -433,10 +464,14 @@ class OptProblem:
         return max(c.lipschitz for c in self.components)
 
     def _mean(self, rows: np.ndarray) -> np.ndarray:
-        """Mean over components of per-component rows, summed from zero in
-        component order as Python's ``sum`` does; ``np.sum`` may round
-        differently.  Where that sum leaves the float range, the rows are
-        summed divided by the number of components instead."""
+        """Mean over components of per-component rows (n, k), summed from
+        zero in component order; ``np.sum`` may round differently.  Where
+        that sum leaves the float range, the rows are summed divided by the
+        number of components instead.  A few columns are summed as Python
+        floats, which add in IEEE double left to right: the same bits at a
+        lower call cost than a numpy pass per row."""
+        if rows.shape[1] < FEW_COLUMNS:
+            return np.array([_float_mean(column, self.n_components) for column in rows.T.tolist()])
         total = np.zeros(rows.shape[1:])
         with np.errstate(over="ignore"):
             for row in rows:
@@ -448,16 +483,18 @@ class OptProblem:
         return mean
 
     def objective_at(self, points) -> np.ndarray:
-        """The objective at each of k points (k, d), as (k,)."""
+        """The objective at each of k points (k, d), as (k,).  A value
+        beyond the float range is infinite, and a mean of opposite
+        infinities NaN, without a numpy warning."""
         points = np.asarray(points, dtype=float)
         out = np.empty(points.shape[0])
-        for start in range(0, points.shape[0], POINTS_PER_BLOCK):
-            block = points[start : start + POINTS_PER_BLOCK]
-            values = np.empty((self.n_components, block.shape[0]))
-            for kind, rows in self._kinds:
-                own = rows[:, 0]
-                values[own] = kind._values(self._params[own], block)
-            out[start : start + block.shape[0]] = self._mean(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, points.shape[0], POINTS_PER_BLOCK):
+                block = points[start : start + POINTS_PER_BLOCK]
+                values = np.empty((self.n_components, block.shape[0]))
+                for kind, own, params in self._stacks:
+                    values[own] = kind._values(params, block)
+                out[start : start + block.shape[0]] = self._mean(values)
         return out
 
     def subgradients(self, x, out=None) -> np.ndarray:
@@ -477,26 +514,25 @@ class OptProblem:
 
         A call subtracts the offsets x - params once, each row against its
         own parameter, and every kind reads them.  The first kind's kernel
-        fills every row of ``out``; each further kind runs on all rows into
-        a temporary and copies in its own rows.  A row is thus also run
-        through the other kinds' formulas, whose results are discarded.  The
-        L2 rows take one plain division when no row's offset has a zero or
-        non-finite norm, and otherwise the rescued, masked division, which
-        skips the rows of other kinds; both give the same bits where both
-        apply.  Nothing is stored on the problem, so runs share no scratch.
+        fills every row of ``out``; each further kind then writes its own
+        rows, with ``where=`` an (n, d) mask of them, over the first kind's
+        results there.  The L2 rows take one plain division when no row's
+        offset has a zero or non-finite norm, and otherwise the rescued,
+        masked division, which skips the rows of other kinds; both give the
+        same bits where both apply.  Nothing is stored on the problem, so
+        runs share no scratch.
         """
         params = self._params
         diff = np.empty(params.shape)
-        (kind, first_rows), *rest = self._kinds
-        first = kind._kernel(params, diff, first_rows)
-        further = tuple((kind._kernel(params, diff, rows), rows) for kind, rows in rest)
-        temporary = np.empty(params.shape)
+        kernels = tuple(
+            kind._kernel(params, diff, rows, np.repeat(rows, self.dim, axis=1) if k else None)
+            for k, (kind, rows) in enumerate(self._kinds)
+        )
 
         def kernel(x, out):
             np.subtract(x, params, diff)
-            first(out)
-            for kind_kernel, rows in further:
-                np.copyto(out, kind_kernel(temporary), where=rows)
+            for kind_kernel in kernels:
+                kind_kernel(out)
             return out
 
         return kernel
@@ -507,6 +543,23 @@ class OptProblem:
     def objective_subgradient(self, x) -> np.ndarray:
         x = np.broadcast_to(np.asarray(x, dtype=float), (self.n_components, self.dim))
         return self._mean(self.subgradients(x))
+
+
+def _float_mean(values: list, n: int) -> float:
+    """The mean of the floats ``values`` over n, summed from zero left to
+    right, or, where that sum leaves the float range, summed divided by n:
+    one column of ``OptProblem._mean``.  The loops are explicit: Python's
+    ``sum`` compensates its float additions from 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    mean = total / n
+    if math.isfinite(mean):
+        return mean
+    mean = 0.0
+    for value in values:
+        mean += value / n
+    return mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,6 +578,14 @@ def _golden_cut(a, b):
     if math.isinf(b - a):
         return 2.0 * (a / 2.0 + _INVPHI * (b / 2.0 - a / 2.0))
     return a + _INVPHI * (b - a)
+
+
+def _midpoint(a, b):
+    """(a + b) / 2 as 0.5 * (a + b), or, where a + b passes the float range,
+    in halves, as in :func:`_golden_cut`."""
+    if math.isinf(a + b):
+        return a / 2.0 + b / 2.0
+    return 0.5 * (a + b)
 
 
 def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -> np.ndarray:
@@ -553,7 +614,7 @@ def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -
                     d = _golden_cut(a, b)
                     xd[k] = d
                     fd = fun(xd[None])[0]
-            x[k] = 0.5 * (a + b)
+            x[k] = _midpoint(a, b)
     return x
 
 
@@ -628,6 +689,9 @@ def solve_reference(p: OptProblem) -> ReferenceSolution:
         candidates = np.column_stack([xs.ravel(), ys.ravel()])
         candidates = candidates[fs.contains(candidates)]
     # argmin takes the first of tied grid points, as min() over the rows does.
-    best = candidates[np.argmin(p.objective_at(candidates))]
+    # A NaN value (a mean of opposite infinities) ranks as +inf.
+    values = p.objective_at(candidates)
+    values[np.isnan(values)] = math.inf
+    best = candidates[np.argmin(values)]
     x = _golden_refine(p.objective_at, best, fs, step)
     return ReferenceSolution(x, p.objective(x))

@@ -10,6 +10,7 @@ import re
 import shutil
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossynet import (
+    Ball,
     ConfigError,
     ExperimentConfig,
     LossyNetError,
@@ -1919,10 +1921,30 @@ OPTIMIZE_BALL_RAW = dict(OPTIMIZE_RAW, problem={
         {"kind": "l2_distance", "a": [-0.5, 0.25]},
     ],
 })
+# A box whose grid values and midpoints pass the float range.
+OPTIMIZE_HUGE_BOX_RAW = dict(OPTIMIZE_RAW, problem={
+    "d": 2,
+    "set": {"kind": "box", "lower": [-1.7e308, -1.7e308], "upper": [1.7e308, 1.7e308]},
+    "components": [
+        {"kind": "linear", "c": [1.0, 0.5]},
+        {"kind": "abs_distance", "a": [0.5, -0.25]},
+        {"kind": "l2_distance", "a": [0.0, 0.75]},
+    ],
+})
+
+
+def _assert_reference_in_set(out: Path, raw: dict, case) -> None:
+    """The summary's reference point is finite and lies in the feasible
+    set, up to a tolerance relative to the set's size."""
+    summary = json.loads((out / "summary.json").read_text())
+    x = np.array([float(v) for v in summary["reference"]["x"]])
+    fs = problem_from_spec(raw["problem"]).feasible
+    size = fs.radius if isinstance(fs, Ball) else max(np.abs(fs.lower).max(), np.abs(fs.upper).max())
+    assert np.isfinite(x).all() and fs.contains(x, tol=1e-12 * max(1.0, size)), case
 
 
 class TestFuzz:
-    CASES = 1200
+    CASES = 1500
     FILE_CASES = 200
 
     @staticmethod
@@ -1944,13 +1966,15 @@ class TestFuzz:
 
     def test_configs(self, tmp_path, capsys):
         rng = random.Random(20261019)
-        bases = (CONSENSUS_RAW, OPTIMIZE_RAW, AUDIT_RAW, OPTIMIZE_BALL_RAW)
+        bases = (CONSENSUS_RAW, OPTIMIZE_RAW, AUDIT_RAW, OPTIMIZE_BALL_RAW, OPTIMIZE_HUGE_BOX_RAW)
         for i in range(self.CASES):
             base = bases[i % len(bases)]
             raw, unknown = _mutated(rng, base)
             code = self._exit(tmp_path, capsys, f"c{i}", base["mode"], json.dumps(raw).encode(),
                               raw)
             assert code == 1 or not unknown, raw
+            if base["mode"] == "optimize" and (tmp_path / f"c{i}-out" / "summary.json").exists():
+                _assert_reference_in_set(tmp_path / f"c{i}-out", raw, raw)
 
     def test_graph_files_and_schedule_csvs(self, tmp_path, capsys):
         rng = random.Random(7)

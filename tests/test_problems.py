@@ -22,6 +22,7 @@ from lossynet.problems import (
     GRID_STEP_FRACTION,
     POINTS_PER_BLOCK,
     _golden_refine,
+    _reference_slack,
     _times_diameter,
 )
 
@@ -504,6 +505,30 @@ class TestOverflowingNorms:
         # Finite widths keep linspace's bits.
         axis = np.linspace(-1.25, 1.25, COARSE_POINTS)
         assert Ball(1.25, 2).grid_axes(COARSE_POINTS)[1].tobytes() == axis.tobytes()
+
+    @pytest.mark.parametrize("c", [[0.25, -0.5], [1.0, 0.5]])
+    def test_reference_on_a_box_beyond_the_float_range(self, c):
+        # The grid of a box of +-1.7e308 has points whose |.|_1 distances
+        # and linear values pass the float range, with no overflow warning
+        # (the repo's filterwarnings = error makes one fail the test).  With
+        # c = [1, 0.5], the corner's values are +inf and -inf, whose mean is
+        # NaN: it ranks last, and the refinement stays in the box.
+        box = Box([-1.7e308, -1.7e308], [1.7e308, 1.7e308])
+        p = OptProblem((AbsDistanceCost([0.5, -0.25]), L2DistanceCost([0.0, 0.75]),
+                        LinearCost(c)), box)
+        assert np.isnan(p.objective_at(box.lower[None]))[0] == (c == [1.0, 0.5])
+        ref = solve_reference(p)
+        assert np.isfinite(ref.x).all() and box.contains(ref.x)
+        # Within the grid's slack of the value at the optimum's neighbour 0.
+        assert math.isfinite(ref.value)
+        assert ref.value <= p.objective(np.zeros(2)) + _reference_slack(p)
+
+    def test_golden_refine_at_a_corner_of_a_box_beyond_the_float_range(self):
+        # The last section lies at the upper bound 1.7e308, where a + b
+        # passes the float range: the midpoint is taken in halves.
+        box = Box([-1.7e308], [1.7e308])
+        x = _golden_refine(lambda points: -points[:, 0], np.zeros(1), box, 1e300)
+        assert 1.69e308 < x[0] <= 1.7e308
 
 
 class TestSolveReference:
