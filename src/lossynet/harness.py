@@ -520,9 +520,14 @@ def _text_tables():
     scale = np.array([float(10**p) for p in range(21)])
     c = _SPLITTER * scale
     scale_hi = c - (c - scale)
-    quads = [b"%04d" % q for q in range(10000)]
-    quads += [q.rstrip(b"0").ljust(4) for q in quads]
-    quad = np.frombuffer(b"".join(quads), dtype=np.uint32)
+    digits = np.empty((10000, 4), dtype=np.uint8)
+    rest = np.arange(10000)
+    for place in (3, 2, 1, 0):
+        rest, digits[:, place] = np.divmod(rest, 10)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    digits += ord("0")
+    spaced = np.where(trailing, np.uint8(ord(" ")), digits)
+    quad = np.concatenate([digits, spaced]).view(np.uint32).reshape(-1)
     return powers, scale, scale_hi, scale - scale_hi, quad
 
 

@@ -9,7 +9,13 @@ enough products and geometric decay of the column spread.
 
 A window product, and so the audit, fills one round-matrix buffer per
 window: each round rewrites only the entries a delivery changes, choosing
-each from a per-graph table of its delivered and dropped values.
+each from a per-graph table of its delivered and dropped values.  The
+tables are certified once per graph to fill a row-stochastic matrix for
+every delivery pattern, so the audit checks no round matrix row by row.
+The tables also tell once per graph whether some row can never meet row
+0's support, which makes every round's lambda 1.0; only the rounds of
+other graphs take the dense coefficient.  The product starts as a copy of
+its first round matrix.
 """
 
 from __future__ import annotations
@@ -54,12 +60,10 @@ ENTRY_SLACK = 0.0
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-@lru_cache(maxsize=8)
-def _round_tables(ag: AugmentedGraph) -> dict:
+def _table_entries(ag: AugmentedGraph) -> dict:
     """Everything about M[t] but the round's deliveries: the agent diagonal,
     and for each delivery-dependent entry its flat position, its edge, and
-    its value when that edge delivers and when it drops.  No two entries
-    share a position."""
+    its value when that edge delivers and when it drops."""
     g = ag.base
     n, shape = g.n, (ag.m, ag.m)
     D = (g.out_degrees + 1).astype(float)
@@ -99,6 +103,118 @@ def _round_tables(ag: AugmentedGraph) -> dict:
         "delivered": values(np.ones(g.num_edges)),
         "dropped": values(np.zeros(g.num_edges)),
     }
+
+
+@lru_cache(maxsize=8)
+def _round_tables(ag: AugmentedGraph) -> dict:
+    """The tables of :func:`_table_entries`, certified row stochastic for
+    every delivery pattern (:func:`_certify_tables`), and ``"disjoint"``,
+    whether lambda is 1.0 in every round (:func:`_always_disjoint`)."""
+    tab = _table_entries(ag)
+    _certify_tables(ag, tab)
+    tab["disjoint"] = _always_disjoint(ag.m, tab)
+    return tab
+
+
+def _certify_tables(ag: AugmentedGraph, tab: dict) -> None:
+    """Raise NotRowStochasticError, naming the node and the link, unless
+    every round matrix the tables can fill passes the dense check of
+    :func:`_check_row_stochastic`, whatever the deliveries.
+
+    Positions: distinct, inside m x m and off the agent diagonal, so a
+    round buffer holds the agent keeps, one value of each entry, and zeros.
+    Values: each agent keep and each entry's delivered and dropped value
+    finite and at least -ROW_SUM_TOL.  Row sums: row r holds its agent keep
+    kappa_r (0 for a buffer) and entries j with values delta_j and rho_j on
+    edges e_j, at most m in all.  Each entry follows the delivery of one
+    edge, so under deliveries b the exact row sum is affine,
+    s_r(b) - 1 = x_r + sum_e c_re b_e with x_r = kappa_r + sum_j rho_j - 1
+    and c_re = sum_(e_j = e) (delta_j - rho_j).  Over all b it ranges
+    exactly over [x_r + N_r, x_r + P_r], P_r and N_r the sums of the
+    positive and of the negative c_re, so the worst |s_r(b) - 1| is
+    Q_r = max(|x_r + P_r|, |x_r + N_r|).  The groups (r, e) come from a
+    sort of the entries' keys: O(P) memory for P entries.
+
+    Rounding allowance, with Higham's gamma_k (:func:`_gamma`) and
+    S_r = |kappa_r| + sum_j (|delta_j| + |rho_j|).  The dense check sums a
+    row of m entries: its computed sum lies within gamma_(m-1) S_r of
+    s_r(b), and subtracting 1 from it is exact (Sterbenz) near 1, so it
+    passes on every round when Q_r + gamma_(m-1) S_r <= ROW_SUM_TOL.  The
+    computed certificate: x'_r sums at most m terms and then subtracts 1,
+    exactly wherever the row can pass (x_r lies between x_r + N_r and
+    x_r + P_r, so |x'_r| <= ROW_SUM_TOL there), and lies within
+    gamma_(m-1) S_r of x_r; each delta_j - rho_j is rounded once and each
+    c_re sums at most m of them, so the c'_re lie within gamma_m S_r of the
+    c_re in all ((1 + u)(1 + gamma_(m-1)) <= 1 + gamma_m); and summing
+    the parts of the c'_re, adding x'_r and taking the larger magnitude
+    costs a relative gamma_m on values of at most 2 ROW_SUM_TOL where the
+    row passes, below gamma_m S_r / 10**7, as S_r >= s_r(b) >= 1/2.  So
+    Q_r + gamma_(m-1) S_r <= Q'_r + 4 gamma_m S_r.  The computed S'_r, at
+    most 2 m terms, is at least (1 - gamma_(2 m)) S_r, so the allowance
+    4 gamma_(2 m) S'_r, less the roundings of adding it and comparing,
+    covers 4 gamma_m S_r: a row whose computed Q'_r plus its allowance is
+    at most ROW_SUM_TOL passes the dense check in every round of every
+    window, with ROW_SUM_TOL unchanged."""
+    g, m, n = ag.base, ag.m, ag.base.n
+    positions, edges = tab["positions"], tab["edges"]
+    delivered, dropped, keep = tab["delivered"], tab["dropped"], tab["agent_keep"]
+    rows, cols = np.divmod(positions, m)
+
+    def fail(node: int, edge: int | None) -> NotRowStochasticError:
+        link = "no link" if edge is None else f"link {g.edges[edge]}"
+        return NotRowStochasticError(
+            f"round tables: the row of node {node + 1} of {m}, {link}, is not row "
+            f"stochastic within {ROW_SUM_TOL} for every delivery pattern"
+        )
+
+    def valid(value: np.ndarray) -> np.ndarray:
+        return np.isfinite(value) & (value >= -ROW_SUM_TOL)
+
+    order = np.argsort(positions, kind="stable")
+    shared = np.zeros(positions.size, dtype=bool)
+    shared[order[1:]] = positions[order[1:]] == positions[order[:-1]]
+    bad = (positions < 0) | (positions >= m * m) | ((rows == cols) & (rows < n)) | shared
+    bad |= ~valid(delivered) | ~valid(dropped)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise fail(int(rows[j]), int(edges[j]))
+    keys = edges * m + rows
+    groups = np.sort(keys)
+    new = np.ones(groups.size, dtype=bool)
+    new[1:] = groups[1:] != groups[:-1]
+    groups = groups[new]
+    swing = np.bincount(np.searchsorted(groups, keys), weights=delivered - dropped,
+                        minlength=groups.size)
+    group_rows = groups % m
+    owners = np.concatenate([rows, np.arange(n)])
+    offset = np.bincount(owners, weights=np.concatenate([dropped, keep]), minlength=m) - 1.0
+    rise = np.bincount(group_rows, weights=np.maximum(swing, 0.0), minlength=m)
+    fall = np.bincount(group_rows, weights=np.minimum(swing, 0.0), minlength=m)
+    error = np.maximum(np.abs(offset + rise), np.abs(offset + fall))
+    size = np.abs(np.concatenate([delivered, dropped, keep]))
+    size = np.bincount(np.concatenate([rows, owners]), weights=size, minlength=m)
+    bad = ~(error + 4.0 * _gamma(2 * m) * size <= ROW_SUM_TOL)
+    bad[:n] |= ~valid(keep)
+    if bad.any():
+        r = int(np.argmax(bad))
+        mine = np.flatnonzero(rows == r)
+        raise fail(r, int(edges[mine[0]]) if mine.size else None)
+
+
+def _always_disjoint(m: int, tab: dict) -> bool:
+    """Whether lambda is 1.0 in every round the tables can fill: every table
+    value is at least 0, and some row has no agent-diagonal or table entry
+    in any column row 0 can reach, so it never meets row 0's support and
+    :func:`lambda_coefficient` finds the two rows disjoint.  A negative
+    value (within tolerance) makes lambda_coefficient take the overlaps row
+    by row, so the rounds of such tables take the dense coefficient."""
+    if min(tab["agent_keep"].min(initial=0.0), tab["delivered"].min(initial=0.0),
+           tab["dropped"].min(initial=0.0)) < 0.0:
+        return False
+    rows, cols = np.divmod(np.concatenate([tab["agents"], tab["positions"]]), m)
+    reach = np.zeros(m, dtype=bool)
+    reach[cols[rows == 0]] = True
+    return not np.bincount(rows[reach[cols]], minlength=m).all()
 
 
 def _round_buffer(ag: AugmentedGraph, schedule: FailureSchedule) -> tuple[np.ndarray, dict]:
@@ -150,16 +266,23 @@ def _window_product(ag, schedule, r, t, lambdas=None) -> np.ndarray:
     """M[r] @ ... @ M[t] in two m x m buffers that swap roles each round;
     with a list ``lambdas``, also appends lambda(M[k]) for every round.
     Every M[k] is filled into one round buffer: the agent diagonal once per
-    window, the delivery-dependent entries once per round."""
+    window, the delivery-dependent entries once per round.  The product
+    starts as a copy of M[r]: np.eye(m) @ M[r] has the same entries, since
+    every term besides 1 * M[r][i, j] is an exact 0 for the finite,
+    certified entries (:func:`_certify_tables`); an empty window gives the
+    identity."""
     M, tab = _round_buffer(ag, schedule)
-    product, spare = np.eye(ag.m), np.empty((ag.m, ag.m))
+    product, spare = np.empty_like(M), np.empty_like(M)
     for k in range(r, t + 1):
         _fill_round(M, tab, schedule, k)
-        np.matmul(product, M, out=spare)
-        product, spare = spare, product
+        if k == r:
+            np.copyto(product, M)
+        else:
+            np.matmul(product, M, out=spare)
+            product, spare = spare, product
         if lambdas is not None:
-            lambdas.append(lambda_coefficient(M))
-    return product
+            lambdas.append(1.0 if tab["disjoint"] else lambda_coefficient(M))
+    return product if r <= t else np.eye(ag.m)
 
 
 def evolve_by_matrices(
@@ -318,10 +441,10 @@ def _product_gamma(length: int, m: int) -> float:
     <= 1 + gamma_(a + b).  A round matrix's entry is exact (0, 1 - b), one
     quotient of small integers whose products are exact (1 / D**2,
     1 / (D_i D_j), 1 / D), or 1 / D**2 + 1 / D, a sum of two such positive
-    quotients; so each carries at most gamma_2.  The product starts from
-    the identity, which the first round copies exactly, and each later
-    round's inner products have m terms, so each adds gamma_m.  So the
-    computed product P' and the exact P satisfy |P' - P| <= gamma_a P
+    quotients; so each carries at most gamma_2.  The product starts as an
+    exact copy of the first round matrix, and each later round's inner
+    products have m terms, so each adds gamma_m.  So the computed
+    product P' and the exact P satisfy |P' - P| <= gamma_a P
     entrywise, a = 2 * length + m * (length - 1).
 
     The check computes the bound too: beta = 1 / D**2 carries one rounding,
@@ -333,9 +456,12 @@ def _product_gamma(length: int, m: int) -> float:
     the check needs no absolute slack.  The analysis holds while no partial
     product underflows into the subnormal range.  A bound that underflows
     to 0.0 cannot fail: every computed entry is at least 0.0."""
-    if m == 1:
-        return 0.0
-    ku = length * (m + 3) * _UNIT_ROUNDOFF
+    return 0.0 if m == 1 else _gamma(length * (m + 3))
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for the unit roundoff u of float64."""
+    ku = k * _UNIT_ROUNDOFF
     return ku / (1.0 - ku)
 
 

@@ -662,8 +662,9 @@ def solve_reference(p: OptProblem) -> ReferenceSolution:
 
     Uses a known optimum when attached, the closed form for purely linear
     objectives, and otherwise a coarse grid plus golden-section refinement
-    for d <= 2; the value error of the grid path is at most about
-    lipschitz * grid step, a step of 1e-4 of the set diameter.
+    for d <= 2, keeping the grid's best point where the refined point's
+    value is not at most its value; the value error of the grid path is at
+    most about lipschitz * grid step, a step of 1e-4 of the set diameter.
     """
     _check_reference_dim(p)
     fs = p.feasible
@@ -692,6 +693,12 @@ def solve_reference(p: OptProblem) -> ReferenceSolution:
     # A NaN value (a mean of opposite infinities) ranks as +inf.
     values = p.objective_at(candidates)
     values[np.isnan(values)] = math.inf
-    best = candidates[np.argmin(values)]
-    x = _golden_refine(p.objective_at, best, fs, step)
-    return ReferenceSolution(x, p.objective(x))
+    best = np.argmin(values)
+    x = _golden_refine(p.objective_at, candidates[best], fs, step)
+    value = p.objective(x)
+    # A section as wide as a huge box may stop at a point worse than the
+    # grid point it started from; the grid point then stays the reference.
+    if not value <= values[best]:
+        x = candidates[best].copy()
+        value = p.objective(x)
+    return ReferenceSolution(x, value)

@@ -35,7 +35,7 @@ from lossynet import (
     write_json,
     write_schedule_csv,
 )
-from lossynet import cli, harness, schedules
+from lossynet import cli, harness, problems, schedules
 from lossynet.cli import main
 from lossynet.harness import _RUNNERS, _stream_psi, _stream_trace
 from lossynet.problems import _reference_slack
@@ -361,7 +361,7 @@ class TestTolerances:
         slack = summary["certifications"]["optimality_gap_bound"]["slack"]
         assert math.isfinite(slack) and slack == pytest.approx(1e304, rel=1e-15)
 
-    def test_gap_slack_of_a_box_whose_diameter_overflows(self, tmp_path):
+    def test_gap_slack_of_a_box_whose_diameter_overflows(self, tmp_path, monkeypatch):
         # The diameter 2e308 is not a float; the grid step and the slack
         # are taken in halves, as a ball's are in units of its radius, so
         # the refinement runs.  The gap bound stays infinite: the psi
@@ -369,26 +369,51 @@ class TestTolerances:
         problem = copy.deepcopy(OPTIMIZE_RAW["problem"])
         problem["set"].update(lower=[-1e308], upper=[1e308])
         cfg = ExperimentConfig.from_dict(dict(OPTIMIZE_RAW, problem=problem))
+        calls = _count_refinement_calls(monkeypatch)
         summary = run_experiment(cfg, tmp_path).summary
         gap = summary["certifications"]["optimality_gap_bound"]
         assert math.isfinite(gap["slack"]) and gap["slack"] == pytest.approx(2e304, rel=1e-15)
         assert gap["bound"] == math.inf
-        # The coarse grid's best point is 0; the refinement moves off it.
-        assert summary["reference"]["x"][0] != 0.0
+        # The coarse grid's best point is 0, of value 0.5; the refinement
+        # runs and does not end above it.
+        assert len(calls) > 10
+        assert summary["reference"]["value"] <= 0.5
+        assert -1e308 <= summary["reference"]["x"][0] <= 1e308
         assert summary["reference"]["value"] - 1 / 3 <= gap["slack"]
 
-    def test_gap_slack_of_a_ball_whose_diameter_overflows(self, tmp_path):
+    def test_gap_slack_of_a_ball_whose_diameter_overflows(self, tmp_path, monkeypatch):
         # The diameter 2e308 is not a float; the grid step and the slack
         # are taken in units of the radius, and the golden-section search
         # cuts the chord in halves, so the refinement runs.
         problem = dict(OPTIMIZE_RAW["problem"], set={"kind": "ball", "radius": 1e308})
         cfg = ExperimentConfig.from_dict(dict(OPTIMIZE_RAW, problem=problem))
+        calls = _count_refinement_calls(monkeypatch)
         summary = run_experiment(cfg, tmp_path).summary
         slack = summary["certifications"]["optimality_gap_bound"]["slack"]
         assert math.isfinite(slack) and slack == pytest.approx(2e304, rel=1e-15)
-        # The coarse grid's best point is 0; the refinement moves off it.
-        assert summary["reference"]["x"][0] != 0.0
+        # The coarse grid's best point is 0, of value 0.5; the refinement
+        # runs and does not end above it.
+        assert len(calls) > 10
+        assert summary["reference"]["value"] <= 0.5
+        assert abs(summary["reference"]["x"][0]) <= 1e308
         assert summary["reference"]["value"] - 1 / 3 <= slack
+
+
+def _count_refinement_calls(monkeypatch) -> list:
+    """The sizes of the point batches the golden-section refinement of
+    ``solve_reference`` evaluates, filled in as it runs."""
+    calls = []
+    original = problems._golden_refine
+
+    def counting(fun, *args, **kwargs):
+        def counted(points):
+            calls.append(len(points))
+            return fun(points)
+
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "_golden_refine", counting)
+    return calls
 
 
 class TestLoadConfig:
@@ -1079,6 +1104,16 @@ class TestTexts:
 
     def test_empty(self):
         assert harness._texts(np.array([], dtype=np.int64)).tolist() == []
+
+    def test_digit_blocks_match_their_byte_strings(self):
+        # The 4-digit blocks against the byte strings they spell: each q in
+        # 0..9999 as "%04d", then again with trailing zeros as spaces.
+        quads = [b"%04d" % q for q in range(10000)]
+        quads += [q.rstrip(b"0").ljust(4) for q in quads]
+        expected = np.frombuffer(b"".join(quads), dtype=np.uint32)
+        quad = harness._text_tables()[4]
+        assert quad.dtype == expected.dtype and quad.shape == expected.shape
+        assert quad.tobytes() == expected.tobytes()
 
 
 class TestOptimizeDigests:

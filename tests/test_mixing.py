@@ -31,7 +31,10 @@ from lossynet import (
     run_experiment,
     scripted_schedule,
 )
-from lossynet.mixing import ROW_SUM_TOL, _audit_window, _round_tables, _window_product
+from lossynet.mixing import (
+    ROW_SUM_TOL, _audit_window, _check_row_stochastic, _fill_round, _round_tables, _window_product
+)
+from lossynet.schedules import FailureSchedule
 
 from random_graphs import random_strongly_connected
 
@@ -538,3 +541,211 @@ class TestAuditPass:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 950 * 64
+
+
+def _every_pattern(g) -> FailureSchedule:
+    """A schedule whose rounds are all 2**E delivery patterns of g."""
+    E = g.num_edges
+    rounds = np.arange(2**E)[:, None] >> np.arange(E) & 1
+    return FailureSchedule(g, rounds.astype(np.uint8), 2**E)
+
+
+def _table_matrix(ag, tab, schedule, t):
+    """M[t] filled from the tables ``tab`` as they are, certified or not."""
+    M = np.zeros((ag.m, ag.m))
+    M.reshape(-1)[tab["agents"]] = tab["agent_keep"]
+    _fill_round(M, tab, schedule, t)
+    return M
+
+
+# Graphs whose 2**E delivery patterns the round tables are checked on: in
+# the complete graph on three agents row 0 can share a column with every
+# row, so lambda takes the dense path in every round; in the 4-ring some
+# row never meets row 0's columns, so it is 1.0 in every round.
+PATTERN_GRAPHS = {
+    "two_cycle": (2, [(1, 2), (2, 1)]),
+    "three_ring": (3, [(1, 2), (2, 3), (3, 1)]),
+    "asym3": (3, [(1, 2), (2, 1), (2, 3), (3, 1)]),
+    "complete3": (3, [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]),
+    "four_ring": (4, [(1, 2), (2, 3), (3, 4), (4, 1)]),
+    "chords4": (4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 1), (3, 4), (4, 1), (4, 2)]),
+}
+# Shifts of the delivered values of one agent's links, in one row of M[t]:
+# within the tolerance, beyond it, and two that cancel or add up (on the
+# graphs where an agent sends on two links).
+ROW_SHIFTS = [(), (1e-6,), (-1e-9,), (6e-9, -6e-9), (6e-9, 6e-9)]
+
+
+def _pattern_cases():
+    for name, (n, edges) in PATTERN_GRAPHS.items():
+        most = max(sum(i == a for i, _ in edges) for a in range(1, n + 1))
+        for shifts in ROW_SHIFTS:
+            if len(shifts) <= most:
+                yield pytest.param(name, shifts, id=f"{name}{list(shifts)}")
+
+
+@pytest.fixture
+def fresh_tables():
+    """Round tables built anew in the test, and none of them kept after."""
+    _round_tables.cache_clear()
+    yield
+    _round_tables.cache_clear()
+
+
+def _negative_keep(tab):
+    """Agent 2 keeps -1e-7 and moves the rest of its keep to its entry on
+    link (2, 3), delivered or not: its row still sums to 1, but holds a
+    negative entry."""
+    # The second entry of the tables is [2, 3] of link (2, 3).
+    moved = tab["agent_keep"][1] + 1e-7
+    tab["agent_keep"][1] = -1e-7
+    tab["delivered"][1] += moved
+    tab["dropped"][1] += moved
+
+
+class TestRoundTables:
+    @pytest.mark.parametrize("name, shifts", list(_pattern_cases()))
+    def test_certificate_passes_iff_every_round_matrix_does(self, name, shifts):
+        g = build_graph(*PATTERN_GRAPHS[name])
+        ag, schedule = augment(g), _every_pattern(g)
+        tab = lossynet.mixing._table_entries(ag)
+        sender = int(np.argmax(g.out_degrees))
+        # The first E entries are [source, destination] of each link.
+        links = np.flatnonzero(g.edge_sources == sender)
+        for k, shift in zip(links, shifts):
+            tab["delivered"][k] += shift
+        try:
+            lossynet.mixing._certify_tables(ag, tab)
+            certified = True
+        except NotRowStochasticError:
+            certified = False
+        dense = []
+        for t in range(1, schedule.horizon + 1):
+            try:
+                _check_row_stochastic(_table_matrix(ag, tab, schedule, t))
+                dense.append(True)
+            except NotRowStochasticError:
+                dense.append(False)
+        assert certified == all(dense)
+        # The worst pattern delivers on the links shifted one way only.
+        worst = max(sum(v for v in shifts if v > 0), -sum(v for v in shifts if v < 0))
+        assert certified == (worst < ROW_SUM_TOL)
+
+    @pytest.mark.parametrize("name", sorted(PATTERN_GRAPHS))
+    def test_table_lambda_matches_the_dense_coefficient(self, name, monkeypatch):
+        g = build_graph(*PATTERN_GRAPHS[name])
+        ag, schedule = augment(g), _every_pattern(g)
+        dense = [
+            lambda_coefficient(iteration_matrix(ag, schedule, t))
+            for t in range(1, schedule.horizon + 1)
+        ]
+        fallbacks = []
+        monkeypatch.setattr(
+            lossynet.mixing, "lambda_coefficient",
+            lambda A: fallbacks.append(1) or lambda_coefficient(A),
+        )
+        lambdas = []
+        _window_product(ag, schedule, 1, schedule.horizon, lambdas)
+        assert lambdas == dense
+        if name == "complete3":
+            assert not _round_tables(ag)["disjoint"]
+            assert len(fallbacks) == schedule.horizon
+        if name == "four_ring":
+            assert _round_tables(ag)["disjoint"] and not fallbacks
+
+    def test_a_negative_entry_takes_the_dense_lambda(self, monkeypatch, fresh_tables):
+        # A dropped link's [source, destination] entry of -1e-9 instead of
+        # 0 passes the certificate; lambda_coefficient then takes the
+        # overlaps row by row, and so does every round of the window, also
+        # on the 4-ring, whose rows are otherwise disjoint in every round.
+        original = lossynet.mixing._table_entries
+
+        def shifted(ag):
+            tab = original(ag)
+            tab["dropped"][0] = -1e-9
+            return tab
+
+        monkeypatch.setattr(lossynet.mixing, "_table_entries", shifted)
+        g = build_graph(*PATTERN_GRAPHS["four_ring"])
+        ag, schedule = augment(g), _every_pattern(g)
+        assert not _round_tables(ag)["disjoint"]
+        lambdas = []
+        _window_product(ag, schedule, 1, schedule.horizon, lambdas)
+        tab = _round_tables(ag)
+        assert lambdas == [
+            lambda_coefficient(_table_matrix(ag, tab, schedule, t))
+            for t in range(1, schedule.horizon + 1)
+        ]
+        assert max(lambdas) > 1.0
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda tab: tab["delivered"].__setitem__(0, tab["delivered"][0] + 1e-6),
+         r"node 1 of 6, link \(1, 2\)"),
+        (lambda tab: tab["positions"].__setitem__(1, tab["positions"][0]),
+         r"node 1 of 6, link \(2, 3\)"),
+        (lambda tab: tab["dropped"].__setitem__(9, math.nan), r"node 4 of 6, link \(1, 2\)"),
+        (lambda tab: tab["dropped"].__setitem__(0, -1e-7), r"node 1 of 6, link \(1, 2\)"),
+        (_negative_keep, r"node 2 of 6, link \(2, 3\)"),
+        (lambda tab: tab["positions"].__setitem__(0, 0), r"node 1 of 6, link \(1, 2\)"),
+        (lambda tab: tab["positions"].__setitem__(0, 36), r"node 7 of 6, link \(1, 2\)"),
+    ], ids=["row_sum", "shared_position", "nan", "negative", "negative_keep", "agent_diagonal",
+            "outside"])
+    def test_corrupted_tables_fail_before_any_product(self, monkeypatch, fresh_tables,
+                                                      three_ring, corrupt, message):
+        original = lossynet.mixing._table_entries
+
+        def corrupted(ag):
+            tab = original(ag)
+            corrupt(tab)
+            return tab
+
+        def no_matmul(*args, **kwargs):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(lossynet.mixing, "_table_entries", corrupted)
+        monkeypatch.setattr(np, "matmul", no_matmul)
+        ag, schedule = augment(three_ring), all_reliable(three_ring, 4)
+        with pytest.raises(NotRowStochasticError, match=message):
+            _audit_window(ag, schedule, 1, 4, 1)
+
+    def test_no_links_one_round_and_empty_windows(self, fresh_tables):
+        g = build_graph(1, [])
+        ag, schedule = augment(g), all_reliable(g, 3)
+        tab = _round_tables(ag)
+        assert tab["positions"].size == 0 and not tab["disjoint"]
+        lambdas = []
+        assert np.array_equal(_window_product(ag, schedule, 2, 2, lambdas), [[1.0]])
+        assert lambdas == [0.0]
+        assert np.array_equal(matrix_product(ag, schedule, 3, 2), [[1.0]])
+        # A one-round product is M[r] itself, in a buffer of its own.
+        g = build_graph(3, [(1, 2), (2, 3), (3, 1)])
+        ag, schedule = augment(g), bernoulli_b_bounded(g, 0.5, 2, 4, seed=2)
+        first = matrix_product(ag, schedule, 3, 3)
+        assert np.array_equal(first, iteration_matrix(ag, schedule, 3))
+        assert np.array_equal(first, np.eye(ag.m) @ iteration_matrix(ag, schedule, 3))
+        first[0, 0] = 2.0
+        assert matrix_product(ag, schedule, 3, 3)[0, 0] != 2.0
+        assert np.array_equal(matrix_product(ag, schedule, 4, 3), np.eye(ag.m))
+
+    def test_benchmark_audit_checks_rows_only_for_delta(self, monkeypatch):
+        # Every round's lambda comes from the certified tables; only the
+        # product's delta and rounds that fall back to the dense lambda
+        # check a matrix row by row.
+        g = _audit_benchmark_graph()
+        ag, B = augment(g), 3
+        block = g.n * B + 1
+        schedule = bernoulli_b_bounded(g, 0.5, B, block, seed=1)
+        checks, fallbacks = [], []
+        original_check = lossynet.mixing._check_row_stochastic
+        monkeypatch.setattr(
+            lossynet.mixing, "_check_row_stochastic",
+            lambda A: checks.append(1) or original_check(A),
+        )
+        monkeypatch.setattr(
+            lossynet.mixing, "lambda_coefficient",
+            lambda A: fallbacks.append(1) or lambda_coefficient(A),
+        )
+        _, contraction, entry = _audit_window(ag, schedule, 1, block, B)
+        assert contraction.passed and entry.passed
+        assert len(checks) == 1 + len(fallbacks)
+        assert not fallbacks

@@ -523,6 +523,17 @@ class TestOverflowingNorms:
         assert math.isfinite(ref.value)
         assert ref.value <= p.objective(np.zeros(2)) + _reference_slack(p)
 
+    def test_reference_is_no_worse_than_the_grid_point(self):
+        # Each golden section spans the whole +-1.7e308 axis and stops one
+        # grid step wide, about 1e304 from the grid's best point (0, 0) of
+        # value 0.5; that point then stays the reference.
+        box = Box([-1.7e308, -1.7e308], [1.7e308, 1.7e308])
+        p = OptProblem((AbsDistanceCost([0.5, -0.25]), L2DistanceCost([0.0, 0.75]),
+                        LinearCost([1.0, 0.5])), box)
+        ref = solve_reference(p)
+        assert ref.value <= p.objective(np.zeros(2)) == 0.5
+        assert ref.value == p.objective(ref.x) and box.contains(ref.x)
+
     def test_golden_refine_at_a_corner_of_a_box_beyond_the_float_range(self):
         # The last section lies at the upper bound 1.7e308, where a + b
         # passes the float range: the midpoint is taken in halves.
