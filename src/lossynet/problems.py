@@ -85,16 +85,6 @@ def _shrink(radius: float, x, out) -> np.ndarray:
     return np.multiply(x, scale, out=out)
 
 
-def _grid_axis(lo: float, hi: float, points: int) -> np.ndarray:
-    """``np.linspace(lo, hi, points)``, also when hi - lo passes the float
-    range: then in units of the larger bound, scaled back."""
-    lo, hi = float(lo), float(hi)
-    if math.isfinite(hi - lo):
-        return np.linspace(lo, hi, points)
-    scale = max(abs(lo), abs(hi))
-    return scale * np.linspace(lo / scale, hi / scale, points)
-
-
 def _clip(lower, upper, x, out) -> np.ndarray:
     """x clipped to [lower, upper] into ``out``: ``np.maximum`` then
     ``np.minimum`` give the bits of ``np.clip`` at about 60% of its call
@@ -170,11 +160,14 @@ class Box:
             inside &= coordinate <= hi
         return bool(inside) if x.ndim == 1 else inside
 
-    def axis_interval(self, x, k: int) -> tuple[float, float]:
+    # The solver's chord and grid, for its unit sets, whose bounds lie
+    # within (-2, 2) (see _unit_set).
+    def _axis_interval(self, x, k: int) -> tuple[float, float]:
         return float(self.lower[k]), float(self.upper[k])
 
-    def grid_axes(self, points: int) -> list[np.ndarray]:
-        return [_grid_axis(self.lower[k], self.upper[k], points) for k in range(self.dim)]
+    def _grid_axes(self, points: int) -> list[np.ndarray]:
+        bounds = zip(self.lower.tolist(), self.upper.tolist())
+        return [np.linspace(lo, hi, points) for lo, hi in bounds]
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,21 +221,16 @@ class Ball:
             inside = _rescue_norms(x, _row_norms(x)) <= self.radius + tol
         return bool(inside) if x.ndim == 1 else inside
 
-    def axis_interval(self, x, k: int) -> tuple[float, float]:
-        """The chord of the ball through x along axis k.  When a square
-        passes the float range, the chord is taken in units of the radius."""
+    # The solver's chord and grid, for its unit sets, whose radius lies
+    # within (0, 2) (see _unit_set), so no square leaves the float range.
+    def _axis_interval(self, x, k: int) -> tuple[float, float]:
+        """The chord of the ball through x along axis k."""
         rest = np.delete(np.asarray(x, dtype=float), k)
-        try:
-            with np.errstate(over="raise"):
-                half = float(np.sqrt(max(self.radius**2 - float(np.sum(rest**2)), 0.0)))
-        except (OverflowError, FloatingPointError):
-            with np.errstate(over="ignore"):
-                unit = float(np.sum((rest / self.radius) ** 2))
-            half = float(self.radius) * math.sqrt(max(1.0 - unit, 0.0))
+        half = float(np.sqrt(max(self.radius**2 - float(np.sum(rest**2)), 0.0)))
         return -half, half
 
-    def grid_axes(self, points: int) -> list[np.ndarray]:
-        return [_grid_axis(-self.radius, self.radius, points) for _ in range(self.dim)]
+    def _grid_axes(self, points: int) -> list[np.ndarray]:
+        return [np.linspace(-self.radius, self.radius, points) for _ in range(self.dim)]
 
 
 class _Cost:
@@ -572,29 +560,18 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_cut(a, b):
-    """a + invphi * (b - a), the golden-section point from a towards b.  A
-    chord wider than the float range, such as the diameter of a ball of
-    radius 1e308, is cut in halves, which keeps it finite."""
-    if math.isinf(b - a):
-        return 2.0 * (a / 2.0 + _INVPHI * (b / 2.0 - a / 2.0))
+    """a + invphi * (b - a), the golden-section point from a towards b."""
     return a + _INVPHI * (b - a)
 
 
-def _midpoint(a, b):
-    """(a + b) / 2 as 0.5 * (a + b), or, where a + b passes the float range,
-    in halves, as in :func:`_golden_cut`."""
-    if math.isinf(a + b):
-        return a / 2.0 + b / 2.0
-    return 0.5 * (a + b)
-
-
 def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -> np.ndarray:
-    """Cyclic per-coordinate golden-section refinement down to width ``step``;
-    ``fun`` maps k points (k, d) to their k values."""
+    """Cyclic per-coordinate golden-section refinement down to width ``step``
+    over a unit set (see :func:`_unit_set`); ``fun`` maps k points (k, d) to
+    their k values."""
     x = x.copy()
     for _ in range(cycles):
         for k in range(x.size):
-            lo, hi = feasible.axis_interval(x, k)
+            lo, hi = feasible._axis_interval(x, k)
             a, b = lo, hi
             if b - a <= step:
                 continue
@@ -614,7 +591,7 @@ def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -
                     d = _golden_cut(a, b)
                     xd[k] = d
                     fd = fun(xd[None])[0]
-            x[k] = _midpoint(a, b)
+            x[k] = 0.5 * (a + b)
     return x
 
 
@@ -625,28 +602,30 @@ def _exact_reference(p: OptProblem) -> bool:
     return p.optimum is not None or [kind for kind, _ in p._kinds] == [LinearCost]
 
 
-def _times_diameter(c: float, fs: Box | Ball) -> float:
-    """c times the diameter of ``fs``.  A ball's is taken in units of its
-    radius, 2 * (c * radius): the same bits as c * (2 * radius), and finite
-    where 2 * radius is not.  A box whose diameter passes the float range
-    has it taken in halves the same way, the half widths in units of the
-    largest, so that no square or sum overflows in any dimension."""
-    if isinstance(fs, Ball):
-        return 2.0 * (c * float(fs.radius))
-    diameter = fs.diameter
-    if math.isfinite(diameter):
-        return c * diameter
-    half = fs.upper / 2.0 - fs.lower / 2.0
-    scale = float(half.max())
-    return 2.0 * ((c * scale) * float(np.linalg.norm(half / scale)))
+def _unit_set(fs: Box | Ball) -> tuple[Box | Ball, int]:
+    """``fs`` scaled by 2**-e, and e: e = frexp(top)[1] - 1 for top the
+    largest |bound| (a ball's radius), or 0 for top = 0, so that every bound
+    of the unit set lies within (-2, 2).  Scaling by a power of two is exact
+    while no value leaves the normal range, so a grid, chord, cut or step
+    taken on the unit set and scaled back has the bits of the one taken on
+    ``fs`` wherever that stays in range, and none of them can overflow."""
+    ball = isinstance(fs, Ball)
+    top = float(fs.radius) if ball else float(np.abs(np.append(fs.lower, fs.upper)).max())
+    e = math.frexp(top)[1] - 1 if top else 0
+    if ball:
+        return Ball(math.ldexp(top, -e), fs.dim), e
+    return Box(np.ldexp(fs.lower, -e), np.ldexp(fs.upper, -e)), e
 
 
 def _reference_slack(p: OptProblem) -> float:
     """How far the value of :func:`solve_reference` may lie above p's
-    minimum: 0 where it is exact, else lipschitz * its grid step."""
+    minimum: 0 where it is exact, else lipschitz * its grid step, which is
+    infinite where it passes the float range."""
     if _exact_reference(p):
         return 0.0
-    return _times_diameter(p.lipschitz_bound * GRID_STEP_FRACTION, p.feasible)
+    unit, e = _unit_set(p.feasible)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp((p.lipschitz_bound * GRID_STEP_FRACTION) * unit.diameter, e))
 
 
 def _check_reference_dim(p: OptProblem) -> None:
@@ -665,6 +644,10 @@ def solve_reference(p: OptProblem) -> ReferenceSolution:
     for d <= 2, keeping the grid's best point where the refined point's
     value is not at most its value; the value error of the grid path is at
     most about lipschitz * grid step, a step of 1e-4 of the set diameter.
+    The grid path runs on the set scaled by 2**-e (``_unit_set``), whose
+    points are scaled back before each objective call.  Its grid filter
+    lets a point lie 1e-12 outside the set, or 1e-12 * 2**e where the
+    set's scale 2**e is below 1.
     """
     _check_reference_dim(p)
     fs = p.feasible
@@ -681,24 +664,29 @@ def solve_reference(p: OptProblem) -> ReferenceSolution:
                 x = np.where(cbar > 0, fs.lower, np.where(cbar < 0, fs.upper, zero))
         return ReferenceSolution(x, p.objective(x))
 
-    step = _times_diameter(GRID_STEP_FRACTION, fs)
-    axes = fs.grid_axes(COARSE_POINTS)
+    unit, e = _unit_set(fs)
+    axes = unit._grid_axes(COARSE_POINTS)
     if p.dim == 1:
         candidates = axes[0][:, None]
     else:
         xs, ys = np.meshgrid(axes[0], axes[1], indexing="ij")
         candidates = np.column_stack([xs.ravel(), ys.ravel()])
-        candidates = candidates[fs.contains(candidates)]
+        candidates = candidates[unit.contains(candidates, tol=math.ldexp(1e-12, -max(e, 0)))]
+
+    def fun(points):
+        return p.objective_at(np.ldexp(points, e))
+
     # argmin takes the first of tied grid points, as min() over the rows does.
     # A NaN value (a mean of opposite infinities) ranks as +inf.
-    values = p.objective_at(candidates)
+    values = fun(candidates)
     values[np.isnan(values)] = math.inf
     best = np.argmin(values)
-    x = _golden_refine(p.objective_at, candidates[best], fs, step)
+    step = GRID_STEP_FRACTION * unit.diameter
+    x = np.ldexp(_golden_refine(fun, candidates[best], unit, step), e)
     value = p.objective(x)
     # A section as wide as a huge box may stop at a point worse than the
     # grid point it started from; the grid point then stays the reference.
     if not value <= values[best]:
-        x = candidates[best].copy()
+        x = np.ldexp(candidates[best], e)
         value = p.objective(x)
     return ReferenceSolution(x, value)

@@ -1886,9 +1886,11 @@ class TestCli:
 # value or deleted, maybe with an unknown key inserted into one of its
 # objects.  Each exits 0, 1 or 2 with no traceback, and exit 1 leaves no
 # output directory.  numpy's floating-point warnings are not tracebacks on
-# the command line, and two inputs the config accepts raise them (counters
-# that overflow on inputs near 1e308, and the gap constants of a box bound
-# at -1e308), so the cases let those through; every other warning fails.
+# the command line, and two inputs the config accepts raise them (consensus
+# counters that overflow on inputs near 1e308, and an optimize run's dual
+# totals, which overflow on subgradients near 1e308, as from a linear cost
+# c = [-1e308, 0.5]), so the cases let those through; every other warning
+# fails.
 FUZZ_POOL = [1e308, -1e308, math.nan, math.inf, -math.inf, 5e-324, 2**63, 10**30, "", [], {},
              None, True, False, [[1, [2.5]], [[]]]]
 FUZZ_CELLS = ["", " ", "x", "nan", "inf", "-1", "0", "2", "1.5", "1e308", "9223372036854775808",

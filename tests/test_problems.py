@@ -23,7 +23,7 @@ from lossynet.problems import (
     POINTS_PER_BLOCK,
     _golden_refine,
     _reference_slack,
-    _times_diameter,
+    _unit_set,
 )
 
 unit_interval = Box([0.0], [1.0])
@@ -121,7 +121,7 @@ class TestBall:
         assert Ball(2.0, 3, radius_sq=0.25).psi_radius_sq == 0.25
 
     def test_axis_interval_accounts_for_other_coordinates(self):
-        lo, hi = Ball(1.0, 2).axis_interval([0.6, 0.0], 1)
+        lo, hi = Ball(1.0, 2)._axis_interval([0.6, 0.0], 1)
         assert (lo, hi) == (-0.8, 0.8)
 
     def test_validation(self):
@@ -326,7 +326,7 @@ class TestBatchedKernels:
         p = _mixed_problem(seed, 2, n=6, feasible=Ball(1.25, 2))
         fs = p.feasible
         # The scalar path: one contains and one objective call per grid point.
-        xs, ys = np.meshgrid(*fs.grid_axes(COARSE_POINTS), indexing="ij")
+        xs, ys = np.meshgrid(*fs._grid_axes(COARSE_POINTS), indexing="ij")
         candidates = [x for x in np.column_stack([xs.ravel(), ys.ravel()]) if fs.contains(x)]
         best = min(candidates, key=lambda x: _scalar_objective(p, x))
         step = GRID_STEP_FRACTION * fs.diameter
@@ -452,15 +452,23 @@ class TestOverflowingNorms:
         assert Box([0.0, -1.0], [3.0, 3.0]).diameter == float(np.linalg.norm([3.0, 4.0]))
 
     def test_grid_step_of_a_box_whose_diameter_overflows(self):
-        # The width 2e308 is not a float: the step is taken in halves, the
-        # half widths in units of the largest, which also covers a half
-        # diameter beyond the float range (1.7e308 * sqrt(2)).
-        assert _times_diameter(1e-4, Box([-1e308], [1e308])) == 2.0 * (1e-4 * 1e308)
-        step = _times_diameter(1e-4, Box([-1.7e308, -1.7e308], [1.7e308, 1.7e308]))
+        # The width 2e308 is not a float, nor is the diameter 1.7e308 *
+        # 2 * sqrt(2): the step is taken on the set scaled by a power of
+        # two, and so is the slack, which is the step for lipschitz 1.
+        def slack(box):
+            return _reference_slack(OptProblem((L2DistanceCost(np.zeros(box.dim)),), box))
+
+        assert slack(Box([-1e308], [1e308])) == 2.0 * (1e-4 * 1e308)
+        step = slack(Box([-1.7e308, -1.7e308], [1.7e308, 1.7e308]))
         assert np.isclose(step, 2.0 * 1.7e304 * math.sqrt(2.0), rtol=1e-15, atol=0)
-        # Finite diameters keep their bits.
+        # A width whose square overflows: 1e-4 times the exactly rescaled
+        # norm, within rounding of the rescued Box.diameter.
         box = Box([-1e308, -3e307], [0.0, 1e307])
-        assert _times_diameter(1e-4, box) == 1e-4 * box.diameter
+        assert slack(box) == 1.077032961426901e304
+        assert np.isclose(slack(box), 1e-4 * box.diameter, rtol=1e-15, atol=0)
+        # Finite squares keep their bits.
+        box = Box([-1e150, -3e149], [0.0, 1e149])
+        assert slack(box) == 1e-4 * box.diameter
 
     def test_ball_projection_lands_on_the_boundary(self):
         ball = Ball(1.0, 2)
@@ -477,24 +485,46 @@ class TestOverflowingNorms:
 
     @pytest.mark.parametrize("radius", [1e200, np.float64(1e200)])
     def test_ball_whose_radius_squared_overflows(self, radius):
-        # The radius squared passes the float range: the chord is taken in
-        # units of the radius, and the psi radius is infinite, as a box's is.
+        # The radius squared passes the float range: the solver takes its
+        # chords on the ball scaled by a power of two, and the psi radius is
+        # infinite, as a box's is.
         ball = Ball(radius, 2)
-        assert ball.axis_interval([0.0, 0.0], 0) == (-1e200, 1e200)
-        lo, hi = ball.axis_interval([0.6e200, 1e308], 1)
+        unit, e = _unit_set(ball)
+
+        def chord(x, k):
+            return tuple(np.ldexp(unit._axis_interval(np.ldexp(x, -e), k), e).tolist())
+
+        assert chord([0.0, 0.0], 0) == (-1e200, 1e200)
+        lo, hi = chord([0.6e200, 0.0], 1)
         assert lo == -hi and hi == pytest.approx(0.8e200, rel=1e-15)
-        assert ball.axis_interval([1e308, 0.0], 1) == (-0.0, 0.0)
+        assert chord([1e200, 0.0], 1) == (-0.0, 0.0)
         assert ball.psi_radius_sq == math.inf
+        # The reference of a boundary optimum, (0.6e200, 0.8e200), stays in
+        # the ball up to 1e-12 of its radius and within the slack, 1e-4 of
+        # the diameter.
+        p = OptProblem((L2DistanceCost([3e200, 4e200]), L2DistanceCost([0.6e200, 0.8e200])), ball)
+        ref = solve_reference(p)
+        assert ball.contains(ref.x, tol=1e188) and _reference_slack(p) == 2.0 * (1e-4 * 1e200)
+        assert ref.value <= p.objective([0.6e200, 0.8e200]) + _reference_slack(p)
         # Finite squares keep their bits.
         half = float(np.sqrt(1e150**2 - 0.6e150**2))
-        assert Ball(1e150, 2).axis_interval([0.6e150, 0.0], 1) == (-half, half)
+        unit, e = _unit_set(Ball(1e150, 2))
+        chord_150 = np.ldexp(unit._axis_interval(np.ldexp([0.6e150, 0.0], -e), 1), e)
+        assert tuple(chord_150.tolist()) == (-half, half)
         assert Ball(1e150, 1).psi_radius_sq == 0.5 * 1e150**2
 
     def test_sets_whose_width_passes_the_float_range(self):
-        # A width of 2e308: the grid is taken in units of the larger bound,
-        # and a ball point whose square overflows is still inside.
-        assert Ball(1e308, 1).grid_axes(5)[0].tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]
-        assert Box([-1e308], [1e308]).grid_axes(3)[0].tolist() == [-1e308, 0.0, 1e308]
+        # A width of 2e308: the grid is taken on the set scaled by a power
+        # of two, and scaled back it holds the bounds themselves, where the
+        # references of these optima lie exactly.  A ball point whose
+        # square overflows is still inside.
+        unit, e = _unit_set(Ball(1e308, 1))
+        assert np.ldexp(unit._grid_axes(5)[0], e).tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]
+        unit, e = _unit_set(Box([-1e308], [1e308]))
+        assert np.ldexp(unit._grid_axes(3)[0], e).tolist() == [-1e308, 0.0, 1e308]
+        for fs, a in ((Ball(1e308, 1), -1e308), (Box([-1e308], [1e308]), 1e308)):
+            ref = solve_reference(OptProblem((L2DistanceCost([a]), AbsDistanceCost([a])), fs))
+            assert ref.x.tolist() == [a] and ref.value == 0.0
         ball = Ball(1e308, 2)
         assert ball.contains([5e307, 5e307]) and not ball.contains([1e308, 1e308])
         assert ball.contains(np.array([[5e307, 0.0], [1e308, 1e308]])).tolist() == [True, False]
@@ -504,7 +534,7 @@ class TestOverflowingNorms:
         assert ref.value <= 1e306
         # Finite widths keep linspace's bits.
         axis = np.linspace(-1.25, 1.25, COARSE_POINTS)
-        assert Ball(1.25, 2).grid_axes(COARSE_POINTS)[1].tobytes() == axis.tobytes()
+        assert Ball(1.25, 2)._grid_axes(COARSE_POINTS)[1].tobytes() == axis.tobytes()
 
     @pytest.mark.parametrize("c", [[0.25, -0.5], [1.0, 0.5]])
     def test_reference_on_a_box_beyond_the_float_range(self, c):
@@ -536,13 +566,50 @@ class TestOverflowingNorms:
 
     def test_golden_refine_at_a_corner_of_a_box_beyond_the_float_range(self):
         # The last section lies at the upper bound 1.7e308, where a + b
-        # passes the float range: the midpoint is taken in halves.
+        # passes the float range; on the box scaled by a power of two it
+        # does not, and the corner is the reference, with no warning.
         box = Box([-1.7e308], [1.7e308])
-        x = _golden_refine(lambda points: -points[:, 0], np.zeros(1), box, 1e300)
-        assert 1.69e308 < x[0] <= 1.7e308
+        p = OptProblem((AbsDistanceCost([1.7e308]), L2DistanceCost([1.7e308])), box)
+        ref = solve_reference(p)
+        assert ref.x.tolist() == [1.7e308] and ref.value == 0.0
+        unit, e = _unit_set(box)
+        x = _golden_refine(lambda points: -points[:, 0], np.zeros(1), unit, math.ldexp(1e300, -e))
+        assert 1.69e308 < np.ldexp(x[0], e) <= 1.7e308
 
 
 class TestSolveReference:
+    @pytest.mark.parametrize("radius", [1e-13, 1e-11, 1e-9])
+    def test_reference_of_a_tiny_ball_lies_in_the_ball(self, radius):
+        # The grid filter allows 1e-12 of the set's scale: an absolute
+        # 1e-12 would keep the corners of the grid around a ball this small.
+        ball = Ball(radius, 2)
+        p = OptProblem((L2DistanceCost([-1.0, -1.0]), L2DistanceCost([-1.0, -1.2])), ball)
+        ref = solve_reference(p)
+        assert ball.contains(ref.x, tol=1e-12 * radius)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reference_commutes_with_powers_of_two(self, seed):
+        # Without squares the objective scales exactly by a power of two,
+        # and so do the set, grid, cuts and step: each reference is the one
+        # at 2**30 scaled, bit for bit, up to the top of the float range.
+        def scaled(k):
+            rng = np.random.default_rng(seed)
+            d = 1 + seed % 2
+            if seed % 4 < 2:
+                fs = Ball(math.ldexp(rng.uniform(0.5, 1.5), k), d)
+            else:
+                lower, upper = -rng.uniform(0.1, 1.5, d), rng.uniform(0.1, 1.5, d)
+                fs = Box(np.ldexp(lower, k), np.ldexp(upper, k))
+            components = [AbsDistanceCost(np.ldexp(rng.uniform(-2, 2, d), k)) for _ in range(2)]
+            components += [LinearCost(rng.uniform(-1, 1, d)) for _ in range(rng.integers(1, 3))]
+            return OptProblem(tuple(components), fs)
+
+        base = solve_reference(scaled(30))
+        for k in (200, 600, 1000, 1015):
+            ref = solve_reference(scaled(k))
+            assert ref.x.tobytes() == np.ldexp(base.x, k - 30).tobytes()
+            assert ref.value == math.ldexp(base.value, k - 30)
+
     def test_known_optimum_is_projected_and_evaluated(self):
         p = OptProblem(
             (L2DistanceCost([2.0, 0.0]),), Ball(1.0, 2), optimum=[2.0, 0.0]
