@@ -446,7 +446,7 @@ def _ratio_errors(values, weights, center, first_t: int) -> np.ndarray:
         return _rescue_norms(diffs, np.linalg.norm(diffs, axis=2)).max(axis=1)
 
 
-def _worst_point(measured: np.ndarray, bound, slack: float) -> tuple[int, bool]:
+def _worst_point(measured: np.ndarray, bound, slack: float = 0.0) -> tuple[int, bool]:
     """A certificate's worst point and verdict: the first non-finite
     measurement, which fails, else the first largest measured - bound (with a
     single bound, the largest measurement: subtracting a large bound can round
@@ -477,10 +477,8 @@ class ConsensusCertificate:
     passed: bool
 
 
-def certify_consensus_bound(
-    trace: ConsensusTrace, B: int, slack: float = 0.0
-) -> ConsensusCertificate:
-    """Check consensus_error(t) <= consensus_rate_bound(t) + slack for t in 1..T,
+def certify_consensus_bound(trace: ConsensusTrace, B: int) -> ConsensusCertificate:
+    """Check consensus_error(t) <= consensus_rate_bound(t) for t in 1..T,
     signed inputs included.
 
     The reported worst point maximizes error - bound, so ``worst_error`` and
@@ -492,7 +490,7 @@ def certify_consensus_bound(
     n = trace.n
     errors = _ratio_errors(trace.values[1:, :n], trace.weights[1:, :n], trace.average_input, 1)
     bounds = _rate_bounds(trace.graph, B, trace.inputs, np.arange(1, T + 1))
-    i, passed = _worst_point(errors, bounds, slack)
+    i, passed = _worst_point(errors, bounds)
     return ConsensusCertificate(
         T, i + 1, float(errors[i]), float(bounds[i]), float(errors[-1]), passed
     )

@@ -289,7 +289,7 @@ class MixingCertificate:
     passed: bool
 
 
-def certify_mixing_error(trace: OptTrace, B: int, slack: float = 0.0) -> MixingCertificate:
+def certify_mixing_error(trace: OptTrace, B: int) -> MixingCertificate:
     """Check max_i ||zbar[t] - z_i[t]/w_i[t]|| against its uniform bound,
     where zbar[t] sums the dual values over all m nodes and divides by n.
 
@@ -304,7 +304,7 @@ def certify_mixing_error(trace: OptTrace, B: int, slack: float = 0.0) -> MixingC
     n = trace.n
     values, weights = trace.values[block:], trace.weights[block:]
     errors = _ratio_errors(values[:, :n], weights[:, :n], _node_sums(values) / n, block)
-    worst, passed = _worst_point(errors, bound, slack)
+    worst, passed = _worst_point(errors, bound)
     return MixingCertificate(T, block, bound, worst + block, float(errors[worst]), passed)
 
 

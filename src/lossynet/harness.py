@@ -41,7 +41,7 @@ from .dual_averaging import (
 )
 from .errors import ConfigError, DimensionMismatchError, _horizon_fits
 from .graphs import DirectedGraph, augment, graph_from_spec
-from .mixing import CONTRACTION_SLACK, ENTRY_SLACK, _audit_window
+from .mixing import CONTRACTION_SLACK, _audit_window
 from .problems import (
     _COST_KINDS, Ball, Box, OptProblem, _check_reference_dim, _reference_slack, solve_reference
 )
@@ -223,9 +223,9 @@ def _as_step_constant(value, horizon) -> float:
 
 def _as_window(window, horizon) -> dict:
     _require(isinstance(window, dict), 'matrix-audit mode needs {"window": {start, end}}')
-    _require(set(window) == {"start", "end"}, "window needs exactly start and end")
-    start = _as_positive_int(window.get("start"), "window start")
-    end = _as_positive_int(window.get("end"), "window end")
+    _only(window, ("start", "end"), "window")
+    start = _as_positive_int(_field(window, "start", "window"), "window start")
+    end = _as_positive_int(_field(window, "end", "window"), "window end")
     _require(start <= end, f"window start {start} exceeds end {end}")
     _require(end <= horizon, f"window end {end} exceeds horizon {horizon}")
     return {"start": start, "end": end}
@@ -350,12 +350,6 @@ class ExperimentConfig:
         tolerances = raw.get("tolerances", {})
         _require(isinstance(tolerances, dict), "tolerances must be an object")
         _only(tolerances, mode.tolerances, f"{name} tolerance")
-        if "rate_slack" in tolerances:
-            algorithm = own["algorithm"]
-            _require(
-                algorithm == "convergent",
-                f"rate_slack needs the convergent algorithm: the {algorithm} one has no rate bound",
-            )
         for key, value in tolerances.items():
             _require(_is_number(value), f"tolerance {key} must be a number, got {value!r}")
             _require(_is_finite_number(value), f"tolerance {key} must be finite, got {value!r}")
@@ -382,8 +376,7 @@ class ExperimentConfig:
 
     def tolerance(self, key: str) -> float:
         """The config's value of one of its mode's tolerances, else the mode's default."""
-        value = self.tolerances.get(key, MODES[self.mode].tolerances[key])
-        return float(value(self) if callable(value) else value)
+        return float(self.tolerances.get(key, MODES[self.mode].tolerances[key]))
 
 
 def _read_json(path: Path, what: str):
@@ -815,7 +808,7 @@ def _run_consensus(cfg, g, schedule, emit) -> dict:
     if cfg.horizon >= 1:
         certifications = _mass_certifications(trace, cfg.tolerance("mass_rtol"))
         if cfg.algorithm == "convergent":
-            cert = certify_consensus_bound(trace, schedule.window, cfg.tolerance("rate_slack"))
+            cert = certify_consensus_bound(trace, schedule.window)
             certifications["consensus_rate_bound"] = _certification(
                 cert.worst_error, cert.worst_bound, cert.passed, worst_t=cert.worst_t
             )
@@ -847,13 +840,13 @@ def _run_optimize(cfg, g, schedule, emit) -> dict:
         "certifications": certifications,
     }
     if cfg.horizon >= block:
-        gap_slack = cfg.tolerance("gap_slack")
-        gap = certify_optimality_gap(trace, B, reference, slack=gap_slack)
+        slack = _reference_slack(problem)
+        gap = certify_optimality_gap(trace, B, reference, slack=slack)
         certifications["optimality_gap_bound"] = _certification(
-            gap.worst_gap, gap.bound, gap.passed, slack=gap_slack, worst_agent=gap.worst_agent
+            gap.worst_gap, gap.bound, gap.passed, slack=slack, worst_agent=gap.worst_agent
         )
         summary["per_agent_gap"] = list(gap.gaps)
-        mixing = certify_mixing_error(trace, B, slack=cfg.tolerance("mixing_slack"))
+        mixing = certify_mixing_error(trace, B)
         certifications["mixing_error_bound"] = _certification(
             mixing.worst_error, mixing.bound, mixing.passed, worst_t=mixing.worst_t
         )
@@ -866,8 +859,7 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
     start, end = cfg.window["start"], cfg.window["end"]
     beta, _, block = contraction_constants(g, B)
     product, contraction, entry = _audit_window(
-        ag, schedule, start, end, B,
-        cfg.tolerance("contraction_slack"), cfg.tolerance("entry_slack"),
+        ag, schedule, start, end, B, cfg.tolerance("contraction_slack")
     )
     _stream_psi(emit, product)
     return {
@@ -900,8 +892,7 @@ class _Mode:
     """An experiment mode: its config keys with their parsers ``(value,
     horizon)``, its runner ``(cfg, graph, schedule, emit) -> summary``, the
     file the runner streams, what it does (CLI help, error messages), and
-    its tolerances with their defaults, each a number or a function of the
-    config."""
+    its tolerances with their defaults."""
 
     keys: dict
     run: Callable
@@ -916,19 +907,18 @@ MODES = {
          "inputs": _as_inputs},
         _run_consensus, "trace.csv",
         "runs a push-sum variant and certifies its conservation and rate bounds",
-        {"mass_rtol": 1e-9, "rate_slack": 0.0},
+        {"mass_rtol": 1e-9},
     ),
     "optimize": _Mode(
         {"problem": _as_problem, "step_constant": _as_step_constant}, _run_optimize, "trace.csv",
         "runs dual averaging over the convergent protocol and certifies its gap and mixing bounds",
-        {"gap_slack": lambda cfg: _reference_slack(problem_from_spec(cfg.problem)),
-         "mixing_slack": 0.0},
+        {},
     ),
     "matrix-audit": _Mode(
         {"window": _as_window}, _run_audit, "psi.csv",
         "multiplies the convergent protocol's round matrices over a window and certifies the "
         "product's bounds",
-        {"contraction_slack": CONTRACTION_SLACK, "entry_slack": ENTRY_SLACK},
+        {"contraction_slack": CONTRACTION_SLACK},
     ),
 }
 

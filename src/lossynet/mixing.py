@@ -52,10 +52,9 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-8
-# The default slacks of the two window-product certificates.  The entry
-# certificate needs none: it allows for the product's rounding itself.
+# The default slack of the contraction certificate.  The entry certificate
+# takes none: it allows for the product's rounding itself.
 CONTRACTION_SLACK = 1e-10
-ENTRY_SLACK = 0.0
 # Unit roundoff of float64, u = 2**-53.
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -347,12 +346,7 @@ def lambda_coefficient(A) -> float:
         # Two rows with disjoint supports overlap by exactly 0, and no pair
         # overlaps by less.  A negative entry within tolerance can make an
         # overlap negative, so that case takes the row-by-row minimum.
-        # Row 0 against every other row first: one gather, and the m x m
-        # support Gram matrix only when that finds no disjoint pair.
-        support = A > 0.0
-        if not support[:, support[0]].any(axis=1).all():
-            return 1.0
-        support = support.astype(float)
+        support = (A > 0.0).astype(float)
         if (support @ support.T == 0.0).any():
             return 1.0
     overlap = np.min([np.minimum(row, A).sum(axis=1).min() for row in A])
@@ -388,7 +382,6 @@ def _audit_window(
     t: int,
     B: int,
     contraction_slack: float = CONTRACTION_SLACK,
-    entry_slack: float = ENTRY_SLACK,
 ) -> tuple[np.ndarray, ContractionReport, EntryBoundReport | None]:
     """Both certificates of M[r] ... M[t] from one pass over the window.
 
@@ -415,7 +408,7 @@ def _audit_window(
         min_entry = float(product.min())
         bound = beta**block
         floor = bound * (1.0 + _product_gamma(t - r + 1, ag.m))
-        entry = EntryBoundReport((r, t), min_entry, bound, min_entry >= floor - entry_slack)
+        entry = EntryBoundReport((r, t), min_entry, bound, min_entry >= floor)
     return product, contraction, entry
 
 
@@ -466,24 +459,18 @@ def _gamma(k: int) -> float:
 
 
 def certify_entry_lower_bound(
-    ag: AugmentedGraph,
-    schedule: FailureSchedule,
-    r: int,
-    t: int,
-    B: int,
-    slack: float = ENTRY_SLACK,
+    ag: AugmentedGraph, schedule: FailureSchedule, r: int, t: int, B: int
 ) -> EntryBoundReport:
     """Every entry of M[r] ... M[t] is at least beta**(n B + 1) once the
     window spans at least n B + 1 iterations of a B-window schedule.  The
     computed product passes when its smallest entry is at least that bound
-    times 1 + gamma_k, its rounding allowance (:func:`_product_gamma`),
-    minus ``slack``."""
+    times 1 + gamma_k, its rounding allowance (:func:`_product_gamma`)."""
     _, _, block = contraction_constants(ag.base, B)
     if t - r + 1 < block:
         raise WindowTooShortError(
             f"window [{r}, {t}] spans {t - r + 1} < {block} iterations"
         )
-    return _audit_window(ag, schedule, r, t, B, entry_slack=slack)[2]
+    return _audit_window(ag, schedule, r, t, B)[2]
 
 
 def certify_contraction(

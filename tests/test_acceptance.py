@@ -156,9 +156,7 @@ def window_instances():
 def test_05_window_products_have_positive_entries(window_instances):
     worst_margin = np.inf
     for g, schedule, B, T in window_instances:
-        reportcard = certify_entry_lower_bound(
-            augment(g), schedule, 1, g.n * B + 1, B, slack=1e-12
-        )
+        reportcard = certify_entry_lower_bound(augment(g), schedule, 1, g.n * B + 1, B)
         worst_margin = min(worst_margin, reportcard.min_entry - reportcard.bound)
         assert reportcard.passed
     ok = worst_margin >= -1e-12

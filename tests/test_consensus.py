@@ -372,7 +372,7 @@ class TestTraceApi:
             consensus_error(trace, 0)
 
 
-def oracle_certify_consensus_bound(trace, B, slack=0.0):
+def oracle_certify_consensus_bound(trace, B):
     """The per-round certificate the array code replaced: the scalar error and
     bound formulas at each t, the first largest error - bound as the worst
     point, and the pass rule the run harness applied to that point."""
@@ -397,7 +397,7 @@ def oracle_certify_consensus_bound(trace, B, slack=0.0):
         err, b = error(t), bound(t)
         if worst is None or err - b > worst_margin:
             worst_margin, worst = err - b, (t, err, b)
-    return ConsensusCertificate(T, *worst, error(T), worst[1] <= worst[2] + slack)
+    return ConsensusCertificate(T, *worst, error(T), worst[1] <= worst[2])
 
 
 class TestRateBound:
@@ -518,22 +518,6 @@ class TestCertificateMatchesOracle:
         schedule = bernoulli_b_bounded(g, 0.5, 3, 20, seed=1)
         trace = run_convergent_robust_push_sum(g, np.linspace(0.0, 1.0, g.n), schedule, 20)
         assert certify_consensus_bound(trace, 3) == oracle_certify_consensus_bound(trace, 3)
-
-    @pytest.mark.parametrize("slack", [1e-3, 200.0])
-    def test_slack(self, two_cycle, slack):
-        # Errors of 298 against bounds of 128 and below: the larger slack
-        # covers the excess and turns the fabricated violation into a pass.
-        values = np.full((7, 2, 1), 300.0)
-        trace = _fabricated(two_cycle, values, [[1.0], [3.0]])
-        cert = certify_consensus_bound(trace, 1, slack=slack)
-        assert cert == oracle_certify_consensus_bound(trace, 1, slack)
-        assert cert.passed == (slack == 200.0)
-
-    def test_slack_on_a_run(self, asym3):
-        schedule = bernoulli_b_bounded(asym3, 0.5, 2, 400, seed=5)
-        trace = run_convergent_robust_push_sum(asym3, [0.2, 0.9, 0.4], schedule, 400)
-        cert = certify_consensus_bound(trace, 2, slack=0.5)
-        assert cert == oracle_certify_consensus_bound(trace, 2, 0.5)
 
     def test_fabricated_violation(self, two_cycle):
         values = np.full((2, 4, 1), 100.0)

@@ -823,7 +823,7 @@ def oracle_certify_optimality_gap(trace, B, reference, slack=0.0):
     )
 
 
-def oracle_certify_mixing_error(trace, B, slack=0.0):
+def oracle_certify_mixing_error(trace, B):
     """The mixing certificate with its own inline ratio error, as before the
     shared kernel."""
     _, _, block = contraction_constants(trace.graph, B)
@@ -833,7 +833,7 @@ def oracle_certify_mixing_error(trace, B, slack=0.0):
     ratios = trace.values[:, :n] / trace.weights[:, :n, None]
     errors = np.linalg.norm(ratios - zbar[:, None, :], axis=2).max(axis=1)
     worst = int(np.argmax(errors[block : T + 1])) + block
-    passed = bool(errors[worst] <= bound + slack)
+    passed = bool(errors[worst] <= bound)
     return MixingCertificate(T, block, bound, worst, float(errors[worst]), passed)
 
 
@@ -857,9 +857,7 @@ class TestCertificatesMatchOracles:
             assert certify_optimality_gap(trace, 2, reference, slack) == (
                 oracle_certify_optimality_gap(trace, 2, reference, slack)
             )
-            assert certify_mixing_error(trace, 2, slack) == oracle_certify_mixing_error(
-                trace, 2, slack
-            )
+        assert certify_mixing_error(trace, 2) == oracle_certify_mixing_error(trace, 2)
 
 
 class TestNonFiniteMeasurement:
@@ -875,7 +873,7 @@ class TestNonFiniteMeasurement:
         values = lossy_run.values.copy()
         values[30, 1] = bad
         values[40, 0] = math.nan
-        cert = certify_mixing_error(dataclasses.replace(lossy_run, values=values), 2, slack=1e9)
+        cert = certify_mixing_error(dataclasses.replace(lossy_run, values=values), 2)
         assert not cert.passed
         assert cert.worst_t == 30
         assert not math.isfinite(cert.worst_error)

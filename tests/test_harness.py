@@ -41,6 +41,7 @@ from lossynet.harness import _RUNNERS, _stream_psi, _stream_trace
 from lossynet.problems import _reference_slack
 
 from random_graphs import random_strongly_connected
+from test_mixing import _audit_benchmark_graph, _move_entry
 
 
 # Oracle: the per-cell trace writer the streamed one replaced (rows of
@@ -243,8 +244,8 @@ class TestConfigValidation:
         "bad", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "huge"]
     )
     def test_tolerance_must_be_finite(self, bad):
-        with pytest.raises(ConfigError, match="tolerance rate_slack must be finite"):
-            ExperimentConfig.from_dict({**CONSENSUS_RAW, "tolerances": {"rate_slack": bad}})
+        with pytest.raises(ConfigError, match="tolerance mass_rtol must be finite"):
+            ExperimentConfig.from_dict({**CONSENSUS_RAW, "tolerances": {"mass_rtol": bad}})
 
     def test_audit_window_checks(self):
         for bad in (
@@ -255,6 +256,13 @@ class TestConfigValidation:
             {"start": 1},
         ):
             with pytest.raises(ConfigError, match="window"):
+                ExperimentConfig.from_dict({**AUDIT_RAW, "window": bad})
+        for bad, message in (
+            ({"start": 1, "end": 3, "stride": 2}, "unknown window keys: ['stride']"),
+            ({"start": 1}, "window needs 'end'"),
+            ({"end": 3}, "window needs 'start'"),
+        ):
+            with pytest.raises(ConfigError, match=re.escape(message)):
                 ExperimentConfig.from_dict({**AUDIT_RAW, "window": bad})
 
     def test_schedule_spec_checks(self):
@@ -281,7 +289,7 @@ class TestConfigValidation:
             {**CONSENSUS_RAW, "tolerances": {"mass_rtol": 1e-6}}
         )
         assert cfg.tolerance("mass_rtol") == 1e-6
-        assert cfg.tolerance("rate_slack") == 0.0
+        assert ExperimentConfig.from_dict(CONSENSUS_RAW).tolerance("mass_rtol") == 1e-9
 
 
 RAWS = {"consensus": CONSENSUS_RAW, "optimize": OPTIMIZE_RAW, "matrix-audit": AUDIT_RAW}
@@ -291,23 +299,20 @@ RAWS = {"consensus": CONSENSUS_RAW, "optimize": OPTIMIZE_RAW, "matrix-audit": AU
 TOLERANCES = {
     "consensus": {
         "mass_rtol": (1e-9, "_mass_certifications", "rtol"),
-        "rate_slack": (0.0, "certify_consensus_bound", "slack"),
     },
-    "optimize": {
-        "gap_slack": (_reference_slack(problem_from_spec(OPTIMIZE_RAW["problem"])),
-                      "certify_optimality_gap", "slack"),
-        "mixing_slack": (0.0, "certify_mixing_error", "slack"),
-    },
+    "optimize": {},
     "matrix-audit": {
         "contraction_slack": (1e-10, "_audit_window", "contraction_slack"),
-        "entry_slack": (0.0, "_audit_window", "entry_slack"),
     },
 }
 OWN_TOLERANCES = [(mode, key) for mode, table in TOLERANCES.items() for key in table]
+# Keys that no mode takes any more: each could only widen a certificate's
+# pass, and every mode refuses them as it refuses another mode's keys.
+RETIRED_TOLERANCES = ("entry_slack", "gap_slack", "mixing_slack", "rate_slack")
 FOREIGN_TOLERANCES = [
     (mode, key) for mode in TOLERANCES for other, table in TOLERANCES.items() if other != mode
     for key in table
-]
+] + [(mode, key) for mode in TOLERANCES for key in RETIRED_TOLERANCES]
 
 
 class TestTolerances:
@@ -340,20 +345,40 @@ class TestTolerances:
         assert f"error: unknown {mode} tolerance keys: ['{key}']" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("algorithm", ["plain", "robust"])
-    def test_rate_slack_needs_convergent(self, tmp_path, capsys, algorithm):
-        raw = dict(CONSENSUS_RAW, algorithm=algorithm, tolerances={"rate_slack": 1.0})
-        if algorithm == "plain":
-            del raw["schedule"]
-        config, out = _write(tmp_path, "c.json", raw), tmp_path / "out"
-        assert main(["consensus", "--config", config, "--out", str(out)]) == 1
+    def test_entry_certificate_takes_no_slack(self, tmp_path, capsys, monkeypatch):
+        # The entry bound here is about 1e-174, so an absolute slack of
+        # 1e-170 would pass a product with a zero entry; the key is refused.
+        g = _audit_benchmark_graph()
+        block = g.n * 3 + 1
+        raw = {
+            "mode": "matrix-audit",
+            "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
+            "horizon": block,
+            "schedule": {"kind": "bernoulli", "p_drop": 0.5, "B": 3, "seed": 1},
+            "window": {"start": 1, "end": block},
+        }
+        slackened = _write(tmp_path, "slack.json", dict(raw, tolerances={"entry_slack": 1e-170}))
+        out = tmp_path / "out"
+        assert main(["matrix-audit", "--config", slackened, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"rate_slack needs the convergent algorithm: the {algorithm} one" in err
+        assert "error: unknown matrix-audit tolerance keys: ['entry_slack']" in err
         assert not out.exists()
+        _move_entry(monkeypatch, 0.0)
+        config = _write(tmp_path, "c.json", raw)
+        assert main(["matrix-audit", "--config", config, "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["min_entry"] == 0.0
+        assert summary["pass_flags"]["entry_lower_bound"] is False
+
+    def test_gap_slack_is_the_references_error_bound(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(OPTIMIZE_RAW)
+        gap = run_experiment(cfg, tmp_path).summary["certifications"]["optimality_gap_bound"]
+        slack = _reference_slack(problem_from_spec(OPTIMIZE_RAW["problem"]))
+        assert slack > 0.0 and gap["slack"] == slack
 
     def test_gap_slack_of_a_box_whose_width_squared_overflows(self, tmp_path):
         # The box's psi radius overflows as it should (the gap bound is
-        # infinite); the default slack, lipschitz * grid step, does not.
+        # infinite); the slack, lipschitz * grid step, does not.
         problem = copy.deepcopy(OPTIMIZE_RAW["problem"])
         problem["set"]["lower"] = [-1e308]
         cfg = ExperimentConfig.from_dict(dict(OPTIMIZE_RAW, problem=problem))
@@ -363,9 +388,9 @@ class TestTolerances:
 
     def test_gap_slack_of_a_box_whose_diameter_overflows(self, tmp_path, monkeypatch):
         # The diameter 2e308 is not a float; the grid step and the slack
-        # are taken in halves, as a ball's are in units of its radius, so
-        # the refinement runs.  The gap bound stays infinite: the psi
-        # radius overflows.
+        # are taken on the box scaled by a power of two (problems._unit_set)
+        # and scaled back, so the refinement runs.  The gap bound stays
+        # infinite: the psi radius overflows.
         problem = copy.deepcopy(OPTIMIZE_RAW["problem"])
         problem["set"].update(lower=[-1e308], upper=[1e308])
         cfg = ExperimentConfig.from_dict(dict(OPTIMIZE_RAW, problem=problem))
@@ -382,9 +407,10 @@ class TestTolerances:
         assert summary["reference"]["value"] - 1 / 3 <= gap["slack"]
 
     def test_gap_slack_of_a_ball_whose_diameter_overflows(self, tmp_path, monkeypatch):
-        # The diameter 2e308 is not a float; the grid step and the slack
-        # are taken in units of the radius, and the golden-section search
-        # cuts the chord in halves, so the refinement runs.
+        # The diameter 2e308 is not a float; the grid step, the slack and
+        # the golden-section search's chords are taken on the ball scaled by
+        # a power of two (problems._unit_set) and scaled back, so the
+        # refinement runs.
         problem = dict(OPTIMIZE_RAW["problem"], set={"kind": "ball", "radius": 1e308})
         cfg = ExperimentConfig.from_dict(dict(OPTIMIZE_RAW, problem=problem))
         calls = _count_refinement_calls(monkeypatch)
@@ -1451,14 +1477,17 @@ class TestCli:
         assert "error: abs_distance component needs 'a'" in capsys.readouterr().err
 
     def test_optimize_non_numeric_tolerance(self, tmp_path, capsys):
+        # Optimize takes no tolerances: its gap certificate's slack is the
+        # reference's own error bound.
         raw = dict(OPTIMIZE_RAW, tolerances={"gap_slack": "abc"})
         assert self._optimize_exit(tmp_path, raw) == 1
-        assert "error: tolerance gap_slack must be a number" in capsys.readouterr().err
+        assert "error: unknown optimize tolerance keys: ['gap_slack']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 10**400], ids=["inf", "nan", "huge"])
     def test_non_finite_tolerance(self, tmp_path, capsys, bad):
         # An infinite slack would pass every certificate.
-        runs = (("consensus", CONSENSUS_RAW, "rate_slack"), ("optimize", OPTIMIZE_RAW, "gap_slack"))
+        runs = (("consensus", CONSENSUS_RAW, "mass_rtol"),
+                ("matrix-audit", AUDIT_RAW, "contraction_slack"))
         for command, raw, key in runs:
             raw = dict(raw, tolerances={key: bad})
             config = _write(tmp_path, f"{command}.json", raw)

@@ -244,7 +244,8 @@ class TestSpreadCoefficients:
         if first is not None and m >= first + 2:
             # Rows first and first + 1 share no support column.  With
             # first = 1, row 0 keeps its full support and overlaps every row,
-            # so the row-0 check finds nothing and the full test must.
+            # so only a pair without row 0 is disjoint, and the support Gram
+            # check must find it.
             cols = rng.permutation(m)
             A[first, cols[: m // 2]] = 0.0
             A[first + 1, cols[m // 2 :]] = 0.0
@@ -558,10 +559,9 @@ def _table_matrix(ag, tab, schedule, t):
     return M
 
 
-# Graphs whose 2**E delivery patterns the round tables are checked on: in
-# the complete graph on three agents row 0 can share a column with every
-# row, so lambda takes the dense path in every round; in the 4-ring some
-# row never meets row 0's columns, so it is 1.0 in every round.
+# Graphs whose 2**E delivery patterns the round tables are checked on:
+# rings, unequal out-degrees, the complete graph on three agents, and a
+# four-agent graph with chords.
 PATTERN_GRAPHS = {
     "two_cycle": (2, [(1, 2), (2, 1)]),
     "three_ring": (3, [(1, 2), (2, 3), (3, 1)]),
