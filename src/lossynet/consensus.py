@@ -336,7 +336,18 @@ def contraction_constants(g: DirectedGraph, B: int) -> tuple[float, float, int]:
         raise ValueError(f"B must be >= 1, got {B}")
     beta = 1.0 / float((g.out_degrees + 1).max()) ** 2
     block = g.n * B + 1
-    return beta, 1.0 - beta**block, block
+    return beta, 1.0 - _block_floor(beta, block)[0], block
+
+
+def _block_floor(beta: float, block: int) -> tuple[float, float]:
+    """(beta**block, block * log10(beta)): the least pairwise influence over
+    a block, 1 - gamma, and its log10, which does not underflow.  Where
+    ``block`` lies beyond the float range, their limits: (0.0, -inf), and
+    (1.0, 0.0) for beta = 1, a single node."""
+    try:
+        return beta**block, block * math.log10(beta)
+    except OverflowError:
+        return (1.0, 0.0) if beta == 1.0 else (0.0, -math.inf)
 
 
 def consensus_rate_bound(g: DirectedGraph, B: int, y, t: int) -> float:
@@ -360,13 +371,14 @@ def _rate_bounds(g: DirectedGraph, B: int, inputs: np.ndarray, ts: np.ndarray) -
     sums = (inputs - np.minimum(0.0, inputs.min(axis=0))).sum(axis=0)
     with np.errstate(over="ignore"):
         total = float(_rescue_norms(sums, np.linalg.norm(sums)))
-    floor = beta**block
+    floor = _block_floor(beta, block)[0]
     if floor == 0.0:
         # beta**block underflowed: the bound lies above the float range.
         return np.full(ts.shape, math.inf if total > 0.0 else 0.0)
     # gamma**k by Python's float power on an object array: numpy's own float
-    # power may take a SIMD path that differs from it in the last bit.
-    decay = (gamma ** (ts // block).astype(object)).astype(float)
+    # power may take a SIMD path that differs from it in the last bit.  The
+    # k = t // block are Python ints too, which take a block beyond int64.
+    decay = (gamma ** (ts.astype(object) // block)).astype(float)
     return total / (g.n * floor) * decay
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .consensus import (
     _allocate,
+    _block_floor,
     _check_schedule,
     _CumulativeState,
     _NodeTrace,
@@ -228,7 +229,7 @@ def _network_factor(beta: float, gamma: float, block: int) -> float:
     Infinite when gamma = 0 (a single agent) or beta**block underflows, and
     rounds to infinity when it lies above the float range.
     """
-    floor = beta**block
+    floor = _block_floor(beta, block)[0]
     if gamma == 0.0 or floor == 0.0:
         return math.inf
     # 1 - gamma**(1/block) with gamma = 1 - floor, without the cancellation

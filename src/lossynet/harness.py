@@ -18,7 +18,7 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ import numpy as np
 from . import schedules
 from .consensus import (
     ConsensusTrace,
+    _block_floor,
     certify_consensus_bound,
     consensus_error,
     contraction_constants,
@@ -41,7 +42,7 @@ from .dual_averaging import (
 )
 from .errors import ConfigError, DimensionMismatchError, _horizon_fits
 from .graphs import DirectedGraph, augment, graph_from_spec
-from .mixing import CONTRACTION_SLACK, _audit_window
+from .mixing import _audit_window
 from .problems import (
     _COST_KINDS, Ball, Box, OptProblem, _check_reference_dim, _reference_slack, solve_reference
 )
@@ -314,7 +315,6 @@ class ExperimentConfig:
     problem: dict | None = None
     step_constant: float | None = None
     window: dict | None = None
-    tolerances: dict = field(default_factory=dict)
     root: Path | None = None
 
     @staticmethod
@@ -347,20 +347,11 @@ class ExperimentConfig:
             _require(schedule is not None, f"{name} mode needs a schedule")
             schedule = _check_schedule_spec(schedule)
 
-        tolerances = raw.get("tolerances", {})
-        _require(isinstance(tolerances, dict), "tolerances must be an object")
-        _only(tolerances, mode.tolerances, f"{name} tolerance")
-        for key, value in tolerances.items():
-            _require(_is_number(value), f"tolerance {key} must be a number, got {value!r}")
-            _require(_is_finite_number(value), f"tolerance {key} must be finite, got {value!r}")
-        tolerances = {k: float(v) for k, v in sorted(tolerances.items())}
-
         return ExperimentConfig(
             mode=name,
             graph=copy.deepcopy(graph),
             horizon=horizon,
             schedule=schedule,
-            tolerances=tolerances,
             **own,
         )
 
@@ -370,13 +361,7 @@ class ExperimentConfig:
             out["schedule"] = copy.deepcopy(self.schedule)
         for key in MODES[self.mode].keys:
             out[key] = _jsonable(getattr(self, key))
-        if self.tolerances:
-            out["tolerances"] = dict(self.tolerances)
         return out
-
-    def tolerance(self, key: str) -> float:
-        """The config's value of one of its mode's tolerances, else the mode's default."""
-        return float(self.tolerances.get(key, MODES[self.mode].tolerances[key]))
 
 
 def _read_json(path: Path, what: str):
@@ -787,14 +772,19 @@ def _certification(measured, bound, passed, **where) -> dict:
     return {"measured": measured, "bound": bound, "passed": passed, **where}
 
 
-def _mass_certifications(trace: ConsensusTrace, rtol: float) -> dict:
+# The mass certificates' allowance: mass is conserved exactly, so the
+# relative deviation they pass is float rounding only.
+MASS_RTOL = 1e-9
+
+
+def _mass_certifications(trace: ConsensusTrace) -> dict:
     totals = trace.values.sum(axis=1)
     target = trace.inputs.sum(axis=0)
     scale = max(1.0, float(np.abs(target).max()))
     value_dev = float(np.abs(totals - target).max()) / scale
     weight_dev = float(np.abs(trace.weights.sum(axis=1) - trace.n).max()) / trace.n
     return {
-        f"{name}_mass_conservation": _certification(dev, rtol, dev <= rtol)
+        f"{name}_mass_conservation": _certification(dev, MASS_RTOL, dev <= MASS_RTOL)
         for name, dev in (("value", value_dev), ("weight", weight_dev))
     }
 
@@ -806,7 +796,7 @@ def _run_consensus(cfg, g, schedule, emit) -> dict:
 
     certifications: dict = {}
     if cfg.horizon >= 1:
-        certifications = _mass_certifications(trace, cfg.tolerance("mass_rtol"))
+        certifications = _mass_certifications(trace)
         if cfg.algorithm == "convergent":
             cert = certify_consensus_bound(trace, schedule.window)
             certifications["consensus_rate_bound"] = _certification(
@@ -858,9 +848,8 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
     B = schedule.window
     start, end = cfg.window["start"], cfg.window["end"]
     beta, _, block = contraction_constants(g, B)
-    product, contraction, entry = _audit_window(
-        ag, schedule, start, end, B, cfg.tolerance("contraction_slack")
-    )
+    floor, log10_floor = _block_floor(beta, block)
+    product, contraction, entry = _audit_window(ag, schedule, start, end, B)
     _stream_psi(emit, product)
     return {
         "n": g.n,
@@ -870,9 +859,9 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
         "lambda_product": contraction.lambda_product,
         "gamma_bound": contraction.gamma_bound,
         "min_entry": float(product.min()),
-        "beta_bound": beta**block,
+        "beta_bound": floor,
         # beta_bound in log10, which does not underflow to 0.
-        "log10_beta_bound": block * math.log10(beta),
+        "log10_beta_bound": log10_floor,
         "log10_gamma_bound": contraction.log10_gamma_bound,
         "pass_flags": {
             "entry_lower_bound": None if entry is None else entry.passed,
@@ -891,14 +880,12 @@ def _collect_pass(summary: dict) -> bool:
 class _Mode:
     """An experiment mode: its config keys with their parsers ``(value,
     horizon)``, its runner ``(cfg, graph, schedule, emit) -> summary``, the
-    file the runner streams, what it does (CLI help, error messages), and
-    its tolerances with their defaults."""
+    file the runner streams, and what it does (CLI help, error messages)."""
 
     keys: dict
     run: Callable
     artifact: str
     does: str
-    tolerances: dict
 
 
 MODES = {
@@ -907,18 +894,15 @@ MODES = {
          "inputs": _as_inputs},
         _run_consensus, "trace.csv",
         "runs a push-sum variant and certifies its conservation and rate bounds",
-        {"mass_rtol": 1e-9},
     ),
     "optimize": _Mode(
         {"problem": _as_problem, "step_constant": _as_step_constant}, _run_optimize, "trace.csv",
         "runs dual averaging over the convergent protocol and certifies its gap and mixing bounds",
-        {},
     ),
     "matrix-audit": _Mode(
         {"window": _as_window}, _run_audit, "psi.csv",
         "multiplies the convergent protocol's round matrices over a window and certifies the "
         "product's bounds",
-        {"contraction_slack": CONTRACTION_SLACK},
     ),
 }
 

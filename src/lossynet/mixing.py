@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .consensus import (
-    ConsensusTrace, _allocate, _check_schedule, _input_matrix, contraction_constants
+    ConsensusTrace, _allocate, _block_floor, _check_schedule, _input_matrix, contraction_constants
 )
 from .errors import (
     DimensionMismatchError,
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-8
-# The default slack of the contraction certificate.  The entry certificate
+# The contraction certificate's rounding allowance.  The entry certificate
 # takes none: it allows for the product's rounding itself.
 CONTRACTION_SLACK = 1e-10
 # Unit roundoff of float64, u = 2**-53.
@@ -376,12 +376,7 @@ class ContractionReport:
 
 
 def _audit_window(
-    ag: AugmentedGraph,
-    schedule: FailureSchedule,
-    r: int,
-    t: int,
-    B: int,
-    contraction_slack: float = CONTRACTION_SLACK,
+    ag: AugmentedGraph, schedule: FailureSchedule, r: int, t: int, B: int
 ) -> tuple[np.ndarray, ContractionReport, EntryBoundReport | None]:
     """Both certificates of M[r] ... M[t] from one pass over the window.
 
@@ -392,6 +387,7 @@ def _audit_window(
     if r > t:
         raise IterationOutOfRangeError(f"window [{r}, {t}] is empty")
     beta, gamma, block = contraction_constants(ag.base, B)
+    bound = _block_floor(beta, block)[0]
     _check_window(schedule, r, t)
     lambdas: list[float] = []
     product = _window_product(ag, schedule, r, t, lambdas)
@@ -399,14 +395,13 @@ def _audit_window(
     delta = delta_coefficient(product)
     blocks = (t - r + 1) // block
     gamma_bound = gamma**blocks
-    passed = delta <= lam + contraction_slack and delta <= gamma_bound + contraction_slack
+    passed = delta <= lam + CONTRACTION_SLACK and delta <= gamma_bound + CONTRACTION_SLACK
     contraction = ContractionReport(
-        (r, t), delta, lam, gamma_bound, _log10_gamma_bound(beta**block, blocks), passed
+        (r, t), delta, lam, gamma_bound, _log10_gamma_bound(bound, blocks), passed
     )
     entry = None
     if t - r + 1 >= block:
         min_entry = float(product.min())
-        bound = beta**block
         floor = bound * (1.0 + _product_gamma(t - r + 1, ag.m))
         entry = EntryBoundReport((r, t), min_entry, bound, min_entry >= floor)
     return product, contraction, entry
@@ -474,16 +469,13 @@ def certify_entry_lower_bound(
 
 
 def certify_contraction(
-    ag: AugmentedGraph,
-    schedule: FailureSchedule,
-    r: int,
-    t: int,
-    B: int,
-    slack: float = CONTRACTION_SLACK,
+    ag: AugmentedGraph, schedule: FailureSchedule, r: int, t: int, B: int
 ) -> ContractionReport:
     """Check both contraction certificates on M[r] ... M[t]:
 
     delta(product) <= prod_k lambda(M[k]) and
-    delta(product) <= gamma**floor(window / (n B + 1)).
+    delta(product) <= gamma**floor(window / (n B + 1)),
+
+    each up to :data:`CONTRACTION_SLACK`.
     """
-    return _audit_window(ag, schedule, r, t, B, contraction_slack=slack)[1]
+    return _audit_window(ag, schedule, r, t, B)[1]

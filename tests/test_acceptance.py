@@ -166,7 +166,7 @@ def test_05_window_products_have_positive_entries(window_instances):
 
 def test_06_window_products_contract_spread(window_instances):
     for g, schedule, B, T in window_instances:
-        reportcard = certify_contraction(augment(g), schedule, 1, T, B, slack=1e-10)
+        reportcard = certify_contraction(augment(g), schedule, 1, T, B)
         assert reportcard.passed, (g.n, B, T)
     report(6, "column spread sits under both decay bounds", True,
            "50 schedules within slack 1e-10")

@@ -26,7 +26,7 @@ from lossynet import (
     run_robust_push_sum,
     scripted_schedule,
 )
-from lossynet.consensus import _allocate, _CumulativeState, _rescue_norms
+from lossynet.consensus import _allocate, _block_floor, _CumulativeState, _rescue_norms
 from lossynet.errors import _horizon_fits
 
 from random_graphs import random_strongly_connected
@@ -456,6 +456,22 @@ class TestRateBound:
         assert cert.worst_t == 1
         assert cert.worst_error == consensus_error(trace, 1)
         assert cert.worst_bound == math.inf
+
+    def test_block_beyond_the_float_range(self, two_cycle):
+        # The floor and its log10 keep their bits where block is a float.
+        # block = 2 * 10**400 + 1 is none: they take their limits, 0.0 and
+        # -inf, or 1.0 and 0.0 for a single node.
+        assert _block_floor(0.25, 3) == (0.25**3, 3 * math.log10(0.25))
+        B = 10**400
+        beta, gamma, block = contraction_constants(two_cycle, B)
+        assert (beta, gamma, block) == (0.25, 1.0, 2 * B + 1)
+        assert _block_floor(beta, block) == (0.0, -math.inf)
+        assert consensus_rate_bound(two_cycle, B, [1.0, 3.0], 3) == math.inf
+        single = build_graph(1, [])
+        assert contraction_constants(single, B) == (1.0, 0.0, B + 1)
+        assert _block_floor(1.0, B + 1) == (1.0, 0.0)
+        # ||sum(y)|| / (n * 1.0) * 0.0**0, before the first block ends.
+        assert consensus_rate_bound(single, B, [2.0], 3) == 2.0
 
     def test_certify_trivial_for_empty_trace(self, two_cycle):
         trace = run_convergent_robust_push_sum(
