@@ -163,6 +163,7 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({**CONSENSUS_RAW, "extra": 1})
 
     @pytest.mark.parametrize("edit, message", [
+        ({"tolerances": {"mass_tol": 1e-9}}, "unknown config keys: ['tolerances']"),
         ({"schedule": {"kind": "all_reliable", "B": 2}},
          "unknown all_reliable schedule keys: ['B']"),
         ({"schedule": {**CONSENSUS_RAW["schedule"], "p": 0.5}},
