@@ -79,16 +79,15 @@ class StepSizeSchedule:
         return float(self.constant) * (1.0 + float(inv_roots.sum()))
 
 
-def proximal_projection(z, alpha: float, feasible: Box | Ball, out=None) -> np.ndarray:
+def proximal_projection(z, alpha: float, feasible: Box | Ball) -> np.ndarray:
     """argmin over the feasible set of <z, x> + (1/alpha) * (1/2)||x||^2.
 
     For the quadratic proximal function this is the Euclidean projection of
-    -alpha * z.  Accepts a batch of dual vectors in the leading axes, and
-    writes into ``out`` when given (which may be z itself).
+    -alpha * z.  Accepts a batch of dual vectors in the leading axes.
     """
     if not alpha > 0:
         raise ValueError(f"step must be positive, got {alpha}")
-    y = np.multiply(np.asarray(z, dtype=float), -alpha, out=out)
+    y = np.multiply(np.asarray(z, dtype=float), -alpha)
     return feasible.project(y, out=y)
 
 
@@ -271,12 +270,12 @@ def optimality_gap_bound(
     A = steps.constant
     r_sq = problem.feasible.psi_radius_sq
     root = math.sqrt(T)
-    approx = 2.0 * L**2 * A / T * (2.0 * root + 1.0)
+    approx = 2.0 * (L * L) * A / T * (2.0 * root + 1.0)
     radius = r_sq / (A * root)
     if L == 0.0:
         network = 0.0
     else:
-        network = 3.0 * L**2 * A * _network_factor(beta, gamma, block) * (2.0 * root + 1.0) / T
+        network = 3.0 * (L * L) * A * _network_factor(beta, gamma, block) * (2.0 * root + 1.0) / T
     return approx + radius + network
 
 

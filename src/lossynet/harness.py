@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
+import itertools
 import json
 import math
 import time
@@ -162,17 +163,14 @@ def _set_from_spec(spec, d: int) -> Box | Ball:
     # Compared, not hashed, so any JSON value is looked up.
     keys = ("lower", "upper") if kind == "box" else ("radius",) if kind == "ball" else None
     _require(keys is not None, f"unknown feasible-set kind {kind!r}")
-    _only(spec, ("kind", "radius_sq", *keys), f"{kind} set")
-    radius_sq = spec.get("radius_sq")
-    if radius_sq is not None:
-        radius_sq = _number(radius_sq, f"{kind} set radius_sq")
+    _only(spec, ("kind", *keys), f"{kind} set")
     if kind == "box":
         cls, args = Box, [_vector(spec, key, "box set") for key in keys]
     else:
         cls, args = Ball, (_number(_field(spec, "radius", "ball set"), "ball set radius"), d)
     try:
-        return cls(*args, radius_sq=radius_sq)
-    except ValueError as exc:  # lower above upper, unequal lengths, radius <= 0, radius_sq < 0
+        return cls(*args)
+    except ValueError as exc:  # lower above upper, unequal lengths, radius <= 0
         raise ConfigError(f"{kind} set: {exc}") from exc
 
 
@@ -180,11 +178,13 @@ def problem_from_spec(spec: dict) -> OptProblem:
     """Build a problem from its JSON description.
 
     Expected shape: {"d": int, "set": {"kind": "box"|"ball", ...},
-    "components": [{"kind": "linear"|"abs_distance"|"l2_distance", ...}, ...],
-    "L": optional float}; a key that none of its objects takes is a ConfigError.
+    "components": [{"kind": "linear"|"abs_distance"|"l2_distance", ...}, ...]};
+    a key that none of its objects takes is a ConfigError.  The bounds'
+    Lipschitz constant and psi radius come from the components and the set
+    (``OptProblem.lipschitz_bound``, ``psi_radius_sq``), so no key sets them.
     """
     d = _field(spec, "d", "problem")
-    _only(spec, ("d", "set", "components", "L"), "problem")
+    _only(spec, ("d", "set", "components"), "problem")
     _require(_is_int(d) and d >= 1, f"problem d must be a positive integer, got {d!r}")
     fs = _set_from_spec(_field(spec, "set", "problem"), d)
     if fs.dim != d:
@@ -201,11 +201,7 @@ def problem_from_spec(spec: dict) -> OptProblem:
         _require(kind is not None, f"unknown component kind {comp.get('kind')!r}")
         _only(comp, ("kind", kind._PARAM), f"{kind._NAME} component")
         components.append(kind(_vector(comp, kind._PARAM, f"{kind._NAME} component")))
-    lipschitz = spec.get("L")
-    if lipschitz is not None:
-        lipschitz = _number(lipschitz, "problem L")
-        _require(lipschitz >= 0, f"problem L must be >= 0, got {lipschitz!r}")
-    return OptProblem(tuple(components), fs, lipschitz)
+    return OptProblem(tuple(components), fs)
 
 
 def _as_problem(value, horizon) -> dict:
@@ -917,13 +913,14 @@ def run_experiment(
     conjunction of every certification in the summary.  The trace CSV and
     ``summary.json`` are written under ``.tmp`` names and renamed once both
     are complete; a run that raises removes them and leaves neither, and
-    removes ``out_dir`` too when it created it and the directory is empty.
+    removes the directories it created for ``out_dir`` too, leaf first,
+    while each is empty.
     """
     started = time.perf_counter()
     g = _build_graph(cfg.graph, cfg.root)
     schedule, effective_seed = _build_schedule(cfg.schedule, cfg.horizon, g, seed, cfg.root)
     out_dir = Path(out_dir)
-    created = not out_dir.exists()
+    created = list(itertools.takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     mode = MODES[cfg.mode]
@@ -958,8 +955,8 @@ def run_experiment(
     except BaseException:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
-        if created:
-            with contextlib.suppress(OSError):
-                out_dir.rmdir()
+        with contextlib.suppress(OSError):
+            for path in created:
+                path.rmdir()
         raise
     return artifact

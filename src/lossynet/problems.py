@@ -98,7 +98,6 @@ class Box:
 
     lower: np.ndarray
     upper: np.ndarray
-    radius_sq: float | None = None
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -109,9 +108,6 @@ class Box:
             raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("box lower bound exceeds upper bound")
-        # radius_sq bounds psi(x*) = (1/2)||x*||^2, which is never negative.
-        if self.radius_sq is not None and not self.radius_sq >= 0:
-            raise ValueError(f"radius_sq must be >= 0, got {self.radius_sq!r}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -127,9 +123,7 @@ class Box:
 
     @property
     def psi_radius_sq(self) -> float:
-        """Upper bound on (1/2)||x||^2 over the set, overridable via radius_sq."""
-        if self.radius_sq is not None:
-            return float(self.radius_sq)
+        """The largest (1/2)||x||^2 over the box."""
         with np.errstate(over="ignore"):
             return float(0.5 * np.maximum(self.lower**2, self.upper**2).sum())
 
@@ -176,15 +170,12 @@ class Ball:
 
     radius: float
     dim: int
-    radius_sq: float | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        if self.radius_sq is not None and not self.radius_sq >= 0:
-            raise ValueError(f"radius_sq must be >= 0, got {self.radius_sq!r}")
 
     @property
     def diameter(self) -> float:
@@ -192,14 +183,10 @@ class Ball:
 
     @property
     def psi_radius_sq(self) -> float:
-        """Upper bound on (1/2)||x||^2 over the set, overridable via radius_sq;
-        infinite when the radius squared passes the float range."""
-        if self.radius_sq is not None:
-            return float(self.radius_sq)
-        try:
-            return 0.5 * float(self.radius) ** 2
-        except OverflowError:
-            return math.inf
+        """The largest (1/2)||x||^2 over the ball, (1/2) radius**2; infinite
+        when the radius squared passes the float range."""
+        radius = float(self.radius)
+        return 0.5 * (radius * radius)
 
     def project(self, x, out=None) -> np.ndarray:
         """The nearest point of the ball to each point of x, written into
@@ -266,7 +253,8 @@ class LinearCost(_Cost):
 
     @property
     def lipschitz(self) -> float:
-        return float(np.linalg.norm(self.c))
+        with np.errstate(over="ignore"):
+            return float(_rescue_norms(self.c, np.linalg.norm(self.c)))
 
     def value(self, x) -> float:
         return float(self.c @ np.asarray(x, dtype=float))
@@ -395,9 +383,9 @@ _COST_KINDS = (LinearCost, AbsDistanceCost, L2DistanceCost)
 class OptProblem:
     """Minimize the average of the component costs over the feasible set.
 
-    ``lipschitz`` may be supplied when a tighter uniform bound is known;
-    otherwise the worst component bound is used.  ``optimum`` may carry a
-    known minimizer, which :func:`solve_reference` returns directly.
+    The bounds' Lipschitz constant is the largest component constant
+    (``lipschitz_bound``).  ``optimum`` may carry a known minimizer, which
+    :func:`solve_reference` returns directly.
     Components must be ``LinearCost``, ``AbsDistanceCost`` or
     ``L2DistanceCost``; their parameters are copied into one stack here,
     so later changes to a component's array are not seen.
@@ -405,7 +393,6 @@ class OptProblem:
 
     components: tuple
     feasible: Box | Ball
-    lipschitz: float | None = None
     optimum: np.ndarray | None = None
 
     def __post_init__(self):
@@ -447,8 +434,6 @@ class OptProblem:
 
     @cached_property
     def lipschitz_bound(self) -> float:
-        if self.lipschitz is not None:
-            return float(self.lipschitz)
         return max(c.lipschitz for c in self.components)
 
     def _mean(self, rows: np.ndarray) -> np.ndarray:
@@ -485,14 +470,11 @@ class OptProblem:
                 out[start : start + block.shape[0]] = self._mean(values)
         return out
 
-    def subgradients(self, x, out=None) -> np.ndarray:
-        """Row i: a subgradient of component i at x[i], for x of shape (n, d),
-        written into ``out`` (n, d) when given, which must not overlap x."""
+    def subgradients(self, x) -> np.ndarray:
+        """Row i: a subgradient of component i at x[i], for x of shape (n, d)."""
         x = np.asarray(x, dtype=float)
-        if out is None:
-            out = np.empty((self.n_components, self.dim))
         with np.errstate(over="ignore"):
-            return self._subgradient_kernel()(x, out)
+            return self._subgradient_kernel()(x, np.empty((self.n_components, self.dim)))
 
     def _subgradient_kernel(self):
         """One run's ``kernel(x, out)``, the batched ``subgradients`` with
@@ -632,7 +614,9 @@ def _check_reference_dim(p: OptProblem) -> None:
     """The one reference rule: d <= 2, unless :func:`solve_reference` is exact for p."""
     if p.dim > 2 and not _exact_reference(p):
         raise DimensionTooLargeError(
-            f"grid search covers d <= 2 only, got d = {p.dim}; attach a known optimum"
+            f"grid search covers d <= 2 only, got d = {p.dim}; a higher dimension needs "
+            "linear components only, whose optimum has a closed form, or a known optimum "
+            "attached to the OptProblem, which only the library API takes"
         )
 
 

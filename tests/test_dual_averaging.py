@@ -748,6 +748,15 @@ class TestGapBound:
         bound = optimality_gap_bound(p, two_cycle, 1, StepSizeSchedule(1.0), 4)
         assert bound == 0.25
 
+    def test_lipschitz_beyond_the_square_range(self, two_cycle):
+        # L * L overflows to inf where L**2 raised OverflowError.
+        p = OptProblem((LinearCost([1e200]), LinearCost([0.0])), unit_box)
+        assert p.lipschitz_bound == 1e200
+        bound = optimality_gap_bound(p, two_cycle, 1, StepSizeSchedule(1.0), 4)
+        assert bound == math.inf
+        mixing = mixing_error_bound(two_cycle, 1, p.lipschitz_bound)
+        assert mixing == 1e200 * mixing_error_bound(two_cycle, 1, 1.0)
+
     def test_single_agent_bound_degenerates(self):
         p = median_problem_single()
         bound = optimality_gap_bound(p, single, 1, StepSizeSchedule(1.0), 10)

@@ -1270,6 +1270,19 @@ class TestAtomicArtifacts:
             run_experiment(ExperimentConfig.from_dict(self.FAILING), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_run_removes_the_directories_it_created(self, tmp_path, capsys):
+        # A one-round schedule for a five-round run fails after --out was
+        # made: out/a/b goes, and so does out/a, but not out, which was there.
+        ring = graph_from_spec(CONSENSUS_RAW["graph"])
+        write_schedule_csv(all_reliable(ring, 1), tmp_path / "s.csv")
+        raw = dict(CONSENSUS_RAW, horizon=5, schedule={"kind": "csv", "path": "s.csv"})
+        config = _write(tmp_path, "c.json", raw)
+        (tmp_path / "out").mkdir()
+        out = tmp_path / "out" / "a" / "b"
+        assert main(["consensus", "--config", config, "--out", str(out)]) == 1
+        assert "schedule covers 1 iterations, run needs 5" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_failed_run_keeps_earlier_artifacts(self, tmp_path, capsys, monkeypatch):
         run_experiment(ExperimentConfig.from_dict(CONSENSUS_RAW), tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -1359,21 +1372,24 @@ BAD_PROBLEMS = [
      "linear component c must be a finite number or a list of them"),
     ({"set": {"kind": "box", "lower": [0.0], "upper": "1"}},
      "box set upper must be a finite number or a list of them"),
-    ({"L": "abc"}, "problem L must be a finite number"),
-    ({"L": -1.0}, "problem L must be >= 0"),
+    # The retired overrides of the bounds' L and psi radius, with values that
+    # were once accepted, in the rows that checked their values, so that the
+    # rows after them keep their ids.
+    ({"L": 0.0}, "unknown problem keys: ['L']"),
+    ({"L": 1e300}, "unknown problem keys: ['L']"),
     ({"set": {"kind": "ball", "radius": 0.0}}, "ball set: radius must be positive"),
     ({"set": {"kind": "ball", "radius": "2"}}, "ball set radius must be a finite number"),
-    ({"set": {"kind": "box", "lower": [0.0], "upper": [1.0], "radius_sq": [1]}},
-     "box set radius_sq must be a finite number"),
+    ({"set": {"kind": "box", "lower": [0.0], "upper": [1.0], "radius_sq": 1e300}},
+     "unknown box set keys: ['radius_sq']"),
     ({"components": [{"kind": "huber", "a": [0.0]}] * 3}, "unknown component kind 'huber'"),
     ({"components": [{"kind": ["linear"], "c": [1.0]}] * 3},
      "unknown component kind ['linear']"),
     ({"components": [{"kind": {"a": 1}, "a": [1.0]}] * 3}, "unknown component kind {'a': 1}"),
     ({"set": {"kind": [], "lower": [0.0], "upper": [1.0]}}, "unknown feasible-set kind []"),
-    ({"set": {"kind": "box", "lower": [0.0], "upper": [1.0], "radius_sq": -1e30}},
-     "box set: radius_sq must be >= 0"),
-    ({"set": {"kind": "ball", "radius": 1.0, "radius_sq": -5e-324}},
-     "ball set: radius_sq must be >= 0"),
+    ({"set": {"kind": "box", "lower": [0.0], "upper": [1.0], "radius_sq": 0.0}},
+     "unknown box set keys: ['radius_sq']"),
+    ({"set": {"kind": "ball", "radius": 1.0, "radius_sq": 0.25}},
+     "unknown ball set keys: ['radius_sq']"),
     # Every object of the problem rejects a key it does not know.
     ({"Lipschitz": 1e-9}, "unknown problem keys: ['Lipschitz']"),
     ({"optimum": [0.5]}, "unknown problem keys: ['optimum']"),
@@ -1532,7 +1548,8 @@ class TestCli:
     def test_grid_reference_dimension_is_checked_at_load(self, tmp_path, capsys, monkeypatch, kind,
                                                          key, code):
         # A d = 3 problem needs an exact reference, which an all-linear one
-        # has: any other fails before its first round.
+        # has: any other fails before its first round, with advice that a
+        # config can follow.
         problem = {"d": 3, "set": {"kind": "ball", "radius": 1.0},
                    "components": [{"kind": kind, key: [0.1 * i, 0.2, -0.3]} for i in range(3)]}
         raw = dict(OPTIMIZE_RAW, horizon=20, problem=problem)
@@ -1540,7 +1557,12 @@ class TestCli:
             monkeypatch.setattr(harness, "run_distributed_dual_averaging", _never_called)
         assert self._optimize_exit(tmp_path, raw) == code
         err = capsys.readouterr().err
-        assert ("error: grid search covers d <= 2 only, got d = 3" in err) == (code == 1)
+        message = (
+            "error: grid search covers d <= 2 only, got d = 3; a higher dimension needs linear "
+            "components only, whose optimum has a closed form, or a known optimum attached to "
+            "the OptProblem, which only the library API takes\n"
+        )
+        assert (message in err) == (code == 1)
         assert (tmp_path / "out").exists() == (code == 0)
 
     def test_signed_quick_start_inputs(self, tmp_path, capsys):

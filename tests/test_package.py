@@ -1,5 +1,6 @@
 import ast
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -156,6 +157,72 @@ def test_every_public_method_has_a_caller():
     uncalled = sorted(qualified for qualified, name in methods.items() if name not in loaded)
     assert uncalled == sorted(UNCALLED_PUBLIC_METHODS)
 
+
+# Defaulted parameters of public functions and methods that no call in
+# ``src/lossynet`` or ``demos/`` passes, each with the reason it stays.
+UNCALLED_PUBLIC_PARAMETERS = {
+    "running_average(T)": "the average over the first T rounds, which ROADMAP item 1's rate "
+                          "report reads at several T",
+    "CentralizedTrace.running_average(T)": "the baseline's average over the first T rounds, "
+                                           "which ROADMAP item 1's rate report reads at "
+                                           "several T",
+    "main(argv)": "the command line as a list, which the benchmark and the tests pass",
+}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, (function name, method), parameter, position) for
+    each defaulted parameter of the module's public functions and its public
+    classes' public methods; the position is the one a call passes it at,
+    counted without self, or None for a keyword-only parameter."""
+    scopes = [("", tree.body, False)] + [
+        (f"{node.name}.", node.body, True) for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+    ]
+    for owner, body, method in scopes:
+        for f in body:
+            if not isinstance(f, ast.FunctionDef) or f.name.startswith("_"):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+            positional = [*f.args.posonlyargs, *f.args.args]
+            first = len(positional) - len(f.args.defaults)
+            key = (f.name, method)
+            for k, arg in enumerate(positional[first:], first):
+                yield f"{owner}{f.name}({arg.arg})", key, arg.arg, k - (method and not static)
+            for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+                if default is not None:
+                    yield f"{owner}{f.name}({arg.arg})", key, arg.arg, None
+
+
+def test_every_public_parameter_has_a_caller():
+    # A defaulted parameter is surface only if some call in the package or a
+    # demo passes it, by keyword or by position, to a function of its name:
+    # for a method, a call of an attribute of that name.
+    package = sorted(Path(lossynet.__file__).parent.glob("*.py"))
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    keywords, positions, defaulted = set(), {}, []
+    for path in [*package, *demos]:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                # A starred argument may fill any position.
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                count = math.inf if starred else len(node.args)
+                # A call by attribute may reach a function or a method.
+                for key in {(name, False), (name, isinstance(func, ast.Attribute))}:
+                    keywords.update((key, keyword.arg) for keyword in node.keywords)
+                    positions[key] = max(positions.get(key, 0), count)
+        if path in package:
+            defaulted.extend(_defaulted_parameters(tree))
+    assert len(defaulted) > 10
+    uncalled = sorted(
+        qualified for qualified, key, arg, position in defaulted
+        if (key, arg) not in keywords
+        and (position is None or positions.get(key, 0) <= position)
+    )
+    assert uncalled == sorted(UNCALLED_PUBLIC_PARAMETERS)
 
 
 # What a fresh interpreter reports after ``import lossynet``: the number of
