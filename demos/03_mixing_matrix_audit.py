@@ -42,7 +42,7 @@ print(f"round-1 column spread  : {delta_coefficient(M1):.4f}\n")
 
 # A single round can have zero entries, but one full block cannot.
 entry = certify_entry_lower_bound(ag, schedule, 1, block, B)
-print(f"min entry of rounds 1..{block}: {entry.min_entry:.3e} "
+print(f"min entry of rounds 1..{block}: {entry.measured:.3e} "
       f">= beta^block = {entry.bound:.3e}  (passed={entry.passed})")
 
 # Single rounds barely overlap (their lambda is 1), but every full block
@@ -59,6 +59,6 @@ for k in range(1, 6):
     print(f"1..{k}   {lam_k:16.4f}   {running:15.3e}   {spread:12.3e}   {gamma**k:12.6f}")
 
 cert = certify_contraction(ag, schedule, 1, T, B)
-print(f"\nfull-window certificate: delta={cert.delta:.3e} <= "
-      f"lambda product {cert.lambda_product:.3e} and <= "
-      f"gamma bound {cert.gamma_bound:.3e}  (passed={cert.passed})")
+print(f"\nfull-window certificate: delta={cert.measured:.3e} <= "
+      f"lambda product {cert.detail['lambda_product']:.3e} and <= "
+      f"gamma bound {cert.detail['gamma_bound']:.3e}  (passed={cert.passed})")

@@ -32,7 +32,7 @@ the shared round would compare the code with itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,7 @@ __all__ = [
     "consensus_rate_bound",
     "contraction_constants",
     "certify_consensus_bound",
-    "ConsensusCertificate",
+    "Certificate",
 ]
 
 
@@ -458,16 +458,37 @@ def _ratio_errors(values, weights, center, first_t: int) -> np.ndarray:
         return _rescue_norms(diffs, np.linalg.norm(diffs, axis=2)).max(axis=1)
 
 
-def _worst_point(measured: np.ndarray, bound, slack: float = 0.0) -> tuple[int, bool]:
+@dataclass(frozen=True)
+class Certificate:
+    """One verdict on a claim of the paper.
+
+    ``measured`` is the value at the worst point and ``where`` names that
+    point: ``{"worst_t": t}``, ``{"worst_agent": i}`` or ``{"window": (r,
+    t)}``.  ``allowance`` is 0 but for two checks.  The gap certificate
+    passes only when measured + allowance <= bound, its reference's
+    allowance taken on the safe side; the contraction certificate passes
+    when measured <= bound + allowance, its rounding allowance.  ``detail``
+    holds only the values a caller reports beside the verdict."""
+
+    measured: float | None
+    bound: float | None
+    passed: bool
+    where: dict = field(default_factory=dict)
+    allowance: float = 0.0
+    detail: dict = field(default_factory=dict)
+
+
+def _worst_point(measured: np.ndarray, bound, allowance: float = 0.0) -> tuple[int, bool]:
     """A certificate's worst point and verdict: the first non-finite
     measurement, which fails, else the first largest measured - bound (with a
     single bound, the largest measurement: subtracting a large bound can round
-    distinct measurements together), which passes if measured <= bound + slack."""
+    distinct measurements together), which passes if measured + allowance <=
+    bound."""
     nonfinite = np.flatnonzero(~np.isfinite(measured))
     if nonfinite.size:
         return int(nonfinite[0]), False
     i = int(np.argmax(measured - bound if np.ndim(bound) else measured))
-    return i, bool(measured[i] <= np.broadcast_to(bound, measured.shape)[i] + slack)
+    return i, bool(measured[i] + allowance <= np.broadcast_to(bound, measured.shape)[i])
 
 
 def consensus_error(trace: ConsensusTrace, t: int) -> float:
@@ -477,32 +498,19 @@ def consensus_error(trace: ConsensusTrace, t: int) -> float:
     return float(_ratio_errors(values, weights, trace.average_input, t)[0])
 
 
-@dataclass(frozen=True)
-class ConsensusCertificate:
-    """Outcome of checking the rate bound at every iteration of a trace."""
-
-    horizon: int
-    worst_t: int | None
-    worst_error: float | None
-    worst_bound: float | None
-    final_error: float | None
-    passed: bool
-
-
-def certify_consensus_bound(trace: ConsensusTrace, B: int) -> ConsensusCertificate:
+def certify_consensus_bound(trace: ConsensusTrace, B: int) -> Certificate:
     """Check consensus_error(t) <= consensus_rate_bound(t) for t in 1..T,
     signed inputs included.
 
-    The reported worst point maximizes error - bound, so ``worst_error`` and
-    ``worst_bound`` are the measured-versus-bound pair closest to violation.
+    ``where`` is ``{"worst_t": t}`` for the t that maximizes error - bound, so
+    ``measured`` and ``bound`` are the pair closest to violation; a trace with
+    no round passes with no point.
     """
     T = trace.horizon
     if T < 1:
-        return ConsensusCertificate(T, None, None, None, None, True)
+        return Certificate(None, None, True)
     n = trace.n
     errors = _ratio_errors(trace.values[1:, :n], trace.weights[1:, :n], trace.average_input, 1)
     bounds = _rate_bounds(trace.graph, B, trace.inputs, np.arange(1, T + 1))
     i, passed = _worst_point(errors, bounds)
-    return ConsensusCertificate(
-        T, i + 1, float(errors[i]), float(bounds[i]), float(errors[-1]), passed
-    )
+    return Certificate(float(errors[i]), float(bounds[i]), passed, {"worst_t": i + 1})

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import (
+    Certificate,
     _allocate,
     _block_floor,
     _check_schedule,
@@ -33,7 +34,7 @@ from .errors import (
     _check_horizon,
     _horizon_fits,
 )
-from .problems import Ball, Box, OptProblem, ReferenceSolution, solve_reference
+from .problems import Ball, Box, OptProblem, ReferenceSolution, _reference_slack, solve_reference
 from .schedules import FailureSchedule
 from .graphs import AugmentedGraph, DirectedGraph, augment
 
@@ -47,9 +48,7 @@ __all__ = [
     "running_average",
     "mixing_error_bound",
     "optimality_gap_bound",
-    "MixingCertificate",
     "certify_mixing_error",
-    "GapCertificate",
     "certify_optimality_gap",
 ]
 
@@ -279,22 +278,13 @@ def optimality_gap_bound(
     return approx + radius + network
 
 
-@dataclass(frozen=True)
-class MixingCertificate:
-    horizon: int
-    first_t: int
-    bound: float
-    worst_t: int
-    worst_error: float
-    passed: bool
-
-
-def certify_mixing_error(trace: OptTrace, B: int) -> MixingCertificate:
+def certify_mixing_error(trace: OptTrace, B: int) -> Certificate:
     """Check max_i ||zbar[t] - z_i[t]/w_i[t]|| against its uniform bound,
     where zbar[t] sums the dual values over all m nodes and divides by n.
 
-    Evaluates every t from n*B + 1 through the trace horizon and reports the
-    iteration with the least margin, or the first non-finite measurement.
+    Evaluates every t from n*B + 1 through the trace horizon; ``where`` is
+    ``{"worst_t": t}`` for the iteration with the least margin, or the first
+    non-finite measurement.
     """
     _, _, block = contraction_constants(trace.graph, B)
     T = trace.horizon
@@ -305,31 +295,22 @@ def certify_mixing_error(trace: OptTrace, B: int) -> MixingCertificate:
     values, weights = trace.values[block:], trace.weights[block:]
     errors = _ratio_errors(values[:, :n], weights[:, :n], _node_sums(values) / n, block)
     worst, passed = _worst_point(errors, bound)
-    return MixingCertificate(T, block, bound, worst + block, float(errors[worst]), passed)
-
-
-@dataclass(frozen=True)
-class GapCertificate:
-    horizon: int
-    bound: float
-    reference_value: float
-    gaps: tuple
-    worst_agent: int
-    worst_gap: float
-    passed: bool
+    return Certificate(float(errors[worst]), bound, passed, {"worst_t": worst + block})
 
 
 def certify_optimality_gap(
-    trace: OptTrace,
-    B: int,
-    reference: ReferenceSolution | None = None,
-    slack: float = 0.0,
-) -> GapCertificate:
+    trace: OptTrace, B: int, reference: ReferenceSolution | None = None
+) -> Certificate:
     """Check every agent's running-average gap against the guarantee.
 
-    ``slack`` absorbs the tolerance of a grid-based reference value; pass
-    L * grid_step when the reference was found numerically.  A non-finite
-    gap fails the certificate and is reported for its first agent.
+    The gap is measured against ``reference`` (by default
+    :func:`~lossynet.problems.solve_reference`), which may lie above the
+    minimum by ``problems._reference_slack`` of the trace's problem (0 where
+    exact, else L times the grid step).  That allowance goes on the safe
+    side: the certificate passes only when the worst gap plus it is at most
+    the bound.  ``where`` is ``{"worst_agent": i}``, the first agent with the
+    largest gap or a non-finite one, which fails; ``detail`` holds every
+    agent's gap, ``per_agent_gap``.
     """
     T = trace.horizon
     bound = optimality_gap_bound(trace.problem, trace.graph, B, trace.step, T)
@@ -337,7 +318,9 @@ def certify_optimality_gap(
         reference = solve_reference(trace.problem)
     averages = np.array([running_average(trace, agent) for agent in range(1, trace.n + 1)])
     gaps = trace.problem.objective_at(averages) - reference.value
-    worst, passed = _worst_point(gaps, bound, slack)
-    return GapCertificate(
-        T, bound, reference.value, tuple(gaps.tolist()), worst + 1, float(gaps[worst]), passed
+    allowance = _reference_slack(trace.problem)
+    worst, passed = _worst_point(gaps, bound, allowance)
+    return Certificate(
+        float(gaps[worst]), bound, passed, {"worst_agent": worst + 1}, allowance,
+        {"per_agent_gap": tuple(gaps.tolist())},
     )

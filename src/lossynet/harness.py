@@ -26,6 +26,7 @@ import numpy as np
 
 from . import schedules
 from .consensus import (
+    Certificate,
     ConsensusTrace,
     _block_floor,
     certify_consensus_bound,
@@ -44,9 +45,7 @@ from .dual_averaging import (
 from .errors import ConfigError, DimensionMismatchError, _horizon_fits
 from .graphs import DirectedGraph, augment, graph_from_spec
 from .mixing import _audit_window
-from .problems import (
-    _COST_KINDS, Ball, Box, OptProblem, _check_reference_dim, _reference_slack, solve_reference
-)
+from .problems import _COST_KINDS, Ball, Box, OptProblem, _check_reference_dim, solve_reference
 from .schedules import FailureSchedule
 
 __all__ = [
@@ -762,10 +761,10 @@ def write_json(obj) -> str:
     return _render_json(_jsonable(obj), 0) + "\n"
 
 
-def _certification(measured, bound, passed, **where) -> dict:
-    """One entry of a summary's ``certifications``: the measured value, its
-    bound, the verdict, and where the certificate was taken."""
-    return {"measured": measured, "bound": bound, "passed": passed, **where}
+def _certification(cert: Certificate) -> dict:
+    """One entry of a summary's ``certifications``: the record's measured
+    value, its bound, the verdict, and where the certificate was taken."""
+    return {"measured": cert.measured, "bound": cert.bound, "passed": cert.passed, **cert.where}
 
 
 # The mass certificates' allowance: mass is conserved exactly, so the
@@ -773,14 +772,14 @@ def _certification(measured, bound, passed, **where) -> dict:
 MASS_RTOL = 1e-9
 
 
-def _mass_certifications(trace: ConsensusTrace) -> dict:
+def _mass_certificates(trace: ConsensusTrace) -> dict[str, Certificate]:
     totals = trace.values.sum(axis=1)
     target = trace.inputs.sum(axis=0)
     scale = max(1.0, float(np.abs(target).max()))
     value_dev = float(np.abs(totals - target).max()) / scale
     weight_dev = float(np.abs(trace.weights.sum(axis=1) - trace.n).max()) / trace.n
     return {
-        f"{name}_mass_conservation": _certification(dev, MASS_RTOL, dev <= MASS_RTOL)
+        f"{name}_mass_conservation": Certificate(dev, MASS_RTOL, dev <= MASS_RTOL)
         for name, dev in (("value", value_dev), ("weight", weight_dev))
     }
 
@@ -790,20 +789,17 @@ def _run_consensus(cfg, g, schedule, emit) -> dict:
     trace = _RUNNERS[cfg.algorithm](g, y, schedule, cfg.horizon)
     _stream_trace(emit, trace)
 
-    certifications: dict = {}
+    certificates: dict[str, Certificate] = {}
     if cfg.horizon >= 1:
-        certifications = _mass_certifications(trace)
+        certificates = _mass_certificates(trace)
         if cfg.algorithm == "convergent":
-            cert = certify_consensus_bound(trace, schedule.window)
-            certifications["consensus_rate_bound"] = _certification(
-                cert.worst_error, cert.worst_bound, cert.passed, worst_t=cert.worst_t
-            )
+            certificates["consensus_rate_bound"] = certify_consensus_bound(trace, schedule.window)
     return {
         "n": g.n,
         "algorithm": cfg.algorithm,
         "average_input": trace.average_input,
         "final_error": consensus_error(trace, trace.horizon),
-        "certifications": certifications,
+        "certifications": {name: _certification(c) for name, c in certificates.items()},
     }
 
 
@@ -826,16 +822,10 @@ def _run_optimize(cfg, g, schedule, emit) -> dict:
         "certifications": certifications,
     }
     if cfg.horizon >= block:
-        slack = _reference_slack(problem)
-        gap = certify_optimality_gap(trace, B, reference, slack=slack)
-        certifications["optimality_gap_bound"] = _certification(
-            gap.worst_gap, gap.bound, gap.passed, slack=slack, worst_agent=gap.worst_agent
-        )
-        summary["per_agent_gap"] = list(gap.gaps)
-        mixing = certify_mixing_error(trace, B)
-        certifications["mixing_error_bound"] = _certification(
-            mixing.worst_error, mixing.bound, mixing.passed, worst_t=mixing.worst_t
-        )
+        gap = certify_optimality_gap(trace, B, reference)
+        certifications["optimality_gap_bound"] = {**_certification(gap), "slack": gap.allowance}
+        summary["per_agent_gap"] = list(gap.detail["per_agent_gap"])
+        certifications["mixing_error_bound"] = _certification(certify_mixing_error(trace, B))
     return summary
 
 
@@ -851,14 +841,13 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
         "n": g.n,
         "b_window": B,
         "window": {"start": start, "end": end},
-        "delta": contraction.delta,
-        "lambda_product": contraction.lambda_product,
-        "gamma_bound": contraction.gamma_bound,
+        "delta": contraction.measured,
+        # lambda_product, gamma_bound and log10_gamma_bound.
+        **contraction.detail,
         "min_entry": float(product.min()),
         "beta_bound": floor,
         # beta_bound in log10, which does not underflow to 0.
         "log10_beta_bound": log10_floor,
-        "log10_gamma_bound": contraction.log10_gamma_bound,
         "pass_flags": {
             "entry_lower_bound": None if entry is None else entry.passed,
             "row_contraction": contraction.passed,

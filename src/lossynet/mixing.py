@@ -5,7 +5,11 @@ augmented nodes (agents plus per-edge buffers) linearly: stacking values as a
 row vector v, one round is v <- v @ M[t].  This module builds M[t] from a
 failure schedule, forms window products, and certifies the two facts the
 convergence argument rests on, a positive lower bound on every entry of long
-enough products and geometric decay of the column spread.
+enough products and geometric decay of the column spread.  Each verdict is a
+:class:`~lossynet.consensus.Certificate` located by its window: the entry
+certificate measures the product's smallest entry against beta**(n B + 1),
+the contraction certificate its column spread against the smaller of the
+lambda product and gamma**blocks.
 
 A window product, and so the audit, fills one round-matrix buffer per
 window: each round rewrites only the entries a delivery changes, choosing
@@ -21,13 +25,13 @@ its first round matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .consensus import (
-    ConsensusTrace, _allocate, _block_floor, _check_schedule, _input_matrix, contraction_constants
+    Certificate, ConsensusTrace, _allocate, _block_floor, _check_schedule, _input_matrix,
+    contraction_constants,
 )
 from .errors import (
     DimensionMismatchError,
@@ -47,8 +51,6 @@ __all__ = [
     "lambda_coefficient",
     "certify_entry_lower_bound",
     "certify_contraction",
-    "EntryBoundReport",
-    "ContractionReport",
 ]
 
 ROW_SUM_TOL = 1e-8
@@ -353,41 +355,22 @@ def lambda_coefficient(A) -> float:
     return float(1.0 - overlap)
 
 
-@dataclass(frozen=True)
-class EntryBoundReport:
-    """Positive lower bound check on every entry of a window product."""
-
-    window: tuple[int, int]
-    min_entry: float
-    bound: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Column-spread decay check for a window product."""
-
-    window: tuple[int, int]
-    delta: float
-    lambda_product: float
-    gamma_bound: float
-    log10_gamma_bound: float
-    passed: bool
-
-
 def _audit_window(
     ag: AugmentedGraph, schedule: FailureSchedule, r: int, t: int, B: int
-) -> tuple[np.ndarray, ContractionReport, EntryBoundReport | None]:
+) -> tuple[np.ndarray, Certificate, Certificate | None]:
     """Both certificates of M[r] ... M[t] from one pass over the window.
 
     Each M[k] is built once, advances the product and contributes its
-    lambda.  Returns the product, the contraction report, and the entry
-    report, which is None when the window is shorter than one block.
+    lambda.  Returns the product, the contraction certificate, and the entry
+    certificate, which is None when the window is shorter than one block.
+    The contraction's bound is min(prod lambda, gamma**blocks): rounding is
+    monotone, so adding the slack to the smaller one gives the verdict of
+    both checks.
     """
     if r > t:
         raise IterationOutOfRangeError(f"window [{r}, {t}] is empty")
     beta, gamma, block = contraction_constants(ag.base, B)
-    bound = _block_floor(beta, block)[0]
+    floor = _block_floor(beta, block)[0]
     _check_window(schedule, r, t)
     lambdas: list[float] = []
     product = _window_product(ag, schedule, r, t, lambdas)
@@ -395,15 +378,17 @@ def _audit_window(
     delta = delta_coefficient(product)
     blocks = (t - r + 1) // block
     gamma_bound = gamma**blocks
-    passed = delta <= lam + CONTRACTION_SLACK and delta <= gamma_bound + CONTRACTION_SLACK
-    contraction = ContractionReport(
-        (r, t), delta, lam, gamma_bound, _log10_gamma_bound(bound, blocks), passed
+    bound = min(lam, gamma_bound)
+    contraction = Certificate(
+        delta, bound, delta <= bound + CONTRACTION_SLACK, {"window": (r, t)}, CONTRACTION_SLACK,
+        {"lambda_product": lam, "gamma_bound": gamma_bound,
+         "log10_gamma_bound": _log10_gamma_bound(floor, blocks)},
     )
     entry = None
     if t - r + 1 >= block:
         min_entry = float(product.min())
-        floor = bound * (1.0 + _product_gamma(t - r + 1, ag.m))
-        entry = EntryBoundReport((r, t), min_entry, bound, min_entry >= floor)
+        threshold = floor * (1.0 + _product_gamma(t - r + 1, ag.m))
+        entry = Certificate(min_entry, floor, min_entry >= threshold, {"window": (r, t)})
     return product, contraction, entry
 
 
@@ -455,11 +440,12 @@ def _gamma(k: int) -> float:
 
 def certify_entry_lower_bound(
     ag: AugmentedGraph, schedule: FailureSchedule, r: int, t: int, B: int
-) -> EntryBoundReport:
+) -> Certificate:
     """Every entry of M[r] ... M[t] is at least beta**(n B + 1) once the
     window spans at least n B + 1 iterations of a B-window schedule.  The
-    computed product passes when its smallest entry is at least that bound
-    times 1 + gamma_k, its rounding allowance (:func:`_product_gamma`)."""
+    computed product passes when its smallest entry, ``measured``, is at
+    least that ``bound`` times 1 + gamma_k, its rounding allowance
+    (:func:`_product_gamma`); ``where`` is ``{"window": (r, t)}``."""
     _, _, block = contraction_constants(ag.base, B)
     if t - r + 1 < block:
         raise WindowTooShortError(
@@ -470,12 +456,15 @@ def certify_entry_lower_bound(
 
 def certify_contraction(
     ag: AugmentedGraph, schedule: FailureSchedule, r: int, t: int, B: int
-) -> ContractionReport:
+) -> Certificate:
     """Check both contraction certificates on M[r] ... M[t]:
 
     delta(product) <= prod_k lambda(M[k]) and
     delta(product) <= gamma**floor(window / (n B + 1)),
 
-    each up to :data:`CONTRACTION_SLACK`.
+    each up to :data:`CONTRACTION_SLACK`, the record's ``allowance``.
+    ``measured`` is delta, ``bound`` the smaller of the two, ``where`` is
+    ``{"window": (r, t)}``, and ``detail`` holds ``lambda_product``,
+    ``gamma_bound`` and ``log10_gamma_bound``.
     """
     return _audit_window(ag, schedule, r, t, B)[1]

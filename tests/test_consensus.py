@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossynet import (
-    ConsensusCertificate,
+    Certificate,
     ConsensusTrace,
     DimensionMismatchError,
     IterationOutOfRangeError,
@@ -378,7 +378,7 @@ def oracle_certify_consensus_bound(trace, B):
     point, and the pass rule the run harness applied to that point."""
     T, n = trace.horizon, trace.n
     if T < 1:
-        return ConsensusCertificate(T, None, None, None, None, True)
+        return Certificate(None, None, True)
     beta, gamma, block = contraction_constants(trace.graph, B)
     total = float(np.linalg.norm(trace.inputs.sum(axis=0)))
     floor = beta**block
@@ -397,7 +397,8 @@ def oracle_certify_consensus_bound(trace, B):
         err, b = error(t), bound(t)
         if worst is None or err - b > worst_margin:
             worst_margin, worst = err - b, (t, err, b)
-    return ConsensusCertificate(T, *worst, error(T), worst[1] <= worst[2])
+    t, err, b = worst
+    return Certificate(err, b, err <= b, {"worst_t": t})
 
 
 class TestRateBound:
@@ -438,8 +439,8 @@ class TestRateBound:
         trace = run_convergent_robust_push_sum(asym3, [0.2, 0.9, 0.4], schedule, 400)
         cert = certify_consensus_bound(trace, 2)
         assert cert.passed
-        assert cert.final_error < 1e-8
-        assert cert.worst_error <= cert.worst_bound
+        assert consensus_error(trace, 400) < 1e-8
+        assert cert.measured <= cert.bound
 
     def test_underflowing_floor_gives_infinite_bound(self):
         # Max out-degree 14 and block 151: beta**block underflows to 0.0.
@@ -453,9 +454,9 @@ class TestRateBound:
         trace = run_convergent_robust_push_sum(g, y, schedule, 20)
         cert = certify_consensus_bound(trace, 3)
         assert cert.passed
-        assert cert.worst_t == 1
-        assert cert.worst_error == consensus_error(trace, 1)
-        assert cert.worst_bound == math.inf
+        assert cert.where == {"worst_t": 1}
+        assert cert.measured == consensus_error(trace, 1)
+        assert cert.bound == math.inf
 
     def test_block_beyond_the_float_range(self, two_cycle):
         # The floor and its log10 keep their bits where block is a float.
@@ -478,8 +479,7 @@ class TestRateBound:
             two_cycle, [0.0, 1.0], all_reliable(two_cycle, 0), 0
         )
         cert = certify_consensus_bound(trace, 1)
-        assert cert.passed
-        assert cert.worst_t is None
+        assert cert == Certificate(None, None, True)
 
     def test_certify_flags_fabricated_violation(self, two_cycle):
         # An impossible trace whose agent ratios sit far from the average.
@@ -488,7 +488,7 @@ class TestRateBound:
         trace = ConsensusTrace(augment(two_cycle), np.array([[0.0], [1.0]]), values, weights)
         cert = certify_consensus_bound(trace, 1)
         assert not cert.passed
-        assert cert.worst_error > cert.worst_bound
+        assert cert.measured > cert.bound
 
 
 def _fabricated(graph, values, inputs):
@@ -551,7 +551,7 @@ class TestSignedInputs:
         base = run_convergent_robust_push_sum(asym3, shifted, schedule, 400)
         cert = certify_consensus_bound(signed, 2)
         assert cert.passed
-        assert cert.worst_bound == consensus_rate_bound(asym3, 2, y, cert.worst_t)
+        assert cert.bound == consensus_rate_bound(asym3, 2, y, cert.where["worst_t"])
         # Ratios are shift-equivariant: the shift moves every ratio and the
         # average alike, so the two runs measure the same errors.
         errors = [consensus_error(signed, t) for t in range(1, 401)]
@@ -563,7 +563,7 @@ class TestSignedInputs:
         y = [0.0, 0.9, 0.4]
         trace = run_convergent_robust_push_sum(asym3, y, schedule, 100)
         cert = certify_consensus_bound(trace, 2)
-        assert cert.worst_bound == consensus_rate_bound(asym3, 2, y, cert.worst_t)
+        assert cert.bound == consensus_rate_bound(asym3, 2, y, cert.where["worst_t"])
 
 
 class TestNonFiniteMeasurement:
@@ -574,19 +574,21 @@ class TestNonFiniteMeasurement:
         values[2] = 1e6
         values[3, 1] = bad
         values[4, 0] = math.nan
-        cert = certify_consensus_bound(_fabricated(two_cycle, values, [[0.0], [1.0]]), 1)
+        trace = _fabricated(two_cycle, values, [[0.0], [1.0]])
+        cert = certify_consensus_bound(trace, 1)
         assert not cert.passed
-        assert cert.worst_t == 3
-        assert not math.isfinite(cert.worst_error)
-        assert cert.final_error == 0.0
+        assert cert.where == {"worst_t": 3}
+        assert not math.isfinite(cert.measured)
+        assert consensus_error(trace, 5) == 0.0
 
     def test_non_finite_only_in_last_round(self, two_cycle):
         values = np.full((4, 2, 1), 0.5)
         values[3, 0] = math.inf
-        cert = certify_consensus_bound(_fabricated(two_cycle, values, [[0.0], [1.0]]), 1)
+        trace = _fabricated(two_cycle, values, [[0.0], [1.0]])
+        cert = certify_consensus_bound(trace, 1)
         assert not cert.passed
-        assert cert.worst_t == 3
-        assert cert.final_error == math.inf
+        assert cert.where == {"worst_t": 3}
+        assert consensus_error(trace, 3) == math.inf
 
     def test_zero_weight_names_first_round(self, two_cycle):
         trace = _fabricated(two_cycle, np.full((5, 2, 1), 0.5), [[0.0], [1.0]])

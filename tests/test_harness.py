@@ -24,17 +24,22 @@ from lossynet import (
     LossyNetError,
     all_reliable,
     StepSizeSchedule,
+    augment,
     bernoulli_b_bounded,
+    certify_consensus_bound,
+    certify_mixing_error,
+    certify_optimality_gap,
     graph_from_spec,
     load_config,
     problem_from_spec,
     run_convergent_robust_push_sum,
     run_distributed_dual_averaging,
     run_experiment,
+    solve_reference,
     write_json,
     write_schedule_csv,
 )
-from lossynet import cli, consensus, harness, mixing, problems, schedules
+from lossynet import cli, consensus, dual_averaging, harness, mixing, problems, schedules
 from lossynet.cli import main
 from lossynet.harness import _RUNNERS, _stream_psi, _stream_trace
 from lossynet.problems import _reference_slack
@@ -683,6 +688,73 @@ class TestAuditRuns:
         _stream_psi(chunks.append, product)
         assert len(chunks) == 1 + 7
         assert b"".join(chunks) == (tmp_path / "expected.csv").read_bytes()
+
+
+class TestCertificateRecords:
+    """Every verdict of a summary is one ``Certificate``: each entry of
+    ``certifications`` is ``harness._certification`` of the record its
+    certify function returns, and the audit's ``pass_flags`` are its two
+    records' ``passed``."""
+
+    def test_consensus_entries_are_their_records(self, tmp_path):
+        summary = run_experiment(ExperimentConfig.from_dict(CONSENSUS_RAW), tmp_path).summary
+        g = graph_from_spec(CONSENSUS_RAW["graph"])
+        schedule = bernoulli_b_bounded(g, 0.5, 3, 400, seed=7)
+        trace = run_convergent_robust_push_sum(g, CONSENSUS_RAW["inputs"], schedule, 400)
+        records = harness._mass_certificates(trace)
+        records["consensus_rate_bound"] = certify_consensus_bound(trace, 3)
+        assert summary["certifications"] == {
+            name: harness._certification(cert) for name, cert in records.items()
+        }
+        assert summary["certifications"]["consensus_rate_bound"]["worst_t"] >= 1
+
+    def test_optimize_entries_are_their_records(self, tmp_path):
+        summary = run_experiment(ExperimentConfig.from_dict(OPTIMIZE_RAW), tmp_path).summary
+        g = graph_from_spec(OPTIMIZE_RAW["graph"])
+        problem = problem_from_spec(OPTIMIZE_RAW["problem"])
+        trace = run_distributed_dual_averaging(
+            g, problem, bernoulli_b_bounded(g, 0.5, 3, 300, seed=7), StepSizeSchedule(1.0), 300
+        )
+        gap = certify_optimality_gap(trace, 3, solve_reference(problem))
+        assert gap.allowance == _reference_slack(problem)
+        assert summary["certifications"] == {
+            "optimality_gap_bound": {**harness._certification(gap), "slack": gap.allowance},
+            "mixing_error_bound": harness._certification(certify_mixing_error(trace, 3)),
+        }
+        assert summary["per_agent_gap"] == list(gap.detail["per_agent_gap"])
+
+    @pytest.mark.parametrize("start, end", [(1, 3), (2, 3), (1, 9)])
+    def test_audit_flags_are_their_records(self, tmp_path, start, end):
+        raw = dict(AUDIT_RAW, horizon=9, window={"start": start, "end": end},
+                   schedule={"kind": "bernoulli", "p_drop": 0.5, "B": 1, "seed": 2})
+        summary = run_experiment(ExperimentConfig.from_dict(raw), tmp_path).summary
+        g = graph_from_spec(raw["graph"])
+        schedule = bernoulli_b_bounded(g, 0.5, 1, 9, seed=2)
+        _, contraction, entry = mixing._audit_window(augment(g), schedule, start, end, 1)
+        assert summary["pass_flags"] == {
+            "entry_lower_bound": None if entry is None else entry.passed,
+            "row_contraction": contraction.passed,
+        }
+        assert (entry is None) == (end - start + 1 < 3)
+        assert summary["delta"] == contraction.measured
+        assert contraction.where == {"window": (start, end)}
+        for key, value in contraction.detail.items():
+            assert summary[key] == value
+
+    def test_gap_allowance_sits_on_the_safe_side(self, tmp_path, monkeypatch):
+        # The reference may lie above the minimum by the allowance, so a
+        # worst gap within the allowance below the bound does not show that
+        # the true gap meets it: a bound strictly between the worst gap and
+        # the worst gap plus the allowance fails.
+        cfg = ExperimentConfig.from_dict(OPTIMIZE_RAW)
+        gap = run_experiment(cfg, tmp_path / "a").summary["certifications"]["optimality_gap_bound"]
+        bound = gap["measured"] + gap["slack"] / 2
+        assert gap["measured"] < bound < gap["measured"] + gap["slack"]
+        monkeypatch.setattr(dual_averaging, "optimality_gap_bound", lambda *args: bound)
+        artifact = run_experiment(cfg, tmp_path / "b")
+        gap = artifact.summary["certifications"]["optimality_gap_bound"]
+        assert gap["bound"] == bound and gap["passed"] is False
+        assert not artifact.passed
 
 
 class TestTraceBytes:

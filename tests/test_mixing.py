@@ -310,8 +310,9 @@ class TestEntryLowerBound:
             augment(two_cycle), all_reliable(two_cycle, 3), 1, 3, 1
         )
         assert report.passed
-        assert report.min_entry == 0.1875
+        assert report.measured == 0.1875
         assert report.bound == 0.25**3
+        assert report.where == {"window": (1, 3)} and report.allowance == 0.0
 
     def test_window_shorter_than_block(self, two_cycle):
         with pytest.raises(WindowTooShortError):
@@ -369,10 +370,10 @@ class TestEntryRoundingAllowance:
         block = g.n * B + 1
         schedule = bernoulli_b_bounded(g, 0.5, B, block, seed=1)
         report = certify_entry_lower_bound(ag, schedule, 1, block, B)
-        assert report.passed and 0.0 < report.bound < 1e-170 < report.min_entry
+        assert report.passed and 0.0 < report.bound < 1e-170 < report.measured
         _move_entry(monkeypatch, 0.0)
         report = certify_entry_lower_bound(ag, schedule, 1, block, B)
-        assert report.min_entry == 0.0 and not report.passed
+        assert report.measured == 0.0 and not report.passed
 
     @pytest.mark.parametrize("excess, passed", [(0.0, False), (1.0, True)])
     def test_threshold_is_the_bound_times_one_plus_gamma(self, monkeypatch, two_cycle,
@@ -386,13 +387,13 @@ class TestEntryRoundingAllowance:
         entry = 0.25**3 * (1.0 + excess * gamma)
         _move_entry(monkeypatch, entry)
         report = certify_entry_lower_bound(ag, schedule, 1, 3, 1)
-        assert report.min_entry == entry and report.passed is passed
+        assert report.measured == entry and report.passed is passed
 
     def test_a_single_node_is_exact(self):
         g = build_graph(1, [])
         assert lossynet.mixing._product_gamma(5, 1) == 0.0
         report = certify_entry_lower_bound(augment(g), all_reliable(g, 2), 1, 2, 1)
-        assert report.min_entry == report.bound == 1.0 and report.passed
+        assert report.measured == report.bound == 1.0 and report.passed
 
 
 class TestContraction:
@@ -401,8 +402,11 @@ class TestContraction:
             augment(two_cycle), all_reliable(two_cycle, 6), 1, 6, 1
         )
         assert report.passed
-        assert report.gamma_bound == (1.0 - 0.25**3) ** 2
-        assert report.delta <= report.lambda_product
+        assert report.detail["gamma_bound"] == (1.0 - 0.25**3) ** 2
+        assert report.measured <= report.detail["lambda_product"]
+        assert report.bound == min(report.detail["lambda_product"], report.detail["gamma_bound"])
+        assert report.where == {"window": (1, 6)}
+        assert report.allowance == lossynet.mixing.CONTRACTION_SLACK
 
     def test_empty_window_rejected(self, two_cycle):
         with pytest.raises(IterationOutOfRangeError):
@@ -448,25 +452,28 @@ class TestContraction:
         _, gamma, block = contraction_constants(asym3, 2)
         schedule = bernoulli_b_bounded(asym3, 0.4, 2, 2 * block, seed=3)
         report = certify_contraction(augment(asym3), schedule, 1, 2 * block, 2)
-        assert report.gamma_bound == gamma**2
+        assert report.detail["gamma_bound"] == gamma**2
 
     def test_log10_gamma_bound_is_the_log_of_gamma_bound(self, two_cycle):
         ag, schedule = augment(two_cycle), all_reliable(two_cycle, 6)
         # Blocks of 3 rounds: none, one and two of them.
         for t, blocks in ((2, 0), (3, 1), (6, 2)):
             report = certify_contraction(ag, schedule, 1, t, 1)
-            assert report.log10_gamma_bound == pytest.approx(
+            detail = report.detail
+            assert detail["log10_gamma_bound"] == pytest.approx(
                 blocks * math.log10(1.0 - 0.25**3), rel=1e-14
             )
-            assert 10**report.log10_gamma_bound == pytest.approx(report.gamma_bound, rel=1e-14)
+            assert 10 ** detail["log10_gamma_bound"] == pytest.approx(
+                detail["gamma_bound"], rel=1e-14
+            )
 
     def test_log10_gamma_bound_of_a_single_node(self):
         g = build_graph(1, [])
         ag, schedule = augment(g), all_reliable(g, 4)
-        report = certify_contraction(ag, schedule, 1, 1, 1)
-        assert report.gamma_bound == 1.0 and report.log10_gamma_bound == 0.0
-        report = certify_contraction(ag, schedule, 1, 4, 1)
-        assert report.gamma_bound == 0.0 and report.log10_gamma_bound == -math.inf
+        detail = certify_contraction(ag, schedule, 1, 1, 1).detail
+        assert detail["gamma_bound"] == 1.0 and detail["log10_gamma_bound"] == 0.0
+        detail = certify_contraction(ag, schedule, 1, 4, 1).detail
+        assert detail["gamma_bound"] == 0.0 and detail["log10_gamma_bound"] == -math.inf
 
 
 class TestAuditPass:
@@ -520,7 +527,7 @@ class TestAuditPass:
         ]
         audited, contraction, _ = _audit_window(ag, schedule, r, t, 2)
         assert np.array_equal(audited, product)
-        assert contraction.lambda_product == math.prod(lambdas)
+        assert contraction.detail["lambda_product"] == math.prod(lambdas)
 
     def test_audit_memory_does_not_grow_with_window(self):
         # The complete graph on 8 agents has 1008 delivery-dependent entries

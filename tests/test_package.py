@@ -15,15 +15,17 @@ from lossynet import cli
 # ``graph_to_spec`` (called by tests only), ``NegativeInputError``
 # (nothing raises it since the rate bound takes signed inputs),
 # ``verify_b_bounded`` (``worst_gap`` compared with B) and
-# ``random_strongly_connected`` (a test helper now), all since removed.
+# ``random_strongly_connected`` (a test helper now), all since removed, and
+# with the five result types ``ConsensusCertificate``, ``MixingCertificate``,
+# ``GapCertificate``, ``EntryBoundReport`` and ``ContractionReport`` replaced
+# by one record, ``Certificate``.
 PUBLIC_NAMES = [
-    "AbsDistanceCost", "AugmentedGraph", "Ball", "Box", "CentralizedTrace", "ConfigError",
-    "ConsensusCertificate", "ConsensusTrace", "ContractionReport", "DimensionMismatchError",
-    "DimensionTooLargeError", "DirectedGraph", "DuplicateEdgeError", "EndpointOutOfRangeError",
-    "EntryBoundReport", "ExperimentConfig", "FailureSchedule", "GapCertificate",
-    "HorizonTooShortError", "IncompleteTableError", "IterationOutOfRangeError", "L2DistanceCost",
-    "LinearCost", "LossyNetError", "MalformedScheduleError", "MixingCertificate",
-    "NeverReliableLinkError", "NotRowStochasticError",
+    "AbsDistanceCost", "AugmentedGraph", "Ball", "Box", "CentralizedTrace", "Certificate",
+    "ConfigError", "ConsensusTrace", "DimensionMismatchError", "DimensionTooLargeError",
+    "DirectedGraph", "DuplicateEdgeError", "EndpointOutOfRangeError", "ExperimentConfig",
+    "FailureSchedule", "HorizonTooShortError", "IncompleteTableError",
+    "IterationOutOfRangeError", "L2DistanceCost", "LinearCost", "LossyNetError",
+    "MalformedScheduleError", "NeverReliableLinkError", "NotRowStochasticError",
     "NotStronglyConnectedError", "OptProblem", "OptTrace", "ReferenceSolution", "RunArtifact",
     "ScheduleTooShortError", "SelfLoopError", "StepSizeSchedule", "WindowTooShortError",
     "ZeroWeightError", "all_reliable", "augment", "bernoulli_b_bounded", "build_graph",
