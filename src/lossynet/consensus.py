@@ -350,8 +350,10 @@ def _block_floor(beta: float, block: int) -> tuple[float, float]:
         return (1.0, 0.0) if beta == 1.0 else (0.0, -math.inf)
 
 
-def consensus_rate_bound(g: DirectedGraph, B: int, y, t: int) -> float:
-    """A-priori bound on the worst ratio error of the convergent protocol.
+def consensus_rate_bound(g: DirectedGraph, B: int, y, t):
+    """A-priori bound on the worst ratio error of the convergent protocol
+    after iteration t: a float for one iteration, an array of the same shape
+    for an array of them.
 
     Valid on any B-window schedule: for nonnegative inputs,
     ||z_i[t] / w_i[t] - avg(y)|| <= ||sum(y)|| / (n beta**block) *
@@ -360,13 +362,10 @@ def consensus_rate_bound(g: DirectedGraph, B: int, y, t: int) -> float:
     move alike under a shift, so the errors stay the same.
     """
     inputs = _input_matrix(y, g.n)
-    if t < 1:
-        raise IterationOutOfRangeError(f"iteration must be >= 1, got {t}")
-    return float(_rate_bounds(g, B, inputs, np.array([t]))[0])
-
-
-def _rate_bounds(g: DirectedGraph, B: int, inputs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """consensus_rate_bound at each iteration of ``ts``."""
+    ts = np.asarray(t)
+    early = ts[ts < 1]
+    if early.size:
+        raise IterationOutOfRangeError(f"iteration must be >= 1, got {early[0]}")
     beta, gamma, block = contraction_constants(g, B)
     sums = (inputs - np.minimum(0.0, inputs.min(axis=0))).sum(axis=0)
     with np.errstate(over="ignore"):
@@ -374,12 +373,15 @@ def _rate_bounds(g: DirectedGraph, B: int, inputs: np.ndarray, ts: np.ndarray) -
     floor = _block_floor(beta, block)[0]
     if floor == 0.0:
         # beta**block underflowed: the bound lies above the float range.
-        return np.full(ts.shape, math.inf if total > 0.0 else 0.0)
-    # gamma**k by Python's float power on an object array: numpy's own float
-    # power may take a SIMD path that differs from it in the last bit.  The
-    # k = t // block are Python ints too, which take a block beyond int64.
-    decay = (gamma ** (ts.astype(object) // block)).astype(float)
-    return total / (g.n * floor) * decay
+        bounds = np.full(ts.shape, math.inf if total > 0.0 else 0.0)
+    else:
+        # gamma**k by Python's float power on an object array: numpy's own
+        # float power may take a SIMD path that differs from it in the last
+        # bit.  The k = t // block are Python ints too, which take a block
+        # beyond int64.
+        decay = np.array(gamma ** (ts.astype(object) // block), dtype=float)
+        bounds = total / (g.n * floor) * decay
+    return float(bounds) if bounds.ndim == 0 else bounds
 
 
 def _rescue_norms(x: np.ndarray, norms) -> np.ndarray:
@@ -511,6 +513,6 @@ def certify_consensus_bound(trace: ConsensusTrace, B: int) -> Certificate:
         return Certificate(None, None, True)
     n = trace.n
     errors = _ratio_errors(trace.values[1:, :n], trace.weights[1:, :n], trace.average_input, 1)
-    bounds = _rate_bounds(trace.graph, B, trace.inputs, np.arange(1, T + 1))
+    bounds = consensus_rate_bound(trace.graph, B, trace.inputs, np.arange(1, T + 1))
     i, passed = _worst_point(errors, bounds)
     return Certificate(float(errors[i]), float(bounds[i]), passed, {"worst_t": i + 1})

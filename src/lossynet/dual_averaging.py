@@ -1,4 +1,4 @@
-"""Dual averaging, centralized and over lossy directed networks.
+"""Dual averaging over lossy directed networks.
 
 The distributed method runs one collision-free aggregation round per
 iteration (the convergent cumulative-counter protocol from
@@ -34,15 +34,12 @@ from .errors import (
     _check_horizon,
     _horizon_fits,
 )
-from .problems import Ball, Box, OptProblem, ReferenceSolution, _reference_slack, solve_reference
+from .problems import OptProblem, ReferenceSolution, _reference_slack, solve_reference
 from .schedules import FailureSchedule
 from .graphs import AugmentedGraph, DirectedGraph, augment
 
 __all__ = [
     "StepSizeSchedule",
-    "proximal_projection",
-    "CentralizedTrace",
-    "run_centralized_dual_averaging",
     "OptTrace",
     "run_distributed_dual_averaging",
     "running_average",
@@ -69,67 +66,6 @@ class StepSizeSchedule:
         if t == 0:
             return float(self.constant)
         return float(self.constant) / math.sqrt(t)
-
-    def partial_sum(self, T: int) -> float:
-        """sum_{t=1}^{T} alpha(t-1), which stays below 2*A*sqrt(T) + A."""
-        if T <= 0:
-            return 0.0
-        inv_roots = 1.0 / np.sqrt(np.arange(1, T, dtype=float))
-        return float(self.constant) * (1.0 + float(inv_roots.sum()))
-
-
-def proximal_projection(z, alpha: float, feasible: Box | Ball) -> np.ndarray:
-    """argmin over the feasible set of <z, x> + (1/alpha) * (1/2)||x||^2.
-
-    For the quadratic proximal function this is the Euclidean projection of
-    -alpha * z.  Accepts a batch of dual vectors in the leading axes.
-    """
-    if not alpha > 0:
-        raise ValueError(f"step must be positive, got {alpha}")
-    y = np.multiply(np.asarray(z, dtype=float), -alpha)
-    return feasible.project(y, out=y)
-
-
-@dataclass(frozen=True, eq=False)
-class CentralizedTrace:
-    """Single-machine dual-averaging trajectory."""
-
-    problem: OptProblem
-    step: StepSizeSchedule
-    estimates: np.ndarray
-    duals: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.estimates.shape[0] - 1
-
-    def running_average(self, T: int | None = None) -> np.ndarray:
-        T = self.horizon if T is None else T
-        if not 1 <= T <= self.horizon:
-            raise IterationOutOfRangeError(f"need 1 <= T <= {self.horizon}, got {T}")
-        return self.estimates[1 : T + 1].mean(axis=0)
-
-
-def run_centralized_dual_averaging(
-    problem: OptProblem, steps: StepSizeSchedule, T: int
-) -> CentralizedTrace:
-    """Classic dual averaging on the full objective.
-
-    Starting from z = x = 0, each iteration adds a subgradient of the
-    averaged objective to z and sets x to the projection of the scaled dual.
-    """
-    _check_horizon(T)
-    d = problem.dim
-    estimates = np.zeros((T + 1, d))
-    duals = np.zeros((T + 1, d))
-    z = np.zeros(d)
-    x = np.zeros(d)
-    for t in range(1, T + 1):
-        z = z + problem.objective_subgradient(x)
-        x = proximal_projection(z, steps.alpha(t - 1), problem.feasible)
-        duals[t] = z
-        estimates[t] = x
-    return CentralizedTrace(problem, steps, estimates, duals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,14 +146,13 @@ def run_distributed_dual_averaging(
     return OptTrace(problem, ag, steps, estimates, values, weights, subgradients)
 
 
-def running_average(trace: OptTrace, agent: int, T: int | None = None) -> np.ndarray:
-    """(1/T) * sum of agent's estimates over iterations 1..T."""
-    T = trace.horizon if T is None else T
-    if not 1 <= T <= trace.horizon:
-        raise IterationOutOfRangeError(f"need 1 <= T <= {trace.horizon}, got {T}")
+def running_average(trace: OptTrace, agent: int) -> np.ndarray:
+    """(1/T) * sum of agent's estimates over iterations 1..T, the horizon."""
+    if trace.horizon < 1:
+        raise IterationOutOfRangeError(f"need a horizon of at least 1, got {trace.horizon}")
     if not 1 <= agent <= trace.n:
         raise IterationOutOfRangeError(f"agent {agent} outside 1..{trace.n}")
-    return trace.estimates[1 : T + 1, agent - 1].mean(axis=0)
+    return trace.estimates[1:, agent - 1].mean(axis=0)
 
 
 def _network_factor(beta: float, gamma: float, block: int) -> float:

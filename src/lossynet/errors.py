@@ -24,7 +24,7 @@ class NotStronglyConnectedError(LossyNetError):
 
 
 class IncompleteTableError(LossyNetError):
-    """A scripted schedule table does not cover edges x [1, T] exactly."""
+    """A schedule table does not cover edges x [1, T] exactly."""
 
 
 class MalformedScheduleError(LossyNetError):

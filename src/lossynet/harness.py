@@ -844,7 +844,8 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
         "delta": contraction.measured,
         # lambda_product, gamma_bound and log10_gamma_bound.
         **contraction.detail,
-        "min_entry": float(product.min()),
+        # The entry certificate measured the product's minimum already.
+        "min_entry": float(product.min()) if entry is None else entry.measured,
         "beta_bound": floor,
         # beta_bound in log10, which does not underflow to 0.
         "log10_beta_bound": log10_floor,

@@ -127,13 +127,13 @@ class Box:
         with np.errstate(over="ignore"):
             return float(0.5 * np.maximum(self.lower**2, self.upper**2).sum())
 
-    def project(self, x, out=None) -> np.ndarray:
-        """The nearest point of the box to each point of x, written into
-        ``out`` when given (which may be x itself)."""
-        return _clip(self.lower, self.upper, np.asarray(x, dtype=float), out)
+    def project(self, x) -> np.ndarray:
+        """The nearest point of the box to each point of x."""
+        return _clip(self.lower, self.upper, np.asarray(x, dtype=float), None)
 
     def _projector(self, shape):
-        """``project(x, out)`` for one run's float batches of ``shape``,
+        """``project(x)`` written into ``out`` (which may be x itself), as
+        ``projector(x, out)`` for one run's float batches of ``shape``,
         with the bounds broadcast to that shape once: a ufunc call with
         equal-shape operands costs less than half of one that broadcasts."""
         return partial(_clip, *(np.broadcast_to(b, shape).copy() for b in (self.lower, self.upper)))
@@ -188,15 +188,15 @@ class Ball:
         radius = float(self.radius)
         return 0.5 * (radius * radius)
 
-    def project(self, x, out=None) -> np.ndarray:
-        """The nearest point of the ball to each point of x, written into
-        ``out`` when given (which may be x itself).  A finite point whose
-        squared norm overflows is scaled by its rescued norm."""
+    def project(self, x) -> np.ndarray:
+        """The nearest point of the ball to each point of x.  A finite point
+        whose squared norm overflows is scaled by its rescued norm."""
         with np.errstate(over="ignore"):
-            return _shrink(self.radius, np.asarray(x, dtype=float), out)
+            return _shrink(self.radius, np.asarray(x, dtype=float), None)
 
     def _projector(self, shape):
-        """``project(x, out)`` for one run's float batches of ``shape``;
+        """``project(x)`` written into ``out`` (which may be x itself), as
+        ``projector(x, out)`` for one run's float batches of ``shape``;
         callers run it under ``np.errstate(over="ignore")``."""
         return partial(_shrink, self.radius)
 
@@ -470,15 +470,10 @@ class OptProblem:
                 out[start : start + block.shape[0]] = self._mean(values)
         return out
 
-    def subgradients(self, x) -> np.ndarray:
-        """Row i: a subgradient of component i at x[i], for x of shape (n, d)."""
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return self._subgradient_kernel()(x, np.empty((self.n_components, self.dim)))
-
     def _subgradient_kernel(self):
-        """One run's ``kernel(x, out)``, the batched ``subgradients`` with
-        its scratch bound once; callers run it under
+        """One run's ``kernel(x, out)``: row i of ``out`` becomes a
+        subgradient of component i at x[i], for x of shape (n, d), with the
+        kernel's scratch bound once; callers run it under
         ``np.errstate(over="ignore")``, since a squared norm may overflow
         before it is rescued.
 
@@ -509,10 +504,6 @@ class OptProblem:
 
     def objective(self, x) -> float:
         return float(self.objective_at(np.reshape(x, (1, self.dim)))[0])
-
-    def objective_subgradient(self, x) -> np.ndarray:
-        x = np.broadcast_to(np.asarray(x, dtype=float), (self.n_components, self.dim))
-        return self._mean(self.subgradients(x))
 
 
 def _float_mean(values: list, n: int) -> float:

@@ -26,12 +26,10 @@ from .graphs import DirectedGraph
 
 __all__ = [
     "FailureSchedule",
-    "scripted_schedule",
     "bernoulli_b_bounded",
     "periodic_adversarial",
     "all_reliable",
     "worst_gap",
-    "write_schedule_csv",
     "read_schedule_csv",
 ]
 
@@ -43,7 +41,7 @@ class FailureSchedule:
     ``indicators[t - 1, k]`` is the indicator of the k-th edge (lexicographic
     order) at iteration t.  ``window`` is a B such that every link delivers at
     least once in any B consecutive iterations: generators store the declared
-    B, scripted schedules store the smallest one that holds.
+    B, schedules read from a table store the smallest one that holds.
     """
 
     graph: DirectedGraph
@@ -90,22 +88,6 @@ def _max_outage_run(indicators: np.ndarray) -> int:
 def worst_gap(schedule: FailureSchedule) -> int:
     """Smallest B the stored indicators actually satisfy (1 when all-reliable)."""
     return _max_outage_run(schedule.indicators) + 1
-
-
-def scripted_schedule(g: DirectedGraph, T: int, table: dict) -> FailureSchedule:
-    """Schedule from an explicit map ((i, j), t) -> {0, 1}.
-
-    The table must cover edges x [1, T] exactly.  The stored window is the
-    smallest B the data satisfies; a link with no delivery at all has no such
-    B inside the horizon and is rejected.
-    """
-    _check_horizon(T)
-    entries = [
-        (int(key[0][0]), int(key[0][1]), int(key[1]), int(value) if value in (0, 1) else -1)
-        for key, value in table.items()
-    ]
-    src, dst, t, value = np.array(entries, dtype=np.int64).reshape(-1, 4).T
-    return _table_schedule(g, T, src, dst, t, value)
 
 
 def _edge_ids(g: DirectedGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -261,16 +243,6 @@ def all_reliable(g: DirectedGraph, T: int) -> FailureSchedule:
     return FailureSchedule(g, np.ones((T, g.num_edges), dtype=np.uint8), 1)
 
 
-def write_schedule_csv(schedule: FailureSchedule, path) -> None:
-    """Write rows (src, dst, t, indicator), edge-major then time-ascending."""
-    row = "%d,%d,%d,%d\n"
-    ts = range(1, schedule.horizon + 1)
-    with open(path, "w", newline="") as fh:
-        fh.write("src,dst,t,indicator\n")
-        for (i, j), column in zip(schedule.graph.edges, schedule.indicators.T.tolist()):
-            fh.write("".join([row % (i, j, t, v) for t, v in zip(ts, column)]))
-
-
 _COLUMNS = ("src", "dst", "t", "indicator")
 
 
@@ -354,9 +326,9 @@ def _csv_columns(path, width: int, cols: list) -> tuple:
 
 
 def read_schedule_csv(g: DirectedGraph, path) -> FailureSchedule:
-    """Read a schedule written by :func:`write_schedule_csv` and validate it
-    against ``g`` (well-formed rows, completeness, known edges, delivery
-    within horizon).  Blank lines are skipped, and the header gives the
+    """Read a schedule of rows (src, dst, t, indicator), one per edge and
+    iteration, and validate it against ``g`` (well-formed rows, completeness,
+    known edges, delivery within horizon).  Blank lines are skipped, and the header gives the
     column order; columns other than the four read here are ignored.  An
     empty file, or one of blank lines only, is an empty schedule.
 

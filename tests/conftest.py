@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from lossynet import build_graph, scripted_schedule
+from lossynet import build_graph
+
+from oracles import scripted_schedule
 
 
 @pytest.fixture

@@ -33,7 +33,6 @@ from lossynet import (
     evolve_by_matrices,
     iteration_matrix,
     periodic_adversarial,
-    run_centralized_dual_averaging,
     run_convergent_robust_push_sum,
     run_distributed_dual_averaging,
     run_experiment,
@@ -42,6 +41,7 @@ from lossynet import (
     solve_reference,
 )
 
+from oracles import run_centralized_dual_averaging
 from random_graphs import random_strongly_connected
 
 

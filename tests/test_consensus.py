@@ -24,11 +24,11 @@ from lossynet import (
     run_convergent_robust_push_sum,
     run_push_sum,
     run_robust_push_sum,
-    scripted_schedule,
 )
 from lossynet.consensus import _allocate, _block_floor, _CumulativeState, _rescue_norms
 from lossynet.errors import _horizon_fits
 
+from oracles import scripted_schedule
 from random_graphs import random_strongly_connected
 
 
@@ -433,6 +433,8 @@ class TestRateBound:
     def test_rejects_iteration_zero(self, two_cycle):
         with pytest.raises(IterationOutOfRangeError):
             consensus_rate_bound(two_cycle, 1, [1.0, 3.0], 0)
+        with pytest.raises(IterationOutOfRangeError, match=r"^iteration must be >= 1, got 0$"):
+            consensus_rate_bound(two_cycle, 1, [1.0, 3.0], np.array([2, 0, 1]))
 
     def test_certify_passes_on_real_run(self, asym3):
         schedule = bernoulli_b_bounded(asym3, 0.5, 2, 400, seed=5)
@@ -468,11 +470,14 @@ class TestRateBound:
         assert (beta, gamma, block) == (0.25, 1.0, 2 * B + 1)
         assert _block_floor(beta, block) == (0.0, -math.inf)
         assert consensus_rate_bound(two_cycle, B, [1.0, 3.0], 3) == math.inf
+        ts = np.array([1, 3])
+        assert consensus_rate_bound(two_cycle, B, [1.0, 3.0], ts).tolist() == [math.inf] * 2
         single = build_graph(1, [])
         assert contraction_constants(single, B) == (1.0, 0.0, B + 1)
         assert _block_floor(1.0, B + 1) == (1.0, 0.0)
         # ||sum(y)|| / (n * 1.0) * 0.0**0, before the first block ends.
         assert consensus_rate_bound(single, B, [2.0], 3) == 2.0
+        assert consensus_rate_bound(single, B, [2.0], ts).tolist() == [2.0, 2.0]
 
     def test_certify_trivial_for_empty_trace(self, two_cycle):
         trace = run_convergent_robust_push_sum(
@@ -564,6 +569,48 @@ class TestSignedInputs:
         trace = run_convergent_robust_push_sum(asym3, y, schedule, 100)
         cert = certify_consensus_bound(trace, 2)
         assert cert.bound == consensus_rate_bound(asym3, 2, y, cert.where["worst_t"])
+
+
+class TestRateBoundOverIterations:
+    # The certificate takes its per-round bounds from consensus_rate_bound
+    # at an array of iterations; one iteration gives a float with the bits
+    # the scalar call always had.
+    SIGNED = np.array([[2.0, -1.0], [-1.0, 7.0], [4.0, 0.5]])
+
+    def test_array_gives_the_bounds_the_certificate_compares(self, asym3):
+        schedule = bernoulli_b_bounded(asym3, 0.5, 2, 400, seed=5)
+        trace = run_convergent_robust_push_sum(asym3, self.SIGNED, schedule, 400)
+        ts = np.arange(1, 401)
+        bounds = consensus_rate_bound(asym3, 2, self.SIGNED, ts)
+        assert isinstance(bounds, np.ndarray) and bounds.shape == (400,)
+        # The formula per round in Python floats, on the shifted inputs.
+        beta, gamma, block = contraction_constants(asym3, 2)
+        shifted = self.SIGNED - np.minimum(0.0, self.SIGNED.min(axis=0))
+        total = float(np.linalg.norm(shifted.sum(axis=0)))
+        expected = [total / (3 * beta**block) * gamma ** (t // block) for t in range(1, 401)]
+        assert bounds.tobytes() == np.array(expected).tobytes()
+        scalars = [consensus_rate_bound(asym3, 2, self.SIGNED, t) for t in range(1, 401)]
+        assert np.array(scalars).tobytes() == bounds.tobytes()
+        # The certificate's worst point and verdict are those of these bounds.
+        errors = np.array([consensus_error(trace, t) for t in range(1, 401)])
+        cert = certify_consensus_bound(trace, 2)
+        worst = int(np.argmax(errors - bounds))
+        assert cert.where == {"worst_t": worst + 1}
+        assert cert.bound == bounds[worst] and cert.measured == errors[worst]
+        assert cert.passed == bool(errors[worst] <= bounds[worst])
+
+    @pytest.mark.parametrize("t, pinned", [
+        (1, "0x1.2e23f8e14d626p+24"),
+        (6, "0x1.2e23f8e14d626p+24"),
+        (7, "0x1.2e23f4bd7bf91p+24"),
+        (14, "0x1.2e23f099aa9e4p+24"),
+        (100, "0x1.2e23beebdec93p+24"),
+        (400, "0x1.2e230ce80776fp+24"),
+    ])
+    def test_scalar_keeps_its_bits(self, asym3, t, pinned):
+        bound = consensus_rate_bound(asym3, 2, self.SIGNED, t)
+        assert type(bound) is float and bound == float.fromhex(pinned)
+        assert consensus_rate_bound(asym3, 2, self.SIGNED, np.array([[t]])).tolist() == [[bound]]
 
 
 class TestNonFiniteMeasurement:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_all_four_demos_found():
@@ -22,3 +24,14 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # The README's library examples run in order in one namespace, so a
+    # name they import that the package no longer has fails here.
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    namespace = {"__name__": "readme"}
+    for k, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {k}", "exec"), namespace)

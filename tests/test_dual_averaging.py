@@ -32,8 +32,6 @@ from lossynet import (
     mixing_error_bound,
     optimality_gap_bound,
     periodic_adversarial,
-    proximal_projection,
-    run_centralized_dual_averaging,
     run_distributed_dual_averaging,
     running_average,
     solve_reference,
@@ -42,6 +40,7 @@ from lossynet import consensus, dual_averaging, problems
 from lossynet.consensus import _CumulativeState
 from lossynet.problems import _reference_slack
 
+from oracles import proximal_projection, run_centralized_dual_averaging
 from random_graphs import random_strongly_connected
 
 single = build_graph(1, [])
@@ -76,17 +75,12 @@ class TestStepSizeSchedule:
         with pytest.raises(IterationOutOfRangeError):
             StepSizeSchedule(1.0).alpha(-1)
 
-    def test_partial_sums(self):
-        steps = StepSizeSchedule(0.5)
-        assert steps.partial_sum(0) == 0.0
-        assert steps.partial_sum(1) == 0.5
-        assert steps.partial_sum(2) == 1.0
-        assert steps.partial_sum(3) == pytest.approx(1.0 + 0.5 / math.sqrt(2.0))
-
     def test_partial_sum_stays_below_root_envelope(self):
+        # optimality_gap_bound evaluates sum_{t=1}^{T} alpha(t-1) by its
+        # closed-form envelope 2*A*sqrt(T) + A; the steps must stay under it.
         steps = StepSizeSchedule(1.25)
         for T in (1, 10, 100, 10_000, 1_000_000):
-            assert steps.partial_sum(T) <= 2.0 * 1.25 * math.sqrt(T) + 1.25
+            assert sum(map(steps.alpha, range(T))) <= 2.0 * 1.25 * math.sqrt(T) + 1.25
 
 
 class TestProximalProjection:
@@ -266,9 +260,14 @@ class TestDistributed:
         with pytest.raises(IterationOutOfRangeError):
             trace.ratios(6)
         with pytest.raises(IterationOutOfRangeError):
-            running_average(trace, 4, 5)
+            running_average(trace, 4)
         with pytest.raises(IterationOutOfRangeError):
-            running_average(trace, 1, 0)
+            running_average(trace, 0)
+        empty = run_distributed_dual_averaging(
+            three_ring, median_problem(), all_reliable(three_ring, 0), StepSizeSchedule(1.0), 0
+        )
+        with pytest.raises(IterationOutOfRangeError, match=r"^need a horizon of at least 1"):
+            running_average(empty, 1)
 
 
 def interleaved_problem(d, feasible):

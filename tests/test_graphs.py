@@ -15,9 +15,9 @@ from lossynet import (
     graph_from_spec,
     is_strongly_connected,
     run_robust_push_sum,
-    scripted_schedule,
 )
 
+from oracles import scripted_schedule
 from random_graphs import random_strongly_connected
 
 

@@ -37,13 +37,13 @@ from lossynet import (
     run_experiment,
     solve_reference,
     write_json,
-    write_schedule_csv,
 )
 from lossynet import cli, consensus, dual_averaging, harness, mixing, problems, schedules
 from lossynet.cli import main
 from lossynet.harness import _RUNNERS, _stream_psi, _stream_trace
 from lossynet.problems import _reference_slack
 
+from oracles import write_schedule_csv
 from random_graphs import random_strongly_connected
 from test_mixing import _audit_benchmark_graph, _move_entry
 

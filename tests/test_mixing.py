@@ -29,13 +29,13 @@ from lossynet import (
     periodic_adversarial,
     run_convergent_robust_push_sum,
     run_experiment,
-    scripted_schedule,
 )
 from lossynet.mixing import (
     ROW_SUM_TOL, _audit_window, _check_row_stochastic, _fill_round, _round_tables, _window_product
 )
 from lossynet.schedules import FailureSchedule
 
+from oracles import scripted_schedule
 from random_graphs import random_strongly_connected
 
 # Augmented two-cycle: nodes 1, 2 then buffers for (1,2) and (2,1).

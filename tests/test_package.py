@@ -15,12 +15,15 @@ from lossynet import cli
 # ``graph_to_spec`` (called by tests only), ``NegativeInputError``
 # (nothing raises it since the rate bound takes signed inputs),
 # ``verify_b_bounded`` (``worst_gap`` compared with B) and
-# ``random_strongly_connected`` (a test helper now), all since removed, and
-# with the five result types ``ConsensusCertificate``, ``MixingCertificate``,
-# ``GapCertificate``, ``EntryBoundReport`` and ``ContractionReport`` replaced
-# by one record, ``Certificate``.
+# ``random_strongly_connected`` (a test helper now), all since removed, less
+# ``run_centralized_dual_averaging`` with its ``CentralizedTrace`` and
+# ``proximal_projection``, ``scripted_schedule`` and ``write_schedule_csv``
+# (moved to the tests' ``oracles`` module), and with the five result types
+# ``ConsensusCertificate``, ``MixingCertificate``, ``GapCertificate``,
+# ``EntryBoundReport`` and ``ContractionReport`` replaced by one record,
+# ``Certificate``.
 PUBLIC_NAMES = [
-    "AbsDistanceCost", "AugmentedGraph", "Ball", "Box", "CentralizedTrace", "Certificate",
+    "AbsDistanceCost", "AugmentedGraph", "Ball", "Box", "Certificate",
     "ConfigError", "ConsensusTrace", "DimensionMismatchError", "DimensionTooLargeError",
     "DirectedGraph", "DuplicateEdgeError", "EndpointOutOfRangeError", "ExperimentConfig",
     "FailureSchedule", "HorizonTooShortError", "IncompleteTableError",
@@ -34,11 +37,10 @@ PUBLIC_NAMES = [
     "contraction_constants", "delta_coefficient", "evolve_by_matrices", "graph_from_spec",
     "is_strongly_connected", "iteration_matrix", "lambda_coefficient",
     "load_config", "matrix_product", "mixing_error_bound", "optimality_gap_bound",
-    "periodic_adversarial", "problem_from_spec", "proximal_projection",
-    "read_schedule_csv", "run_centralized_dual_averaging",
+    "periodic_adversarial", "problem_from_spec", "read_schedule_csv",
     "run_convergent_robust_push_sum", "run_distributed_dual_averaging", "run_experiment",
-    "run_push_sum", "run_robust_push_sum", "running_average", "scripted_schedule",
-    "solve_reference", "worst_gap", "write_json", "write_schedule_csv",
+    "run_push_sum", "run_robust_push_sum", "running_average", "solve_reference", "worst_gap",
+    "write_json",
 ]
 
 MODULES = ("consensus", "dual_averaging", "errors", "graphs", "harness", "mixing", "problems",
@@ -100,13 +102,8 @@ def test_every_error_class_is_raised():
 # Public names that nothing in ``src/lossynet`` or ``demos/`` loads, each
 # with the reason it stays public.
 UNCALLED_PUBLIC_NAMES = {
-    "consensus_rate_bound": "the README's library API: the rate bound at one iteration",
-    "scripted_schedule": "the README's library API: a schedule from an explicit table",
-    "write_schedule_csv": "the README's library API: the CSV that read_schedule_csv reads",
     "evolve_by_matrices": "the matrix encoding of the rounds, which acceptance criterion 03 "
                           "checks the simulator against",
-    "run_centralized_dual_averaging": "the failure-free centralized baseline of the paper's "
-                                      "rate claim",
 }
 
 
@@ -127,16 +124,12 @@ def test_every_public_name_has_a_caller():
 # Public methods and properties that nothing in ``src/lossynet`` or
 # ``demos/`` loads as an attribute, each with the reason it stays public.
 UNCALLED_PUBLIC_METHODS = {
-    "StepSizeSchedule.partial_sum": "the sum of the steps that the paper's gap bound is stated "
-                                    "in; the bound evaluates its closed-form envelope instead",
     "LinearCost.subgradient": "the scalar oracle of the batched kernel, kept until the "
                               "benchmark's tracer stops wrapping it (ROADMAP item 9)",
     "AbsDistanceCost.subgradient": "the scalar oracle of the batched kernel, kept until the "
                                    "benchmark's tracer stops wrapping it (ROADMAP item 9)",
     "L2DistanceCost.subgradient": "the scalar oracle of the batched kernel, kept until the "
                                   "benchmark's tracer stops wrapping it (ROADMAP item 9)",
-    "CentralizedTrace.running_average": "the averaged iterate of the failure-free baseline, "
-                                        "whose runner is public for the same reason",
 }
 
 
@@ -163,11 +156,6 @@ def test_every_public_method_has_a_caller():
 # Defaulted parameters of public functions and methods that no call in
 # ``src/lossynet`` or ``demos/`` passes, each with the reason it stays.
 UNCALLED_PUBLIC_PARAMETERS = {
-    "running_average(T)": "the average over the first T rounds, which ROADMAP item 1's rate "
-                          "report reads at several T",
-    "CentralizedTrace.running_average(T)": "the baseline's average over the first T rounds, "
-                                           "which ROADMAP item 1's rate report reads at "
-                                           "several T",
     "main(argv)": "the command line as a list, which the benchmark and the tests pass",
 }
 
@@ -218,7 +206,7 @@ def test_every_public_parameter_has_a_caller():
                     positions[key] = max(positions.get(key, 0), count)
         if path in package:
             defaulted.extend(_defaulted_parameters(tree))
-    assert len(defaulted) > 10
+    assert len(defaulted) >= 8
     uncalled = sorted(
         qualified for qualified, key, arg, position in defaulted
         if (key, arg) not in keywords

@@ -19,12 +19,12 @@ from lossynet import (
     build_graph,
     periodic_adversarial,
     read_schedule_csv,
-    scripted_schedule,
     worst_gap,
-    write_schedule_csv,
 )
 from lossynet import schedules
 from lossynet.schedules import _max_outage_run
+
+from oracles import scripted_schedule, write_schedule_csv
 
 
 def _table(g, columns):
