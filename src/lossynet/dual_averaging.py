@@ -246,6 +246,10 @@ def certify_optimality_gap(
     the bound.  ``where`` is ``{"worst_agent": i}``, the first agent with the
     largest gap or a non-finite one, which fails; ``detail`` holds every
     agent's gap, ``per_agent_gap``.
+
+    ``reference`` exists to reuse ``solve_reference(trace.problem)`` where
+    the caller holds it already; any other reference is the caller's claim
+    about the minimum, which the certificate does not check.
     """
     T = trace.horizon
     bound = optimality_gap_bound(trace.problem, trace.graph, B, trace.step, T)

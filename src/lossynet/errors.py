@@ -65,7 +65,8 @@ class DimensionMismatchError(LossyNetError):
 
 
 class DimensionTooLargeError(LossyNetError):
-    """No analytic optimum is known and the grid oracle only covers d <= 2."""
+    """The reference has no closed form (not every component is linear), and
+    the grid search covers d <= 2 only."""
 
 
 class ConfigError(LossyNetError):

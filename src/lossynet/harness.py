@@ -28,7 +28,6 @@ from . import schedules
 from .consensus import (
     Certificate,
     ConsensusTrace,
-    _block_floor,
     certify_consensus_bound,
     consensus_error,
     contraction_constants,
@@ -42,7 +41,7 @@ from .dual_averaging import (
     certify_optimality_gap,
     run_distributed_dual_averaging,
 )
-from .errors import ConfigError, DimensionMismatchError, _horizon_fits
+from .errors import ConfigError, DimensionMismatchError
 from .graphs import DirectedGraph, augment, graph_from_spec
 from .mixing import _audit_window
 from .problems import _COST_KINDS, Ball, Box, OptProblem, _check_reference_dim, solve_reference
@@ -439,8 +438,7 @@ def _build_schedule(
         seed = None
     elif seed is None:
         seed = spec.get("seed", 0)
-    with _horizon_fits(T) if kind.generated else contextlib.nullcontext():
-        return kind.build(spec, g, T, seed, root), seed
+    return kind.build(spec, g, T, seed, root), seed
 
 
 def schedule_verdict(path, seed: int | None = None) -> dict:
@@ -833,8 +831,6 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
     ag = augment(g)
     B = schedule.window
     start, end = cfg.window["start"], cfg.window["end"]
-    beta, _, block = contraction_constants(g, B)
-    floor, log10_floor = _block_floor(beta, block)
     product, contraction, entry = _audit_window(ag, schedule, start, end, B)
     _stream_psi(emit, product)
     return {
@@ -842,13 +838,11 @@ def _run_audit(cfg, g, schedule, emit) -> dict:
         "b_window": B,
         "window": {"start": start, "end": end},
         "delta": contraction.measured,
-        # lambda_product, gamma_bound and log10_gamma_bound.
+        # lambda_product, gamma_bound, log10_gamma_bound, beta_bound and
+        # log10_beta_bound.
         **contraction.detail,
         # The entry certificate measured the product's minimum already.
         "min_entry": float(product.min()) if entry is None else entry.measured,
-        "beta_bound": floor,
-        # beta_bound in log10, which does not underflow to 0.
-        "log10_beta_bound": log10_floor,
         "pass_flags": {
             "entry_lower_bound": None if entry is None else entry.passed,
             "row_contraction": contraction.passed,

@@ -370,7 +370,7 @@ def _audit_window(
     if r > t:
         raise IterationOutOfRangeError(f"window [{r}, {t}] is empty")
     beta, gamma, block = contraction_constants(ag.base, B)
-    floor = _block_floor(beta, block)[0]
+    floor, log10_floor = _block_floor(beta, block)
     _check_window(schedule, r, t)
     lambdas: list[float] = []
     product = _window_product(ag, schedule, r, t, lambdas)
@@ -382,7 +382,8 @@ def _audit_window(
     contraction = Certificate(
         delta, bound, delta <= bound + CONTRACTION_SLACK, {"window": (r, t)}, CONTRACTION_SLACK,
         {"lambda_product": lam, "gamma_bound": gamma_bound,
-         "log10_gamma_bound": _log10_gamma_bound(floor, blocks)},
+         "log10_gamma_bound": _log10_gamma_bound(floor, blocks),
+         "beta_bound": floor, "log10_beta_bound": log10_floor},
     )
     entry = None
     if t - r + 1 >= block:
@@ -465,6 +466,7 @@ def certify_contraction(
     each up to :data:`CONTRACTION_SLACK`, the record's ``allowance``.
     ``measured`` is delta, ``bound`` the smaller of the two, ``where`` is
     ``{"window": (r, t)}``, and ``detail`` holds ``lambda_product``,
-    ``gamma_bound`` and ``log10_gamma_bound``.
+    ``gamma_bound``, ``log10_gamma_bound``, and the block floor
+    beta**(n B + 1) as ``beta_bound`` with its log10, ``log10_beta_bound``.
     """
     return _audit_window(ag, schedule, r, t, B)[1]

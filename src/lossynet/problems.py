@@ -1,12 +1,13 @@
 """Convex objective components, feasible sets, and a reference solver.
 
 A problem is a mean of per-agent convex costs minimized over a box or a
-Euclidean ball.  Component oracles return a value and one subgradient; at
-kinks where 0 is a valid subgradient they return 0, so runs are deterministic.
+Euclidean ball.  Subgradients at kinks where 0 is a valid subgradient are 0,
+so runs are deterministic.
 
 Each cost kind is declared once, as a class naming its parameter field
-(``_PARAM``) and spec name (``_NAME``), with scalar
-``value``/``subgradient`` oracles and batched kernels that give their bits.
+(``_PARAM``) and spec name (``_NAME``), with batched kernels for its values
+(``_values``) and subgradients (``_kernel``), and a scalar ``subgradient``
+that the batched kernel gives the bits of.
 :class:`OptProblem` stacks its components once, an (n, d) parameter array
 and a row mask per kind, which ``objective_at`` and the subgradient kernel
 both read.  A run's subgradient kernel (``OptProblem._subgradient_kernel``)
@@ -21,7 +22,8 @@ oracle's +0; both give the same bits.  Likewise a feasible set's
 ``_projector`` binds one run's projection, the box with its bounds broadcast
 to the batch shape.  A finite offset or point whose squared norm overflows
 gets the norm rescaled by its largest |entry|, as the certificates' norms
-do, in values, subgradients and projections, scalar and batched alike.
+do, in values, subgradients and projections.  The reference is exact
+exactly when every component is linear; any other takes the grid search.
 """
 
 from __future__ import annotations
@@ -256,15 +258,12 @@ class LinearCost(_Cost):
         with np.errstate(over="ignore"):
             return float(_rescue_norms(self.c, np.linalg.norm(self.c)))
 
-    def value(self, x) -> float:
-        return float(self.c @ np.asarray(x, dtype=float))
-
     def subgradient(self, x) -> np.ndarray:
         return self.c.copy()
 
     @staticmethod
     def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """(j, k) values at k points (k, d), each the dot of ``value``."""
+        """(j, k) values <c, x> at k points (k, d)."""
         return (params[:, None, None, :] @ points[None, :, :, None])[..., 0, 0]
 
     @staticmethod
@@ -283,9 +282,6 @@ class AbsDistanceCost(_Cost):
     def lipschitz(self) -> float:
         return float(np.sqrt(self.dim))
 
-    def value(self, x) -> float:
-        return float(np.abs(np.asarray(x, dtype=float) - self.a).sum())
-
     def subgradient(self, x) -> np.ndarray:
         # sign() is 0 at kinks, where 0 is a valid subgradient; an offset
         # beyond the float range is an infinite one of the same sign.
@@ -294,9 +290,9 @@ class AbsDistanceCost(_Cost):
 
     @staticmethod
     def _values(params: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """(j, k) values at k points (k, d), each the sum of ``value``.  With
-        d < 8 the |offsets| are added one coordinate at a time, left to right
-        as numpy sums a short axis."""
+        """(j, k) values sum_k |x_k - a_k| at k points (k, d).  With d < 8
+        the |offsets| are added one coordinate at a time, left to right as
+        numpy sums a short axis."""
         if points.shape[1] >= _PAIRWISE:
             return np.abs(points[None, :, :] - params[:, None, :]).sum(axis=2)
         for k, (coordinate, param) in enumerate(zip(points.T, params.T)):
@@ -323,11 +319,6 @@ class L2DistanceCost(_Cost):
     @property
     def lipschitz(self) -> float:
         return 1.0
-
-    def value(self, x) -> float:
-        diff = np.asarray(x, dtype=float) - self.a
-        with np.errstate(over="ignore"):
-            return float(_rescue_norms(diff, np.linalg.norm(diff)))
 
     def subgradient(self, x) -> np.ndarray:
         diff = np.asarray(x, dtype=float) - self.a
@@ -384,8 +375,7 @@ class OptProblem:
     """Minimize the average of the component costs over the feasible set.
 
     The bounds' Lipschitz constant is the largest component constant
-    (``lipschitz_bound``).  ``optimum`` may carry a known minimizer, which
-    :func:`solve_reference` returns directly.
+    (``lipschitz_bound``).
     Components must be ``LinearCost``, ``AbsDistanceCost`` or
     ``L2DistanceCost``; their parameters are copied into one stack here,
     so later changes to a component's array are not seen.
@@ -393,7 +383,6 @@ class OptProblem:
 
     components: tuple
     feasible: Box | Ball
-    optimum: np.ndarray | None = None
 
     def __post_init__(self):
         components = tuple(self.components)
@@ -419,10 +408,6 @@ class OptProblem:
         # Each kind's own rows and their parameters, for objective_at.
         stacks = tuple((kind, rows[:, 0], params[rows[:, 0]]) for kind, rows in kinds)
         object.__setattr__(self, "_stacks", stacks)
-        if self.optimum is not None:
-            object.__setattr__(
-                self, "optimum", np.atleast_1d(np.asarray(self.optimum, dtype=float))
-            )
 
     @property
     def dim(self) -> int:
@@ -569,10 +554,9 @@ def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -
 
 
 def _exact_reference(p: OptProblem) -> bool:
-    """Whether :func:`solve_reference` gives p's minimum exactly: a known
-    optimum is attached, or every component is linear, whose mean has a
-    closed-form minimizer."""
-    return p.optimum is not None or [kind for kind, _ in p._kinds] == [LinearCost]
+    """Whether :func:`solve_reference` gives p's minimum exactly: when every
+    component is linear, whose mean has a closed-form minimizer."""
+    return [kind for kind, _ in p._kinds] == [LinearCost]
 
 
 def _unit_set(fs: Box | Ball) -> tuple[Box | Ball, int]:
@@ -606,19 +590,18 @@ def _check_reference_dim(p: OptProblem) -> None:
     if p.dim > 2 and not _exact_reference(p):
         raise DimensionTooLargeError(
             f"grid search covers d <= 2 only, got d = {p.dim}; a higher dimension needs "
-            "linear components only, whose optimum has a closed form, or a known optimum "
-            "attached to the OptProblem, which only the library API takes"
+            "linear components only, whose optimum has a closed form"
         )
 
 
 def solve_reference(p: OptProblem) -> ReferenceSolution:
     """Reference minimizer and value.
 
-    Uses a known optimum when attached, the closed form for purely linear
-    objectives, and otherwise a coarse grid plus golden-section refinement
-    for d <= 2, keeping the grid's best point where the refined point's
-    value is not at most its value; the value error of the grid path is at
-    most about lipschitz * grid step, a step of 1e-4 of the set diameter.
+    Uses the closed form for purely linear objectives, and otherwise a
+    coarse grid plus golden-section refinement for d <= 2, keeping the
+    grid's best point where the refined point's value is not at most its
+    value; the value error of the grid path is at most about lipschitz *
+    grid step, a step of 1e-4 of the set diameter.
     The grid path runs on the set scaled by 2**-e (``_unit_set``), whose
     points are scaled back before each objective call.  Its grid filter
     lets a point lie 1e-12 outside the set, or 1e-12 * 2**e where the
@@ -627,16 +610,13 @@ def solve_reference(p: OptProblem) -> ReferenceSolution:
     _check_reference_dim(p)
     fs = p.feasible
     if _exact_reference(p):
-        if p.optimum is not None:
-            x = fs.project(p.optimum)
+        cbar = np.mean(p._params, axis=0)
+        if isinstance(fs, Ball):
+            norm = np.linalg.norm(cbar)
+            x = np.zeros(fs.dim) if norm == 0.0 else -fs.radius * cbar / norm
         else:
-            cbar = np.mean(p._params, axis=0)
-            if isinstance(fs, Ball):
-                norm = np.linalg.norm(cbar)
-                x = np.zeros(fs.dim) if norm == 0.0 else -fs.radius * cbar / norm
-            else:
-                zero = fs.project(np.zeros(fs.dim))
-                x = np.where(cbar > 0, fs.lower, np.where(cbar < 0, fs.upper, zero))
+            zero = fs.project(np.zeros(fs.dim))
+            x = np.where(cbar > 0, fs.lower, np.where(cbar < 0, fs.upper, zero))
         return ReferenceSolution(x, p.objective(x))
 
     unit, e = _unit_set(fs)

@@ -21,6 +21,7 @@ from .errors import (
     MalformedScheduleError,
     NeverReliableLinkError,
     _check_horizon,
+    _horizon_fits,
 )
 from .graphs import DirectedGraph
 
@@ -208,20 +209,21 @@ def bernoulli_b_bounded(
         raise ValueError(f"B must be >= 1, got {B}")
     _check_horizon(T)
     rng = np.random.default_rng(seed)
-    proposed = rng.random((T, g.num_edges)) < p_drop
-    # A proposed drop is forced to deliver exactly when its 1-based position
-    # in its column's run of consecutive proposed drops is a multiple of B:
-    # the forced delivery ends the outage, and the run goes on from there.
-    # Positions never exceed T, so they are counted in the smallest unsigned
-    # type that holds T + 1, and a B beyond T + 1 acts as T + 1.
-    position = np.cumsum(proposed, axis=0, dtype=np.min_scalar_type(T + 1))
-    # Each round's count at the column's last round without a proposed drop.
-    start = np.where(proposed, 0, position)
-    np.maximum.accumulate(start, axis=0, out=start)
-    position -= start
-    del start
-    np.remainder(position, min(B, T + 1), out=position)
-    return FailureSchedule(g, position == 0, B)
+    with _horizon_fits(T):
+        proposed = rng.random((T, g.num_edges)) < p_drop
+        # A proposed drop is forced to deliver exactly when its 1-based position
+        # in its column's run of consecutive proposed drops is a multiple of B:
+        # the forced delivery ends the outage, and the run goes on from there.
+        # Positions never exceed T, so they are counted in the smallest unsigned
+        # type that holds T + 1, and a B beyond T + 1 acts as T + 1.
+        position = np.cumsum(proposed, axis=0, dtype=np.min_scalar_type(T + 1))
+        # Each round's count at the column's last round without a proposed drop.
+        start = np.where(proposed, 0, position)
+        np.maximum.accumulate(start, axis=0, out=start)
+        position -= start
+        del start
+        np.remainder(position, min(B, T + 1), out=position)
+        return FailureSchedule(g, position == 0, B)
 
 
 def periodic_adversarial(g: DirectedGraph, B: int, T: int) -> FailureSchedule:
@@ -230,17 +232,19 @@ def periodic_adversarial(g: DirectedGraph, B: int, T: int) -> FailureSchedule:
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     _check_horizon(T)
-    # A slice rather than t % B: B may lie beyond the 64-bit range.
-    ticks = np.zeros(T, dtype=np.uint8)
-    ticks[B - 1 :: B] = 1
-    ind = np.repeat(ticks[:, None], g.num_edges, axis=1)
-    return FailureSchedule(g, ind, B)
+    with _horizon_fits(T):
+        # A slice rather than t % B: B may lie beyond the 64-bit range.
+        ticks = np.zeros(T, dtype=np.uint8)
+        ticks[B - 1 :: B] = 1
+        ind = np.repeat(ticks[:, None], g.num_edges, axis=1)
+        return FailureSchedule(g, ind, B)
 
 
 def all_reliable(g: DirectedGraph, T: int) -> FailureSchedule:
     """Every link delivers at every iteration."""
     _check_horizon(T)
-    return FailureSchedule(g, np.ones((T, g.num_edges), dtype=np.uint8), 1)
+    with _horizon_fits(T):
+        return FailureSchedule(g, np.ones((T, g.num_edges), dtype=np.uint8), 1)
 
 
 _COLUMNS = ("src", "dst", "t", "indicator")

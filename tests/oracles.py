@@ -7,6 +7,8 @@ the independent side of a comparison or to build test inputs.
   criterion 10).
 - ``subgradients`` is the batched subgradient of every component at its own
   point, through the kernel a distributed run binds.
+- ``value`` is a cost component's value at one point by its kind's scalar
+  formula, against which ``objective_at`` is checked.
 - ``scripted_schedule`` and ``write_schedule_csv`` build a schedule from an
   explicit table and write the CSV that ``read_schedule_csv`` reads.
 """
@@ -17,10 +19,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lossynet import Ball, Box, FailureSchedule, OptProblem, StepSizeSchedule
+from lossynet import (
+    AbsDistanceCost,
+    Ball,
+    Box,
+    FailureSchedule,
+    LinearCost,
+    OptProblem,
+    StepSizeSchedule,
+)
+from lossynet.consensus import _rescue_norms
 from lossynet.errors import IterationOutOfRangeError, _check_horizon
 from lossynet.graphs import DirectedGraph
 from lossynet.schedules import _table_schedule
+
+
+def value(cost, x) -> float:
+    """The value of one cost component at one point x, by the scalar formula
+    of its kind."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(cost, LinearCost):
+        return float(cost.c @ x)
+    if isinstance(cost, AbsDistanceCost):
+        return float(np.abs(x - cost.a).sum())
+    diff = x - cost.a
+    with np.errstate(over="ignore"):
+        return float(_rescue_norms(diff, np.linalg.norm(diff)))
 
 
 def subgradients(problem: OptProblem, x) -> np.ndarray:

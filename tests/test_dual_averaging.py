@@ -21,6 +21,7 @@ from lossynet import (
     L2DistanceCost,
     LinearCost,
     OptProblem,
+    ReferenceSolution,
     ScheduleTooShortError,
     StepSizeSchedule,
     all_reliable,
@@ -809,9 +810,7 @@ class TestGapBound:
         trace = run_distributed_dual_averaging(
             three_ring, p, schedule, StepSizeSchedule(0.5), 100
         )
-        exact = solve_reference(
-            OptProblem(p.components, p.feasible, optimum=[0.5])
-        )
+        exact = ReferenceSolution(np.array([0.5]), p.objective([0.5]))
         cert = certify_optimality_gap(trace, 2, reference=exact)
         assert cert.passed
         averages = [running_average(trace, agent) for agent in (1, 2, 3)]
@@ -897,7 +896,7 @@ class TestNonFiniteMeasurement:
         estimates = lossy_run.estimates.copy()
         estimates[50, 1] = math.nan
         estimates[10, 2] = math.nan
-        exact = solve_reference(OptProblem(lossy_run.problem.components, unit_box, optimum=[0.5]))
+        exact = ReferenceSolution(np.array([0.5]), lossy_run.problem.objective([0.5]))
         cert = certify_optimality_gap(dataclasses.replace(lossy_run, estimates=estimates), 2, exact)
         assert not cert.passed
         assert cert.where == {"worst_agent": 2}

@@ -1631,8 +1631,7 @@ class TestCli:
         err = capsys.readouterr().err
         message = (
             "error: grid search covers d <= 2 only, got d = 3; a higher dimension needs linear "
-            "components only, whose optimum has a closed form, or a known optimum attached to "
-            "the OptProblem, which only the library API takes\n"
+            "components only, whose optimum has a closed form\n"
         )
         assert (message in err) == (code == 1)
         assert (tmp_path / "out").exists() == (code == 0)

@@ -454,6 +454,16 @@ class TestContraction:
         report = certify_contraction(augment(asym3), schedule, 1, 2 * block, 2)
         assert report.detail["gamma_bound"] == gamma**2
 
+    def test_detail_holds_the_block_floor(self, asym3):
+        # beta**(n B + 1) and its log10, which the audit's summary reports
+        # as beta_bound and log10_beta_bound.
+        beta, _, block = contraction_constants(asym3, 2)
+        schedule = bernoulli_b_bounded(asym3, 0.4, 2, block, seed=3)
+        for t in (1, block):
+            detail = certify_contraction(augment(asym3), schedule, 1, t, 2).detail
+            assert detail["beta_bound"] == beta**block
+            assert detail["log10_beta_bound"] == block * math.log10(beta)
+
     def test_log10_gamma_bound_is_the_log_of_gamma_bound(self, two_cycle):
         ag, schedule = augment(two_cycle), all_reliable(two_cycle, 6)
         # Blocks of 3 rounds: none, one and two of them.

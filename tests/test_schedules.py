@@ -81,6 +81,36 @@ def test_generators_reject_negative_horizon(two_cycle, make):
         make(two_cycle)
 
 
+GENERATORS = {
+    "bernoulli": lambda g, T, p_drop=0.5, B=2: bernoulli_b_bounded(g, p_drop, B, T, seed=0),
+    "periodic": lambda g, T, B=2: periodic_adversarial(g, B, T),
+    "all_reliable": lambda g, T: all_reliable(g, T),
+}
+
+
+@pytest.mark.parametrize("horizon", [2**62, 2**63 - 1, 10**19, 2**64])
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_generators_name_a_horizon_beyond_numpy_sizes(two_cycle, kind, horizon):
+    # numpy refuses such sizes with a ValueError of its own ("array is too
+    # big", "Maximum allowed dimension exceeded") before asking the host for
+    # memory; the generator names the horizon instead.
+    with pytest.raises(LossyNetError, match=rf"^horizon {horizon} does not fit in memory: "):
+        GENERATORS[kind](two_cycle, horizon)
+
+
+@pytest.mark.parametrize("kind, args, message", [
+    ("bernoulli", {"p_drop": 1.0}, "p_drop must lie in [0, 1), got 1.0"),
+    ("bernoulli", {"B": 0}, "B must be >= 1, got 0"),
+    ("periodic", {"B": 0}, "B must be >= 1, got 0"),
+])
+def test_generator_argument_errors_beat_a_horizon_beyond_numpy_sizes(two_cycle, kind, args,
+                                                                      message):
+    # The arguments are checked before the horizon-sized allocations, so
+    # their errors are not taken for a horizon that does not fit.
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        GENERATORS[kind](two_cycle, 2**64, **args)
+
+
 class TestWorstGap:
     def test_all_ones_gives_one(self, two_cycle):
         assert worst_gap(all_reliable(two_cycle, 5)) == 1
