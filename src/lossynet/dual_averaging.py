@@ -34,7 +34,7 @@ from .errors import (
     _check_horizon,
     _horizon_fits,
 )
-from .problems import OptProblem, ReferenceSolution, _reference_slack, solve_reference
+from .problems import OptProblem, ReferenceSolution, solve_reference
 from .schedules import FailureSchedule
 from .graphs import AugmentedGraph, DirectedGraph, augment
 
@@ -238,28 +238,26 @@ def certify_optimality_gap(
 ) -> Certificate:
     """Check every agent's running-average gap against the guarantee.
 
-    The gap is measured against ``reference`` (by default
-    :func:`~lossynet.problems.solve_reference`), which may lie above the
-    minimum by ``problems._reference_slack`` of the trace's problem (0 where
-    exact, else L times the grid step).  That allowance goes on the safe
-    side: the certificate passes only when the worst gap plus it is at most
-    the bound.  ``where`` is ``{"worst_agent": i}``, the first agent with the
-    largest gap or a non-finite one, which fails; ``detail`` holds every
-    agent's gap, ``per_agent_gap``.
+    The gap is measured against :func:`~lossynet.problems.solve_reference`
+    of the trace's problem, whose value may lie above the minimum by its
+    ``slack`` (0 where exact, else L times the grid step).  That allowance
+    goes on the safe side: the certificate passes only when the worst gap
+    plus it is at most the bound.  ``where`` is ``{"worst_agent": i}``, the
+    first agent with the largest gap or a non-finite one, which fails;
+    ``detail`` holds every agent's gap, ``per_agent_gap``.
 
-    ``reference`` exists to reuse ``solve_reference(trace.problem)`` where
-    the caller holds it already; any other reference is the caller's claim
-    about the minimum, which the certificate does not check.
+    ``reference`` may only be that same solution: any other raises
+    ValueError, since a value above the minimum would shrink every gap.
     """
     T = trace.horizon
     bound = optimality_gap_bound(trace.problem, trace.graph, B, trace.step, T)
-    if reference is None:
-        reference = solve_reference(trace.problem)
+    own = solve_reference(trace.problem)
+    if reference is not None and reference is not own:
+        raise ValueError("the gap is measured against solve_reference(trace.problem) only")
     averages = np.array([running_average(trace, agent) for agent in range(1, trace.n + 1)])
-    gaps = trace.problem.objective_at(averages) - reference.value
-    allowance = _reference_slack(trace.problem)
-    worst, passed = _worst_point(gaps, bound, allowance)
+    gaps = trace.problem.objective_at(averages) - own.value
+    worst, passed = _worst_point(gaps, bound, own.slack)
     return Certificate(
-        float(gaps[worst]), bound, passed, {"worst_agent": worst + 1}, allowance,
+        float(gaps[worst]), bound, passed, {"worst_agent": worst + 1}, own.slack,
         {"per_agent_gap": tuple(gaps.tolist())},
     )

@@ -400,7 +400,7 @@ class RunArtifact:
     wall_clock: float
 
 
-def _build_graph(spec, root: Path | None = None) -> DirectedGraph:
+def _build_graph(spec, root: Path | None) -> DirectedGraph:
     """The graph of a config's graph spec: inline ``{"n": ..., "edges": ...}``
     or ``{"path": ...}`` naming a JSON file that holds the inline form."""
     _check_graph_spec(spec)
@@ -426,7 +426,7 @@ def _build_graph(spec, root: Path | None = None) -> DirectedGraph:
 
 
 def _build_schedule(
-    spec: dict | None, T: int, g: DirectedGraph, seed: int | None, root: Path | None = None
+    spec: dict | None, T: int, g: DirectedGraph, seed: int | None, root: Path | None
 ) -> tuple[FailureSchedule | None, int | None]:
     """Instantiate the schedule; returns it with the seed that took effect,
     None unless its kind takes one."""
@@ -820,7 +820,7 @@ def _run_optimize(cfg, g, schedule, emit) -> dict:
         "certifications": certifications,
     }
     if cfg.horizon >= block:
-        gap = certify_optimality_gap(trace, B, reference)
+        gap = certify_optimality_gap(trace, B)
         certifications["optimality_gap_bound"] = {**_certification(gap), "slack": gap.allowance}
         summary["per_agent_gap"] = list(gap.detail["per_agent_gap"])
         certifications["mixing_error_bound"] = _certification(certify_mixing_error(trace, B))

@@ -34,7 +34,6 @@ from .consensus import (
     contraction_constants,
 )
 from .errors import (
-    DimensionMismatchError,
     IterationOutOfRangeError,
     NotRowStochasticError,
     WindowTooShortError,
@@ -221,8 +220,7 @@ def _always_disjoint(m: int, tab: dict) -> bool:
 def _round_buffer(ag: AugmentedGraph, schedule: FailureSchedule) -> tuple[np.ndarray, dict]:
     """An m x m round matrix with only the agent diagonal written, which no
     delivery changes, and the tables that fill in the rest of a round."""
-    if schedule.graph != ag.base:
-        raise DimensionMismatchError("schedule was built for a different graph")
+    _check_schedule(ag.base, schedule, 0)
     tab = _round_tables(ag)
     M = np.zeros((ag.m, ag.m))
     M.reshape(-1)[tab["agents"]] = tab["agent_keep"]

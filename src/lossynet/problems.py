@@ -24,6 +24,8 @@ to the batch shape.  A finite offset or point whose squared norm overflows
 gets the norm rescaled by its largest |entry|, as the certificates' norms
 do, in values, subgradients and projections.  The reference is exact
 exactly when every component is linear; any other takes the grid search.
+``solve_reference`` solves once per problem and carries its own slack,
+which the gap certificate, measuring against it alone, takes as allowance.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ __all__ = [
 
 GRID_STEP_FRACTION = 1e-4
 COARSE_POINTS = 201
+# Passes of the reference's golden-section refinement over the coordinates.
+REFINE_CYCLES = 4
 # Points per block in OptProblem.objective_at, which keeps its temporaries
 # near 1 MB for 8 components at d = 2 however many points it gets.
 POINTS_PER_BLOCK = 4096
@@ -421,6 +425,12 @@ class OptProblem:
     def lipschitz_bound(self) -> float:
         return max(c.lipschitz for c in self.components)
 
+    @cached_property
+    def _reference(self) -> ReferenceSolution:
+        reference = _solve_reference(self)
+        reference.x.setflags(write=False)
+        return reference
+
     def _mean(self, rows: np.ndarray) -> np.ndarray:
         """Mean over components of per-component rows (n, k), summed from
         zero in component order; ``np.sum`` may round differently.  Where
@@ -510,8 +520,14 @@ def _float_mean(values: list, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceSolution:
+    """A problem's reference minimizer ``x`` and its ``value``, which lies
+    above the problem's minimum by at most ``slack``: 0 where the solve is
+    exact, else lipschitz * the grid step, infinite where that passes the
+    float range."""
+
     x: np.ndarray
     value: float
+    slack: float
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -522,12 +538,12 @@ def _golden_cut(a, b):
     return a + _INVPHI * (b - a)
 
 
-def _golden_refine(fun, x: np.ndarray, feasible, step: float, cycles: int = 4) -> np.ndarray:
-    """Cyclic per-coordinate golden-section refinement down to width ``step``
-    over a unit set (see :func:`_unit_set`); ``fun`` maps k points (k, d) to
-    their k values."""
+def _golden_refine(fun, x: np.ndarray, feasible, step: float) -> np.ndarray:
+    """``REFINE_CYCLES`` cycles of per-coordinate golden-section refinement
+    down to width ``step`` over a unit set (see :func:`_unit_set`); ``fun``
+    maps k points (k, d) to their k values."""
     x = x.copy()
-    for _ in range(cycles):
+    for _ in range(REFINE_CYCLES):
         for k in range(x.size):
             lo, hi = feasible._axis_interval(x, k)
             a, b = lo, hi
@@ -574,17 +590,6 @@ def _unit_set(fs: Box | Ball) -> tuple[Box | Ball, int]:
     return Box(np.ldexp(fs.lower, -e), np.ldexp(fs.upper, -e)), e
 
 
-def _reference_slack(p: OptProblem) -> float:
-    """How far the value of :func:`solve_reference` may lie above p's
-    minimum: 0 where it is exact, else lipschitz * its grid step, which is
-    infinite where it passes the float range."""
-    if _exact_reference(p):
-        return 0.0
-    unit, e = _unit_set(p.feasible)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp((p.lipschitz_bound * GRID_STEP_FRACTION) * unit.diameter, e))
-
-
 def _check_reference_dim(p: OptProblem) -> None:
     """The one reference rule: d <= 2, unless :func:`solve_reference` is exact for p."""
     if p.dim > 2 and not _exact_reference(p):
@@ -595,7 +600,8 @@ def _check_reference_dim(p: OptProblem) -> None:
 
 
 def solve_reference(p: OptProblem) -> ReferenceSolution:
-    """Reference minimizer and value.
+    """p's reference minimizer, value and slack, solved on the first call:
+    every call returns that one solution, with a read-only ``x``.
 
     Uses the closed form for purely linear objectives, and otherwise a
     coarse grid plus golden-section refinement for d <= 2, keeping the
@@ -607,6 +613,11 @@ def solve_reference(p: OptProblem) -> ReferenceSolution:
     lets a point lie 1e-12 outside the set, or 1e-12 * 2**e where the
     set's scale 2**e is below 1.
     """
+    return p._reference
+
+
+def _solve_reference(p: OptProblem) -> ReferenceSolution:
+    """The solve behind :func:`solve_reference`, cached by ``OptProblem``."""
     _check_reference_dim(p)
     fs = p.feasible
     if _exact_reference(p):
@@ -617,7 +628,7 @@ def solve_reference(p: OptProblem) -> ReferenceSolution:
         else:
             zero = fs.project(np.zeros(fs.dim))
             x = np.where(cbar > 0, fs.lower, np.where(cbar < 0, fs.upper, zero))
-        return ReferenceSolution(x, p.objective(x))
+        return ReferenceSolution(x, p.objective(x), 0.0)
 
     unit, e = _unit_set(fs)
     axes = unit._grid_axes(COARSE_POINTS)
@@ -644,4 +655,6 @@ def solve_reference(p: OptProblem) -> ReferenceSolution:
     if not value <= values[best]:
         x = np.ldexp(candidates[best], e)
         value = p.objective(x)
-    return ReferenceSolution(x, value)
+    with np.errstate(over="ignore"):
+        slack = float(np.ldexp((p.lipschitz_bound * GRID_STEP_FRACTION) * unit.diameter, e))
+    return ReferenceSolution(x, value, slack)

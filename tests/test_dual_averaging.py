@@ -21,7 +21,6 @@ from lossynet import (
     L2DistanceCost,
     LinearCost,
     OptProblem,
-    ReferenceSolution,
     ScheduleTooShortError,
     StepSizeSchedule,
     all_reliable,
@@ -39,7 +38,6 @@ from lossynet import (
 )
 from lossynet import consensus, dual_averaging, problems
 from lossynet.consensus import _CumulativeState
-from lossynet.problems import _reference_slack
 
 from oracles import proximal_projection, run_centralized_dual_averaging
 from random_graphs import random_strongly_connected
@@ -798,25 +796,34 @@ class TestGapBound:
         )
         cert = certify_optimality_gap(trace, 3)
         assert cert.passed
-        assert cert.allowance == _reference_slack(p) == 1e-4
+        assert cert.allowance == solve_reference(p).slack == 1e-4
         gaps = cert.detail["per_agent_gap"]
         assert len(gaps) == 3
         assert cert.measured == max(gaps)
         assert solve_reference(p).value == pytest.approx(1.0 / 3.0, abs=2e-4)
 
-    def test_certificate_accepts_reference_override(self, three_ring):
+    def test_certificate_rejects_any_other_reference(self, three_ring, monkeypatch):
+        # A reference value delta above the minimum shrinks every gap by
+        # delta.  With the bound between the worst gap against the problem's
+        # own reference and the worst gap against the raised one (each plus
+        # the allowance), the raised reference would pass a run that fails;
+        # the certificate takes no reference but the problem's own.
         schedule = bernoulli_b_bounded(three_ring, 0.3, 2, 100, seed=2)
         p = median_problem()
         trace = run_distributed_dual_averaging(
             three_ring, p, schedule, StepSizeSchedule(0.5), 100
         )
-        exact = ReferenceSolution(np.array([0.5]), p.objective([0.5]))
-        cert = certify_optimality_gap(trace, 2, reference=exact)
-        assert cert.passed
-        averages = [running_average(trace, agent) for agent in (1, 2, 3)]
-        assert cert.detail["per_agent_gap"] == tuple(
-            p.objective_at(np.array(averages)) - exact.value
-        )
+        own = solve_reference(p)
+        measured = certify_optimality_gap(trace, 2)
+        delta = 1e-3
+        bound = measured.measured + measured.allowance - delta / 2
+        monkeypatch.setattr(dual_averaging, "optimality_gap_bound", lambda *args: bound)
+        cert = certify_optimality_gap(trace, 2)
+        assert cert.bound == bound and not cert.passed
+        assert certify_optimality_gap(trace, 2, own) == cert
+        for other in (dataclasses.replace(own, value=own.value + delta), dataclasses.replace(own)):
+            with pytest.raises(ValueError, match=r"solve_reference\(trace.problem\) only"):
+                certify_optimality_gap(trace, 2, other)
 
 
 def oracle_certify_optimality_gap(trace, B, reference):
@@ -830,7 +837,7 @@ def oracle_certify_optimality_gap(trace, B, reference):
         for i in range(trace.n)
     ]
     worst = int(np.argmax(gaps))
-    slack = _reference_slack(trace.problem)
+    slack = solve_reference(trace.problem).slack
     passed = bool(gaps[worst] + slack <= bound)
     return Certificate(
         float(gaps[worst]), bound, passed, {"worst_agent": worst + 1}, slack,
@@ -896,8 +903,7 @@ class TestNonFiniteMeasurement:
         estimates = lossy_run.estimates.copy()
         estimates[50, 1] = math.nan
         estimates[10, 2] = math.nan
-        exact = ReferenceSolution(np.array([0.5]), lossy_run.problem.objective([0.5]))
-        cert = certify_optimality_gap(dataclasses.replace(lossy_run, estimates=estimates), 2, exact)
+        cert = certify_optimality_gap(dataclasses.replace(lossy_run, estimates=estimates), 2)
         assert not cert.passed
         assert cert.where == {"worst_agent": 2}
         assert math.isnan(cert.measured)

@@ -41,7 +41,6 @@ from lossynet import (
 from lossynet import cli, consensus, dual_averaging, harness, mixing, problems, schedules
 from lossynet.cli import main
 from lossynet.harness import _RUNNERS, _stream_psi, _stream_trace
-from lossynet.problems import _reference_slack
 
 from oracles import write_schedule_csv
 from random_graphs import random_strongly_connected
@@ -353,7 +352,7 @@ class TestTolerances:
     def test_gap_slack_is_the_references_error_bound(self, tmp_path):
         cfg = ExperimentConfig.from_dict(OPTIMIZE_RAW)
         gap = run_experiment(cfg, tmp_path).summary["certifications"]["optimality_gap_bound"]
-        slack = _reference_slack(problem_from_spec(OPTIMIZE_RAW["problem"]))
+        slack = solve_reference(problem_from_spec(OPTIMIZE_RAW["problem"])).slack
         assert slack > 0.0 and gap["slack"] == slack
 
     def test_gap_slack_of_a_box_whose_width_squared_overflows(self, tmp_path):
@@ -716,12 +715,34 @@ class TestCertificateRecords:
             g, problem, bernoulli_b_bounded(g, 0.5, 3, 300, seed=7), StepSizeSchedule(1.0), 300
         )
         gap = certify_optimality_gap(trace, 3, solve_reference(problem))
-        assert gap.allowance == _reference_slack(problem)
+        assert gap.allowance == solve_reference(problem).slack
         assert summary["certifications"] == {
             "optimality_gap_bound": {**harness._certification(gap), "slack": gap.allowance},
             "mixing_error_bound": harness._certification(certify_mixing_error(trace, 3)),
         }
         assert summary["per_agent_gap"] == list(gap.detail["per_agent_gap"])
+
+    def test_optimize_solves_its_reference_once(self, tmp_path, monkeypatch):
+        # One grid solve per problem: a run's summary and gap certificate
+        # share it, and so do repeated certificates of one trace.
+        runs = []
+        original = problems._golden_refine
+
+        def counting(*args):
+            runs.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(problems, "_golden_refine", counting)
+        run_experiment(ExperimentConfig.from_dict(OPTIMIZE_RAW), tmp_path)
+        assert len(runs) == 1
+        g = graph_from_spec(OPTIMIZE_RAW["graph"])
+        problem = problem_from_spec(OPTIMIZE_RAW["problem"])
+        trace = run_distributed_dual_averaging(
+            g, problem, bernoulli_b_bounded(g, 0.5, 3, 300, seed=7), StepSizeSchedule(1.0), 300
+        )
+        reference = solve_reference(problem)
+        assert certify_optimality_gap(trace, 3, reference) == certify_optimality_gap(trace, 3)
+        assert len(runs) == 2
 
     @pytest.mark.parametrize("start, end", [(1, 3), (2, 3), (1, 9)])
     def test_audit_flags_are_their_records(self, tmp_path, start, end):

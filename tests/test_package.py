@@ -177,18 +177,19 @@ UNCALLED_PUBLIC_PARAMETERS = {
 }
 
 
-def _defaulted_parameters(tree: ast.Module):
+def _defaulted_parameters(tree: ast.Module, private: bool):
     """(qualified name, (function name, method), parameter, position) for
     each defaulted parameter of the module's public functions and its public
-    classes' public methods; the position is the one a call passes it at,
+    classes' public methods, or, with ``private``, of its private
+    module-level functions; the position is the one a call passes it at,
     counted without self, or None for a keyword-only parameter."""
     scopes = [("", tree.body, False)] + [
         (f"{node.name}.", node.body, True) for node in tree.body
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and not private
     ]
     for owner, body, method in scopes:
         for f in body:
-            if not isinstance(f, ast.FunctionDef) or f.name.startswith("_"):
+            if not isinstance(f, ast.FunctionDef) or f.name.startswith("_") != private:
                 continue
             static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
             positional = [*f.args.posonlyargs, *f.args.args]
@@ -201,10 +202,12 @@ def _defaulted_parameters(tree: ast.Module):
                     yield f"{owner}{f.name}({arg.arg})", key, arg.arg, None
 
 
-def test_every_public_parameter_has_a_caller():
-    # A defaulted parameter is surface only if some call in the package or a
-    # demo passes it, by keyword or by position, to a function of its name:
-    # for a method, a call of an attribute of that name.
+def _uncalled_parameters(private: bool) -> tuple[int, list]:
+    """How many defaulted parameters ``_defaulted_parameters(tree, private)``
+    lists over the package, and the qualified names of those that no call
+    in the package or a demo passes, by keyword or by position, to a
+    function of its name: for a method, a call of an attribute of that
+    name."""
     package = sorted(Path(lossynet.__file__).parent.glob("*.py"))
     demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
     keywords, positions, defaulted = set(), {}, []
@@ -222,14 +225,29 @@ def test_every_public_parameter_has_a_caller():
                     keywords.update((key, keyword.arg) for keyword in node.keywords)
                     positions[key] = max(positions.get(key, 0), count)
         if path in package:
-            defaulted.extend(_defaulted_parameters(tree))
-    assert len(defaulted) >= 8
-    uncalled = sorted(
+            defaulted.extend(_defaulted_parameters(tree, private))
+    return len(defaulted), sorted(
         qualified for qualified, key, arg, position in defaulted
         if (key, arg) not in keywords
         and (position is None or positions.get(key, 0) <= position)
     )
+
+
+def test_every_public_parameter_has_a_caller():
+    # A defaulted parameter is surface only if some call in the package or a
+    # demo passes it.
+    count, uncalled = _uncalled_parameters(private=False)
+    assert count >= 8
     assert uncalled == sorted(UNCALLED_PUBLIC_PARAMETERS)
+
+
+def test_every_private_parameter_has_a_caller():
+    # A private function's default that no call in the package or a demo
+    # overrides is a branch that only tests take: such a value is a
+    # constant, and a parameter every call passes needs no default.
+    count, uncalled = _uncalled_parameters(private=True)
+    assert count >= 4
+    assert uncalled == []
 
 
 # Defaulted fields of public dataclasses that no call in ``src/lossynet`` or

@@ -23,8 +23,8 @@ from lossynet.problems import (
     COARSE_POINTS,
     GRID_STEP_FRACTION,
     POINTS_PER_BLOCK,
+    REFINE_CYCLES,
     _golden_refine,
-    _reference_slack,
     _unit_set,
 )
 
@@ -360,8 +360,8 @@ class TestBatchedKernels:
         assert ref.value == _scalar_objective(p, x)
 
     def test_golden_refine_skips_an_axis_within_the_step(self):
-        # Axis 1 of the box is one point, so each cycle opens a golden
-        # section (one call on two points) on axis 0 only.
+        # Axis 1 of the box is one point, so each of the four cycles opens
+        # a golden section (one call on two points) on axis 0 only.
         box = Box([0.0, 0.25], [1.0, 0.25])
         calls = []
 
@@ -369,8 +369,8 @@ class TestBatchedKernels:
             calls.append(points.copy())
             return np.abs(points[:, 0] - 0.3)
 
-        x = _golden_refine(fun, np.array([0.5, 0.25]), box, 1e-4, cycles=3)
-        assert sum(len(points) == 2 for points in calls) == 3
+        x = _golden_refine(fun, np.array([0.5, 0.25]), box, 1e-4)
+        assert sum(len(points) == 2 for points in calls) == REFINE_CYCLES == 4
         assert all((points[:, 1] == 0.25).all() for points in calls)
         assert x[1] == 0.25 and abs(x[0] - 0.3) < 1e-4
 
@@ -480,7 +480,7 @@ class TestOverflowingNorms:
         # 2 * sqrt(2): the step is taken on the set scaled by a power of
         # two, and so is the slack, which is the step for lipschitz 1.
         def slack(box):
-            return _reference_slack(OptProblem((L2DistanceCost(np.zeros(box.dim)),), box))
+            return solve_reference(OptProblem((L2DistanceCost(np.zeros(box.dim)),), box)).slack
 
         assert slack(Box([-1e308], [1e308])) == 2.0 * (1e-4 * 1e308)
         step = slack(Box([-1.7e308, -1.7e308], [1.7e308, 1.7e308]))
@@ -528,8 +528,8 @@ class TestOverflowingNorms:
         # the diameter.
         p = OptProblem((L2DistanceCost([3e200, 4e200]), L2DistanceCost([0.6e200, 0.8e200])), ball)
         ref = solve_reference(p)
-        assert ball.contains(ref.x, tol=1e188) and _reference_slack(p) == 2.0 * (1e-4 * 1e200)
-        assert ref.value <= p.objective([0.6e200, 0.8e200]) + _reference_slack(p)
+        assert ball.contains(ref.x, tol=1e188) and ref.slack == 2.0 * (1e-4 * 1e200)
+        assert ref.value <= p.objective([0.6e200, 0.8e200]) + ref.slack
         # Finite squares keep their bits.
         half = float(np.sqrt(1e150**2 - 0.6e150**2))
         unit, e = _unit_set(Ball(1e150, 2))
@@ -575,7 +575,7 @@ class TestOverflowingNorms:
         assert np.isfinite(ref.x).all() and box.contains(ref.x)
         # Within the grid's slack of the value at the optimum's neighbour 0.
         assert math.isfinite(ref.value)
-        assert ref.value <= p.objective(np.zeros(2)) + _reference_slack(p)
+        assert ref.value <= p.objective(np.zeros(2)) + ref.slack
 
     def test_reference_is_no_worse_than_the_grid_point(self):
         # Each golden section spans the whole +-1.7e308 axis and stops one
@@ -670,6 +670,20 @@ class TestSolveReference:
         ref = solve_reference(p)
         assert np.linalg.norm(ref.x - [0.3, 0.4]) < 1e-3
         assert ref.value < 1e-3
+
+    @pytest.mark.parametrize("components", [
+        (LinearCost([1.0, -2.0]),), (L2DistanceCost([0.25, 0.5]), L2DistanceCost([0.0, 1.0])),
+    ])
+    def test_reference_is_solved_once_and_read_only(self, components):
+        # One solution per problem: every call returns it, with the slack
+        # of its own path, and its point cannot be changed.
+        p = OptProblem(components, Box([-1.0, -1.0], [1.0, 1.0]))
+        ref = solve_reference(p)
+        assert solve_reference(p) is ref
+        assert ref.slack == (0.0 if len(components) == 1 else 1e-4 * p.feasible.diameter)
+        assert not ref.x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ref.x[0] = 0.0
 
     def test_high_dimension_needs_an_exact_reference(self):
         p = OptProblem((L2DistanceCost([0.0, 0.0, 0.0]),), Ball(1.0, 3))
