@@ -240,7 +240,11 @@ def _check_bernoulli(spec: dict) -> None:
     p = spec.get("p_drop")
     _require(_is_number(p) and 0.0 <= p < 1.0, f"p_drop must lie in [0, 1), got {p!r}")
     _as_positive_int(spec.get("B"), "schedule B")
-    seed = spec.get("seed", 0)
+    _check_seed(spec.get("seed", 0))
+
+
+def _check_seed(seed) -> None:
+    """The one seed rule, for a config's seed and for an override."""
     _require(_is_int(seed) and seed >= 0, "schedule seed must be a nonnegative integer")
 
 
@@ -430,7 +434,8 @@ def _build_schedule(
 ) -> tuple[FailureSchedule | None, int | None]:
     """Instantiate the schedule; returns it with the seed that took effect,
     None unless its kind takes one."""
-    _require(seed is None or seed >= 0, "schedule seed must be a nonnegative integer")
+    if seed is not None:
+        _check_seed(seed)
     if spec is None:
         return None, None
     kind = SCHEDULE_KINDS[spec["kind"]]

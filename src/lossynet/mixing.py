@@ -18,8 +18,8 @@ tables are certified once per graph to fill a row-stochastic matrix for
 every delivery pattern, so the audit checks no round matrix row by row.
 The tables also tell once per graph whether some row can never meet row
 0's support, which makes every round's lambda 1.0; only the rounds of
-other graphs take the dense coefficient.  The product starts as a copy of
-its first round matrix.
+other graphs take the dense coefficient.  The matrix recursion fills the
+same buffer.  The product starts as a copy of its first round matrix.
 """
 
 from __future__ import annotations
@@ -204,10 +204,10 @@ def _certify_tables(ag: AugmentedGraph, tab: dict) -> None:
 def _always_disjoint(m: int, tab: dict) -> bool:
     """Whether lambda is 1.0 in every round the tables can fill: every table
     value is at least 0, and some row has no agent-diagonal or table entry
-    in any column row 0 can reach, so it never meets row 0's support and
-    :func:`lambda_coefficient` finds the two rows disjoint.  A negative
-    value (within tolerance) makes lambda_coefficient take the overlaps row
-    by row, so the rounds of such tables take the dense coefficient."""
+    in any column row 0 can reach, so it never meets row 0's support: the
+    two rows overlap by exactly 0 in :func:`lambda_coefficient`, and no pair
+    by less.  A negative value (within tolerance) can make an overlap
+    negative, so the rounds of such tables take the dense coefficient."""
     if min(tab["agent_keep"].min(initial=0.0), tab["delivered"].min(initial=0.0),
            tab["dropped"].min(initial=0.0)) < 0.0:
         return False
@@ -292,21 +292,23 @@ def evolve_by_matrices(
 
     Must reproduce :func:`~lossynet.consensus.run_convergent_robust_push_sum`
     up to floating-point noise; the simulation and the matrices are two
-    independent encodings of the same round.
+    independent encodings of the same round.  Each M[t] is filled into one
+    round buffer, as in a window product.
     """
     _check_horizon(T)
     _check_schedule(ag.base, schedule, T)
     inputs = _input_matrix(y, ag.base.n)
     _, values, weights = _allocate(ag, inputs, T)
+    M, tab = _round_buffer(ag, schedule)
     for t in range(1, T + 1):
-        M = iteration_matrix(ag, schedule, t)
+        _fill_round(M, tab, schedule, t)
         values[t] = M.T @ values[t - 1]
         weights[t] = M.T @ weights[t - 1]
     return ConsensusTrace(ag, inputs, values, weights)
 
 
-def _check_row_stochastic(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """A as a float array, and its smallest entry."""
+def _check_row_stochastic(A: np.ndarray) -> np.ndarray:
+    """A as a float array."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise NotRowStochasticError(f"expected a non-empty square matrix, got shape {A.shape}")
@@ -321,7 +323,7 @@ def _check_row_stochastic(A: np.ndarray) -> tuple[np.ndarray, float]:
             f"{ROW_SUM_TOL} (min entry {low}, worst row-sum error "
             f"{np.abs(sums - 1.0).max()})"
         )
-    return A, low
+    return A
 
 
 def delta_coefficient(A) -> float:
@@ -330,7 +332,7 @@ def delta_coefficient(A) -> float:
     Zero exactly when all rows are identical; at most 1 for row-stochastic
     input.
     """
-    A, _ = _check_row_stochastic(A)
+    A = _check_row_stochastic(A)
     return float((A.max(axis=0) - A.min(axis=0)).max())
 
 
@@ -341,14 +343,7 @@ def lambda_coefficient(A) -> float:
     coefficient 1, identical rows give 0.  Products contract column spread at
     least this fast.
     """
-    A, low = _check_row_stochastic(A)
-    if low >= 0.0:
-        # Two rows with disjoint supports overlap by exactly 0, and no pair
-        # overlaps by less.  A negative entry within tolerance can make an
-        # overlap negative, so that case takes the row-by-row minimum.
-        support = (A > 0.0).astype(float)
-        if (support @ support.T == 0.0).any():
-            return 1.0
+    A = _check_row_stochastic(A)
     overlap = np.min([np.minimum(row, A).sum(axis=1).min() for row in A])
     return float(1.0 - overlap)
 

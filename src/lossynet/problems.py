@@ -621,9 +621,15 @@ def _solve_reference(p: OptProblem) -> ReferenceSolution:
     _check_reference_dim(p)
     fs = p.feasible
     if _exact_reference(p):
-        cbar = np.mean(p._params, axis=0)
+        with np.errstate(over="ignore"):
+            cbar = np.mean(p._params, axis=0)
+            if not np.isfinite(cbar).all():
+                # The sum left the float range; over parameters scaled by
+                # 2**-k with 2**k > n it cannot, and the scaling is exact (as
+                # in _unit_set), so c-bar keeps its signs and direction.
+                cbar = np.mean(np.ldexp(p._params, -p.n_components.bit_length()), axis=0)
+            norm = float(_rescue_norms(cbar, np.linalg.norm(cbar)))
         if isinstance(fs, Ball):
-            norm = np.linalg.norm(cbar)
             x = np.zeros(fs.dim) if norm == 0.0 else -fs.radius * cbar / norm
         else:
             zero = fs.project(np.zeros(fs.dim))

@@ -4,9 +4,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import random
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -38,13 +42,14 @@ from lossynet import (
     solve_reference,
     write_json,
 )
-from lossynet import cli, consensus, dual_averaging, harness, mixing, problems, schedules
+from lossynet import cli, dual_averaging, harness, mixing, problems, schedules
 from lossynet.cli import main
 from lossynet.harness import _RUNNERS, _stream_psi, _stream_trace
 
+from mutants import leak_agent_1, move_entry
 from oracles import write_schedule_csv
 from random_graphs import random_strongly_connected
-from test_mixing import _audit_benchmark_graph, _move_entry
+from test_mixing import _audit_benchmark_graph
 
 
 # Oracle: the per-cell trace writer the streamed one replaced (rows of
@@ -279,7 +284,7 @@ class TestConfigValidation:
 
 RAWS = {"consensus": CONSENSUS_RAW, "optimize": OPTIMIZE_RAW, "matrix-audit": AUDIT_RAW}
 # A run of the robust protocol, whose mass certificates fail once
-# :func:`_leak_agent_1` takes mass away.
+# :func:`mutants.leak_agent_1` takes mass away.
 LEAKY_RAW = {
     "mode": "consensus",
     "graph": {"n": 3, "edges": [[1, 2], [2, 1], [2, 3], [3, 1]]},
@@ -295,19 +300,6 @@ LEAKY_RAW = {
 RETIRED_TOLERANCES = (
     "contraction_slack", "entry_slack", "gap_slack", "mass_rtol", "mixing_slack", "rate_slack"
 )
-
-
-def _leak_agent_1(monkeypatch, eps: float = 1e-6) -> None:
-    """Make agent 1 lose ``eps`` of its value and of its weight in every
-    round of the cumulative protocols, so that mass is not conserved."""
-    original = consensus._CumulativeState.rounds
-
-    def mutant(self, reshare):
-        for t in original(self, reshare):
-            self._history[t, 0] -= eps
-            yield t
-
-    monkeypatch.setattr(consensus._CumulativeState, "rounds", mutant)
 
 
 class TestTolerances:
@@ -342,7 +334,7 @@ class TestTolerances:
             "window": {"start": 1, "end": block},
         }
         out = tmp_path / "out"
-        _move_entry(monkeypatch, 0.0)
+        move_entry(monkeypatch, 0.0)
         config = _write(tmp_path, "c.json", raw)
         assert main(["matrix-audit", "--config", config, "--out", str(out)]) == 2
         summary = json.loads((out / "summary.json").read_text())
@@ -503,7 +495,7 @@ class TestConsensusRuns:
         assert artifact.passed
 
     def test_leaked_mass_forces_failure(self, tmp_path, monkeypatch):
-        _leak_agent_1(monkeypatch)
+        leak_agent_1(monkeypatch)
         artifact = run_experiment(ExperimentConfig.from_dict(LEAKY_RAW), tmp_path)
         assert not artifact.passed
         assert artifact.summary["pass"] is False
@@ -1289,6 +1281,58 @@ class TestConsensusDigests:
         assert digests == CONSENSUS_DIGESTS[algorithm, d, seed]
 
 
+# Runs each config file in argv[2:] through ``lossynet consensus`` into the
+# directory argv[1], then prints one JSON list of the sha256 of each run's
+# summary.json and trace.csv.
+_DIGEST_RUNNER = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from lossynet.cli import main
+digests = []
+for k, config in enumerate(sys.argv[2:]):
+    out = Path(sys.argv[1]) / str(k)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["consensus", "--config", config, "--out", str(out)]) == 0
+    digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("summary.json", "trace.csv")])
+print(json.dumps(digests))
+"""
+
+
+def _openblas_on_x86_64() -> bool:
+    """Whether numpy's BLAS is OpenBLAS on x86-64, where OPENBLAS_CORETYPE
+    picks the kernel of one process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        return False
+    return "openblas" in blas and platform.machine().lower() in ("x86_64", "amd64")
+
+
+@pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs OpenBLAS on x86-64")
+def test_consensus_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # The consensus pins hold under the host's default kernel and under
+    # Prescott's, which rounds a batched 2-d norm differently.  The
+    # optimize and matrix-audit bytes depend on the kernel; see README.
+    keys = sorted(CONSENSUS_DIGESTS)
+    configs = [_write(tmp_path, f"c{k}.json", _seeded_consensus_raw(seed, algorithm, d))
+               for k, (algorithm, d, seed) in enumerate(keys)]
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    runs = []
+    for kernel in (None, "Prescott"):
+        out = tmp_path / (kernel or "default")
+        result = subprocess.run(
+            [sys.executable, "-c", _DIGEST_RUNNER, str(out), *configs],
+            env=env if kernel is None else dict(env, OPENBLAS_CORETYPE=kernel),
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        runs.append([tuple(pair) for pair in json.loads(result.stdout)])
+    assert runs[0] == runs[1] == [CONSENSUS_DIGESTS[key] for key in keys]
+
+
 # `lossynet matrix-audit` on the same graph (n = 6, B = 2, so one block is 13
 # rounds) over windows (start, end) of a seeded Bernoulli schedule: two span
 # at least one block, and (2, 9) is shorter, so its entry flag is null.  The
@@ -1583,6 +1627,19 @@ class TestCli:
             assert "error: schedule seed must be a nonnegative integer" in capsys.readouterr().err
             assert not out.exists(), command
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", -1], ids=["float", "bool", "str", "negative"])
+    def test_library_seed_override_takes_the_config_seed_rule(self, tmp_path, seed):
+        # The command line passes ints; a library caller may pass anything,
+        # and gets the config seed's typed error before numpy sees it.
+        message = "^schedule seed must be a nonnegative integer$"
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(ExperimentConfig.from_dict(CONSENSUS_RAW), out, seed=seed)
+        assert not out.exists()
+        raw = dict(VERIFY_RAW, graph=CONSENSUS_RAW["graph"], schedule=CONSENSUS_RAW["schedule"])
+        with pytest.raises(ConfigError, match=message):
+            harness.schedule_verdict(_write(tmp_path, "v.json", raw), seed)
+
     @pytest.mark.parametrize("algorithm, size", [("convergent", "931. GiB"), ("plain", "87.3 TiB")])
     def test_horizon_beyond_memory(self, tmp_path, capsys, algorithm, size):
         # A periodic schedule of 10**12 rounds, or a plain run's history of
@@ -1772,7 +1829,7 @@ class TestCli:
         assert "horizon" in capsys.readouterr().err
 
     def test_failed_certification_exit_code(self, tmp_path, monkeypatch):
-        _leak_agent_1(monkeypatch)
+        leak_agent_1(monkeypatch)
         config = _write(tmp_path, "c.json", LEAKY_RAW)
         code = main(["consensus", "--config", config, "--out", str(tmp_path)])
         assert code == 2

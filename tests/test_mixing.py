@@ -35,6 +35,7 @@ from lossynet.mixing import (
 )
 from lossynet.schedules import FailureSchedule
 
+from mutants import move_entry
 from oracles import scripted_schedule
 from random_graphs import random_strongly_connected
 
@@ -180,6 +181,30 @@ class TestEvolveMatchesSimulation:
         mat = evolve_by_matrices(augment(g), schedule, y, 25)
         assert np.abs(sim.values - mat.values).max() < 1e-11
         assert np.abs(sim.weights - mat.weights).max() < 1e-11
+
+    @pytest.mark.parametrize("seed, n, d", [(1, 1, 1), (2, 4, 1), (3, 6, 2), (4, 9, 3)])
+    def test_one_round_buffer_folds_the_oracle_matrices(self, monkeypatch, seed, n, d):
+        # One round buffer per call, refilled every round, and the bits of
+        # v[t] = v[t-1] @ M[t] over matrices built entry by entry.
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected(n, rng)
+        ag, T = augment(g), 30
+        schedule = bernoulli_b_bounded(g, 0.5, 2, T, seed=seed)
+        y = rng.uniform(-3.0, 3.0, size=(n, d))
+        buffers = []
+        original = lossynet.mixing._round_buffer
+        monkeypatch.setattr(lossynet.mixing, "_round_buffer",
+                            lambda *args: buffers.append(args) or original(*args))
+        mat = evolve_by_matrices(ag, schedule, y, T)
+        assert len(buffers) == 1
+        values, weights = np.zeros((ag.m, d)), np.zeros(ag.m)
+        values[:n], weights[:n] = y, 1.0
+        for t in range(T + 1):
+            if t:
+                M = oracle_iteration_matrix(ag, schedule, t)
+                values, weights = M.T @ values, M.T @ weights
+            assert np.array_equal(mat.values[t], values)
+            assert np.array_equal(mat.weights[t], weights)
 
     def test_horizon_checked(self, two_cycle):
         # The simulation's schedule rule, with its error and message.
@@ -347,20 +372,6 @@ def _audit_benchmark_graph():
     return build_graph(n, sorted(edges))
 
 
-def _move_entry(monkeypatch, value: float) -> None:
-    """Make every window product carry ``value`` at [0, 1], the rest of
-    that entry moved into [0, 0], so that row sums stay as they were."""
-    original = lossynet.mixing._window_product
-
-    def mutant(*args, **kwargs):
-        product = original(*args, **kwargs)
-        product[0, 0] += product[0, 1] - value
-        product[0, 1] = value
-        return product
-
-    monkeypatch.setattr(lossynet.mixing, "_window_product", mutant)
-
-
 class TestEntryRoundingAllowance:
     def test_zero_entry_fails_at_benchmark_shape(self, monkeypatch):
         # The bound, about 1e-180 here, lies far below any absolute slack
@@ -371,7 +382,7 @@ class TestEntryRoundingAllowance:
         schedule = bernoulli_b_bounded(g, 0.5, B, block, seed=1)
         report = certify_entry_lower_bound(ag, schedule, 1, block, B)
         assert report.passed and 0.0 < report.bound < 1e-170 < report.measured
-        _move_entry(monkeypatch, 0.0)
+        move_entry(monkeypatch, 0.0)
         report = certify_entry_lower_bound(ag, schedule, 1, block, B)
         assert report.measured == 0.0 and not report.passed
 
@@ -385,7 +396,7 @@ class TestEntryRoundingAllowance:
         gamma = lossynet.mixing._product_gamma(3, ag.m)
         assert 0.0 < gamma < 1e-14
         entry = 0.25**3 * (1.0 + excess * gamma)
-        _move_entry(monkeypatch, entry)
+        move_entry(monkeypatch, entry)
         report = certify_entry_lower_bound(ag, schedule, 1, 3, 1)
         assert report.measured == entry and report.passed is passed
 

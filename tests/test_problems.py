@@ -653,6 +653,26 @@ class TestSolveReference:
         assert ref.x.tolist() == [2.0]
         assert ref.value == 0.0
 
+    @pytest.mark.parametrize("c, n", [(1e200, 3), (1e308, 2)])
+    def test_linear_on_ball_beyond_the_float_range(self, c, n):
+        # |c-bar|'s squares overflow, and at c = 1e308 so does the sum of
+        # the mean; the minimizer is still -r c-bar / |c-bar|, with a finite
+        # value, and no numpy warning (every warning fails a test here).
+        p = OptProblem(tuple(LinearCost([c, c]) for _ in range(n)), Ball(1.0, 2))
+        ref = solve_reference(p)
+        assert np.allclose(ref.x, [-HALF_ROOT, -HALF_ROOT], rtol=1e-15, atol=0)
+        assert ref.value == pytest.approx(-math.sqrt(2.0) * c, rel=1e-15)
+        assert math.isfinite(ref.value) and ref.slack == 0.0
+
+    def test_linear_on_box_past_an_overflowing_mean(self):
+        # The running sum of 1e308, 1e308, -1e308, -1e308, -1e308 overflows
+        # to +inf, but c-bar is -2e307: the minimizer is the upper bound.
+        p = OptProblem(tuple(LinearCost([c]) for c in (1e308, 1e308, -1e308, -1e308, -1e308)),
+                       Box([-1.0], [1.0]))
+        ref = solve_reference(p)
+        assert ref.x.tolist() == [1.0]
+        assert ref.value == pytest.approx(-2e307, rel=1e-15)
+
     def test_grid_single_kink(self):
         p = OptProblem((AbsDistanceCost([0.3]),), unit_interval)
         ref = solve_reference(p)
